@@ -19,8 +19,9 @@ import hashlib
 import json
 import threading
 from dataclasses import dataclass, replace
+from functools import cached_property
 from pathlib import Path
-from typing import MutableMapping, Protocol
+from typing import TYPE_CHECKING, MutableMapping, Protocol
 
 import requests
 
@@ -33,6 +34,9 @@ from .errors import (
 )
 from .graph import Node, NodeId, SceneObject, Snapshot
 
+if TYPE_CHECKING:
+    from .worldgen import GroundTruthInstance
+
 QUERY_MODES = ("find", "count", "assess_hazard")
 
 
@@ -40,8 +44,8 @@ QUERY_MODES = ("find", "count", "assess_hazard")
 class Predicate:
     """Machine-checkable stand-in for a natural-language query.
 
-    All present clauses must hold (conjunction): an optional exact label
-    match plus exact (key, value) attribute matches.
+    All present clauses must hold (conjunction): an optional label match,
+    case-insensitive on both sides, plus exact (key, value) attribute matches.
     """
 
     label_equals: str | None = None
@@ -56,10 +60,15 @@ class Predicate:
         if self.label_equals is None and not clauses:
             raise ValueError("predicate needs at least one clause")
 
+    @cached_property
+    def label_key(self) -> str | None:
+        """The label clause as matched and hashed: lowercased, or None."""
+        return self.label_equals.lower() if self.label_equals is not None else None
+
     def canonical_dict(self) -> dict:
         """Stable form: lowercased label, attribute clauses sorted by key."""
         return {
-            "label": self.label_equals.lower() if self.label_equals is not None else None,
+            "label": self.label_key,
             "attrs": sorted(list(pair) for pair in self.attribute_equals),
         }
 
@@ -90,6 +99,11 @@ class Query:
             raise ValueError("query text must be non-empty")
         if self.mode not in QUERY_MODES:
             raise ValueError(f"mode must be one of {QUERY_MODES}, got {self.mode!r}")
+
+    @cached_property
+    def canonical_key(self) -> str:
+        """:func:`canonical_query_key` of this query, computed once."""
+        return canonical_query_key(self)
 
     def to_json_dict(self) -> dict:
         return {"text": self.text, "mode": self.mode, "predicate": self.predicate.to_json_dict()}
@@ -186,9 +200,14 @@ def canonical_query_key(query: Query) -> str:
 # --- oracle -------------------------------------------------------------------
 
 
-def predicate_eval(predicate: Predicate, obj: SceneObject) -> bool:
-    """True iff every clause of the predicate holds for the object."""
-    if predicate.label_equals is not None and obj.label != predicate.label_equals.lower():
+def predicate_eval(predicate: Predicate, obj: SceneObject | GroundTruthInstance) -> bool:
+    """True iff every clause of the predicate holds for the object.
+
+    Labels compare case-insensitively, as :func:`canonical_query_key` treats
+    label casing as cosmetic.
+    """
+    label = predicate.label_key
+    if label is not None and obj.label.lower() != label:
         return False
     for key, value in predicate.attribute_equals:
         if obj.attributes.get(key) != value:
@@ -241,7 +260,7 @@ class ReplayStore:
 
     @staticmethod
     def key_for(node_id: NodeId, query: Query) -> str:
-        return f"{node_id}:{canonical_query_key(query)}"
+        return f"{node_id}:{query.canonical_key}"
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -259,7 +278,7 @@ class ReplayStore:
         try:
             return self._responses[key]
         except KeyError:
-            raise ReplayMissError(node_id, canonical_query_key(query)) from None
+            raise ReplayMissError(node_id, query.canonical_key) from None
 
     def save(self, destination) -> None:
         doc = {
@@ -331,7 +350,7 @@ def answer_with_cache(
     query: Query,
 ) -> QueryResponse:
     """Serve from ``cache`` when possible; errors pass through uncached."""
-    key = (node.id, canonical_query_key(query))
+    key = (node.id, query.canonical_key)
     if key in cache:
         return replace(cache[key], backend_calls=0)
     response = backend.answer(node, query)  # errors propagate, uncached
@@ -356,7 +375,7 @@ class CachingBackend:
         self.misses = 0
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
-        key = (node.id, canonical_query_key(query))
+        key = (node.id, query.canonical_key)
         with self._lock:
             cached = self._cache.get(key)
             if cached is not None:

@@ -417,12 +417,14 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
             for strategy in sorted(config.strategies):
                 rows.append(TrialRecord(task_id=trial, strategy=strategy, error=str(exc)))
             continue
-        optimal = ground_truth_nearest(
-            graph, ground_truth, task.agent_node, task.query.predicate, config.metric
-        )
-        optimal_hops = ground_truth_nearest(
-            graph, ground_truth, task.agent_node, task.query.predicate, "hops"
-        )
+        # the task generators already scored the hop optimum from this agent
+        optimal_hops = task.expected_min_hops
+        optimal: float | None = optimal_hops
+        if config.metric == "meters":
+            nearest = ground_truth_nearest(
+                graph, ground_truth, task.agent_node, task.query.predicate, "meters"
+            )
+            optimal = nearest[1] if nearest is not None else None
         for strategy in sorted(config.strategies):
             backend: QueryBackend = base_backend
             cache = None
@@ -495,8 +497,8 @@ def _score_trial(
     trial: int,
     strategy: str,
     result: TraversalResult,
-    optimal: tuple[NodeId, float] | None,
-    optimal_hops: tuple[NodeId, float] | None,
+    optimal: float | None,
+    optimal_hops: int | None,
     metric: str,
     wall_ms: float,
     cache_hits: int,
@@ -506,19 +508,15 @@ def _score_trial(
         _, hops_found, meters_found = result.first_satisfied
     if optimal is None:
         closest = result.first_satisfied is None
-    elif result.first_satisfied is None:
-        closest = False
-    elif metric == "hops":
-        closest = hops_found == optimal[1]
     else:
-        closest = meters_found == optimal[1]
+        closest = (hops_found if metric == "hops" else meters_found) == optimal
     return TrialRecord(
         task_id=trial,
         strategy=strategy,
         backend_calls=result.total_backend_calls,
         hops_of_found=hops_found,
         meters_of_found=meters_found,
-        optimal_hops=int(optimal_hops[1]) if optimal_hops is not None else None,
+        optimal_hops=optimal_hops,
         found_is_closest=closest,
         wall_time_ms=wall_ms,
         cache_hits=cache_hits,

@@ -100,7 +100,9 @@ class AggregateReport:
 def _hop_order(graph: Datagraph, agent: NodeId) -> Iterator[NodeId]:
     """Level-synchronized BFS: nondecreasing hop distance, ascending id within
     a level. Nodes are marked visited at enqueue time, so each reachable node
-    is yielded exactly once. Lazy, so early stops never touch deeper levels."""
+    is yielded exactly once. The generator is lazy, but ``_run`` builds both
+    full distance maps before the first query, so a search that stops early
+    still pays O(V + E) for them."""
     visited = {agent}
     level = [agent]
     while level:

@@ -15,6 +15,7 @@ distances, never the traversal module.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from collections import Counter
@@ -132,8 +133,11 @@ class WorldSpec:
             raise WorldSpecError("objects_per_room_mean must be non-negative")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise WorldSpecError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.min_label_separation_m < 0:
-            raise WorldSpecError("min_label_separation_m must be non-negative")
+        if not (math.isfinite(self.min_label_separation_m) and self.min_label_separation_m >= 0):
+            raise WorldSpecError(
+                f"min_label_separation_m must be finite and non-negative, "
+                f"got {self.min_label_separation_m!r}"
+            )
         catalog = tuple(self.catalog)
         object.__setattr__(self, "catalog", catalog)
         if self.objects_per_room_mean > 0:
@@ -141,6 +145,8 @@ class WorldSpec:
                 raise WorldSpecError(
                     "objects_per_room_mean > 0 needs a catalog with a positive weight"
                 )
+            if not math.isfinite(sum(entry.weight for entry in catalog)):
+                raise WorldSpecError("catalog weights must have a finite sum")
 
     def to_json_dict(self) -> dict:
         return {
@@ -208,9 +214,6 @@ class GroundTruthInstance:
         object.__setattr__(self, "attributes", dict(self.attributes))
         object.__setattr__(self, "world_position", tuple(float(c) for c in self.world_position))
 
-    def as_scene_object(self) -> SceneObject:
-        return SceneObject(self.label, self.attributes, self.world_position, self.instance_id)
-
     def to_json_dict(self) -> dict:
         return {
             "instance_id": self.instance_id,
@@ -247,7 +250,7 @@ class GroundTruth:
 
     def count_matching(self, predicate: Predicate, include_duplicates: bool = False) -> int:
         pool = self.instances if include_duplicates else self.physical_instances()
-        return sum(1 for inst in pool if predicate_eval(predicate, inst.as_scene_object()))
+        return sum(1 for inst in pool if predicate_eval(predicate, inst))
 
     def to_json_dict(self) -> dict:
         return {
@@ -408,24 +411,64 @@ def _room_bounds(v: NodeId, gw: int, size: float) -> tuple[float, float, float, 
 _MAX_PLACE_TRIES = 64
 
 
+class _SeparationGrid:
+    """One label's placed positions, bucketed in square cells (a grid hash).
+
+    :meth:`admits` accepts a candidate iff every placed position is at least
+    ``separation`` away by ``math.dist``, exactly as a scan over all of them
+    would, but it only looks at the 3x3 block of cells around the candidate.
+    That suffices because the side is at least twice the separation, which
+    leaves a wide margin for rounding in ``x / side``; the ``room_size_m / 4``
+    floor keeps ``x / side`` small and finite when the separation is tiny.
+    """
+
+    def __init__(self, separation: float, room_size_m: float):
+        self.separation = separation
+        self.side = max(2.0 * separation, room_size_m / 4)
+        self._cells: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
+
+    def _cell(self, position: tuple[float, float, float]) -> tuple[int, int]:
+        return math.floor(position[0] / self.side), math.floor(position[1] / self.side)
+
+    def admits(self, candidate: tuple[float, float, float]) -> bool:
+        if self.separation == 0:
+            return True
+        ci, cj = self._cell(candidate)
+        for i in (ci - 1, ci, ci + 1):
+            for j in (cj - 1, cj, cj + 1):
+                for other in self._cells.get((i, j), ()):
+                    if not math.dist(candidate, other) >= self.separation:
+                        return False
+        return True
+
+    def add(self, position: tuple[float, float, float]) -> None:
+        self._cells.setdefault(self._cell(position), []).append(position)
+
+
 def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
     placements: list[_Placement] = []
     if spec.objects_per_room_mean == 0 or not spec.catalog:
         return placements
     weights = np.array([entry.weight for entry in spec.catalog], dtype=float)
-    probabilities = weights / weights.sum()
-    label_positions: dict[str, list[tuple[float, float, float]]] = {}
+    # the inverse CDF that rng.choice(len(catalog), p=weights / weights.sum())
+    # builds on every call; one rng.random() per pick gives the same picks
+    # from the same draws, without the per-call argument checks
+    cdf = (weights / weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
+    grids = {
+        entry.label: _SeparationGrid(spec.min_label_separation_m, spec.room_size_m)
+        for entry in spec.catalog
+    }
     for v in range(spec.grid_w * spec.grid_h):
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, spec.room_size_m)
         for _ in range(int(rng.poisson(spec.objects_per_room_mean))):
-            entry = spec.catalog[int(rng.choice(len(spec.catalog), p=probabilities))]
+            entry = spec.catalog[bisect.bisect_right(cdf, rng.random())]
+            grid = grids[entry.label]
             position = None
             for _try in range(_MAX_PLACE_TRIES):
                 candidate = (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)), 0.0)
-                taken = label_positions.get(entry.label, ())
-                if all(
-                    math.dist(candidate, other) >= spec.min_label_separation_m for other in taken
-                ):
+                if grid.admits(candidate):
                     position = candidate
                     break
             if position is None:
@@ -438,7 +481,7 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
                 elif desc["kind"] == "choice":
                     attributes[name] = desc["values"][int(rng.integers(len(desc["values"])))]
             placements.append(_Placement(v, entry.label, position, attributes))
-            label_positions.setdefault(entry.label, []).append(position)
+            grid.add(position)
     return placements
 
 
@@ -534,11 +577,7 @@ def ground_truth_nearest(
     if metric not in ("hops", "meters"):
         raise ValueError(f"metric must be 'hops' or 'meters', got {metric!r}")
     candidate_nodes = sorted(
-        {
-            inst.home_node
-            for inst in ground_truth.instances
-            if predicate_eval(predicate, inst.as_scene_object())
-        }
+        {inst.home_node for inst in ground_truth.instances if predicate_eval(predicate, inst)}
     )
     distances = (
         graph.hop_distances(agent) if metric == "hops" else graph.geodesic_distances(agent)

@@ -6,6 +6,7 @@ distance/traversal code so tests check against a second route.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 import numpy as np
@@ -60,6 +61,12 @@ def bfs_visit_order(n: int, edges: dict[tuple[int, int], float], source: int) ->
     """(hop level, node id) visit order derived from queue-based BFS levels."""
     hops = queue_bfs_levels(n, edges, source)
     return [v for _, v in sorted((d, v) for v, d in hops.items())]
+
+
+def all_pairs_admits(candidate, placed, separation: float) -> bool:
+    """Reference separation check: scan every placed position of the label,
+    as world generation did before it bucketed them in a grid hash."""
+    return all(math.dist(candidate, other) >= separation for other in placed)
 
 
 def edge_dict(graph: Datagraph) -> dict[tuple[int, int], float]:

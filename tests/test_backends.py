@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import datagraph.backends
 from datagraph import (
     BackendError,
     CachingBackend,
@@ -25,8 +26,10 @@ from datagraph import (
     canonical_query_key,
     oracle_answer,
     predicate_eval,
+    proximity_search_first,
     replay_answer,
 )
+from helpers import build_graph
 
 KEYFOB_42 = SceneObject("keyfob", {"number": "42"}, (0.0, 0.0, 0.0), 1)
 KEYFOB_7 = SceneObject("keyfob", {"number": "7"}, (1.0, 0.0, 0.0), 2)
@@ -64,6 +67,17 @@ def test_predicate_attribute_only_ignores_label():
 
 def test_predicate_label_is_lowercased():
     assert predicate_eval(Predicate(label_equals="KeyFob"), KEYFOB_42)
+    chair = SceneObject("Chair", {"color": "red"}, (0.0, 0.0, 0.0), 1)
+    assert predicate_eval(Predicate(label_equals="chair"), chair)
+    assert predicate_eval(Predicate(label_equals="CHAIR"), chair)
+    assert not predicate_eval(Predicate(label_equals="chairs"), chair)
+
+
+def test_oracle_matches_labels_case_insensitively():
+    chair = SceneObject("Chair", {"color": "red"}, (0.0, 0.0, 0.0), 1)
+    response = OracleBackend().answer(make_node([chair, KEYFOB_42]), Query("q", Predicate("chair")))
+    assert response.satisfied and response.count == 1
+    assert response.matches == (chair,)
 
 
 def test_predicate_missing_attribute_key_fails():
@@ -266,6 +280,28 @@ def test_cache_serves_repeat_queries_without_calls():
     assert second.backend_calls == 0
     assert replace(second, backend_calls=1) == first
     assert cached.hits == 1 and cached.misses == 1
+
+
+def test_cache_computes_query_key_once_per_query(monkeypatch):
+    computed = []
+
+    def counting_key(query):
+        computed.append(query)
+        return canonical_query_key(query)
+
+    monkeypatch.setattr(datagraph.backends, "canonical_query_key", counting_key)
+    graph = build_graph(4, [(0, 1), (1, 2), (2, 3)], objects={3: [KEYFOB_42]})
+    counting = CountingBackend(OracleBackend())
+    cached = CachingBackend(counting)
+    query = Query("find the keyfob", Predicate(label_equals="keyfob"))
+    first = proximity_search_first(graph, cached, query, 0)
+    assert (cached.hits, cached.misses, counting.calls) == (0, 4, 4)
+    second = proximity_search_first(graph, cached, query, 0)
+    assert (cached.hits, cached.misses, counting.calls) == (4, 4, 4)
+    assert first.visit_order == second.visit_order == (0, 1, 2, 3)
+    assert second.total_backend_calls == 0
+    assert computed == [query]
+    assert ReplayStore.key_for(3, query) == f"3:{canonical_query_key(query)}"
 
 
 def test_cache_keyed_per_node():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import pytest
 
+import datagraph.harness
+import datagraph.worldgen
 from datagraph import (
     CachingBackend,
     ConfigError,
@@ -136,6 +138,28 @@ def test_single_room_trial_both_strategies_cost_one_call():
         assert row.backend_calls == 1
         assert row.found_is_closest is True
         assert row.optimal_hops == 0
+
+
+@pytest.mark.parametrize("metric", ["hops", "meters"])
+def test_compare_scans_ground_truth_once_per_trial_and_metric(monkeypatch, metric):
+    scans = []
+    real = datagraph.worldgen.ground_truth_nearest
+
+    def counting(graph, ground_truth, agent, predicate, metric="hops"):
+        result = real(graph, ground_truth, agent, predicate, metric)
+        scans.append((metric, result))
+        return result
+
+    monkeypatch.setattr(datagraph.worldgen, "ground_truth_nearest", counting)
+    monkeypatch.setattr(datagraph.harness, "ground_truth_nearest", counting)
+    report = run_compare(compare_config(metric=metric))
+    # one hop scan per trial from the task generator, one meters scan when scoring by meters
+    expected = ["hops", "meters"] if metric == "meters" else ["hops"]
+    assert [m for m, _ in scans] == expected * 4
+    hop_optima = [result[1] for m, result in scans if m == "hops"]
+    assert [row.optimal_hops for row in report.rows_for("proximity")] == hop_optima
+    assert [row.optimal_hops for row in report.rows_for("brute_force")] == hop_optima
+    assert all(row.found_is_closest for row in report.rows_for("proximity"))
 
 
 def test_keyfob_trials_find_the_unique_fob():

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from datagraph import (
     CatalogEntry,
@@ -26,7 +29,8 @@ from datagraph import (
     make_route_hazard_task,
     proximity_search_first,
 )
-from datagraph.worldgen import BOUNDARY_BAND_M
+from datagraph.worldgen import BOUNDARY_BAND_M, _SeparationGrid
+from helpers import all_pairs_admits
 
 
 def room_bounds(node, spec):
@@ -56,6 +60,18 @@ def test_spec_rejects_objects_without_catalog():
 def test_spec_rejects_oversized_seed():
     with pytest.raises(WorldSpecError):
         WorldSpec(grid_w=2, grid_h=2, seed=2**64)
+
+
+@pytest.mark.parametrize("separation", [float("nan"), float("inf"), -float("inf"), -0.5])
+def test_spec_rejects_bad_separation(separation):
+    with pytest.raises(WorldSpecError):
+        WorldSpec(grid_w=3, grid_h=3, min_label_separation_m=separation)
+
+
+def test_spec_rejects_catalog_weights_without_finite_sum():
+    catalog = (CatalogEntry("crate", {}, 1e308), CatalogEntry("chair", {}, 1e308))
+    with pytest.raises(WorldSpecError):
+        WorldSpec(grid_w=2, grid_h=2, catalog=catalog)
 
 
 def test_catalog_entry_rejects_unknown_generator():
@@ -130,6 +146,80 @@ def test_same_label_instances_keep_min_separation():
         for b in physical[i + 1 :]:
             if a.label == b.label:
                 assert math.dist(a.world_position, b.world_position) >= spec.min_label_separation_m
+
+
+@st.composite
+def separation_cases(draw):
+    """Placed positions and candidates for one label, many of them on cell
+    edges or exactly one separation away from a placed position."""
+    separation = draw(st.sampled_from([0.0, 1e-300, 0.25, 1.1, 7.5, 1e6]) | st.floats(0.0, 20.0))
+    room = draw(st.sampled_from([1.0, 4.0, 6.0]))
+    side = _SeparationGrid(separation, room).side
+    extent = 3 * room
+    edges = [k * side for k in range(int(min(extent / side, 40)) + 1)]
+    near_edge = st.sampled_from(edges).flatmap(
+        lambda e: st.sampled_from([e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)])
+    )
+    coordinate = st.floats(0.0, extent) | near_edge
+    point = st.tuples(coordinate, coordinate).map(lambda xy: (xy[0], xy[1], 0.0))
+    placed = draw(st.lists(point, max_size=25))
+    candidates = draw(st.lists(point, min_size=1, max_size=10))
+    diagonal = separation / math.sqrt(2)
+    for x, y, _ in placed[:5]:
+        candidates += [
+            (x + separation, y, 0.0),
+            (x, y - separation, 0.0),
+            (x + diagonal, y + diagonal, 0.0),
+            (math.nextafter(x + separation, -math.inf), y, 0.0),
+        ]
+    return separation, room, placed, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(separation_cases())
+def test_property_grid_hash_decides_like_all_pairs_scan(case):
+    separation, room, placed, candidates = case
+    grid = _SeparationGrid(separation, room)
+    for position in placed:
+        grid.add(position)
+    for candidate in candidates:
+        assert grid.admits(candidate) == all_pairs_admits(candidate, placed, separation)
+
+
+# SHA-256 of each saved world followed by its saved ground truth, as the
+# all-pairs separation scan and rng.choice catalog picks generated them; the
+# grid hash and the inverse-CDF picks must reproduce them byte for byte
+PINNED_WORLDS = [
+    (
+        WorldSpec(grid_w=5, grid_h=4, seed=7),
+        "2536e82532219740111c6100f0cf2d6a2bc105fee5786fe67d527ce206d6bb8b",
+    ),
+    (
+        WorldSpec(grid_w=8, grid_h=8, seed=2024, boundary_duplicate_prob=0.3),
+        "14889cb05e27bfda2d3b29835c1c74975b64cfb19f90be85d8ab691f9c46b29e",
+    ),
+    (  # crowded: retries and skipped objects, plus a zero-weight catalog entry
+        WorldSpec(
+            grid_w=6,
+            grid_h=6,
+            seed=99,
+            room_size_m=4.0,
+            objects_per_room_mean=6.0,
+            min_label_separation_m=3.0,
+            catalog=default_catalog() + (CatalogEntry("beacon", {}, 0.0),),
+        ),
+        "991e5da660fa5a2161410b1a30bd2769977096d8af0ed4fd534114ae7e72e6b0",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, digest", PINNED_WORLDS)
+def test_saved_world_bytes_are_pinned(tmp_path, spec, digest):
+    graph, ground_truth = generate_world(spec)
+    graph.save(tmp_path / "world.json")
+    ground_truth.save(tmp_path / "truth.json")
+    blob = (tmp_path / "world.json").read_bytes() + (tmp_path / "truth.json").read_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_snapshot_contents_match_ground_truth():
@@ -240,6 +330,20 @@ def test_nearest_meters_metric():
         )
     )
     assert ground_truth_nearest(graph, gt, 0, Predicate(label_equals="crate"), "meters") == (2, 3.0)
+
+
+def test_ground_truth_labels_match_case_insensitively():
+    graph = Datagraph()
+    for v in range(2):
+        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
+    graph.add_edge(0, 1)
+    graph.seal()
+    gt = GroundTruth((GroundTruthInstance(0, "Chair", {"color": "red"}, (1.0, 0.0, 0.0), 1),))
+    for label in ("chair", "CHAIR", "Chair"):
+        predicate = Predicate(label_equals=label)
+        assert gt.count_matching(predicate) == 1
+        assert ground_truth_nearest(graph, gt, 0, predicate) == (1, 1)
+    assert gt.count_matching(Predicate(label_equals="chair", attribute_equals={"color": "Red"})) == 0
 
 
 # --- tasks --------------------------------------------------------------------
