@@ -21,7 +21,7 @@ import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
-from typing import TYPE_CHECKING, MutableMapping, Protocol
+from typing import TYPE_CHECKING, Protocol
 
 import requests
 
@@ -312,11 +312,6 @@ class ReplayStore:
         return store
 
 
-def replay_answer(store: ReplayStore, node_id: NodeId, query: Query) -> QueryResponse:
-    """Recorded response for (node, query) with backend_calls zeroed."""
-    return replace(store.lookup(node_id, query), backend_calls=0)
-
-
 class ReplayBackend:
     """Serves only recorded responses; misses raise :class:`ReplayMissError`."""
 
@@ -324,7 +319,7 @@ class ReplayBackend:
         self.store = store
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
-        return replay_answer(self.store, node.id, query)
+        return replace(self.store.lookup(node.id, query), backend_calls=0)
 
 
 class RecordingBackend:
@@ -341,21 +336,6 @@ class RecordingBackend:
 
 
 # --- caching ---------------------------------------------------------------------
-
-
-def answer_with_cache(
-    backend: QueryBackend,
-    cache: MutableMapping[tuple[NodeId, str], QueryResponse],
-    node: Node,
-    query: Query,
-) -> QueryResponse:
-    """Serve from ``cache`` when possible; errors pass through uncached."""
-    key = (node.id, query.canonical_key)
-    if key in cache:
-        return replace(cache[key], backend_calls=0)
-    response = backend.answer(node, query)  # errors propagate, uncached
-    cache[key] = response
-    return response
 
 
 class CachingBackend:
@@ -486,7 +466,3 @@ class RemoteBackend:
             backend_calls=1,
         )
 
-
-def remote_answer(config: RemoteEndpointConfig, node: Node, query: Query) -> QueryResponse:
-    """One-shot remote call; prefer :class:`RemoteBackend` for sessions."""
-    return RemoteBackend(config).answer(node, query)

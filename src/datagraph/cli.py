@@ -8,36 +8,63 @@ from pathlib import Path
 
 import click
 
-from .backends import (
-    CachingBackend,
-    OracleBackend,
-    Predicate,
-    Query,
-    RemoteBackend,
-    RemoteEndpointConfig,
-    ReplayBackend,
-    ReplayStore,
+from .backends import CachingBackend, Predicate, Query, RemoteEndpointConfig
+from .errors import (
+    BackendError,
+    ConfigError,
+    DatagraphError,
+    GraphValidationError,
+    TraversalAbortedError,
 )
-from .errors import DatagraphError, GraphParseError, GraphValidationError
 from .graph import Datagraph
 from .harness import (
+    BackendConfig,
     ExperimentConfig,
+    build_base_backend,
     run_aggregate,
     run_compare,
     run_route_scan,
 )
 from .worldgen import GroundTruth, WorldSpec, generate_world
 
+EXIT_BAD_INPUT = 2
+EXIT_BACKEND_FAILURE = 3
 
-@click.group()
+
+class _Main(click.Group):
+    """The command group; every command's errors end here as one stderr line."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except TraversalAbortedError as exc:
+            _fail(str(exc.__cause__ or exc), EXIT_BACKEND_FAILURE)
+        except BackendError as exc:
+            _fail(str(exc), EXIT_BACKEND_FAILURE)
+        except DatagraphError as exc:
+            _fail(str(exc), EXIT_BAD_INPUT)
+        except click.UsageError as exc:
+            _fail(exc.format_message(), EXIT_BAD_INPUT)
+
+
+def _fail(message: str, code: int):
+    click.echo(f"error: {message}", err=True)
+    sys.exit(code)
+
+
+@click.group(cls=_Main)
 @click.version_option(package_name="datagraph")
 def main():
     """Spatial datagraph experiments: generate worlds, compare search
-    strategies, scan routes, aggregate counts."""
+    strategies, scan routes, aggregate counts.
 
-
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    \b
+    Exit codes:
+      0  success
+      1  compare: some trial errored; validate: the world has violations
+      2  bad input: config, spec, world or store file, node id, route, option
+      3  backend failure: replay miss, remote timeout, status or body
+    """
 
 
 @main.command()
@@ -77,36 +104,24 @@ def gen(spec_path, grid_w, grid_h, room_size, door_prob, objects_mean, dup_prob,
     )
 
 
-def _config_from_flags(config_path, output_dir, count, seed, kind, backend, strategies,
-                       cache, formats, store_path=None, record_path=None):
-    doc = {}
-    if config_path:
-        doc = json.loads(Path(config_path).read_text(encoding="utf-8"))
-    if count is not None:
-        doc.setdefault("tasks", {})["count"] = count
-    if seed is not None:
-        doc.setdefault("tasks", {})["seed"] = seed
-    if kind is not None:
-        doc.setdefault("tasks", {})["kind"] = kind
-    if backend is not None:
-        existing = doc.get("backend", {})
-        if isinstance(existing, str):
-            existing = {"kind": existing}
-        existing["kind"] = backend
-        doc["backend"] = existing
-    if store_path is not None:
-        doc.setdefault("backend", {})["store_path"] = store_path
-    if record_path is not None:
-        doc.setdefault("backend", {})["record_path"] = record_path
-    if strategies is not None:
-        doc["strategies"] = [s.strip() for s in strategies.split(",") if s.strip()]
-    if cache is not None:
-        doc["cache_enabled"] = cache
-    if formats is not None:
-        doc["report_formats"] = [f.strip() for f in formats.split(",") if f.strip()]
-    if output_dir is not None:
-        doc["output_dir"] = output_dir
-    return ExperimentConfig.from_json_dict(doc)
+def _load_config(config_path, output_dir, count, seed, kind, backend, strategies,
+                 cache, formats, store_path=None, record_path=None) -> ExperimentConfig:
+    """The config file with the ``_compare_options`` flags that were given applied."""
+    if config_path is None:
+        raise ConfigError("no experiment config; pass --config FILE")
+    overrides = {
+        "tasks": {"count": count, "seed": seed, "kind": kind},
+        "backend": {"kind": backend, "store_path": store_path, "record_path": record_path},
+        "strategies": _split_list(strategies),
+        "cache_enabled": cache,
+        "report_formats": _split_list(formats),
+        "output_dir": output_dir,
+    }
+    return ExperimentConfig.load(config_path, overrides)
+
+
+def _split_list(flag: str | None) -> list[str] | None:
+    return None if flag is None else [item.strip() for item in flag.split(",") if item.strip()]
 
 
 _compare_options = [
@@ -131,77 +146,71 @@ def _apply_options(options):
     return wrap
 
 
-def _echo_compare_summary(report) -> None:
+def _run_and_summarize(config: ExperimentConfig) -> None:
+    """Run, print the summary, and exit 1 if any trial errored."""
+    report = run_compare(config)
     for strategy, stats in report.summary.items():
         click.echo(
             f"{strategy}: trials={stats['trials']} errors={stats['errors']} "
             f"mean_calls={stats['mean_backend_calls']} closest_rate={stats['closest_rate']}"
         )
+    if config.backend.record_path:
+        click.echo(f"recorded session -> {config.backend.record_path}")
+    if report.error_count:
+        click.echo(f"{report.error_count} trial run(s) errored", err=True)
+        sys.exit(1)
 
 
 @main.command()
 @_apply_options(_compare_options)
-def compare(config_path, output_dir, count, seed, kind, backend, strategies, cache, formats):
+def compare(**flags):
     """Compare brute-force vs proximity search over seeded tasks."""
-    config = _config_from_flags(
-        config_path, output_dir, count, seed, kind, backend, strategies, cache, formats
-    )
-    report = run_compare(config)
-    _echo_compare_summary(report)
-    if report.error_count:
-        click.echo(f"{report.error_count} trial run(s) errored", err=True)
-        sys.exit(1)
+    _run_and_summarize(_load_config(**flags))
 
 
 @main.command("replay-record")
 @click.option("--store", "store_path", type=click.Path(), required=True,
               help="Where to write the recorded session.")
 @_apply_options(_compare_options)
-def replay_record(store_path, config_path, output_dir, count, seed, kind, backend,
-                  strategies, cache, formats):
+def replay_record(store_path, **flags):
     """Run an experiment while recording every backend answer."""
-    config = _config_from_flags(
-        config_path, output_dir, count, seed, kind, backend, strategies, cache, formats,
-        record_path=store_path,
-    )
-    report = run_compare(config)
-    _echo_compare_summary(report)
-    click.echo(f"recorded session -> {store_path}")
-    if report.error_count:
-        sys.exit(1)
+    _run_and_summarize(_load_config(**flags, record_path=store_path))
 
 
 @main.command("replay-run")
 @click.option("--store", "store_path", type=click.Path(exists=True), required=True,
               help="Recorded session to replay.")
 @_apply_options(_compare_options)
-def replay_run(store_path, config_path, output_dir, count, seed, kind, backend,
-               strategies, cache, formats):
+def replay_run(store_path, backend, **flags):
     """Re-run an experiment hermetically from a recorded session."""
-    config = _config_from_flags(
-        config_path, output_dir, count, seed, kind, "replay", strategies, cache, formats,
-        store_path=store_path,
-    )
-    report = run_compare(config)
-    _echo_compare_summary(report)
-    if report.error_count:
-        sys.exit(1)
+    _run_and_summarize(_load_config(**flags, backend="replay", store_path=store_path))
 
 
-def _build_cli_backend(backend, store, base_url, timeout_ms, auth_token, cache):
-    if backend == "replay":
-        if not store:
-            raise click.UsageError("--backend replay needs --store")
-        inner = ReplayBackend(ReplayStore.load(store))
-    elif backend == "remote":
-        if not base_url:
-            raise click.UsageError("--backend remote needs --base-url")
-        inner = RemoteBackend(
-            RemoteEndpointConfig(base_url=base_url, timeout_ms=timeout_ms, auth_token=auth_token)
-        )
-    else:
-        inner = OracleBackend()
-    return CachingBackend(inner) if cache else inner
+_backend_options = [
+    click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default="oracle"),
+    click.option("--store", type=click.Path(exists=True), default=None),
+    click.option("--base-url", default=None),
+    click.option("--timeout-ms", type=click.IntRange(min=1), default=10_000),
+    click.option("--auth-token", default=None),
+]
+
+
+def _backend_config(backend, store, base_url, timeout_ms, auth_token) -> BackendConfig:
+    """The ``_backend_options`` flags as a checked BackendConfig."""
+    remote = None
+    if base_url:
+        remote = RemoteEndpointConfig(base_url=base_url, timeout_ms=timeout_ms, auth_token=auth_token)
+    return BackendConfig(kind=backend, store_path=store, remote=remote)
+
+
+def _read_routes(path) -> list[list[int]]:
+    try:
+        routes = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ConfigError(f"routes file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(routes, list) or not all(isinstance(r, list) and r for r in routes):
+        raise ConfigError(f"routes file {path}: expected an array of non-empty node id arrays")
+    return routes
 
 
 @main.command()
@@ -211,21 +220,17 @@ def _build_cli_backend(backend, store, base_url, timeout_ms, auth_token, cache):
 @click.option("--metric", type=click.Choice(["hops", "meters"]), default="hops", show_default=True)
 @click.option("--routes", "routes_path", type=click.Path(exists=True), default=None,
               help="JSON array of candidate routes (arrays of node ids).")
-@click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default="oracle")
-@click.option("--store", type=click.Path(exists=True), default=None)
-@click.option("--base-url", default=None)
-@click.option("--timeout-ms", type=int, default=10_000)
-@click.option("--auth-token", default=None)
+@_apply_options(_backend_options)
 @click.option("--cache/--no-cache", default=True, show_default=True)
 @click.option("--output", type=click.Path(), default=None, help="Write the scan report JSON here.")
-def route(world_path, start, goal, metric, routes_path, backend, store, base_url,
-          timeout_ms, auth_token, cache, output):
+def route(world_path, start, goal, metric, routes_path, cache, output, **backend_flags):
     """Scan route(s) between START and GOAL for hazards; pick the safest."""
+    config = _backend_config(**backend_flags)
     graph = Datagraph.load(world_path)
-    candidates = None
-    if routes_path:
-        candidates = json.loads(Path(routes_path).read_text(encoding="utf-8"))
-    query_backend = _build_cli_backend(backend, store, base_url, timeout_ms, auth_token, cache)
+    candidates = _read_routes(routes_path) if routes_path else None
+    query_backend, _ = build_base_backend(config)
+    if cache:
+        query_backend = CachingBackend(query_backend)
     report = run_route_scan(graph, query_backend, start, goal, metric, candidates)
     if output:
         Path(output).write_text(report.to_json(), encoding="utf-8")
@@ -242,17 +247,13 @@ def route(world_path, start, goal, metric, routes_path, backend, store, base_url
 @click.option("--ground-truth", "gt_path", type=click.Path(exists=True), default=None)
 @click.option("--label", required=True, help="Object label to count.")
 @click.option("--attr", "attrs", multiple=True, help="Extra key=value attribute clauses.")
-@click.option("--radius", type=float, default=0.5, show_default=True,
+@click.option("--radius", type=click.FloatRange(min=0), default=0.5, show_default=True,
               help="Dedup radius in meters; 0 disables merging.")
-@click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default="oracle")
-@click.option("--store", type=click.Path(exists=True), default=None)
-@click.option("--base-url", default=None)
-@click.option("--timeout-ms", type=int, default=10_000)
-@click.option("--auth-token", default=None)
+@_apply_options(_backend_options)
 @click.option("--output", type=click.Path(), default=None)
-def aggregate(world_path, gt_path, label, attrs, radius, backend, store, base_url,
-              timeout_ms, auth_token, output):
+def aggregate(world_path, gt_path, label, attrs, radius, output, **backend_flags):
     """Count instances of LABEL across all scenes, merging boundary duplicates."""
+    config = _backend_config(**backend_flags)
     graph = Datagraph.load(world_path)
     ground_truth = GroundTruth.load(gt_path) if gt_path else None
     clauses = []
@@ -266,7 +267,7 @@ def aggregate(world_path, gt_path, label, attrs, radius, backend, store, base_ur
         predicate=Predicate(label_equals=label, attribute_equals=tuple(clauses)),
         mode="count",
     )
-    query_backend = _build_cli_backend(backend, store, base_url, timeout_ms, auth_token, False)
+    query_backend, _ = build_base_backend(config)
     report = run_aggregate(graph, query_backend, query, radius, ground_truth)
     if output:
         Path(output).write_text(report.to_json(), encoding="utf-8")
@@ -278,16 +279,13 @@ def aggregate(world_path, gt_path, label, attrs, radius, backend, store, base_ur
 @main.command()
 @click.argument("world_path", type=click.Path(exists=True))
 def validate(world_path):
-    """Lint a saved world document; non-zero exit on any problem."""
+    """Lint a saved world document; exit 1 on violations, 2 if it does not parse."""
     try:
         graph = Datagraph.load(world_path)
     except GraphValidationError as exc:
         for violation in exc.violations:
             click.echo(str(violation), err=True)
         sys.exit(1)
-    except (GraphParseError, DatagraphError) as exc:
-        click.echo(f"parse error: {exc}", err=True)
-        sys.exit(2)
     click.echo(f"ok: {len(graph)} nodes, {len(graph.edges())} edges, 0 violations")
 
 

@@ -163,6 +163,9 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown report format {fmt!r}")
         if self.metric not in ("hops", "meters"):
             raise ConfigError(f"metric must be 'hops' or 'meters', got {self.metric!r}")
+        if self.shared_cache and isinstance(self.world, WorldSpec):
+            # the cache keys answers by node id, which every generated world reuses
+            raise ConfigError("shared_cache needs a saved world; an inline world spec changes per trial")
 
     def to_json_dict(self) -> dict:
         world_doc = (
@@ -184,11 +187,21 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, doc: dict, overrides: dict | None = None) -> ExperimentConfig:
+        """Config from its JSON document. ``overrides`` has the document's shape;
+        None values are skipped and an object value sets its keys one by one."""
         if not isinstance(doc, dict):
             raise ConfigError("config: expected an object")
         merged = dict(doc)
-        if overrides:
-            merged.update({k: v for k, v in overrides.items() if v is not None})
+        if isinstance(merged.get("backend"), str):
+            merged["backend"] = {"kind": merged["backend"]}
+        for key, value in (overrides or {}).items():
+            if isinstance(value, dict):
+                set_keys = {k: v for k, v in value.items() if v is not None}
+                if set_keys:
+                    base = merged.get(key)
+                    merged[key] = {**(base if isinstance(base, dict) else {}), **set_keys}
+            elif value is not None:
+                merged[key] = value
         world_doc = merged.get("world")
         if isinstance(world_doc, str):
             world: WorldSpec | WorldFiles = WorldFiles(world_doc)
@@ -209,9 +222,11 @@ class ExperimentConfig:
             )
         except KeyError as exc:
             raise ConfigError(f"config.tasks: missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config.tasks: {exc}") from exc
         backend_doc = merged.get("backend", {"kind": "oracle"})
-        if isinstance(backend_doc, str):
-            backend_doc = {"kind": backend_doc}
+        if not isinstance(backend_doc, dict):
+            raise ConfigError("config.backend must be an object or a backend kind")
         remote = None
         if backend_doc.get("kind") == "remote":
             remote_doc = backend_doc.get("remote", backend_doc)
@@ -224,6 +239,8 @@ class ExperimentConfig:
                 )
             except KeyError as exc:
                 raise ConfigError(f"config.backend: missing field {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"config.backend: {exc}") from exc
         backend = BackendConfig(
             kind=backend_doc.get("kind", "oracle"),
             store_path=backend_doc.get("store_path"),
@@ -246,9 +263,10 @@ class ExperimentConfig:
 
     @classmethod
     def load(cls, source, overrides: dict | None = None) -> ExperimentConfig:
+        """Parse a config file; ``overrides`` as in :meth:`from_json_dict`."""
         try:
             doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc, overrides)
 
@@ -343,23 +361,21 @@ def load_world_files(files: WorldFiles) -> tuple[Datagraph, GroundTruth | None]:
 def _make_task(kind: str, graph: Datagraph, ground_truth: GroundTruth, seed: int) -> TaskSpec:
     if kind == "nearest_search":
         return make_nearest_search_task(graph, ground_truth, seed)
-    if kind == "keyfob_match":
-        return make_keyfob_task(graph, ground_truth, seed)
-    raise ConfigError(f"run_compare cannot run task kind {kind!r}; use the route scan")
+    return make_keyfob_task(graph, ground_truth, seed)  # run_compare admits no other kind
 
 
 def _trial_setup(
-    config: ExperimentConfig, trial: int
+    config: ExperimentConfig, trial: int, saved: tuple[Datagraph, GroundTruth | None] | None
 ) -> tuple[Datagraph, GroundTruth, TaskSpec]:
     """World + task for one trial; deterministic in the config seeds.
 
-    With an inline WorldSpec a fresh world is generated per trial. Worlds
-    that cannot host the requested task kind (say, no keyfob got placed)
-    are skipped by bumping a derived attempt seed; everything stays a pure
-    function of the config.
+    Every trial shares a ``saved`` world. With an inline WorldSpec a fresh world
+    is generated per trial. Worlds that cannot host the requested task kind (say,
+    no keyfob got placed) are skipped by bumping a derived attempt seed;
+    everything stays a pure function of the config.
     """
-    if isinstance(config.world, WorldFiles):
-        graph, ground_truth = load_world_files(config.world)
+    if saved is not None:
+        graph, ground_truth = saved
         if ground_truth is None:
             raise ConfigError("task generation against a saved world needs its ground truth file")
         task_seed = derive_seed(config.tasks.seed, trial)
@@ -402,20 +418,31 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     """Run every seeded task under every selected strategy and score it.
 
     Both strategies of a trial see the identical world and task, each behind
-    an independent fresh cache (unless ``shared_cache``). Backend failures
-    mark the trial errored and the run continues.
+    an independent fresh cache (unless ``shared_cache``). A saved world is
+    loaded and validated once per run. Failures to load the world, set up a
+    trial or answer a query mark the trial errored and the run continues.
     """
     if config.tasks.kind not in COMPARE_TASK_KINDS:
         raise ConfigError(f"run_compare supports task kinds {COMPARE_TASK_KINDS}")
     base_backend, record_store = build_base_backend(config.backend)
+    saved = world_error = None
+    if isinstance(config.world, WorldFiles):
+        try:
+            saved = load_world_files(config.world)
+        except DatagraphError as exc:
+            world_error = str(exc)
     shared_caches: dict[str, CachingBackend] = {}
     rows: list[TrialRecord] = []
     for trial in range(config.tasks.count):
-        try:
-            graph, ground_truth, task = _trial_setup(config, trial)
-        except DatagraphError as exc:
+        error = world_error
+        if error is None:
+            try:
+                graph, ground_truth, task = _trial_setup(config, trial, saved)
+            except DatagraphError as exc:
+                error = str(exc)
+        if error is not None:
             for strategy in sorted(config.strategies):
-                rows.append(TrialRecord(task_id=trial, strategy=strategy, error=str(exc)))
+                rows.append(TrialRecord(task_id=trial, strategy=strategy, error=error))
             continue
         # the task generators already scored the hop optimum from this agent
         optimal_hops = task.expected_min_hops

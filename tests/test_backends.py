@@ -22,12 +22,10 @@ from datagraph import (
     ReplayStore,
     SceneObject,
     Snapshot,
-    answer_with_cache,
     canonical_query_key,
     oracle_answer,
     predicate_eval,
     proximity_search_first,
-    replay_answer,
 )
 from helpers import build_graph
 
@@ -223,10 +221,10 @@ def test_record_then_replay_round_trip(tmp_path):
 
 
 def test_replay_miss_names_node_and_hash():
-    store = ReplayStore()
+    backend = ReplayBackend(ReplayStore())
     query = Query("q", Predicate(label_equals="keyfob"))
     with pytest.raises(ReplayMissError) as excinfo:
-        replay_answer(store, 5, query)
+        backend.answer(make_node([KEYFOB_42], node_id=5), query)
     assert excinfo.value.node_id == 5
     assert excinfo.value.query_hash == canonical_query_key(query)
 
@@ -335,18 +333,6 @@ def test_cache_hit_is_content_identical_under_reordered_clauses():
     resp = cached.answer(node, q2)
     assert counting.calls == 1
     assert resp.backend_calls == 0
-
-
-def test_answer_with_cache_function():
-    counting = CountingBackend(OracleBackend())
-    cache = {}
-    node = make_node([KEYFOB_42])
-    query = Query("q", Predicate(label_equals="keyfob"))
-    first = answer_with_cache(counting, cache, node, query)
-    second = answer_with_cache(counting, cache, node, query)
-    assert counting.calls == 1
-    assert second.backend_calls == 0
-    assert replace(second, backend_calls=first.backend_calls) == first
 
 
 def test_concurrent_identical_requests_never_corrupt_cache():

@@ -5,8 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from datagraph import Datagraph, WorldSpec, generate_world
+from datagraph import Datagraph, ReplayStore, WorldSpec, generate_world
 from datagraph.cli import main
+from helpers import build_graph
 
 
 @pytest.fixture
@@ -169,4 +170,92 @@ def test_compare_requires_tasks(runner, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({"world": {"format_version": 1, "grid_w": 2, "grid_h": 2}}))
     result = runner.invoke(main, ["compare", "--config", str(config_path)])
-    assert result.exit_code != 0
+    assert result.exit_code == 2
+    assert result.stderr == "error: config.tasks must be an object\n"
+    # flags fill in what the file leaves out
+    result = runner.invoke(
+        main, ["compare", "--config", str(config_path), "--kind", "nearest_search", "--count", "2"]
+    )
+    assert result.exit_code == 0, result.output
+    assert "proximity: trials=2 errors=0" in result.output
+
+
+@pytest.fixture
+def input_files(tmp_path, world_dir):
+    """Paths substituted for the ``{name}`` placeholders of the failure cases."""
+    files = {"world": world_dir / "world.json", "bad": tmp_path / "bad.json"}
+    files["bad"].write_text("{")
+    files["island"] = tmp_path / "island.json"
+    build_graph(2, []).save(files["island"])
+    files["empty_store"] = tmp_path / "store.json"
+    ReplayStore().save(files["empty_store"])
+    for name, world in [
+        ("inline_shared", {"format_version": 1, "grid_w": 2, "grid_h": 2}),
+        ("no_truth", {"path": str(files["world"])}),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({
+            "world": world,
+            "tasks": {"kind": "nearest_search", "count": 2},
+            "shared_cache": name == "inline_shared",
+        }))
+    return files
+
+
+ROUTE = ["route", "--world", "{world}", "--start", "0", "--goal", "11"]
+AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
+
+
+@pytest.mark.parametrize(
+    "args, exit_code, message",
+    [
+        pytest.param(["compare", "--config", "{bad}"], 2, "error: config is not valid JSON",
+                     id="compare-bad-json"),
+        pytest.param(["compare"], 2, "error: no experiment config; pass --config FILE",
+                     id="compare-no-config"),
+        pytest.param(["compare", "--config", "{inline_shared}"], 2, "error: shared_cache needs a saved world",
+                     id="compare-shared-inline"),
+        pytest.param(["compare", "--config", "{no_truth}"], 1, "4 trial run(s) errored",
+                     id="compare-errored-trials"),
+        pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, "error: invalid JSON",
+                     id="replay-bad-store"),
+        pytest.param(["route", "--world", "{world}", "--start", "0", "--goal", "99"], 2, "error: unknown node id: 99",
+                     id="route-unknown-node"),
+        pytest.param(["route", "--world", "{island}", "--start", "0", "--goal", "1"], 2,
+                     "error: goal 1 is unreachable from 0",
+                     id="route-unreachable"),
+        pytest.param(["route", "--world", "{bad}", "--start", "0", "--goal", "1"], 2, "error: invalid JSON",
+                     id="route-bad-world"),
+        pytest.param(ROUTE + ["--routes", "{bad}"], 2, "error: routes file",
+                     id="routes-bad-json"),
+        pytest.param(ROUTE + ["--routes", "{no_truth}"], 2, "expected an array of non-empty node id arrays",
+                     id="routes-not-arrays"),
+        pytest.param(ROUTE + ["--timeout-ms", "0"], 2, "error: Invalid value for '--timeout-ms'",
+                     id="timeout-zero"),
+        pytest.param(ROUTE + ["--backend", "replay"], 2, "error: replay backend needs a store_path",
+                     id="replay-no-store"),
+        pytest.param(ROUTE + ["--backend", "remote"], 2, "error: remote backend needs endpoint settings",
+                     id="remote-no-url"),
+        pytest.param(ROUTE + ["--backend", "replay", "--store", "{empty_store}"], 3,
+                     "error: no recorded response for node 0",
+                     id="route-replay-miss"),
+        pytest.param(ROUTE + ["--backend", "remote", "--base-url", "http://127.0.0.1:1", "--timeout-ms", "500"],
+                     3, "error: remote endpoint returned status 0",
+                     id="route-remote-refused"),
+        pytest.param(AGGREGATE + ["--radius", "-1"], 2, "error: Invalid value for '--radius'",
+                     id="radius-negative"),
+        pytest.param(AGGREGATE + ["--attr", "colour"], 2, "error: --attr needs key=value",
+                     id="attr-no-value"),
+        pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{empty_store}"], 3,
+                     "error: no recorded response for node 0",
+                     id="aggregate-replay-miss"),
+    ],
+)
+def test_failures_exit_with_code_and_one_stderr_line(runner, input_files, args, exit_code, message):
+    args = [arg.format(**input_files) for arg in args]
+    result = runner.invoke(main, args)
+    assert result.exit_code == exit_code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1, result.stderr
+    assert message in lines[0]

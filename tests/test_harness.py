@@ -10,6 +10,7 @@ import datagraph.worldgen
 from datagraph import (
     CachingBackend,
     ConfigError,
+    Datagraph,
     ExperimentConfig,
     OracleBackend,
     Predicate,
@@ -85,10 +86,11 @@ def test_backend_config_requirements():
         BackendConfig(kind="remote")
 
 
-def test_config_from_json_with_overrides():
+def test_config_from_json_with_overrides(tmp_path):
     doc = {
         "world": {"format_version": 1, "grid_w": 3, "grid_h": 3, "seed": 4},
         "tasks": {"kind": "nearest_search", "count": 5, "seed": 1},
+        "backend": "oracle",
         "strategies": ["proximity"],
     }
     config = ExperimentConfig.from_json_dict(doc, overrides={"cache_enabled": False})
@@ -97,6 +99,34 @@ def test_config_from_json_with_overrides():
     assert config.tasks.count == 5
     assert config.cache_enabled is False
     assert config.strategies == ("proximity",)
+    # an object override sets its keys one by one; None leaves the file's value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    overrides = {
+        "tasks": {"count": 2, "seed": None},
+        "backend": {"kind": "replay", "store_path": "s.json", "record_path": None},
+        "strategies": None,
+    }
+    config = ExperimentConfig.load(path, overrides)
+    assert config.tasks == TaskConfig("nearest_search", 2, 1)
+    assert config.backend == BackendConfig(kind="replay", store_path="s.json")
+    assert config.strategies == ("proximity",)
+    assert config.cache_enabled is True
+
+
+def test_shared_cache_needs_a_saved_world():
+    # inline worlds change per trial but reuse node ids, so a shared cache would cross worlds
+    with pytest.raises(ConfigError, match="shared_cache"):
+        compare_config(shared_cache=True)
+    with pytest.raises(ConfigError, match="shared_cache"):
+        ExperimentConfig.from_json_dict(
+            {
+                "world": {"format_version": 1, "grid_w": 3, "grid_h": 3},
+                "tasks": {"kind": "nearest_search"},
+                "shared_cache": True,
+            }
+        )
+    assert compare_config(world=WorldFiles("w.json", "gt.json"), shared_cache=True).shared_cache
 
 
 def test_config_world_as_path_reference():
@@ -220,17 +250,28 @@ def test_csv_report_shape(tmp_path):
     assert len(lines) == 1 + 4 * 2  # 4 trials x 2 strategies
 
 
-def test_fixed_world_from_files(tmp_path):
-    graph, ground_truth = generate_world(WorldSpec(4, 4, seed=33, objects_per_room_mean=2.0))
-    graph.save(tmp_path / "world.json")
-    ground_truth.save(tmp_path / "gt.json")
-    config = compare_config(
-        world=WorldFiles(str(tmp_path / "world.json"), str(tmp_path / "gt.json")),
-        tasks=TaskConfig("nearest_search", 3, 1),
-    )
-    report = run_compare(config)
+def save_world(directory, spec: WorldSpec) -> WorldFiles:
+    graph, ground_truth = generate_world(spec)
+    graph.save(directory / "world.json")
+    ground_truth.save(directory / "gt.json")
+    return WorldFiles(str(directory / "world.json"), str(directory / "gt.json"))
+
+
+def test_fixed_world_from_files(tmp_path, monkeypatch):
+    world = save_world(tmp_path, WorldSpec(4, 4, seed=33, objects_per_room_mean=2.0))
+    loads = []
+    real_load = Datagraph.load.__func__
+
+    def counting_load(cls, source):
+        loads.append(source)
+        return real_load(cls, source)
+
+    monkeypatch.setattr(Datagraph, "load", classmethod(counting_load))
+    report = run_compare(compare_config(world=world, tasks=TaskConfig("nearest_search", 3, 1)))
     assert report.error_count == 0
+    assert len(report.per_trial) == 6
     assert report.summary["proximity"]["closest_rate"] == 1.0
+    assert loads == [world.path]  # once per run, not once per trial
 
 
 def test_fixed_world_without_ground_truth_errors_per_trial(tmp_path):
@@ -239,6 +280,18 @@ def test_fixed_world_without_ground_truth_errors_per_trial(tmp_path):
     config = compare_config(world=WorldFiles(str(tmp_path / "world.json")))
     report = run_compare(config)
     assert report.error_count == len(report.per_trial)
+
+
+def test_corrupt_world_file_errors_every_trial_and_strategy(tmp_path):
+    world = save_world(tmp_path, WorldSpec(3, 3, seed=1))
+    (tmp_path / "world.json").write_text('{"format_version": 1, "nodes": [')
+    report = run_compare(compare_config(world=world, tasks=TaskConfig("nearest_search", 3, 1)))
+    assert [(row.task_id, row.strategy) for row in report.per_trial] == [
+        (trial, strategy) for trial in range(3) for strategy in ("brute_force", "proximity")
+    ]
+    assert report.error_count == 6
+    assert len({row.error for row in report.per_trial}) == 1
+    assert "invalid JSON" in report.per_trial[0].error
 
 
 def test_route_kind_is_rejected_by_compare():
@@ -267,24 +320,21 @@ def test_record_then_replay_matches(tmp_path):
 
 
 def test_shared_cache_spans_trials_on_fixed_world(tmp_path):
-    graph, ground_truth = generate_world(WorldSpec(3, 3, seed=8, objects_per_room_mean=2.0))
-    graph.save(tmp_path / "world.json")
-    ground_truth.save(tmp_path / "gt.json")
-    config = compare_config(
-        world=WorldFiles(str(tmp_path / "world.json"), str(tmp_path / "gt.json")),
-        tasks=TaskConfig("nearest_search", 4, 2),
-        strategies=("brute_force",),
-        shared_cache=True,
-    )
-    report = run_compare(config)
-    # identical queries across trials are served from the shared cache
-    total_hits = sum(row.cache_hits for row in report.per_trial)
-    repeated = sum(1 for row in report.per_trial[1:])
-    assert report.error_count == 0
-    if repeated:
-        assert total_hits >= 0  # hits only when a trial repeats a query
+    world = save_world(tmp_path, WorldSpec(3, 3, seed=8, objects_per_room_mean=2.0))
+    config = compare_config(world=world, tasks=TaskConfig("nearest_search", 6, 2), shared_cache=True)
+    shared = run_compare(config)
     fresh = run_compare(replace(config, shared_cache=False))
+    assert shared.error_count == fresh.error_count == 0
+    assert sum(r.cache_hits for r in shared.per_trial) > 0  # later trials repeat queries
     assert sum(r.cache_hits for r in fresh.per_trial) == 0
+
+    def outcomes(report):
+        return [
+            (r.task_id, r.strategy, r.hops_of_found, r.meters_of_found, r.found_is_closest)
+            for r in report.per_trial
+        ]
+
+    assert outcomes(shared) == outcomes(fresh)
 
 
 # --- run_route_scan -----------------------------------------------------------------

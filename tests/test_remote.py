@@ -16,7 +16,6 @@ from datagraph import (
     RemoteTimeoutError,
     SceneObject,
     Snapshot,
-    remote_answer,
 )
 from datagraph.mock_remote import MockRemoteServer
 
@@ -49,6 +48,9 @@ def test_success_verdict_is_mapped():
     assert match.world_position is None
     assert response.count == 1
     assert response.backend_calls == 1
+    with MockRemoteServer(body={"satisfied": False, "text": "no"}) as server:
+        response = RemoteBackend(config_for(server)).answer(make_node(), QUERY)
+    assert (response.satisfied, response.matches, response.count, response.text) == (False, (), 0, "no")
 
 
 def test_request_follows_wire_format():
@@ -118,12 +120,6 @@ def test_connection_refused_is_protocol_error():
     config = RemoteEndpointConfig(base_url="http://127.0.0.1:1", timeout_ms=500)
     with pytest.raises(RemoteProtocolError):
         RemoteBackend(config).answer(make_node(), QUERY)
-
-
-def test_remote_answer_one_shot():
-    with MockRemoteServer(body={"satisfied": False, "text": "no"}) as server:
-        response = remote_answer(config_for(server), make_node(), QUERY)
-    assert response.satisfied is False
 
 
 def test_max_in_flight_never_exceeded():
