@@ -1,11 +1,13 @@
 """Spatial datagraph core: pose+snapshot nodes joined by neighboring-area edges.
 
-A :class:`Datagraph` has a two-phase lifecycle. It is built with
-:meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then frozen with
-:meth:`Datagraph.seal`. Sealed graphs are immutable, safe to share across
-threads without locking, and are the only graphs accepted by the distance
-and path queries. Every query breaks ties deterministically (ascending node
-ids, lexicographically smallest paths) so traversals are reproducible.
+A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
+:meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
+with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
+by one checked builder, :meth:`Datagraph._assemble`, which seals them.
+Sealed graphs are immutable, safe to share across threads without locking,
+and are the only graphs accepted by the distance and path queries. Every
+query breaks ties deterministically (ascending node ids, lexicographically
+smallest paths) so traversals are reproducible.
 """
 
 from __future__ import annotations
@@ -36,12 +38,13 @@ _QUAT_NORM_TOL = 1e-9
 
 def _as_vec3(values, what: str) -> tuple[float, float, float]:
     try:
-        vec = tuple(float(c) for c in values)
+        vec = tuple(map(float, values))
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{what} must be a 3-vector of numbers") from exc
     if len(vec) != 3:
         raise ValueError(f"{what} must have exactly 3 components, got {len(vec)}")
-    if not all(math.isfinite(c) for c in vec):
+    x, y, z = vec
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{what} components must be finite, got {vec}")
     return vec
 
@@ -163,6 +166,18 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
+def _edge_faults(edge: Edge, n: int) -> list[Violation]:
+    """One edge's self-loop, missing-endpoint and (if both ends exist) length violations."""
+    out = []
+    if edge.a == edge.b:
+        out.append(Violation("self-loop", f"edge on node {edge.a}"))
+    if not (0 <= edge.a < n and 0 <= edge.b < n):
+        out.append(Violation("edge-endpoint", f"edge {{{edge.a}, {edge.b}}} endpoint missing"))
+    elif not (math.isfinite(edge.length_m) and edge.length_m > 0.0):
+        out.append(Violation("edge-length", f"edge {{{edge.a}, {edge.b}}} has length {edge.length_m!r}"))
+    return out
+
+
 class Datagraph:
     """Immutable-after-build graph of (pose, snapshot) nodes.
 
@@ -219,6 +234,41 @@ class Datagraph:
         self._edges[key] = edge
         insort(self._adj[a], (b, edge), key=lambda item: item[0])
         insort(self._adj[b], (a, edge), key=lambda item: item[0])
+
+    @classmethod
+    def _assemble(cls, nodes, edges) -> tuple[Datagraph, list[Violation]]:
+        """Build a sealed graph from :class:`Node` records in id order and
+        ``(a, b, traversable, length_m)`` tuples, checking each edge once.
+
+        Returns the graph and its violations, not raising them: repeated
+        pairs first, then each new edge's :func:`_edge_faults` in input order.
+        A faulty edge stays out of the graph. Appending both ends of the kept
+        edges in ``(a, b)`` order leaves every adjacency list ascending.
+        """
+        n = len(nodes)
+        duplicates: list[Violation] = []
+        faults: list[Violation] = []
+        seen: set[tuple[NodeId, NodeId]] = set()
+        kept: dict[tuple[NodeId, NodeId], Edge] = {}
+        for i, (a, b, traversable, length_m) in enumerate(edges):
+            key = (a, b) if a < b else (b, a)
+            if key in seen:
+                duplicates.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
+                continue
+            seen.add(key)
+            edge = Edge(key[0], key[1], traversable, length_m)
+            found = _edge_faults(edge, n)
+            faults.extend(found)
+            if not found:
+                kept[key] = edge
+        graph = cls()
+        graph._nodes = nodes
+        graph._adj = [[] for _ in range(n)]
+        for key in sorted(kept):
+            edge = graph._edges[key] = kept[key]
+            graph._adj[key[0]].append((key[1], edge))
+            graph._adj[key[1]].append((key[0], edge))
+        return graph.seal(), duplicates + faults
 
     def seal(self) -> Datagraph:
         """Freeze the graph; all further mutation raises. Idempotent."""
@@ -385,31 +435,14 @@ class Datagraph:
             for obj in node.snapshot.objects:
                 if not obj.label:
                     out.append(Violation("object-label", f"node {node.id} has an unlabeled object"))
-                if obj.world_position is not None and not all(
-                    math.isfinite(c) for c in obj.world_position
-                ):
-                    out.append(
-                        Violation(
-                            "object-position",
-                            f"node {node.id} object {obj.instance_id} at {obj.world_position}",
-                        )
-                    )
+                if obj.world_position is not None and not all(map(math.isfinite, obj.world_position)):
+                    detail = f"node {node.id} object {obj.instance_id} at {obj.world_position}"
+                    out.append(Violation("object-position", detail))
         n = len(self._nodes)
         for key, edge in self._edges.items():
             if key != (min(edge.a, edge.b), max(edge.a, edge.b)):
                 out.append(Violation("edge-key", f"edge {edge} stored under key {key}"))
-            if edge.a == edge.b:
-                out.append(Violation("self-loop", f"edge on node {edge.a}"))
-            if not (0 <= edge.a < n and 0 <= edge.b < n):
-                out.append(Violation("edge-endpoint", f"edge {{{edge.a}, {edge.b}}} endpoint missing"))
-                continue
-            if not (math.isfinite(edge.length_m) and edge.length_m > 0.0):
-                out.append(
-                    Violation(
-                        "edge-length",
-                        f"edge {{{edge.a}, {edge.b}}} has length {edge.length_m!r}",
-                    )
-                )
+            out.extend(_edge_faults(edge, n))
         for v in range(n):
             entries = self._adj[v]
             ids = [w for w, _ in entries]
@@ -422,16 +455,9 @@ class Datagraph:
                     out.append(Violation("edge-endpoint", f"node {v} adjacent to missing node {w}"))
                     continue
                 if self._edges.get((min(v, w), max(v, w))) is not edge:
-                    out.append(
-                        Violation("adjacency-edge", f"adjacency {v}->{w} disagrees with edge table")
-                    )
+                    out.append(Violation("adjacency-edge", f"adjacency {v}->{w} disagrees with edge table"))
                 if not any(u == v and back is edge for u, back in self._adj[w]):
-                    out.append(
-                        Violation(
-                            "adjacency-symmetry",
-                            f"{v} lists {w} but {w} does not list {v}",
-                        )
-                    )
+                    out.append(Violation("adjacency-symmetry", f"{v} lists {w} but {w} does not list {v}"))
         return out
 
     # -- serialization -----------------------------------------------------------
@@ -480,8 +506,8 @@ class Datagraph:
         if not isinstance(raw_edges, list):
             raise GraphParseError("edges: expected an array")
 
-        graph = cls()
         violations: list[Violation] = []
+        nodes: list[Node] = []
         for i, node_doc in enumerate(raw_nodes):
             where = f"nodes[{i}]"
             if not isinstance(node_doc, dict):
@@ -516,24 +542,19 @@ class Datagraph:
             try:
                 objects = tuple(SceneObject.from_json_dict(o) for o in raw_objects)
                 pose = Pose(tuple(position), tuple(orientation) if orientation else None)
-                node = Node(i, pose, Snapshot(objects, payload_ref))
+                nodes.append(Node(i, pose, Snapshot(objects, payload_ref)))
             except (KeyError, TypeError) as exc:
                 raise GraphParseError(f"{where}: {exc}") from exc
             except ValueError as exc:
                 raise GraphValidationError([Violation("node-data", f"{where}: {exc}")]) from exc
-            graph._nodes.append(node)
-            graph._adj.append([])
 
-        n = len(graph._nodes)
+        edges = []
         for i, edge_doc in enumerate(raw_edges):
             where = f"edges[{i}]"
             if not isinstance(edge_doc, dict):
                 raise GraphParseError(f"{where}: expected an object")
             try:
-                a = edge_doc["a"]
-                b = edge_doc["b"]
-                traversable = edge_doc["traversable"]
-                length_m = edge_doc["length_m"]
+                a, b, traversable, length_m = (edge_doc[k] for k in ("a", "b", "traversable", "length_m"))
             except KeyError as exc:
                 raise GraphParseError(f"{where}: missing field {exc}") from exc
             if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
@@ -542,22 +563,10 @@ class Datagraph:
                 raise GraphParseError(f"{where}.traversable: expected a boolean")
             if not isinstance(length_m, (int, float)) or isinstance(length_m, bool):
                 raise GraphParseError(f"{where}.length_m: expected a number")
-            # Assemble raw so that validate() reports problems instead of
-            # construction errors aborting the lint.
-            key = (min(a, b), max(a, b))
-            edge = Edge(key[0], key[1], traversable, float(length_m))
-            if key in graph._edges:
-                violations.append(Violation("duplicate-edge", f"{where} repeats pair {key}"))
-                continue
-            graph._edges[key] = edge
-            if a == b or not (0 <= a < n and 0 <= b < n):
-                continue  # validate() reports self-loops / missing endpoints
-            insort(graph._adj[a], (b, edge), key=lambda item: item[0])
-            if a != b:
-                insort(graph._adj[b], (a, edge), key=lambda item: item[0])
+            edges.append((a, b, traversable, float(length_m)))
 
-        graph.seal()
-        violations.extend(graph.validate())
+        graph, built = cls._assemble(nodes, edges)
+        violations += built + graph.validate()
         if violations:
             raise GraphValidationError(violations)
         return graph

@@ -90,6 +90,8 @@ class TaskConfig:
             raise ConfigError(f"unknown task kind {self.kind!r}")
         if self.count < 1:
             raise ConfigError("task count must be >= 1")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"task seed must be a non-negative integer, got {self.seed!r}")
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "count": self.count, "seed": self.seed}
@@ -218,7 +220,7 @@ class ExperimentConfig:
             tasks = TaskConfig(
                 kind=tasks_doc["kind"],
                 count=int(tasks_doc.get("count", 1)),
-                seed=int(tasks_doc.get("seed", 0)),
+                seed=tasks_doc.get("seed", 0),
             )
         except KeyError as exc:
             raise ConfigError(f"config.tasks: missing field {exc}") from exc
@@ -645,11 +647,16 @@ def run_route_scan(
     Without candidates the shortest traversable route is scanned. With a
     comparison set, exactly those routes are scanned and the one with the
     fewest hazard-positive nodes wins; ties go to the shorter route under
-    the metric, then to the lexicographically smallest node sequence.
+    the metric, then to the lexicographically smallest node sequence. A
+    candidate that does not run from ``start`` to ``goal`` is a
+    :class:`RouteError`.
     """
     query = hazard_query if hazard_query is not None else default_hazard_query()
     if candidate_routes:
         routes = [list(route) for route in candidate_routes]
+        for route in routes:
+            if not route or route[0] != start or route[-1] != goal:
+                raise RouteError(f"candidate route {route} does not join {start} to {goal}")
     else:
         shortest = graph.shortest_path(start, goal, metric=metric, traversable_only=True)
         if shortest is None:

@@ -25,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .backends import Predicate, Query, predicate_eval
-from .errors import GraphParseError, TaskUnavailableError, WorldSpecError
-from .graph import Datagraph, NodeId, Pose, SceneObject, Snapshot
+from .errors import GraphParseError, GraphValidationError, TaskUnavailableError, WorldSpecError
+from .graph import Datagraph, Node, NodeId, Pose, SceneObject, Snapshot
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
 
@@ -212,7 +212,15 @@ class GroundTruthInstance:
 
     def __post_init__(self):
         object.__setattr__(self, "attributes", dict(self.attributes))
-        object.__setattr__(self, "world_position", tuple(float(c) for c in self.world_position))
+        object.__setattr__(self, "world_position", tuple(map(float, self.world_position)))
+
+    @classmethod
+    def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
+        """The record of a checked scene object, sharing its attributes and position."""
+        inst = object.__new__(cls)  # the fields are already checked: skip __init__
+        inst.__dict__.update(instance_id=obj.instance_id, label=obj.label, attributes=obj.attributes,
+                             world_position=obj.world_position, home_node=home_node, duplicate_of=duplicate_of)
+        return inst
 
     def to_json_dict(self) -> dict:
         return {
@@ -334,36 +342,26 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
 
     walls = _interior_walls(gw, gh)
     edge_pairs = _choose_doors(walls, spec.door_prob, rng)
-    neighbors: dict[NodeId, list[NodeId]] = {v: [] for v in range(n)}
-    for a, b in edge_pairs:
-        neighbors[a].append(b)
-        neighbors[b].append(a)
 
     placements = _place_objects(spec, rng)
     _assign_number_pools(spec, placements, rng)
     _assign_number_refs(spec, placements, rng)
-    _inject_boundary_duplicates(spec, placements, neighbors, rng)
+    _inject_boundary_duplicates(spec, placements, set(edge_pairs), rng)
 
-    per_node: dict[NodeId, list[SceneObject]] = {v: [] for v in range(n)}
+    per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     instances = []
     for instance_id, p in enumerate(placements):
-        obj = SceneObject(p.label, dict(p.attributes), p.position, instance_id)
+        obj = SceneObject(p.label, p.attributes, p.position, instance_id)
         per_node[p.node].append(obj)
-        instances.append(
-            GroundTruthInstance(
-                instance_id, p.label, dict(p.attributes), p.position, p.node, p.duplicate_of
-            )
-        )
-
-    graph = Datagraph()
-    for v in range(n):
-        i, j = v % gw, v // gw
-        pose = Pose(((i + 0.5) * size, (j + 0.5) * size, 0.0))
-        graph.add_node(pose, Snapshot(tuple(per_node[v])))
-    for a, b in edge_pairs:
-        graph.add_edge(a, b, traversable=True)
-    graph.seal()
-    return graph, GroundTruth(tuple(instances))
+        instances.append(GroundTruthInstance._of(obj, p.node, p.duplicate_of))
+    centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
+    nodes = [Node(v, Pose(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
+    del placements, per_node
+    edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
+    graph, violations = Datagraph._assemble(nodes, edges)
+    if violations:
+        raise GraphValidationError(violations)
+    return graph, GroundTruth(instances)
 
 
 def _interior_walls(gw: int, gh: int) -> list[tuple[NodeId, NodeId]]:
@@ -396,11 +394,10 @@ def _choose_doors(walls, door_prob: float, rng) -> list[tuple[NodeId, NodeId]]:
         if ra != rb:
             parent[ra] = rb
             tree.add((a, b))
-    chosen = set(tree)
-    for wall in walls:
-        if wall not in tree and rng.random() < door_prob:
-            chosen.add(wall)
-    return sorted(chosen)
+    extra = [wall for wall in walls if wall not in tree]
+    # one array draw gives the values of that many scalar rng.random() calls
+    flips = rng.random(len(extra)).tolist()
+    return sorted(tree.union(wall for wall, flip in zip(extra, flips) if flip < door_prob))
 
 
 def _room_bounds(v: NodeId, gw: int, size: float) -> tuple[float, float, float, float]:
@@ -427,13 +424,14 @@ class _SeparationGrid:
         self.side = max(2.0 * separation, room_size_m / 4)
         self._cells: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
 
-    def _cell(self, position: tuple[float, float, float]) -> tuple[int, int]:
+    def cell(self, position: tuple[float, float, float]) -> tuple[int, int]:
         return math.floor(position[0] / self.side), math.floor(position[1] / self.side)
 
-    def admits(self, candidate: tuple[float, float, float]) -> bool:
+    def admits(self, candidate: tuple[float, float, float], cell: tuple[int, int]) -> bool:
+        """Whether ``candidate``, which lies in ``cell``, keeps the separation."""
         if self.separation == 0:
             return True
-        ci, cj = self._cell(candidate)
+        ci, cj = cell
         for i in (ci - 1, ci, ci + 1):
             for j in (cj - 1, cj, cj + 1):
                 for other in self._cells.get((i, j), ()):
@@ -441,8 +439,8 @@ class _SeparationGrid:
                         return False
         return True
 
-    def add(self, position: tuple[float, float, float]) -> None:
-        self._cells.setdefault(self._cell(position), []).append(position)
+    def add(self, position: tuple[float, float, float], cell: tuple[int, int]) -> None:
+        self._cells.setdefault(cell, []).append(position)
 
 
 def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
@@ -462,16 +460,17 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
     }
     for v in range(spec.grid_w * spec.grid_h):
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, spec.room_size_m)
+        # lo + (hi - lo) * rng.random() is what rng.uniform(lo, hi) computes
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
         for _ in range(int(rng.poisson(spec.objects_per_room_mean))):
             entry = spec.catalog[bisect.bisect_right(cdf, rng.random())]
             grid = grids[entry.label]
-            position = None
             for _try in range(_MAX_PLACE_TRIES):
-                candidate = (float(rng.uniform(x_lo, x_hi)), float(rng.uniform(y_lo, y_hi)), 0.0)
-                if grid.admits(candidate):
-                    position = candidate
+                position = (x_lo + x_span * rng.random(), y_lo + y_span * rng.random(), 0.0)
+                cell = grid.cell(position)
+                if grid.admits(position, cell):
                     break
-            if position is None:
+            else:
                 continue  # room too crowded for this label; skip the object
             attributes: dict[str, str] = {}
             for name in sorted(entry.attributes):
@@ -481,7 +480,7 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
                 elif desc["kind"] == "choice":
                     attributes[name] = desc["values"][int(rng.integers(len(desc["values"])))]
             placements.append(_Placement(v, entry.label, position, attributes))
-            grid.add(position)
+            grid.add(position, cell)
     return placements
 
 
@@ -519,7 +518,7 @@ def _assign_number_refs(spec: WorldSpec, placements: list[_Placement], rng) -> N
 def _inject_boundary_duplicates(
     spec: WorldSpec,
     placements: list[_Placement],
-    neighbors: dict[NodeId, list[NodeId]],
+    doors: set[tuple[NodeId, NodeId]],
     rng,
 ) -> None:
     """Copy near-wall objects into the adjacent room's snapshot.
@@ -532,28 +531,18 @@ def _inject_boundary_duplicates(
     gw, size = spec.grid_w, spec.room_size_m
     duplicates: list[_Placement] = []
     for original_id, p in enumerate(placements):
-        x_lo, x_hi, y_lo, y_hi = _room_bounds(p.node, gw, size)
-        eligible: list[tuple[float, NodeId]] = []
-        for w in neighbors[p.node]:
-            di = (w % gw) - (p.node % gw)
-            dj = (w // gw) - (p.node // gw)
-            if di == 1:
-                gap = x_hi - p.position[0]
-            elif di == -1:
-                gap = p.position[0] - x_lo
-            elif dj == 1:
-                gap = y_hi - p.position[1]
-            else:
-                gap = p.position[1] - y_lo
-            if gap <= BOUNDARY_BAND_M:
-                eligible.append((gap, w))
-        if not eligible:
-            continue
-        if rng.random() < spec.boundary_duplicate_prob:
+        v, (x, y, _) = p.node, p.position
+        x_lo, x_hi, y_lo, y_hi = _room_bounds(v, gw, size)
+        # (gap to a wall, the room behind it); v - 1 and v + 1 are behind a wall only within the row
+        sides = [(y_hi - y, v + gw), (y - y_lo, v - gw)]
+        if v % gw + 1 < gw:
+            sides.append((x_hi - x, v + 1))
+        if v % gw > 0:
+            sides.append((x - x_lo, v - 1))
+        eligible = [(gap, w) for gap, w in sides if gap <= BOUNDARY_BAND_M and (min(v, w), max(v, w)) in doors]
+        if eligible and rng.random() < spec.boundary_duplicate_prob:
             _, target = min(eligible)
-            duplicates.append(
-                _Placement(target, p.label, p.position, dict(p.attributes), duplicate_of=original_id)
-            )
+            duplicates.append(_Placement(target, p.label, p.position, p.attributes, duplicate_of=original_id))
     placements.extend(duplicates)
 
 

@@ -192,13 +192,16 @@ def input_files(tmp_path, world_dir):
     for name, world in [
         ("inline_shared", {"format_version": 1, "grid_w": 2, "grid_h": 2}),
         ("no_truth", {"path": str(files["world"])}),
+        ("negative_seed", {"format_version": 1, "grid_w": 2, "grid_h": 2}),
     ]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({
             "world": world,
-            "tasks": {"kind": "nearest_search", "count": 2},
+            "tasks": {"kind": "nearest_search", "count": 2, "seed": -1 if name == "negative_seed" else 0},
             "shared_cache": name == "inline_shared",
         }))
+    files["short_route"] = tmp_path / "short_route.json"
+    files["short_route"].write_text("[[0, 1]]")
     return files
 
 
@@ -217,6 +220,12 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="compare-shared-inline"),
         pytest.param(["compare", "--config", "{no_truth}"], 1, "4 trial run(s) errored",
                      id="compare-errored-trials"),
+        pytest.param(["compare", "--config", "{negative_seed}"], 2,
+                     "error: task seed must be a non-negative integer, got -1",
+                     id="compare-negative-seed"),
+        pytest.param(["compare", "--config", "{no_truth}", "--seed", "-1"], 2,
+                     "error: task seed must be a non-negative integer, got -1",
+                     id="compare-negative-seed-flag"),
         pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, "error: invalid JSON",
                      id="replay-bad-store"),
         pytest.param(["route", "--world", "{world}", "--start", "0", "--goal", "99"], 2, "error: unknown node id: 99",
@@ -230,6 +239,9 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="routes-bad-json"),
         pytest.param(ROUTE + ["--routes", "{no_truth}"], 2, "expected an array of non-empty node id arrays",
                      id="routes-not-arrays"),
+        pytest.param(ROUTE + ["--routes", "{short_route}"], 2,
+                     "error: candidate route [0, 1] does not join 0 to 11",
+                     id="routes-not-joining-start-to-goal"),
         pytest.param(ROUTE + ["--timeout-ms", "0"], 2, "error: Invalid value for '--timeout-ms'",
                      id="timeout-zero"),
         pytest.param(ROUTE + ["--backend", "replay"], 2, "error: replay backend needs a store_path",

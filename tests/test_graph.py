@@ -4,6 +4,7 @@ import json
 import math
 
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,11 +16,13 @@ from datagraph import (
     GraphValidationError,
     InvalidLengthError,
     MissingNodeError,
+    Node,
     Pose,
     SceneObject,
     SelfLoopError,
     Snapshot,
 )
+from datagraph.cli import main
 from helpers import (
     build_graph,
     edge_dict,
@@ -365,6 +368,124 @@ def test_load_reports_non_dense_ids(tmp_path):
     assert any(v.invariant == "node-id-density" for v in excinfo.value.violations)
 
 
+def _doc_node(i, position=None, objects=(), **pose):
+    position = position or (float(i), 0.0, 0.0)
+    return {"id": i, "pose": {"position": list(position), **pose}, "snapshot": {"objects": list(objects)}}
+
+
+def _doc_edge(a, b, length=1.0, traversable=True):
+    return {"a": a, "b": b, "traversable": traversable, "length_m": length}
+
+
+def _doc(nodes=None, edges=()):
+    nodes = nodes if nodes is not None else [_doc_node(i) for i in range(3)]
+    return {"format_version": 1, "nodes": nodes, "edges": list(edges)}
+
+
+# Documents that each break one invariant (plus one that breaks several), with
+# the (invariant, detail) list loading gave before loads went through the bulk
+# builder; loading must reject them with exactly these lists, in this order.
+BROKEN_DOCUMENTS = [
+    pytest.param(
+        _doc([_doc_node(0), _doc_node(5), _doc_node(2)], [_doc_edge(0, 1), _doc_edge(1, 2)]),
+        [("node-id-density", "nodes[1] has id 5, expected 1")],
+        id="node-id-density",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1), _doc_edge(1, 2), _doc_edge(1, 0, 2.0), _doc_edge(0, 1, 1.0, False)]),
+        [("duplicate-edge", "edges[2] repeats pair (0, 1)"), ("duplicate-edge", "edges[3] repeats pair (0, 1)")],
+        id="duplicate-edge",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1), _doc_edge(2, 2), _doc_edge(1, 2)]),
+        [("self-loop", "edge on node 2")],
+        id="self-loop",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1), _doc_edge(1, 7), _doc_edge(-1, 2), _doc_edge(5, 5)]),
+        [
+            ("edge-endpoint", "edge {1, 7} endpoint missing"),
+            ("edge-endpoint", "edge {-1, 2} endpoint missing"),
+            ("self-loop", "edge on node 5"),
+            ("edge-endpoint", "edge {5, 5} endpoint missing"),
+        ],
+        id="edge-endpoint",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1, -3.0), _doc_edge(1, 2)]),
+        [("edge-length", "edge {0, 1} has length -3.0")],
+        id="edge-length-negative",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1), _doc_edge(1, 2, 0)]),
+        [("edge-length", "edge {1, 2} has length 0.0")],
+        id="edge-length-zero",
+    ),
+    pytest.param(
+        _doc(edges=[_doc_edge(0, 1, math.nan), _doc_edge(1, 2, math.inf)]),
+        [("edge-length", "edge {0, 1} has length nan"), ("edge-length", "edge {1, 2} has length inf")],
+        id="edge-length-nan",
+    ),
+    pytest.param(
+        _doc([_doc_node(0), _doc_node(1, objects=[{"label": ""}]), _doc_node(2)]),
+        [("node-data", "nodes[1]: object label must be non-empty")],
+        id="node-data-label",
+    ),
+    pytest.param(
+        _doc([_doc_node(0), _doc_node(1, orientation=[1.0, 1.0, 0.0, 0.0]), _doc_node(2)]),
+        [("node-data", "nodes[1]: quaternion norm 1.4142135623730951 is not within 1e-09 of 1")],
+        id="node-data-quaternion",
+    ),
+    pytest.param(
+        _doc([_doc_node(0), _doc_node(1, position=(math.nan, 0.0, 0.0)), _doc_node(2)]),
+        [("node-data", "nodes[1]: position components must be finite, got (nan, 0.0, 0.0)")],
+        id="node-data-position",
+    ),
+    pytest.param(
+        _doc(
+            [_doc_node(0), _doc_node(3), _doc_node(2)],
+            [
+                _doc_edge(2, 2, -1.0),
+                _doc_edge(1, 2, math.nan),
+                _doc_edge(0, 1),
+                _doc_edge(2, 1),
+                _doc_edge(0, 9),
+                _doc_edge(1, 0),
+            ],
+        ),
+        [
+            ("node-id-density", "nodes[1] has id 3, expected 1"),
+            ("duplicate-edge", "edges[3] repeats pair (1, 2)"),
+            ("duplicate-edge", "edges[5] repeats pair (0, 1)"),
+            ("self-loop", "edge on node 2"),
+            ("edge-length", "edge {2, 2} has length -1.0"),
+            ("edge-length", "edge {1, 2} has length nan"),
+            ("edge-endpoint", "edge {0, 9} endpoint missing"),
+        ],
+        id="mixed",
+    ),
+]
+
+
+@pytest.mark.parametrize("doc, expected", BROKEN_DOCUMENTS)
+def test_load_rejects_broken_documents_with_pinned_violations(tmp_path, doc, expected):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphValidationError) as excinfo:
+        Datagraph.load(path)
+    assert [(v.invariant, v.detail) for v in excinfo.value.violations] == expected
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert (result.exit_code, result.stdout) == (1, "")
+    assert result.stderr == "".join(f"{invariant}: {detail}\n" for invariant, detail in expected)
+
+
+def test_load_parse_error_wins_over_earlier_violations(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(_doc([_doc_node(0), _doc_node(4)], [_doc_edge(0, 1), _doc_edge(1, 0), {"a": 0}])))
+    with pytest.raises(GraphParseError, match=r"edges\[2\]: missing field 'b'"):
+        Datagraph.load(path)
+
+
 def test_numbers_survive_round_trip_bit_exact(tmp_path):
     pos = (0.1 + 0.2, math.pi, -1.0 / 3.0)
     g = Datagraph()
@@ -409,6 +530,42 @@ def test_property_adjacency_symmetric_and_sorted(script):
         assert ids == sorted(ids)
         for w in ids:
             assert v in g.neighbors(w)
+
+
+@st.composite
+def bulk_edge_lists(draw):
+    """A node count and a shuffled edge list: endpoints either way round,
+    mixed lengths, traversable or not."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
+    edges = []
+    for a, b in chosen:
+        if draw(st.booleans()):
+            a, b = b, a
+        length = draw(st.sampled_from([1.0, 0.1, 6.0]) | st.floats(1e-9, 1e9))
+        edges.append((a, b, draw(st.booleans()), length))
+    return n, draw(st.permutations(edges))
+
+
+@given(bulk_edge_lists())
+@settings(max_examples=200)
+def test_property_bulk_builder_matches_add_edge_path(script):
+    n, edges = script
+    nodes = [Node(v, Pose((float(v), 0.0, 0.0)), Snapshot()) for v in range(n)]
+    built, violations = Datagraph._assemble(nodes, edges)
+    assert violations == []
+    by_hand = Datagraph()
+    for node in nodes:
+        by_hand.add_node(node.pose, node.snapshot)
+    for a, b, traversable, length in edges:
+        by_hand.add_edge(a, b, traversable, length)
+    by_hand.seal()
+    assert built == by_hand
+    assert built.edges() == by_hand.edges()
+    for v in range(n):
+        assert built.adjacency(v) == by_hand.adjacency(v)
+    assert built.validate() == []
 
 
 @given(build_scripts())

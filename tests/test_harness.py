@@ -79,6 +79,16 @@ def test_task_config_rejects_zero_count():
         TaskConfig("nearest_search", 0, 0)
 
 
+@pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
+def test_task_config_rejects_seeds_that_are_not_natural_numbers(seed):
+    with pytest.raises(ConfigError, match="task seed"):
+        TaskConfig("nearest_search", 1, seed)
+    doc = {"world": {"format_version": 1, "grid_w": 2, "grid_h": 2},
+           "tasks": {"kind": "nearest_search", "seed": seed}}
+    with pytest.raises(ConfigError, match="task seed"):
+        ExperimentConfig.from_json_dict(doc)
+
+
 def test_backend_config_requirements():
     with pytest.raises(ConfigError):
         BackendConfig(kind="replay")
@@ -383,6 +393,14 @@ def test_unreachable_goal_is_route_error():
     graph = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(RouteError):
         run_route_scan(graph, OracleBackend(), 0, 3)
+
+
+@pytest.mark.parametrize("route", [[0, 1], [1, 3, 5], [], [0, 1, 3, 5, 3]])
+def test_candidate_route_must_join_start_to_goal(route):
+    backend = CachingBackend(OracleBackend())
+    with pytest.raises(RouteError, match="does not join 0 to 5"):
+        run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
+    assert backend.hits == backend.misses == 0  # checked before any scene is queried
 
 
 def test_route_scan_report_json_is_stable():

@@ -181,9 +181,9 @@ def test_property_grid_hash_decides_like_all_pairs_scan(case):
     separation, room, placed, candidates = case
     grid = _SeparationGrid(separation, room)
     for position in placed:
-        grid.add(position)
+        grid.add(position, grid.cell(position))
     for candidate in candidates:
-        assert grid.admits(candidate) == all_pairs_admits(candidate, placed, separation)
+        assert grid.admits(candidate, grid.cell(candidate)) == all_pairs_admits(candidate, placed, separation)
 
 
 # SHA-256 of each saved world followed by its saved ground truth, as the
@@ -210,6 +210,14 @@ PINNED_WORLDS = [
         ),
         "991e5da660fa5a2161410b1a30bd2769977096d8af0ed4fd534114ae7e72e6b0",
     ),
+    (  # one column, then one row: a room's side neighbours are not its neighbours above
+        WorldSpec(grid_w=1, grid_h=12, seed=5, boundary_duplicate_prob=0.6, objects_per_room_mean=4.0),
+        "504ef4387943590c08a17ef1eeb8d205b563cef9a4296bd9bfe60cee1bfa34da",
+    ),
+    (
+        WorldSpec(grid_w=12, grid_h=1, seed=5, boundary_duplicate_prob=0.6, objects_per_room_mean=4.0),
+        "2eaaa516fe873bed22f287d98c7b9f7725e1e6d66729cae8d0fadf3b0afc0ccf",
+    ),
 ]
 
 
@@ -220,6 +228,26 @@ def test_saved_world_bytes_are_pinned(tmp_path, spec, digest):
     ground_truth.save(tmp_path / "truth.json")
     blob = (tmp_path / "world.json").read_bytes() + (tmp_path / "truth.json").read_bytes()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# SHA-256 over the saved world and ground-truth bytes of 40 worlds (6x6 and
+# 24x24, boundary_duplicate_prob 0 and 0.3, seeds 0-9, in that nesting order),
+# as world generation wrote them before worlds went through the bulk builder
+FORTY_WORLDS_DIGEST = "baf863f8a77b8122c7cb5c01ed624e6175472226f0f36fa7dcff5830daacc8d2"
+
+
+def test_forty_saved_worlds_are_pinned(tmp_path):
+    digest = hashlib.sha256()
+    for size in (6, 24):
+        for dup_prob in (0.0, 0.3):
+            for seed in range(10):
+                spec = WorldSpec(grid_w=size, grid_h=size, boundary_duplicate_prob=dup_prob, seed=seed)
+                graph, ground_truth = generate_world(spec)
+                graph.save(tmp_path / "world.json")
+                ground_truth.save(tmp_path / "truth.json")
+                digest.update((tmp_path / "world.json").read_bytes())
+                digest.update((tmp_path / "truth.json").read_bytes())
+    assert digest.hexdigest() == FORTY_WORLDS_DIGEST
 
 
 def test_snapshot_contents_match_ground_truth():
