@@ -20,12 +20,14 @@ from .graph import Datagraph
 from .harness import (
     BackendConfig,
     ExperimentConfig,
+    WorldFiles,
     build_base_backend,
+    load_world_files,
     run_aggregate,
     run_compare,
     run_route_scan,
 )
-from .worldgen import GroundTruth, WorldSpec, generate_world
+from .worldgen import WorldSpec, generate_world
 
 EXIT_BAD_INPUT = 2
 EXIT_BACKEND_FAILURE = 3
@@ -254,8 +256,7 @@ def route(world_path, start, goal, metric, routes_path, cache, output, **backend
 def aggregate(world_path, gt_path, label, attrs, radius, output, **backend_flags):
     """Count instances of LABEL across all scenes, merging boundary duplicates."""
     config = _backend_config(**backend_flags)
-    graph = Datagraph.load(world_path)
-    ground_truth = GroundTruth.load(gt_path) if gt_path else None
+    graph, ground_truth = load_world_files(WorldFiles(world_path, gt_path))
     clauses = []
     for raw in attrs:
         if "=" not in raw:

@@ -3,11 +3,14 @@
 A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
 :meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
 with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
-by one checked builder, :meth:`Datagraph._assemble`, which seals them.
-Sealed graphs are immutable, safe to share across threads without locking,
-and are the only graphs accepted by the distance and path queries. Every
-query breaks ties deterministically (ascending node ids, lexicographically
-smallest paths) so traversals are reproducible.
+by one checked builder, :meth:`Datagraph._assemble`, which seals them. The
+records it takes check their own fields with one helper per kind of field
+(ids, labels, attributes, number vectors), and the loaders use the same
+helpers, so each check is written once. Sealed graphs are immutable, safe
+to share across threads without locking, and are the only graphs accepted by
+the distance and path queries. Every query breaks ties deterministically
+(ascending node ids, lexicographically smallest paths) so traversals are
+reproducible.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 import numbers
 from bisect import insort
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -36,20 +39,96 @@ NodeId = int
 _QUAT_NORM_TOL = 1e-9
 
 
-def _as_vec3(values, what: str) -> tuple[float, float, float]:
+class _KindError(ValueError):
+    """A field holds the wrong kind of value: a string where a number belongs,
+    a bool where an id belongs, a number too large for a float.
+
+    It is a ``ValueError``, so code that builds records sees one. The world
+    loader turns it into a :class:`GraphParseError`, and any other
+    ``ValueError`` (a bad value of the right kind) into a violation.
+    """
+
+
+# The field checks: the record constructors and both loaders call these, so
+# each check is written once. Each returns the checked value. A wrong kind of
+# value raises _KindError, a bad value of the right kind ValueError.
+
+
+def _is_integer(value) -> bool:
+    """An int or other integral number, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _check_id(value, what: str) -> int:
+    """An integer id; its range is the caller's business."""
+    if type(value) is not int and not _is_integer(value):  # a plain int skips the ABC check
+        raise _KindError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_label(value, what: str) -> str:
+    if not isinstance(value, str):
+        raise _KindError(f"{what} must be a string, got {value!r}")
+    if not value:
+        raise ValueError(f"{what} must be non-empty")
+    return value
+
+
+_NO_ATTRIBUTES: dict[str, str] = {}  # a default argument, never stored: the check copies it
+
+
+def _check_attributes(value) -> dict[str, str]:
+    """A copy of a str -> str mapping."""
+    if not isinstance(value, dict):
+        raise _KindError(f"attributes must map str to str, got {value!r}")
+    for key, item in value.items():
+        if not isinstance(key, str) or not isinstance(item, str):
+            raise _KindError(f"attributes must map str to str, got {key!r}: {item!r}")
+    return dict(value)
+
+
+def _as_float(value, what: str) -> float:
+    """A real number (not a bool or a string) as a float."""
+    if type(value) is float:
+        return value
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise _KindError(f"{what} must be a number, got {value!r}")
     try:
-        vec = tuple(map(float, values))
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} must be a 3-vector of numbers") from exc
-    if len(vec) != 3:
-        raise ValueError(f"{what} must have exactly 3 components, got {len(vec)}")
-    x, y, z = vec
+        return float(value)
+    except OverflowError:
+        raise _KindError(f"{what} is too large for a float") from None
+
+
+def _as_floats(values, count: int, what: str) -> tuple[float, ...]:
+    """A sequence of ``count`` numbers (see :func:`_as_float`) as a tuple of floats."""
+    try:
+        items = () if isinstance(values, (str, bytes)) else tuple(values)
+    except TypeError:
+        items = ()
+    if len(items) != count:
+        raise _KindError(f"{what} must be a sequence of {count} numbers, got {values!r}")
+    return tuple([_as_float(c, f"{what} component") for c in items])
+
+
+def _as_vec3(values, what: str) -> tuple[float, float, float]:
+    """Three finite floats (see :func:`_as_floats`)."""
+    try:
+        x, y, z = values
+    except (TypeError, ValueError):
+        x = None
+    if not (type(x) is float and type(y) is float and type(z) is float):  # else the fast path
+        x, y, z = _as_floats(values, 3, what)
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        raise ValueError(f"{what} components must be finite, got {vec}")
-    return vec
+        raise ValueError(f"{what} components must be finite, got {(x, y, z)}")
+    return (x, y, z)
 
 
-@dataclass(frozen=True)
+# Records whose fields are checked or converted set each field once, in their
+# own __init__: a generated __init__ plus a __post_init__ would set those
+# fields twice, and loading a world builds thousands of records.
+
+
+@dataclass(frozen=True, init=False)
 class Pose:
     """A position in meters with an optional unit-quaternion orientation.
 
@@ -58,21 +137,20 @@ class Pose:
     """
 
     position: tuple[float, float, float]
-    orientation: tuple[float, float, float, float] | None = None
+    orientation: tuple[float, float, float, float] | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "position", _as_vec3(self.position, "position"))
-        if self.orientation is not None:
-            quat = tuple(float(c) for c in self.orientation)
-            if len(quat) != 4:
-                raise ValueError("orientation must be a (w, x, y, z) quaternion")
-            norm = math.sqrt(sum(c * c for c in quat))
+    def __init__(self, position, orientation=None):
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "position", _as_vec3(position, "position"))
+        if orientation is not None:
+            orientation = _as_floats(orientation, 4, "orientation")
+            norm = math.sqrt(sum(c * c for c in orientation))
             if not math.isfinite(norm) or abs(norm - 1.0) > _QUAT_NORM_TOL:
                 raise ValueError(f"quaternion norm {norm!r} is not within {_QUAT_NORM_TOL} of 1")
-            object.__setattr__(self, "orientation", quat)
+        set_field(self, "orientation", orientation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SceneObject:
     """An annotated object observed in a scene.
 
@@ -83,22 +161,18 @@ class SceneObject:
     """
 
     label: str
-    attributes: dict[str, str] = field(default_factory=dict)
-    world_position: tuple[float, float, float] | None = None
-    instance_id: int = -1
+    attributes: dict[str, str]
+    world_position: tuple[float, float, float] | None
+    instance_id: int
 
-    def __post_init__(self):
-        if not self.label:
-            raise ValueError("object label must be non-empty")
-        attrs = dict(self.attributes)
-        for key, value in attrs.items():
-            if not isinstance(key, str) or not isinstance(value, str):
-                raise ValueError(f"attributes must map str to str, got {key!r}: {value!r}")
-        object.__setattr__(self, "attributes", attrs)
-        if self.world_position is not None:
-            object.__setattr__(
-                self, "world_position", _as_vec3(self.world_position, "world_position")
-            )
+    def __init__(self, label, attributes=_NO_ATTRIBUTES, world_position=None, instance_id=-1):
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "label", _check_label(label, "object label"))
+        set_field(self, "attributes", _check_attributes(attributes))
+        if world_position is not None:
+            world_position = _as_vec3(world_position, "world_position")
+        set_field(self, "world_position", world_position)
+        set_field(self, "instance_id", _check_id(instance_id, "instance_id"))
 
     def to_json_dict(self) -> dict:
         return {
@@ -110,16 +184,14 @@ class SceneObject:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> SceneObject:
-        pos = doc.get("world_position")
+        if not isinstance(doc, dict):
+            raise _KindError(f"object must be a JSON object, got {doc!r}")
         return cls(
-            label=doc["label"],
-            attributes=doc.get("attributes", {}),
-            world_position=tuple(pos) if pos is not None else None,
-            instance_id=doc.get("instance_id", -1),
+            doc["label"], doc.get("attributes", {}), doc.get("world_position"), doc.get("instance_id", -1)
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Snapshot:
     """The per-node scene record: annotated objects plus an opaque payload ref.
 
@@ -128,11 +200,15 @@ class Snapshot:
     remote backends.
     """
 
-    objects: tuple[SceneObject, ...] = ()
-    payload_ref: str | None = None
+    objects: tuple[SceneObject, ...]
+    payload_ref: str | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "objects", tuple(self.objects))
+    def __init__(self, objects=(), payload_ref=None):
+        if payload_ref is not None and not isinstance(payload_ref, str):
+            raise _KindError(f"payload_ref must be a string, got {payload_ref!r}")
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "objects", tuple(objects))
+        set_field(self, "payload_ref", payload_ref)
 
 
 @dataclass(frozen=True)
@@ -166,15 +242,15 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
-def _edge_faults(edge: Edge, n: int) -> list[Violation]:
+def _edge_faults(a: NodeId, b: NodeId, length_m: float, n: int) -> list[Violation]:
     """One edge's self-loop, missing-endpoint and (if both ends exist) length violations."""
     out = []
-    if edge.a == edge.b:
-        out.append(Violation("self-loop", f"edge on node {edge.a}"))
-    if not (0 <= edge.a < n and 0 <= edge.b < n):
-        out.append(Violation("edge-endpoint", f"edge {{{edge.a}, {edge.b}}} endpoint missing"))
-    elif not (math.isfinite(edge.length_m) and edge.length_m > 0.0):
-        out.append(Violation("edge-length", f"edge {{{edge.a}, {edge.b}}} has length {edge.length_m!r}"))
+    if a == b:
+        out.append(Violation("self-loop", f"edge on node {a}"))
+    if not (0 <= a < n and 0 <= b < n):
+        out.append(Violation("edge-endpoint", f"edge {{{a}, {b}}} endpoint missing"))
+    elif not 0.0 < length_m < math.inf:  # also false for NaN
+        out.append(Violation("edge-length", f"edge {{{a}, {b}}} has length {length_m!r}"))
     return out
 
 
@@ -256,11 +332,11 @@ class Datagraph:
                 duplicates.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
                 continue
             seen.add(key)
-            edge = Edge(key[0], key[1], traversable, length_m)
-            found = _edge_faults(edge, n)
-            faults.extend(found)
-            if not found:
-                kept[key] = edge
+            found = _edge_faults(key[0], key[1], length_m, n)
+            if found:
+                faults += found
+            else:
+                kept[key] = Edge(key[0], key[1], traversable, length_m)
         graph = cls()
         graph._nodes = nodes
         graph._adj = [[] for _ in range(n)]
@@ -419,8 +495,9 @@ class Datagraph:
     def validate(self) -> list[Violation]:
         """Re-check every structural invariant; empty list means well-formed.
 
-        Violations are data, not errors: this is the lint pass used by
-        :meth:`load` and by the CLI's graph linter.
+        Violations are data, not errors. Generation and loading check each
+        record and edge as they build it, so their graphs always pass; this
+        is the lint for any graph, whatever built it.
         """
         out: list[Violation] = []
         for index, node in enumerate(self._nodes):
@@ -442,7 +519,7 @@ class Datagraph:
         for key, edge in self._edges.items():
             if key != (min(edge.a, edge.b), max(edge.a, edge.b)):
                 out.append(Violation("edge-key", f"edge {edge} stored under key {key}"))
-            out.extend(_edge_faults(edge, n))
+            out.extend(_edge_faults(edge.a, edge.b, edge.length_m, n))
         for v in range(n):
             entries = self._adj[v]
             ids = [w for w, _ in entries]
@@ -490,9 +567,11 @@ class Datagraph:
     def from_json_dict(cls, doc) -> Datagraph:
         """Rebuild a sealed graph from its document form.
 
-        Structural problems surface as :class:`GraphValidationError` listing
-        violations; shape/type problems surface as :class:`GraphParseError`
-        naming the offending location.
+        Each field is checked once, where it is parsed. Shape and type
+        problems (a missing field, a string where a number belongs, a number
+        too large for a float) raise :class:`GraphParseError` naming the
+        offending ``nodes[i]`` or ``edges[i]``; structural problems raise
+        :class:`GraphValidationError` listing violations.
         """
         if not isinstance(doc, dict):
             raise GraphParseError("top level: expected an object")
@@ -509,64 +588,52 @@ class Datagraph:
         violations: list[Violation] = []
         nodes: list[Node] = []
         for i, node_doc in enumerate(raw_nodes):
-            where = f"nodes[{i}]"
             if not isinstance(node_doc, dict):
-                raise GraphParseError(f"{where}: expected an object")
-            node_id = node_doc.get("id")
-            if not isinstance(node_id, int) or isinstance(node_id, bool):
-                raise GraphParseError(f"{where}.id: expected an integer")
-            if node_id != i:
-                violations.append(
-                    Violation("node-id-density", f"{where} has id {node_id}, expected {i}")
-                )
+                raise GraphParseError(f"nodes[{i}]: expected an object")
             pose_doc = node_doc.get("pose")
             snap_doc = node_doc.get("snapshot")
             if not isinstance(pose_doc, dict):
-                raise GraphParseError(f"{where}.pose: expected an object")
+                raise GraphParseError(f"nodes[{i}].pose: expected an object")
             if not isinstance(snap_doc, dict):
-                raise GraphParseError(f"{where}.snapshot: expected an object")
-            position = pose_doc.get("position")
-            if not isinstance(position, list) or len(position) != 3:
-                raise GraphParseError(f"{where}.pose.position: expected 3 numbers")
-            orientation = pose_doc.get("orientation")
-            if orientation is not None and (
-                not isinstance(orientation, list) or len(orientation) != 4
-            ):
-                raise GraphParseError(f"{where}.pose.orientation: expected 4 numbers")
+                raise GraphParseError(f"nodes[{i}].snapshot: expected an object")
             raw_objects = snap_doc.get("objects", [])
             if not isinstance(raw_objects, list):
-                raise GraphParseError(f"{where}.snapshot.objects: expected an array")
-            payload_ref = snap_doc.get("payload_ref")
-            if payload_ref is not None and not isinstance(payload_ref, str):
-                raise GraphParseError(f"{where}.snapshot.payload_ref: expected a string")
+                raise GraphParseError(f"nodes[{i}].snapshot.objects: expected an array")
             try:
-                objects = tuple(SceneObject.from_json_dict(o) for o in raw_objects)
-                pose = Pose(tuple(position), tuple(orientation) if orientation else None)
-                nodes.append(Node(i, pose, Snapshot(objects, payload_ref)))
-            except (KeyError, TypeError) as exc:
-                raise GraphParseError(f"{where}: {exc}") from exc
+                node_id = _check_id(node_doc.get("id"), "id")
+                pose = Pose(pose_doc.get("position"), pose_doc.get("orientation"))
+                objects = tuple(map(SceneObject.from_json_dict, raw_objects))
+                snapshot = Snapshot(objects, snap_doc.get("payload_ref"))
+            except KeyError as exc:
+                raise GraphParseError(f"nodes[{i}]: object missing field {exc}") from exc
+            except _KindError as exc:
+                raise GraphParseError(f"nodes[{i}]: {exc}") from exc
             except ValueError as exc:
-                raise GraphValidationError([Violation("node-data", f"{where}: {exc}")]) from exc
+                raise GraphValidationError([Violation("node-data", f"nodes[{i}]: {exc}")]) from exc
+            if node_id != i:
+                violations.append(Violation("node-id-density", f"nodes[{i}] has id {node_id}, expected {i}"))
+            nodes.append(Node(i, pose, snapshot))
 
         edges = []
         for i, edge_doc in enumerate(raw_edges):
-            where = f"edges[{i}]"
             if not isinstance(edge_doc, dict):
-                raise GraphParseError(f"{where}: expected an object")
+                raise GraphParseError(f"edges[{i}]: expected an object")
             try:
-                a, b, traversable, length_m = (edge_doc[k] for k in ("a", "b", "traversable", "length_m"))
+                a, b = edge_doc["a"], edge_doc["b"]
+                traversable, length_m = edge_doc["traversable"], edge_doc["length_m"]
             except KeyError as exc:
-                raise GraphParseError(f"{where}: missing field {exc}") from exc
-            if not isinstance(a, int) or not isinstance(b, int) or isinstance(a, bool) or isinstance(b, bool):
-                raise GraphParseError(f"{where}: endpoints must be integers")
-            if not isinstance(traversable, bool):
-                raise GraphParseError(f"{where}.traversable: expected a boolean")
-            if not isinstance(length_m, (int, float)) or isinstance(length_m, bool):
-                raise GraphParseError(f"{where}.length_m: expected a number")
-            edges.append((a, b, traversable, float(length_m)))
+                raise GraphParseError(f"edges[{i}]: missing field {exc}") from exc
+            try:
+                a, b = _check_id(a, "a"), _check_id(b, "b")
+                if not isinstance(traversable, bool):
+                    raise _KindError(f"traversable must be a boolean, got {traversable!r}")
+                edges.append((a, b, traversable, _as_float(length_m, "length_m")))
+            except _KindError as exc:
+                raise GraphParseError(f"edges[{i}]: {exc}") from exc
 
+        # every record and edge is checked as it is built, so validate() would find nothing
         graph, built = cls._assemble(nodes, edges)
-        violations += built + graph.validate()
+        violations += built
         if violations:
             raise GraphValidationError(violations)
         return graph
@@ -586,11 +653,9 @@ class Datagraph:
     # -- internals -----------------------------------------------------------
 
     def _check_node(self, v: NodeId) -> None:
-        if (
-            not isinstance(v, numbers.Integral)
-            or isinstance(v, bool)
-            or not 0 <= v < len(self._nodes)
-        ):
+        if type(v) is int and 0 <= v < len(self._nodes):
+            return  # the common case, without the numbers.Integral ABC check
+        if not (_is_integer(v) and 0 <= v < len(self._nodes)):
             raise MissingNodeError(v)
 
     def _require_unsealed(self) -> None:

@@ -34,7 +34,7 @@ from .backends import (
     ReplayBackend,
     ReplayStore,
 )
-from .errors import ConfigError, DatagraphError, RouteError, TaskUnavailableError
+from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
 from .graph import Datagraph, NodeId
 from .traversal import (
     AggregateReport,
@@ -353,10 +353,19 @@ class MetricsReport:
 
 
 def load_world_files(files: WorldFiles) -> tuple[Datagraph, GroundTruth | None]:
+    """The world and, if named, its ground truth, whose ``home_node``s must be
+    nodes of that world."""
     graph = Datagraph.load(files.path)
     ground_truth = None
     if files.ground_truth_path:
         ground_truth = GroundTruth.load(files.ground_truth_path)
+        n = len(graph)
+        for i, inst in enumerate(ground_truth.instances):
+            if not 0 <= inst.home_node < n:
+                raise GraphParseError(
+                    f"ground truth instances[{i}]: home_node {inst.home_node} is not a node of "
+                    f"the {n}-node world {files.path}"
+                )
     return graph, ground_truth
 
 
@@ -421,7 +430,7 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
 
     Both strategies of a trial see the identical world and task, each behind
     an independent fresh cache (unless ``shared_cache``). A saved world is
-    loaded and validated once per run. Failures to load the world, set up a
+    loaded and checked once per run. Failures to load the world, set up a
     trial or answer a query mark the trial errored and the run continues.
     """
     if config.tasks.kind not in COMPARE_TASK_KINDS:

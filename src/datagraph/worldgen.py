@@ -26,7 +26,19 @@ import numpy as np
 
 from .backends import Predicate, Query, predicate_eval
 from .errors import GraphParseError, GraphValidationError, TaskUnavailableError, WorldSpecError
-from .graph import Datagraph, Node, NodeId, Pose, SceneObject, Snapshot
+from .graph import (
+    Datagraph,
+    Node,
+    NodeId,
+    Pose,
+    SceneObject,
+    Snapshot,
+    _as_vec3,
+    _check_attributes,
+    _check_id,
+    _check_label,
+    _KindError,
+)
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
 
@@ -199,20 +211,28 @@ class WorldSpec:
         return cls.from_json_dict(doc)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GroundTruthInstance:
-    """One object occurrence: a physical instance or its boundary duplicate."""
+    """One object occurrence: a physical instance or its boundary duplicate.
+
+    Like :class:`SceneObject`, it checks and sets each field once in ``__init__``.
+    """
 
     instance_id: int
     label: str
     attributes: dict[str, str]
     world_position: tuple[float, float, float]
     home_node: NodeId
-    duplicate_of: int | None = None
+    duplicate_of: int | None
 
-    def __post_init__(self):
-        object.__setattr__(self, "attributes", dict(self.attributes))
-        object.__setattr__(self, "world_position", tuple(map(float, self.world_position)))
+    def __init__(self, instance_id, label, attributes, world_position, home_node, duplicate_of=None):
+        set_field = object.__setattr__  # the class is frozen
+        set_field(self, "instance_id", _check_id(instance_id, "instance_id"))
+        set_field(self, "label", _check_label(label, "label"))
+        set_field(self, "attributes", _check_attributes(attributes))
+        set_field(self, "world_position", _as_vec3(world_position, "world_position"))
+        set_field(self, "home_node", _check_id(home_node, "home_node"))
+        set_field(self, "duplicate_of", None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"))
 
     @classmethod
     def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
@@ -234,14 +254,10 @@ class GroundTruthInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> GroundTruthInstance:
-        return cls(
-            instance_id=doc["instance_id"],
-            label=doc["label"],
-            attributes=doc.get("attributes", {}),
-            world_position=tuple(doc["world_position"]),
-            home_node=doc["home_node"],
-            duplicate_of=doc.get("duplicate_of"),
-        )
+        if not isinstance(doc, dict):
+            raise _KindError(f"instance must be a JSON object, got {doc!r}")
+        return cls(doc["instance_id"], doc["label"], doc.get("attributes", {}), doc["world_position"],
+                   doc["home_node"], doc.get("duplicate_of"))
 
 
 @dataclass(frozen=True)
@@ -279,10 +295,18 @@ class GroundTruth:
             raise GraphParseError(f"ground truth is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format_version") != 1:
             raise GraphParseError("ground truth: unsupported or missing format_version")
-        try:
-            return cls(tuple(GroundTruthInstance.from_json_dict(d) for d in doc["instances"]))
-        except (KeyError, TypeError) as exc:
-            raise GraphParseError(f"ground truth: {exc}") from exc
+        raw = doc.get("instances")
+        if not isinstance(raw, list):
+            raise GraphParseError("ground truth instances: expected an array")
+        instances = []
+        for i, inst_doc in enumerate(raw):
+            try:
+                instances.append(GroundTruthInstance.from_json_dict(inst_doc))
+            except KeyError as exc:
+                raise GraphParseError(f"ground truth instances[{i}]: missing field {exc}") from exc
+            except ValueError as exc:
+                raise GraphParseError(f"ground truth instances[{i}]: {exc}") from exc
+        return cls(instances)
 
 
 @dataclass(frozen=True)

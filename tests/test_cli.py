@@ -202,6 +202,25 @@ def input_files(tmp_path, world_dir):
         }))
     files["short_route"] = tmp_path / "short_route.json"
     files["short_route"].write_text("[[0, 1]]")
+    # world and ground-truth files with one field overwritten
+    world = json.loads(files["world"].read_text())
+    node = next(n for n in world["nodes"] if n["snapshot"]["objects"])
+    truth = json.loads((world_dir / "ground_truth.json").read_text())
+    for name, source, target, key, value in [
+        ("huge_length", world, world["edges"][0], "length_m", 10**400),
+        ("huge_coordinate", world, world["nodes"][0]["pose"], "position", [10**400, 0, 0]),
+        ("string_position", world, node["snapshot"]["objects"][0], "world_position", "123"),
+        ("int_label", world, node["snapshot"]["objects"][0], "label", 5),
+        ("gt_int_label", truth, truth["instances"][0], "label", 5),
+        ("gt_short_position", truth, truth["instances"][0], "world_position", [1.0, 2.0]),
+        ("gt_int_attribute", truth, truth["instances"][0], "attributes", {"number": 4}),
+        ("gt_far_home", truth, truth["instances"][0], "home_node", 999),
+    ]:
+        saved = target[key]
+        target[key] = value
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(source))
+        target[key] = saved
     return files
 
 
@@ -261,6 +280,29 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="aggregate-replay-miss"),
+        pytest.param(["validate", "{huge_length}"], 2, "error: edges[0]: length_m is too large for a float",
+                     id="validate-huge-length"),
+        pytest.param(["validate", "{huge_coordinate}"], 2,
+                     "error: nodes[0]: position component is too large for a float",
+                     id="validate-huge-coordinate"),
+        pytest.param(["validate", "{string_position}"], 2,
+                     "world_position must be a sequence of 3 numbers, got '123'",
+                     id="validate-string-position"),
+        pytest.param(["aggregate", "--world", "{int_label}", "--label", "crate"], 2,
+                     "object label must be a string, got 5",
+                     id="aggregate-int-label"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{gt_int_label}"], 2,
+                     "error: ground truth instances[0]: label must be a string, got 5",
+                     id="aggregate-truth-int-label"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{gt_short_position}"], 2,
+                     "error: ground truth instances[0]: world_position must be a sequence of 3 numbers",
+                     id="aggregate-truth-short-position"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{gt_int_attribute}"], 2,
+                     "error: ground truth instances[0]: attributes must map str to str, got 'number': 4",
+                     id="aggregate-truth-int-attribute"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{gt_far_home}"], 2,
+                     "error: ground truth instances[0]: home_node 999 is not a node of the 12-node world",
+                     id="aggregate-truth-home-node-outside"),
     ],
 )
 def test_failures_exit_with_code_and_one_stderr_line(runner, input_files, args, exit_code, message):

@@ -486,6 +486,111 @@ def test_load_parse_error_wins_over_earlier_violations(tmp_path):
         Datagraph.load(path)
 
 
+HUGE = 10**400  # a JSON integer too large for a float
+
+
+def _with_object(obj):
+    return _doc([_doc_node(0), _doc_node(1, objects=[obj]), _doc_node(2)])
+
+
+# Documents whose fault is the wrong kind of value in one field, with the
+# GraphParseError message that names it.
+MISTYPED_DOCUMENTS = [
+    pytest.param(_doc(edges=[_doc_edge(0, 1, HUGE)]), "edges[0]: length_m is too large for a float",
+                 id="edge-length-overflow"),
+    pytest.param(_doc(edges=[_doc_edge(0, 1, "1.5")]), "edges[0]: length_m must be a number, got '1.5'",
+                 id="edge-length-string"),
+    pytest.param(_doc(edges=[_doc_edge(0, True)]), "edges[0]: b must be an integer, got True",
+                 id="edge-endpoint-bool"),
+    pytest.param(_doc(edges=[_doc_edge(0, 1, 1.0, 1)]), "edges[0]: traversable must be a boolean, got 1",
+                 id="edge-traversable-int"),
+    pytest.param(_doc([_doc_node(0), _doc_node(1, position=(HUGE, 0.0, 0.0))]),
+                 "nodes[1]: position component is too large for a float", id="position-overflow"),
+    pytest.param(_doc([_doc_node(0), _doc_node(1, position=("1", 0.0, 0.0))]),
+                 "nodes[1]: position component must be a number, got '1'", id="position-string-element"),
+    pytest.param(_doc([_doc_node(0, position=(True, 0.0, 0.0))]),
+                 "nodes[0]: position component must be a number, got True", id="position-bool-element"),
+    pytest.param(_doc([{"id": 0, "pose": {"position": "123"}, "snapshot": {"objects": []}}]),
+                 "nodes[0]: position must be a sequence of 3 numbers, got '123'", id="position-string"),
+    pytest.param(_doc([_doc_node(0, position=(0.0, 0.0))]),
+                 "nodes[0]: position must be a sequence of 3 numbers", id="position-short"),
+    pytest.param(_doc([_doc_node(0, orientation=[1.0, 0.0, 0.0])]),
+                 "nodes[0]: orientation must be a sequence of 4 numbers", id="orientation-short"),
+    pytest.param(_doc([{"id": "0", "pose": {"position": [0, 0, 0]}, "snapshot": {}}]),
+                 "nodes[0]: id must be an integer, got '0'", id="node-id-string"),
+    pytest.param(_with_object({"label": "crate", "world_position": "123"}),
+                 "nodes[1]: world_position must be a sequence of 3 numbers, got '123'",
+                 id="world-position-string"),
+    pytest.param(_with_object({"label": "crate", "world_position": [1.0, HUGE, 0.0]}),
+                 "nodes[1]: world_position component is too large for a float", id="world-position-overflow"),
+    pytest.param(_with_object({"label": 5}), "nodes[1]: object label must be a string, got 5", id="label-int"),
+    pytest.param(_with_object({"label": "crate", "attributes": {"number": 7}}),
+                 "nodes[1]: attributes must map str to str, got 'number': 7", id="attribute-value-int"),
+    pytest.param(_with_object({"label": "crate", "attributes": ["number", "7"]}),
+                 "nodes[1]: attributes must map str to str", id="attributes-array"),
+    pytest.param(_with_object({"label": "crate", "instance_id": 1.5}),
+                 "nodes[1]: instance_id must be an integer, got 1.5", id="instance-id-float"),
+    pytest.param(_with_object("crate"), "nodes[1]: object must be a JSON object, got 'crate'", id="object-string"),
+    pytest.param(_doc([{"id": 0, "pose": {"position": [0, 0, 0]}, "snapshot": {"payload_ref": 7}}]),
+                 "nodes[0]: payload_ref must be a string, got 7", id="payload-ref-int"),
+    pytest.param(_with_object({"attributes": {}}), "nodes[1]: object missing field 'label'", id="object-no-label"),
+]
+
+
+@pytest.mark.parametrize("doc, message", MISTYPED_DOCUMENTS)
+def test_load_rejects_mistyped_fields_as_parse_errors(tmp_path, doc, message):
+    path = tmp_path / "mistyped.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphParseError) as excinfo:
+        Datagraph.load(path)
+    assert str(excinfo.value).startswith(message)
+    result = CliRunner().invoke(main, ["validate", str(path)])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.splitlines() == [f"error: {excinfo.value}"]
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SceneObject(5),
+        lambda: SceneObject("crate", world_position="123"),
+        lambda: SceneObject("crate", {"number": 7}),
+        lambda: SceneObject("crate", [("number", "7")]),
+        lambda: SceneObject("crate", None),
+        lambda: SceneObject("crate", instance_id=True),
+        lambda: Pose(("1", "2", "3")),
+        lambda: Pose((True, 0.0, 0.0)),
+        lambda: Pose((HUGE, 0, 0)),
+        lambda: Pose((0, 0, 0), (1, 0, 0)),
+        lambda: Pose((0, 0, 0), "1000"),
+        lambda: Snapshot((), 7),
+    ],
+    ids=["label-int", "position-string", "attribute-int", "attributes-pairs", "attributes-none", "id-bool",
+         "string-elements", "bool-element", "overflow", "short-quaternion", "string-quaternion",
+         "payload-ref-int"],
+)
+def test_record_constructors_reject_wrong_kinds_with_value_error(build):
+    with pytest.raises(ValueError):
+        build()
+
+
+def test_record_constructors_accept_numpy_numbers():
+    np = pytest.importorskip("numpy")
+    pose = Pose(np.array([1.0, 2.0, 3.0]), (np.float32(1.0), 0, 0, 0))
+    assert pose.position == (1.0, 2.0, 3.0) and pose.orientation == (1.0, 0.0, 0.0, 0.0)
+    assert all(type(c) is float for c in pose.position + pose.orientation)
+    obj = SceneObject("crate", world_position=(np.int64(1), 2, 3), instance_id=np.int64(4))
+    assert obj.world_position == (1.0, 2.0, 3.0)
+
+
+def test_node_lookup_takes_ints_and_numpy_ints_but_not_bools(path_graph):
+    np = pytest.importorskip("numpy")
+    assert path_graph.node(2) is path_graph.node(np.int64(2))
+    for bad in (True, 1.0, "1", 3, -1, np.int64(3)):
+        with pytest.raises(MissingNodeError):
+            path_graph.node(bad)
+
+
 def test_numbers_survive_round_trip_bit_exact(tmp_path):
     pos = (0.1 + 0.2, math.pi, -1.0 / 3.0)
     g = Datagraph()
@@ -671,6 +776,102 @@ def test_property_hop_paths_are_lexicographically_minimal(script):
 def test_property_save_load_round_trip(seed):
     g = random_decorated_graph(seed=seed, max_nodes=15)
     assert Datagraph.from_json_dict(json.loads(json.dumps(g.to_json_dict()))) == g
+
+
+# Values of every JSON kind, plus the bad values of the right kind, that a
+# fault injection writes over one field of a document.
+ODD_VALUES = [None, True, False, 0, -1, 7, 1.5, 0.0, -2.0, math.nan, math.inf, 10**400, "", "1", "123",
+              "crate", [], [1.0, 2.0], [1.0, 2.0, 3.0], ["1", "2", "3"], {}, {"number": 7}]
+
+
+def _field_paths(value, path=()):
+    """Every place in a JSON value, as a path of keys and indices."""
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _field_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _field_paths(item, path + (index,))
+
+
+@st.composite
+def world_documents(draw):
+    """A small world document that may break invariants, with at most one
+    field overwritten by a value of any kind."""
+    n = draw(st.integers(min_value=0, max_value=5))
+    coord = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    nodes = []
+    for i in range(n):
+        pose = {"position": draw(st.lists(coord, min_size=3, max_size=3))}
+        if draw(st.booleans()):
+            pose["orientation"] = draw(st.sampled_from([[1.0, 0.0, 0.0, 0.0], [0.0, 0.6, 0.8, 0.0]]))
+        objects = [
+            {"label": draw(st.sampled_from(["crate", "Keyfob"])),
+             "attributes": draw(st.dictionaries(st.sampled_from(["number", "color"]), st.sampled_from(["1", "red"]))),
+             "world_position": draw(st.none() | st.lists(coord, min_size=3, max_size=3)),
+             "instance_id": draw(st.integers(-1, 20))}
+            for _ in range(draw(st.integers(0, 2)))
+        ]
+        nodes.append({"id": i, "pose": pose, "snapshot": {"objects": objects}})
+    endpoint = st.integers(min_value=-1, max_value=n)
+    length = st.sampled_from([1.0, 0.5, 6.0, 0.0, -1.0, math.nan, math.inf]) | st.floats(1e-9, 1e9)
+    edges = [
+        {"a": draw(endpoint), "b": draw(endpoint), "traversable": draw(st.booleans()), "length_m": draw(length)}
+        for _ in range(draw(st.integers(0, 8)))
+    ]
+    doc = {"format_version": 1, "nodes": nodes, "edges": edges}
+    if draw(st.booleans()):
+        path = draw(st.sampled_from(list(_field_paths(doc))[1:]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = draw(st.sampled_from(ODD_VALUES))
+    return doc
+
+
+@given(world_documents())
+@settings(max_examples=400, deadline=None)
+def test_property_loaded_documents_validate_clean(doc):
+    """Loading checks each field once and skips validate(); whatever it accepts
+    must still pass validate(), and whatever it refuses it refuses with one
+    of the two load errors."""
+    try:
+        graph = Datagraph.from_json_dict(doc)
+    except (GraphParseError, GraphValidationError):
+        return
+    assert graph.validate() == []
+    assert Datagraph.from_json_dict(graph.to_json_dict()) == graph
+
+
+def test_every_single_field_fault_loads_clean_or_is_refused():
+    """The property above, over every field of one small document and every odd value."""
+    base = _doc(
+        [
+            _doc_node(0, objects=[{"label": "crate", "attributes": {"color": "red"},
+                                   "world_position": [0.5, 0.0, 0.0], "instance_id": 0}],
+                      orientation=[0.0, 0.6, 0.8, 0.0]),
+            _doc_node(1, objects=[{"label": "keyfob"}]),
+            {**_doc_node(2), "snapshot": {"objects": [], "payload_ref": "scene://2"}},
+        ],
+        [_doc_edge(0, 1, 2.5), _doc_edge(2, 1, 1.0, False)],
+    )
+    refused = 0
+    for path in list(_field_paths(base))[1:]:
+        for value in ODD_VALUES:
+            doc = json.loads(json.dumps(base))
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            parent[path[-1]] = value
+            try:
+                graph = Datagraph.from_json_dict(doc)
+            except (GraphParseError, GraphValidationError):
+                refused += 1
+                continue
+            assert graph.validate() == [], (path, value)
+            assert Datagraph.from_json_dict(graph.to_json_dict()) == graph
+    assert refused > 0
 
 
 @given(build_scripts())

@@ -12,6 +12,7 @@ from datagraph import (
     ConfigError,
     Datagraph,
     ExperimentConfig,
+    GraphParseError,
     OracleBackend,
     Predicate,
     Query,
@@ -26,7 +27,7 @@ from datagraph import (
     run_compare,
     run_route_scan,
 )
-from datagraph.harness import BackendConfig, CSV_HEADER
+from datagraph.harness import BackendConfig, CSV_HEADER, load_world_files
 from helpers import build_graph
 
 
@@ -302,6 +303,20 @@ def test_corrupt_world_file_errors_every_trial_and_strategy(tmp_path):
     assert report.error_count == 6
     assert len({row.error for row in report.per_trial}) == 1
     assert "invalid JSON" in report.per_trial[0].error
+
+
+@pytest.mark.parametrize("home_node", [9, 999, -1])
+def test_ground_truth_home_node_outside_the_world_is_rejected(tmp_path, home_node):
+    world = save_world(tmp_path, WorldSpec(3, 3, seed=1, objects_per_room_mean=2.0))
+    doc = json.loads((tmp_path / "gt.json").read_text())
+    doc["instances"][2]["home_node"] = home_node
+    (tmp_path / "gt.json").write_text(json.dumps(doc))
+    message = f"ground truth instances[2]: home_node {home_node} is not a node of the 9-node world {world.path}"
+    with pytest.raises(GraphParseError) as excinfo:
+        load_world_files(world)
+    assert str(excinfo.value) == message
+    report = run_compare(compare_config(world=world, tasks=TaskConfig("nearest_search", 2, 1)))
+    assert [row.error for row in report.per_trial] == [message] * 4
 
 
 def test_route_kind_is_rejected_by_compare():

@@ -116,6 +116,17 @@ def test_bad_count_type_is_malformed():
             RemoteBackend(config_for(server)).answer(make_node(), QUERY)
 
 
+@pytest.mark.parametrize(
+    "obj",
+    [{"label": 5}, {"label": "keyfob", "attributes": 5}, {"label": "keyfob", "attributes": {"number": 42}}],
+    ids=["label-int", "attributes-int", "attribute-value-int"],
+)
+def test_bad_object_fields_are_malformed(obj):
+    with MockRemoteServer(body={"satisfied": True, "objects": [obj]}) as server:
+        with pytest.raises(MalformedResponseError, match="bad object in response"):
+            RemoteBackend(config_for(server)).answer(make_node(), QUERY)
+
+
 def test_connection_refused_is_protocol_error():
     config = RemoteEndpointConfig(base_url="http://127.0.0.1:1", timeout_ms=500)
     with pytest.raises(RemoteProtocolError):

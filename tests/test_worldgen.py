@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from datagraph import (
     CatalogEntry,
     Datagraph,
+    GraphParseError,
     GroundTruth,
     GroundTruthInstance,
     OracleBackend,
@@ -293,6 +294,62 @@ def test_ground_truth_round_trip(tmp_path):
     path = tmp_path / "gt.json"
     ground_truth.save(path)
     assert GroundTruth.load(path) == ground_truth
+
+
+@pytest.mark.parametrize("dup_prob", [0.0, 0.3])
+def test_ground_truth_load_save_is_byte_identical(tmp_path, dup_prob):
+    for seed in range(5):
+        _, ground_truth = generate_world(WorldSpec(grid_w=6, grid_h=5, seed=seed, boundary_duplicate_prob=dup_prob))
+        original, again = tmp_path / f"gt{seed}.json", tmp_path / f"again{seed}.json"
+        ground_truth.save(original)
+        GroundTruth.load(original).save(again)
+        assert again.read_bytes() == original.read_bytes()
+
+
+def _instance_doc(**changes):
+    doc = {"instance_id": 0, "label": "keyfob", "attributes": {"number": "4"},
+           "world_position": [1.0, 2.0, 0.0], "home_node": 0, "duplicate_of": None}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize(
+    "instance, message",
+    [
+        pytest.param(_instance_doc(label=5), "label must be a string, got 5", id="label-int"),
+        pytest.param(_instance_doc(label=""), "label must be non-empty", id="label-empty"),
+        pytest.param(_instance_doc(world_position=[1.0, 2.0]), "world_position must be a sequence of 3 numbers",
+                     id="position-short"),
+        pytest.param(_instance_doc(world_position="123"), "world_position must be a sequence of 3 numbers",
+                     id="position-string"),
+        pytest.param(_instance_doc(world_position=[1.0, 10**400, 0.0]),
+                     "world_position component is too large for a float", id="position-overflow"),
+        pytest.param(_instance_doc(world_position=[1.0, math.nan, 0.0]), "world_position components must be finite",
+                     id="position-nan"),
+        pytest.param(_instance_doc(attributes={"number": 4}), "attributes must map str to str, got 'number': 4",
+                     id="attribute-int"),
+        pytest.param(_instance_doc(home_node="0"), "home_node must be an integer, got '0'", id="home-node-string"),
+        pytest.param(_instance_doc(instance_id=True), "instance_id must be an integer, got True", id="id-bool"),
+        pytest.param(_instance_doc(duplicate_of=0.0), "duplicate_of must be an integer, got 0.0",
+                     id="duplicate-of-float"),
+        pytest.param({"label": "keyfob"}, "missing field 'instance_id'", id="missing-field"),
+        pytest.param(["keyfob"], "instance must be a JSON object", id="not-an-object"),
+    ],
+)
+def test_ground_truth_load_rejects_bad_fields(tmp_path, instance, message):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({"format_version": 1, "instances": [_instance_doc(), instance]}))
+    with pytest.raises(GraphParseError, match=r"^ground truth instances\[1\]: ") as excinfo:
+        GroundTruth.load(path)
+    assert message in str(excinfo.value)
+
+
+def test_ground_truth_instance_rejects_wrong_kinds_with_value_error():
+    with pytest.raises(ValueError):
+        GroundTruthInstance(0, 5, {}, (0.0, 0.0, 0.0), 0)
+    with pytest.raises(ValueError):
+        GroundTruthInstance(0, "keyfob", {}, (0.0, 0.0), 0)
+    with pytest.raises(ValueError):
+        GroundTruthInstance(0, "keyfob", {}, (0.0, 0.0, 0.0), 1.0)
 
 
 # --- ground_truth_nearest -------------------------------------------------------
