@@ -11,6 +11,11 @@ to share across threads without locking, and are the only graphs accepted by
 the distance and path queries. Every query breaks ties deterministically
 (ascending node ids, lexicographically smallest paths) so traversals are
 reproducible.
+
+The distance maps, :meth:`Datagraph.hop_distances` (BFS) and
+:meth:`Datagraph.geodesic_distances` (Dijkstra), are the only graph searches
+and return their keys in visit order. :func:`by_metric` is the one check of
+a metric name.
 """
 
 from __future__ import annotations
@@ -19,7 +24,6 @@ import json
 import math
 import numbers
 from bisect import insort
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -254,6 +258,15 @@ def _edge_faults(a: NodeId, b: NodeId, length_m: float, n: int) -> list[Violatio
     return out
 
 
+def by_metric(metric: str, hops, meters):
+    """``hops`` or ``meters``, as ``metric`` names; any other metric is a ``ValueError``."""
+    if metric == "hops":
+        return hops
+    if metric == "meters":
+        return meters
+    raise ValueError(f"metric must be 'hops' or 'meters', got {metric!r}")
+
+
 class Datagraph:
     """Immutable-after-build graph of (pose, snapshot) nodes.
 
@@ -408,25 +421,42 @@ class Datagraph:
     # -- distances & paths ------------------------------------------------------
 
     def hop_distances(self, source: NodeId, traversable_only: bool = False) -> dict[NodeId, int]:
-        """Minimum edge counts from ``source``; unreachable nodes are absent."""
+        """Minimum edge counts from ``source``; unreachable nodes are absent.
+
+        A level-synchronous BFS, so the keys come out in visit order: by hops,
+        then by ascending id.
+        """
         self._require_sealed()
         self._check_node(source)
+        adj = self._adj
+        seen = [False] * len(adj)  # faster to index than a set or a bytearray
+        seen[source] = True
         dist: dict[NodeId, int] = {source: 0}
-        queue: deque[NodeId] = deque([source])
-        while queue:
-            v = queue.popleft()
-            for w, e in self._adj[v]:
-                if traversable_only and not e.traversable:
-                    continue
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    queue.append(w)
+        level = [source]
+        hops = 0
+        while level:
+            hops += 1
+            frontier = []
+            for v in level:
+                for w, e in adj[v]:
+                    if not seen[w] and (not traversable_only or e.traversable):
+                        seen[w] = True
+                        frontier.append(w)
+            frontier.sort()
+            dist.update(dict.fromkeys(frontier, hops))
+            level = frontier
         return dist
 
     def geodesic_distances(
         self, source: NodeId, traversable_only: bool = False
     ) -> dict[NodeId, float]:
-        """Single-source shortest path lengths in meters (Dijkstra)."""
+        """Shortest path lengths in meters (Dijkstra); unreachable nodes are absent.
+
+        Each node is settled when the heap first pops its ``(meters, id)``,
+        so the keys come out in visit order: by meters, then by ascending id.
+        Meters are float sums along each path, so two nodes tie only when
+        their sums are equal floats (0.1 + 0.2 is not 0.3).
+        """
         self._require_sealed()
         self._check_node(source)
         dist: dict[NodeId, float] = {}
@@ -461,12 +491,7 @@ class Datagraph:
         self._require_sealed()
         self._check_node(a)
         self._check_node(b)
-        if metric not in ("hops", "meters"):
-            raise ValueError(f"metric must be 'hops' or 'meters', got {metric!r}")
-        if metric == "hops":
-            dist_to_goal: dict[NodeId, float] = dict(self.hop_distances(b, traversable_only))
-        else:
-            dist_to_goal = self.geodesic_distances(b, traversable_only)
+        dist_to_goal = by_metric(metric, self.hop_distances, self.geodesic_distances)(b, traversable_only)
         if a not in dist_to_goal:
             return None
         # Greedy descent toward the goal: among neighbors still on a shortest

@@ -35,7 +35,7 @@ from .backends import (
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
-from .graph import Datagraph, NodeId
+from .graph import Datagraph, NodeId, by_metric
 from .traversal import (
     AggregateReport,
     TraversalResult,
@@ -163,8 +163,10 @@ class ExperimentConfig:
         for fmt in self.report_formats:
             if fmt not in REPORT_FORMATS:
                 raise ConfigError(f"unknown report format {fmt!r}")
-        if self.metric not in ("hops", "meters"):
-            raise ConfigError(f"metric must be 'hops' or 'meters', got {self.metric!r}")
+        try:
+            by_metric(self.metric, None, None)  # raises on an unknown metric
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.shared_cache and isinstance(self.world, WorldSpec):
             # the cache keys answers by node id, which every generated world reuses
             raise ConfigError("shared_cache needs a saved world; an inline world spec changes per trial")
@@ -660,6 +662,8 @@ def run_route_scan(
     candidate that does not run from ``start`` to ``goal`` is a
     :class:`RouteError`.
     """
+    # checked here, so an unknown metric fails before any scene is queried
+    length_of = by_metric(metric, lambda entry: entry.length_hops, lambda entry: entry.length_m)
     query = hazard_query if hazard_query is not None else default_hazard_query()
     if candidate_routes:
         routes = [list(route) for route in candidate_routes]
@@ -697,8 +701,7 @@ def run_route_scan(
 
     def rank(indexed: tuple[int, RouteReportEntry]):
         _, entry = indexed
-        length_key = entry.length_m if metric == "meters" else entry.length_hops
-        return (entry.hazard_count, length_key, entry.route)
+        return (entry.hazard_count, length_of(entry), entry.route)
 
     selected_index = min(enumerate(entries), key=rank)[0]
     cache_hits = None

@@ -4,9 +4,14 @@ Proximity traversal expands outward from the agent's node and queries each
 scene as it is reached, so the closest satisfying scene is found before any
 farther one. Visit order is fully deterministic: nondecreasing distance from
 the agent (hop count by default, geodesic meters with ``metric="meters"``),
-ties broken by ascending node id. The brute-force baseline ignores space
-entirely and walks node ids in order, modeling a search over every captured
-frame.
+ties broken by ascending node id: the key order of the agent's distance map
+under that metric (:meth:`Datagraph.hop_distances`,
+:meth:`Datagraph.geodesic_distances`). Meters are the float sums Dijkstra
+accumulates, so two nodes tie only when those sums are equal floats: with
+edges 0-1 of 0.1 m, 1-2 of 0.2 m and 0-3 of 0.3 m, node 3 comes before node
+2, which is 0.30000000000000004 m away. The brute-force baseline ignores
+space entirely and walks node ids in order, modeling a search over every
+captured frame.
 
 Backend failures never skip a node silently: the traversal aborts with
 :class:`TraversalAbortedError` carrying the partial result.
@@ -17,8 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from heapq import heappop, heappush
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .backends import Query, QueryBackend, QueryResponse
 from .errors import (
@@ -27,9 +31,7 @@ from .errors import (
     InvalidPathError,
     TraversalAbortedError,
 )
-from .graph import Datagraph, NodeId, SceneObject
-
-_METRICS = ("hops", "meters")
+from .graph import Datagraph, NodeId, SceneObject, by_metric
 
 
 @dataclass(frozen=True)
@@ -94,46 +96,6 @@ class AggregateReport:
         return json.dumps(self.to_json_dict(), indent=2)
 
 
-# --- visit orders ---------------------------------------------------------------
-
-
-def _hop_order(graph: Datagraph, agent: NodeId) -> Iterator[NodeId]:
-    """Level-synchronized BFS: nondecreasing hop distance, ascending id within
-    a level. Nodes are marked visited at enqueue time, so each reachable node
-    is yielded exactly once. The generator is lazy, but ``_run`` builds both
-    full distance maps before the first query, so a search that stops early
-    still pays O(V + E) for them."""
-    visited = {agent}
-    level = [agent]
-    while level:
-        yield from level
-        frontier: set[NodeId] = set()
-        for v in level:
-            for w in graph.neighbors(v):
-                if w not in visited:
-                    visited.add(w)
-                    frontier.add(w)
-        level = sorted(frontier)
-
-
-def _geodesic_order(graph: Datagraph, agent: NodeId) -> Iterator[NodeId]:
-    """Dijkstra-ordered frontier: nondecreasing meters, ties by node id."""
-    done: set[NodeId] = set()
-    best = {agent: 0.0}
-    heap: list[tuple[float, NodeId]] = [(0.0, agent)]
-    while heap:
-        dist, v = heappop(heap)
-        if v in done:
-            continue
-        done.add(v)
-        yield v
-        for w, edge in graph.adjacency(v):
-            nd = dist + edge.length_m
-            if w not in done and (w not in best or nd < best[w]):
-                best[w] = nd
-                heappush(heap, (nd, w))
-
-
 # --- shared runner ----------------------------------------------------------------
 
 
@@ -141,12 +103,17 @@ def _run(
     graph: Datagraph,
     backend: QueryBackend,
     query: Query,
-    order: Iterable[NodeId],
+    order: Iterable[NodeId] | None,
     agent: NodeId,
     stop_on_first: bool,
+    metric: str = "hops",
 ) -> TraversalResult:
+    """Query the nodes of ``order``; if it is None, the keys of the agent's
+    distance map under ``metric``, which come out in visit order."""
     hop_map = graph.hop_distances(agent)
     geo_map = graph.geodesic_distances(agent)
+    if order is None:
+        order = by_metric(metric, hop_map, geo_map)
     responses: list[QueryResponse] = []
     visit_order: list[NodeId] = []
     distances: dict[NodeId, tuple[int, float]] = {}
@@ -200,8 +167,7 @@ def proximity_query_all(
     with ascending node ids inside each tie; unreachable nodes are never
     queried.
     """
-    order = _make_order(graph, agent, metric)
-    return _run(graph, backend, query, order, agent, stop_on_first=False)
+    return _run(graph, backend, query, None, agent, stop_on_first=False, metric=metric)
 
 
 def proximity_search_first(
@@ -217,8 +183,7 @@ def proximity_search_first(
     is a closest satisfying node, not just any satisfying node. With no
     satisfied response this equals the full traversal.
     """
-    order = _make_order(graph, agent, metric)
-    return _run(graph, backend, query, order, agent, stop_on_first=True)
+    return _run(graph, backend, query, None, agent, stop_on_first=True, metric=metric)
 
 
 def path_query(
@@ -340,9 +305,3 @@ def _single_linkage(
         clusters.setdefault(find(idx), []).append(item)
     return [clusters[root] for root in sorted(clusters)]
 
-
-def _make_order(graph: Datagraph, agent: NodeId, metric: str) -> Iterator[NodeId]:
-    if metric not in _METRICS:
-        raise ValueError(f"metric must be one of {_METRICS}, got {metric!r}")
-    graph.node(agent)
-    return _hop_order(graph, agent) if metric == "hops" else _geodesic_order(graph, agent)

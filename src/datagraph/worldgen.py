@@ -38,6 +38,7 @@ from .graph import (
     _check_id,
     _check_label,
     _KindError,
+    by_metric,
 )
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
@@ -306,6 +307,13 @@ class GroundTruth:
                 raise GraphParseError(f"ground truth instances[{i}]: missing field {exc}") from exc
             except ValueError as exc:
                 raise GraphParseError(f"ground truth instances[{i}]: {exc}") from exc
+        physical_ids = {inst.instance_id for inst in instances if inst.duplicate_of is None}
+        for i, inst in enumerate(instances):
+            if inst.duplicate_of is not None and inst.duplicate_of not in physical_ids:
+                raise GraphParseError(
+                    f"ground truth instances[{i}]: duplicate_of {inst.duplicate_of} names no "
+                    "instance whose own duplicate_of is null"
+                )
         return cls(instances)
 
 
@@ -587,14 +595,11 @@ def ground_truth_nearest(
     single-source distance map ranks them. Ties go to the smallest node id.
     Returns None when no match is reachable.
     """
-    if metric not in ("hops", "meters"):
-        raise ValueError(f"metric must be 'hops' or 'meters', got {metric!r}")
+    distance_map = by_metric(metric, graph.hop_distances, graph.geodesic_distances)
     candidate_nodes = sorted(
         {inst.home_node for inst in ground_truth.instances if predicate_eval(predicate, inst)}
     )
-    distances = (
-        graph.hop_distances(agent) if metric == "hops" else graph.geodesic_distances(agent)
-    )
+    distances = distance_map(agent)
     best = min(
         ((distances[v], v) for v in candidate_nodes if v in distances),
         default=None,

@@ -215,6 +215,7 @@ def input_files(tmp_path, world_dir):
         ("gt_short_position", truth, truth["instances"][0], "world_position", [1.0, 2.0]),
         ("gt_int_attribute", truth, truth["instances"][0], "attributes", {"number": 4}),
         ("gt_far_home", truth, truth["instances"][0], "home_node", 999),
+        ("gt_dangling_duplicate", truth, truth["instances"][0], "duplicate_of", 999),
     ]:
         saved = target[key]
         target[key] = value
@@ -303,6 +304,9 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(AGGREGATE + ["--ground-truth", "{gt_far_home}"], 2,
                      "error: ground truth instances[0]: home_node 999 is not a node of the 12-node world",
                      id="aggregate-truth-home-node-outside"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{gt_dangling_duplicate}"], 2,
+                     "error: ground truth instances[0]: duplicate_of 999 names no instance",
+                     id="aggregate-truth-dangling-duplicate"),
     ],
 )
 def test_failures_exit_with_code_and_one_stderr_line(runner, input_files, args, exit_code, message):

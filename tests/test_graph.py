@@ -5,7 +5,7 @@ import math
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datagraph import (
@@ -17,13 +17,18 @@ from datagraph import (
     InvalidLengthError,
     MissingNodeError,
     Node,
+    OracleBackend,
     Pose,
+    Predicate,
+    Query,
     SceneObject,
     SelfLoopError,
     Snapshot,
+    proximity_query_all,
 )
 from datagraph.cli import main
 from helpers import (
+    bfs_visit_order,
     build_graph,
     edge_dict,
     random_decorated_graph,
@@ -605,17 +610,11 @@ def test_numbers_survive_round_trip_bit_exact(tmp_path):
 
 
 @st.composite
-def build_scripts(draw):
+def build_scripts(draw, length=st.floats(min_value=0.1, max_value=50.0, allow_nan=False)):
     n = draw(st.integers(min_value=1, max_value=7))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
-    lengths = draw(
-        st.lists(
-            st.floats(min_value=0.1, max_value=50.0, allow_nan=False),
-            min_size=len(chosen),
-            max_size=len(chosen),
-        )
-    )
+    lengths = draw(st.lists(length, min_size=len(chosen), max_size=len(chosen)))
     flags = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     return n, list(zip(chosen, lengths, flags))
 
@@ -706,6 +705,48 @@ def test_property_distances_match_enumeration(script):
     assert set(geodesic) == set(brute_meters)
     for v, d in geodesic.items():
         assert d == pytest.approx(brute_meters[v], rel=1e-12, abs=1e-12)
+
+
+def _build(n, edges, traversable_only=False):
+    """A sealed graph on ``n`` nodes from a build script's edges; with
+    ``traversable_only`` the untraversable edges are left out."""
+    g = Datagraph()
+    for v in range(n):
+        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
+    for (a, b), length, traversable in edges:
+        if traversable or not traversable_only:
+            g.add_edge(a, b, traversable=traversable, length_m=length)
+    return g.seal()
+
+
+@given(build_scripts())
+@example((5, [((0, 1), 1.0, True), ((0, 2), 1.0, True), ((1, 4), 1.0, True), ((2, 3), 1.0, False)]))
+@settings(max_examples=150)
+def test_property_distance_map_keys_are_the_visit_order(script):
+    # the example: node 1 reaches 4 before node 2 reaches 3, yet 3 is visited first
+    n, edges = script
+    full = _build(n, edges)
+    sub = _build(n, edges, traversable_only=True)
+    nothing = Query("find nothing", Predicate(label_equals="nothing"))
+    for metric, distance_map in (("hops", Datagraph.hop_distances), ("meters", Datagraph.geodesic_distances)):
+        for traversable_only, searched in ((False, full), (True, sub)):
+            visited = proximity_query_all(searched, OracleBackend(), nothing, 0, metric)
+            assert list(distance_map(full, 0, traversable_only)) == list(visited.visit_order)
+    for traversable_only, searched in ((False, full), (True, sub)):  # and against a plain queue BFS
+        assert list(full.hop_distances(0, traversable_only)) == bfs_visit_order(n, edge_dict(searched), 0)
+
+
+@given(build_scripts(length=st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])))
+@settings(max_examples=150)
+def test_property_meter_order_matches_enumeration_with_exact_ties(script):
+    # dyadic lengths sum exactly, so equal path lengths tie and go by ascending id
+    n, edges = script
+    g = _build(n, edges)
+    brute = simple_path_distances(n, edge_dict(g), 0, weighted=True)
+    expected = [v for _, v in sorted((d, v) for v, d in brute.items())]
+    result = proximity_query_all(g, OracleBackend(), Query("q", Predicate(label_equals="q")), 0, "meters")
+    assert list(result.visit_order) == expected
+    assert list(g.geodesic_distances(0)) == expected
 
 
 @given(build_scripts())

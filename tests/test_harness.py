@@ -23,6 +23,9 @@ from datagraph import (
     WorldSpec,
     derive_seed,
     generate_world,
+    ground_truth_nearest,
+    proximity_query_all,
+    proximity_search_first,
     run_aggregate,
     run_compare,
     run_route_scan,
@@ -416,6 +419,34 @@ def test_candidate_route_must_join_start_to_goal(route):
     with pytest.raises(RouteError, match="does not join 0 to 5"):
         run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
     assert backend.hits == backend.misses == 0  # checked before any scene is queried
+
+
+@pytest.mark.parametrize("candidates", [None, [[0, 1, 3, 5]]])
+def test_route_scan_rejects_unknown_metric_before_querying(candidates):
+    backend = CachingBackend(OracleBackend())
+    with pytest.raises(ValueError, match="metric must be 'hops' or 'meters', got 'furlongs'"):
+        run_route_scan(grid2x3(), backend, 0, 5, metric="furlongs", candidate_routes=candidates)
+    assert backend.hits == backend.misses == 0
+
+
+def test_unknown_metric_gets_one_message_everywhere():
+    graph, ground_truth = generate_world(WorldSpec(3, 3, seed=1))
+    query = Query("find a chair", Predicate(label_equals="chair"))
+    calls = [
+        lambda: graph.shortest_path(0, 1, metric="furlongs"),
+        lambda: ground_truth_nearest(graph, ground_truth, 0, query.predicate, "furlongs"),
+        lambda: proximity_query_all(graph, OracleBackend(), query, 0, "furlongs"),
+        lambda: proximity_search_first(graph, OracleBackend(), query, 0, "furlongs"),
+        lambda: run_route_scan(graph, OracleBackend(), 0, 1, "furlongs"),
+    ]
+    message = "metric must be 'hops' or 'meters', got 'furlongs'"
+    for call in calls:
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == message
+    with pytest.raises(ConfigError) as excinfo:
+        ExperimentConfig(WorldSpec(3, 3), TaskConfig("nearest_search", 1, 0), metric="furlongs")
+    assert str(excinfo.value) == message
 
 
 def test_route_scan_report_json_is_stable():

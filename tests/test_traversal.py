@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from datagraph import (
     BackendError,
     CachingBackend,
+    Datagraph,
     DedupUnavailableError,
     InvalidPathError,
     MissingNodeError,
@@ -103,6 +105,17 @@ def test_meters_metric_uses_dijkstra_order():
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
     assert result.visit_order == (0, 2, 1)
     assert result.distances[1] == (1, 6.0)
+
+
+def test_meter_order_ties_only_on_equal_float_sums():
+    # 0.1 + 0.2 is the float 0.30000000000000004, so node 2 is farther than node 3
+    g = build_graph(4, [(0, 1, 0.1), (1, 2, 0.2), (0, 3, 0.3)])
+    result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
+    assert result.visit_order == (0, 1, 3, 2)
+    # dyadic lengths sum exactly, so nodes 2 and 3 tie and go by ascending id
+    g = build_graph(4, [(0, 1, 0.25), (1, 2, 0.5), (0, 3, 0.75)])
+    result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
+    assert result.visit_order == (0, 1, 2, 3)
 
 
 class ExplodingBackend:
@@ -432,3 +445,43 @@ def test_property_query_count_bound(seed):
     assert result.first_satisfied[0] == hits_in_level[0]
     assert result.first_satisfied[1] == d_star
     assert result.total_backend_calls == below + rank
+
+
+# SHA-256 over visit_order, total_backend_calls and first_satisfied of
+# proximity_search_first and proximity_query_all for a keyfob query, from every
+# agent of three saved worlds, by hops and by meters, as the traversal ordered
+# them with its own BFS and Dijkstra, before the distance maps became the order
+PINNED_VISIT_ORDERS_DIGEST = "3abdfe1726240a0c0cbdd8650de104f2fda7ce84919ea631d04b25be8ab04b56"
+
+
+class FixedAnswers:
+    """Answers looked up by node id, so a test can replay the oracle's
+    answers for many traversals without recomputing them per visit."""
+
+    def __init__(self, answers):
+        self.answers = answers
+
+    def answer(self, node, query):
+        return self.answers[node.id]
+
+
+def test_visit_orders_of_saved_worlds_are_pinned(tmp_path):
+    specs = [
+        WorldSpec(grid_w=6, grid_h=6, seed=42),
+        WorldSpec(grid_w=12, grid_h=1, seed=5, boundary_duplicate_prob=0.6, objects_per_room_mean=4.0),
+        WorldSpec(grid_w=24, grid_h=24, seed=3),
+    ]
+    digest = hashlib.sha256()
+    for spec in specs:
+        graph, _ = generate_world(spec)
+        graph.save(tmp_path / "world.json")
+        graph = Datagraph.load(tmp_path / "world.json")
+        oracle = OracleBackend()
+        backend = FixedAnswers([oracle.answer(node, FIND_KEYFOB) for node in graph.nodes()])
+        for metric in ("hops", "meters"):
+            for search in (proximity_search_first, proximity_query_all):
+                for agent in range(len(graph)):
+                    result = search(graph, backend, FIND_KEYFOB, agent, metric)
+                    seen = [result.visit_order, result.total_backend_calls, result.first_satisfied]
+                    digest.update(json.dumps(seen).encode())
+    assert digest.hexdigest() == PINNED_VISIT_ORDERS_DIGEST

@@ -343,6 +343,23 @@ def test_ground_truth_load_rejects_bad_fields(tmp_path, instance, message):
     assert message in str(excinfo.value)
 
 
+@pytest.mark.parametrize(
+    "instances, bad",
+    [
+        pytest.param([_instance_doc(instance_id=1, duplicate_of=999)], 1, id="no-such-instance"),
+        pytest.param([_instance_doc(instance_id=1, duplicate_of=1)], 1, id="self-reference"),
+        pytest.param(
+            [_instance_doc(instance_id=1, duplicate_of=0), _instance_doc(instance_id=2, duplicate_of=1)], 2, id="chain"
+        ),
+    ],
+)
+def test_ground_truth_duplicate_of_must_name_a_physical_instance(tmp_path, instances, bad):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps({"format_version": 1, "instances": [_instance_doc(), *instances]}))
+    with pytest.raises(GraphParseError, match=rf"^ground truth instances\[{bad}\]: duplicate_of "):
+        GroundTruth.load(path)
+
+
 def test_ground_truth_instance_rejects_wrong_kinds_with_value_error():
     with pytest.raises(ValueError):
         GroundTruthInstance(0, 5, {}, (0.0, 0.0, 0.0), 0)
