@@ -32,7 +32,7 @@ from .errors import (
     RemoteTimeoutError,
     ReplayMissError,
 )
-from .graph import Node, NodeId, SceneObject, Snapshot
+from .graph import Node, NodeId, SceneObject, Snapshot, _read_text
 
 if TYPE_CHECKING:
     from .worldgen import GroundTruthInstance
@@ -291,7 +291,7 @@ class ReplayStore:
 
     @classmethod
     def load(cls, source) -> ReplayStore:
-        text = Path(source).read_text(encoding="utf-8")
+        text = _read_text(source)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

@@ -3,7 +3,8 @@
 A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
 :meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
 with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
-by one checked builder, :meth:`Datagraph._assemble`, which seals them. The
+by one checked builder, :meth:`Datagraph._assemble`, which seals them, with
+the cyclic garbage collector paused (:func:`_collector_paused`). The
 records it takes check their own fields with one helper per kind of field
 (ids, labels, attributes, number vectors), and the loaders use the same
 helpers, so each check is written once. Sealed graphs are immutable, safe
@@ -20,10 +21,12 @@ a metric name.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import numbers
 from bisect import insort
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
@@ -51,6 +54,40 @@ class _KindError(ValueError):
     loader turns it into a :class:`GraphParseError`, and any other
     ``ValueError`` (a bad value of the right kind) into a violation.
     """
+
+
+@contextmanager
+def _collector_paused():
+    """Pause CPython's cyclic garbage collector while a bulk builder runs.
+
+    Generating or loading a world allocates tens of thousands of containers
+    that form no cycles, so the collections those allocations set off free
+    nothing, yet each full one walks every live object. The builders run
+    with the collector off and turn it back on when they return or raise.
+    If it is already off (the caller's choice, or an outer builder's pause)
+    this does nothing, so nested builders pause once. The pause is
+    process-wide: other threads' cyclic garbage waits until the build ends.
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def _read_text(source) -> str:
+    """A UTF-8 file's text; an unreadable file is a :class:`GraphParseError` naming it."""
+    try:
+        return Path(source).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise GraphParseError(f"cannot read {source}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GraphParseError(
+            f"cannot read {source}: not UTF-8 text: {exc.reason} at byte {exc.start}"
+        ) from exc
 
 
 # The field checks: the record constructors and both loaders call these, so
@@ -664,9 +701,10 @@ class Datagraph:
         return graph
 
     @classmethod
+    @_collector_paused()
     def load(cls, source) -> Datagraph:
         """Read a graph document from a path."""
-        text = Path(source).read_text(encoding="utf-8")
+        text = _read_text(source)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as exc:

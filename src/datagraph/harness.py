@@ -35,7 +35,7 @@ from .backends import (
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
-from .graph import Datagraph, NodeId, by_metric
+from .graph import Datagraph, NodeId, _collector_paused, by_metric
 from .traversal import (
     AggregateReport,
     TraversalResult,
@@ -354,6 +354,7 @@ class MetricsReport:
 # --- world/task plumbing ------------------------------------------------------------
 
 
+@_collector_paused()
 def load_world_files(files: WorldFiles) -> tuple[Datagraph, GroundTruth | None]:
     """The world and, if named, its ground truth, whose ``home_node``s must be
     nodes of that world."""

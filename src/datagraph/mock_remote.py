@@ -8,19 +8,39 @@ concurrent requests so client-side in-flight limits can be asserted.
 
 from __future__ import annotations
 
+import email
 import json
 import threading
 import time
 from dataclasses import dataclass, field
+from http.client import HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
-@dataclass
+@dataclass(slots=True)
 class RecordedRequest:
+    """One request the server saw: its path, header lines and raw body.
+
+    Only those three are kept, so a long run's log stays small. ``headers``
+    and ``body`` are parsed each time they are read: the first value wins
+    for a repeated header name, and ``body`` is None for an empty body or
+    one that is not JSON.
+    """
+
     path: str
-    headers: dict[str, str]
-    body: dict | None
+    header_text: str
     raw_body: bytes = b""
+
+    @property
+    def headers(self) -> dict[str, str]:
+        return dict(email.message_from_string(self.header_text, _class=HTTPMessage))
+
+    @property
+    def body(self) -> dict | None:
+        try:
+            return json.loads(self.raw_body) if self.raw_body else None
+        except ValueError:  # JSONDecodeError, UnicodeDecodeError
+            return None
 
 
 @dataclass
@@ -53,20 +73,15 @@ class MockRemoteServer:
                 outer._enter()
                 try:
                     length = int(self.headers.get("Content-Length", "0"))
-                    raw = self.rfile.read(length)
-                    try:
-                        body = json.loads(raw) if raw else None
-                    except json.JSONDecodeError:
-                        body = None
+                    header_text = "".join([f"{k}: {v}\r\n" for k, v in self.headers.items()])
+                    request = RecordedRequest(self.path, header_text, self.rfile.read(length))
                     with outer._lock:
-                        outer.behavior.request_log.append(
-                            RecordedRequest(self.path, dict(self.headers), body, raw)
-                        )
+                        outer.behavior.request_log.append(request)
                     behavior = outer.behavior
                     if behavior.delay_s:
                         time.sleep(behavior.delay_s)
                     if behavior.handler is not None:
-                        status, doc = behavior.handler(body)
+                        status, doc = behavior.handler(request.body)
                         payload = json.dumps(doc).encode("utf-8")
                     elif behavior.raw_body is not None:
                         status, payload = behavior.status, behavior.raw_body

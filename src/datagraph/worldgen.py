@@ -37,7 +37,9 @@ from .graph import (
     _check_attributes,
     _check_id,
     _check_label,
+    _collector_paused,
     _KindError,
+    _read_text,
     by_metric,
 )
 
@@ -289,9 +291,11 @@ class GroundTruth:
         )
 
     @classmethod
+    @_collector_paused()
     def load(cls, source) -> GroundTruth:
+        text = _read_text(source)
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+            doc = json.loads(text)
         except json.JSONDecodeError as exc:
             raise GraphParseError(f"ground truth is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format_version") != 1:
@@ -366,6 +370,7 @@ class _Placement:
     duplicate_of: int | None = None
 
 
+@_collector_paused()
 def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     """Build a connected room-grid world; deterministic in the spec."""
     rng = np.random.default_rng(spec.seed)

@@ -189,17 +189,30 @@ def input_files(tmp_path, world_dir):
     build_graph(2, []).save(files["island"])
     files["empty_store"] = tmp_path / "store.json"
     ReplayStore().save(files["empty_store"])
-    for name, world in [
-        ("inline_shared", {"format_version": 1, "grid_w": 2, "grid_h": 2}),
-        ("no_truth", {"path": str(files["world"])}),
-        ("negative_seed", {"format_version": 1, "grid_w": 2, "grid_h": 2}),
+    files["directory"] = tmp_path
+    files["not_utf8"] = tmp_path / "not_utf8.json"
+    files["not_utf8"].write_bytes(b"\xff\xfe")
+    missing = str(tmp_path / "missing.json")
+    truth = str(world_dir / "ground_truth.json")
+    for name, world, backend in [
+        ("inline_shared", {"format_version": 1, "grid_w": 2, "grid_h": 2}, None),
+        ("no_truth", {"path": str(files["world"])}, None),
+        ("negative_seed", {"format_version": 1, "grid_w": 2, "grid_h": 2}, None),
+        ("missing_world", {"path": missing, "ground_truth": truth}, None),
+        ("world_directory", {"path": str(tmp_path), "ground_truth": truth}, None),
+        ("missing_truth", {"path": str(files["world"]), "ground_truth": missing}, None),
+        ("missing_store", {"path": str(files["world"]), "ground_truth": truth},
+         {"kind": "replay", "store_path": missing}),
     ]:
-        files[name] = tmp_path / f"{name}.json"
-        files[name].write_text(json.dumps({
+        config = {
             "world": world,
             "tasks": {"kind": "nearest_search", "count": 2, "seed": -1 if name == "negative_seed" else 0},
             "shared_cache": name == "inline_shared",
-        }))
+        }
+        if backend is not None:
+            config["backend"] = backend
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(config))
     files["short_route"] = tmp_path / "short_route.json"
     files["short_route"].write_text("[[0, 1]]")
     # world and ground-truth files with one field overwritten
@@ -248,6 +261,24 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="compare-negative-seed-flag"),
         pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, "error: invalid JSON",
                      id="replay-bad-store"),
+        pytest.param(["compare", "--config", "{missing_world}"], 1, "4 trial run(s) errored",
+                     id="compare-missing-world"),
+        pytest.param(["compare", "--config", "{world_directory}"], 1, "4 trial run(s) errored",
+                     id="compare-world-directory"),
+        pytest.param(["compare", "--config", "{missing_truth}"], 1, "4 trial run(s) errored",
+                     id="compare-missing-ground-truth"),
+        pytest.param(["compare", "--config", "{missing_store}"], 2, "missing.json: No such file or directory",
+                     id="compare-missing-replay-store"),
+        pytest.param(["replay-run", "--store", "{directory}", "--config", "{no_truth}"], 2,
+                     ": Is a directory",
+                     id="replay-store-directory"),
+        pytest.param(["validate", "{not_utf8}"], 2,
+                     "not_utf8.json: not UTF-8 text: invalid start byte at byte 0",
+                     id="validate-not-utf8"),
+        pytest.param(["validate", "{directory}"], 2, ": Is a directory",
+                     id="validate-directory"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{directory}"], 2, ": Is a directory",
+                     id="aggregate-truth-directory"),
         pytest.param(["route", "--world", "{world}", "--start", "0", "--goal", "99"], 2, "error: unknown node id: 99",
                      id="route-unknown-node"),
         pytest.param(["route", "--world", "{island}", "--start", "0", "--goal", "1"], 2,

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +15,12 @@ from datagraph import (
     Datagraph,
     ExperimentConfig,
     GraphParseError,
+    GraphValidationError,
+    GroundTruth,
     OracleBackend,
     Predicate,
     Query,
+    ReplayStore,
     RouteError,
     SceneObject,
     TaskConfig,
@@ -363,6 +368,145 @@ def test_shared_cache_spans_trials_on_fixed_world(tmp_path):
         ]
 
     assert outcomes(shared) == outcomes(fresh)
+
+
+# --- reading world files ------------------------------------------------------------
+
+UNREADABLE = [  # (file name, why it cannot be read)
+    ("missing.json", "No such file or directory"),
+    (".", "Is a directory"),
+    ("not_utf8.json", "not UTF-8 text: invalid start byte at byte 0"),
+]
+
+
+@pytest.mark.parametrize("load", [Datagraph.load, GroundTruth.load, ReplayStore.load])
+@pytest.mark.parametrize("name, reason", UNREADABLE)
+def test_loaders_name_an_unreadable_file_in_a_parse_error(tmp_path, load, name, reason):
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    path = str(tmp_path / name)
+    with pytest.raises(GraphParseError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"cannot read {path}: {reason}"
+
+
+@pytest.mark.parametrize("unreadable", ["world", "ground truth"])
+@pytest.mark.parametrize("name, reason", UNREADABLE)
+def test_unreadable_world_file_errors_every_trial_and_strategy(tmp_path, unreadable, name, reason):
+    world = save_world(tmp_path, WorldSpec(3, 3, seed=1))
+    (tmp_path / "not_utf8.json").write_bytes(b"\xff\xfe")
+    path = str(tmp_path / name)
+    world = replace(world, **{"path" if unreadable == "world" else "ground_truth_path": path})
+    message = f"cannot read {path}: {reason}"
+    with pytest.raises(GraphParseError) as excinfo:
+        load_world_files(world)
+    assert str(excinfo.value) == message
+    report = run_compare(compare_config(world=world, tasks=TaskConfig("nearest_search", 2, 1)))
+    assert [row.error for row in report.per_trial] == [message] * 4
+
+
+def test_unreadable_replay_store_fails_the_run(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    config = compare_config(backend=BackendConfig(kind="replay", store_path=missing))
+    with pytest.raises(GraphParseError, match="^cannot read .*missing.json: No such file or directory$"):
+        run_compare(config)
+
+
+# --- the collector pause ---------------------------------------------------------------
+
+
+@pytest.fixture
+def collector_seen(monkeypatch):
+    """``gc.isenabled()`` as seen by each bulk build of a graph or a ground truth."""
+    seen = []
+    assemble = Datagraph._assemble.__func__
+    post_init = GroundTruth.__post_init__
+
+    def spy_assemble(cls, nodes, edges):
+        seen.append(gc.isenabled())
+        return assemble(cls, nodes, edges)
+
+    def spy_post_init(self):
+        seen.append(gc.isenabled())
+        post_init(self)
+
+    monkeypatch.setattr(Datagraph, "_assemble", classmethod(spy_assemble))
+    monkeypatch.setattr(GroundTruth, "__post_init__", spy_post_init)
+    yield seen
+    gc.enable()  # also after a test that failed with the collector off
+
+
+def builds(directory):
+    """Each bulk builder on good and on broken input: name -> (call, the error it raises)."""
+    spec = WorldSpec(4, 4, seed=3, objects_per_room_mean=2.0)
+    world = save_world(directory, spec)
+    bad_json = directory / "bad.json"
+    bad_json.write_text("{")
+    doc = json.loads(Path(world.path).read_text())
+    doc["edges"].append(dict(doc["edges"][0]))
+    duplicate_edge = directory / "duplicate_edge.json"
+    duplicate_edge.write_text(json.dumps(doc))
+    doc = json.loads(Path(world.ground_truth_path).read_text())
+    doc["instances"][0]["label"] = 5
+    int_label = directory / "int_label.json"
+    int_label.write_text(json.dumps(doc))
+    return {
+        "generate": (lambda: generate_world(spec), None),
+        "load": (lambda: Datagraph.load(world.path), None),
+        "load-invalid-json": (lambda: Datagraph.load(bad_json), GraphParseError),
+        "load-violations": (lambda: Datagraph.load(duplicate_edge), GraphValidationError),
+        "ground-truth": (lambda: GroundTruth.load(world.ground_truth_path), None),
+        "ground-truth-bad-field": (lambda: GroundTruth.load(int_label), GraphParseError),
+        "world-files": (lambda: load_world_files(world), None),
+        "world-files-invalid-json": (
+            lambda: load_world_files(replace(world, path=str(bad_json))), GraphParseError
+        ),
+        "world-files-bad-ground-truth": (
+            lambda: load_world_files(replace(world, ground_truth_path=str(int_label))), GraphParseError
+        ),
+    }
+
+
+BUILDS = [
+    "generate", "load", "load-invalid-json", "load-violations", "ground-truth", "ground-truth-bad-field",
+    "world-files", "world-files-invalid-json", "world-files-bad-ground-truth",
+]
+
+
+@pytest.mark.parametrize("caller_disabled", [False, True])
+@pytest.mark.parametrize("name", BUILDS)
+def test_builders_pause_the_collector_and_restore_it(tmp_path, collector_seen, name, caller_disabled):
+    call, error = builds(tmp_path)[name]
+    collector_seen.clear()
+    if caller_disabled:
+        gc.disable()
+    if error is None:
+        call()
+        assert collector_seen  # a graph or a ground truth was assembled
+    else:
+        with pytest.raises(error):
+            call()
+    assert not any(collector_seen)
+    assert gc.isenabled() is not caller_disabled
+
+
+def test_builders_make_no_cyclic_garbage(tmp_path):
+    """Pausing the collector delays no frees: nothing the builders make is in a cycle."""
+    spec = WorldSpec(12, 12, seed=5, boundary_duplicate_prob=0.3)
+    world = save_world(tmp_path, spec)
+    calls = {
+        "generate": lambda: generate_world(spec),
+        "load": lambda: Datagraph.load(world.path),
+        "ground-truth": lambda: GroundTruth.load(world.ground_truth_path),
+        "world-files": lambda: load_world_files(world),
+    }
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees a cycle before the check
+    try:
+        for name, call in calls.items():
+            call()  # and drop what it built
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
 
 
 # --- run_route_scan -----------------------------------------------------------------

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
+import http.client
 import threading
+import tracemalloc
 
 import pytest
 
@@ -82,6 +85,49 @@ def test_annotation_forwarding_includes_objects_hint():
             "instance_id": 7,
         }
     ]
+
+
+def test_recorded_request_parses_headers_and_body_when_read():
+    with MockRemoteServer() as server:
+        host, port = server.base_url.removeprefix("http://").split(":")
+        for body in [b'{"node_id": 4}', b"not json {", b"\xff\xfe"]:
+            conn = http.client.HTTPConnection(host, int(port), timeout=2)
+            conn.putrequest("POST", "/query")
+            conn.putheader("X-Repeated", "first")
+            conn.putheader("x-repeated", "second")
+            conn.putheader("X-Folded", "one", "two")
+            conn.putheader("Content-Length", str(len(body)))
+            conn.endheaders(body)
+            assert conn.getresponse().status == 200
+            conn.close()
+        requests = server.requests
+    headers = requests[0].headers
+    # the first value wins for a repeated name, under each spelling of it
+    assert (headers["X-Repeated"], headers["x-repeated"]) == ("first", "first")
+    assert headers["X-Folded"] == "one\r\n\ttwo"
+    assert headers["Content-Length"] == "14"
+    assert [r.body for r in requests] == [{"node_id": 4}, None, None]
+    assert [r.raw_body for r in requests] == [b'{"node_id": 4}', b"not json {", b"\xff\xfe"]
+    assert {r.path for r in requests} == {"/query"}
+
+
+def test_request_log_keeps_under_800_bytes_a_request():
+    with MockRemoteServer() as server:
+        backend = RemoteBackend(config_for(server, max_in_flight=1))
+        node = make_node()
+        for _ in range(20):  # warm up the connection and the interpreter's caches
+            backend.answer(node, QUERY)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for _ in range(300):
+                backend.answer(node, QUERY)
+            gc.collect()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(server.requests) == 320
+    assert retained / 300 < 800
 
 
 def test_timeout_raises_timeout_error():
