@@ -371,13 +371,33 @@ class CachingBackend:
 # --- remote adapter ------------------------------------------------------------
 
 
+class _BearerAuth(requests.auth.AuthBase):
+    """Sets the bearer header. As a request's auth it also stops requests from
+    reading ``~/.netrc``, whose login would otherwise replace the token."""
+
+    def __init__(self, token: str):
+        self.header = f"Bearer {token}"
+
+    def __call__(self, request):
+        request.headers["Authorization"] = self.header
+        return request
+
+
 class RemoteBackend:
     """HTTP adapter speaking the wire format to a live model endpoint.
 
     POSTs ``{base_url}/query`` and maps the structured verdict into a
     :class:`QueryResponse`. Never fabricates a verdict: timeouts, non-2xx
-    statuses, and malformed bodies all raise. At most ``max_in_flight``
-    requests are in flight at any moment.
+    statuses (redirects included, which are not followed), and malformed
+    bodies all raise. At most ``max_in_flight`` requests are in flight at any
+    moment.
+
+    The request is prepared once, when the backend is built: the session's
+    headers, cookies, auth and transport adapter, the bearer token, and the
+    proxy, CA bundle and client certificate settings from the environment
+    are read then, not per call, and the session's response hooks are not
+    run. A configured token always wins over ``~/.netrc``; without one,
+    netrc applies as in requests.
     """
 
     def __init__(
@@ -388,7 +408,12 @@ class RemoteBackend:
     ):
         self.config = config
         self.forward_annotations = forward_annotations
-        self._session = session if session is not None else requests.Session()
+        session = session if session is not None else requests.Session()
+        self._url = config.base_url.rstrip("/") + "/query"
+        auth = _BearerAuth(config.auth_token) if config.auth_token is not None else None
+        self._template = session.prepare_request(requests.Request("POST", self._url, auth=auth))
+        self._adapter = session.get_adapter(self._url)
+        self._settings = session.merge_environment_settings(self._url, {}, None, None, None)
         self._in_flight = threading.BoundedSemaphore(config.max_in_flight)
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
@@ -403,21 +428,20 @@ class RemoteBackend:
                 else None
             ),
         }
-        headers = {}
-        if self.config.auth_token is not None:
-            headers["Authorization"] = f"Bearer {self.config.auth_token}"
-        url = self.config.base_url.rstrip("/") + "/query"
+        request = self._template.copy()
         with self._in_flight:
             try:
-                http_response = self._session.post(
-                    url, json=body, headers=headers, timeout=self.config.timeout_ms / 1000.0
+                request.prepare_body(None, None, json=body)
+                http_response = self._adapter.send(
+                    request, timeout=self.config.timeout_ms / 1000.0, **self._settings
                 )
+                http_response.content  # read the body here, as Session.send does
             except requests.Timeout as exc:
                 raise RemoteTimeoutError(
-                    f"no answer from {url} within {self.config.timeout_ms} ms"
+                    f"no answer from {self._url} within {self.config.timeout_ms} ms"
                 ) from exc
             except requests.RequestException as exc:
-                raise RemoteProtocolError(0, f"request to {url} failed: {exc}") from exc
+                raise RemoteProtocolError(0, f"request to {self._url} failed: {exc}") from exc
         if not 200 <= http_response.status_code < 300:
             raise RemoteProtocolError(http_response.status_code)
         return self._parse_verdict(node.id, http_response)

@@ -16,7 +16,7 @@ from .errors import (
     GraphValidationError,
     TraversalAbortedError,
 )
-from .graph import Datagraph
+from .graph import Datagraph, _read_text
 from .harness import (
     BackendConfig,
     ExperimentConfig,
@@ -207,8 +207,8 @@ def _backend_config(backend, store, base_url, timeout_ms, auth_token) -> Backend
 
 def _read_routes(path) -> list[list[int]]:
     try:
-        routes = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:
+        routes = json.loads(_read_text(path, ConfigError))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"routes file {path} is not valid JSON: {exc}") from exc
     if not isinstance(routes, list) or not all(isinstance(r, list) and r for r in routes):
         raise ConfigError(f"routes file {path}: expected an array of non-empty node id arrays")

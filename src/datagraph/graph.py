@@ -78,14 +78,14 @@ def _collector_paused():
         gc.enable()
 
 
-def _read_text(source) -> str:
-    """A UTF-8 file's text; an unreadable file is a :class:`GraphParseError` naming it."""
+def _read_text(source, error: type[Exception] = GraphParseError) -> str:
+    """A UTF-8 file's text; an unreadable file is an ``error`` naming it."""
     try:
         return Path(source).read_text(encoding="utf-8")
     except OSError as exc:
-        raise GraphParseError(f"cannot read {source}: {exc.strerror or exc}") from exc
+        raise error(f"cannot read {source}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise GraphParseError(
+        raise error(
             f"cannot read {source}: not UTF-8 text: {exc.reason} at byte {exc.start}"
         ) from exc
 

@@ -35,7 +35,7 @@ from .backends import (
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
-from .graph import Datagraph, NodeId, _collector_paused, by_metric
+from .graph import Datagraph, NodeId, _collector_paused, _read_text, by_metric
 from .traversal import (
     AggregateReport,
     TraversalResult,
@@ -269,8 +269,8 @@ class ExperimentConfig:
     def load(cls, source, overrides: dict | None = None) -> ExperimentConfig:
         """Parse a config file; ``overrides`` as in :meth:`from_json_dict`."""
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+            doc = json.loads(_read_text(source, ConfigError))
+        except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc, overrides)
 

@@ -51,6 +51,7 @@ class MockBehavior:
     body: dict | None = None  # defaults to an unsatisfied verdict
     raw_body: bytes | None = None  # overrides body; served verbatim
     delay_s: float = 0.0
+    headers: dict[str, str] = field(default_factory=dict)  # extra response headers
     handler: object = None  # callable(request_dict) -> (status, body_dict)
     request_log: list[RecordedRequest] = field(default_factory=list)
 
@@ -94,6 +95,8 @@ class MockRemoteServer:
                         self.send_response(status)
                         self.send_header("Content-Type", "application/json")
                         self.send_header("Content-Length", str(len(payload)))
+                        for name, value in behavior.headers.items():
+                            self.send_header(name, value)
                         self.end_headers()
                         self.wfile.write(payload)
                     except (BrokenPipeError, ConnectionResetError):

@@ -208,7 +208,7 @@ class WorldSpec:
     @classmethod
     def load(cls, source) -> WorldSpec:
         try:
-            doc = json.loads(Path(source).read_text(encoding="utf-8"))
+            doc = json.loads(_read_text(source, WorldSpecError))
         except json.JSONDecodeError as exc:
             raise WorldSpecError(f"world spec is not valid JSON: {exc}") from exc
         return cls.from_json_dict(doc)

@@ -279,6 +279,15 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="validate-directory"),
         pytest.param(AGGREGATE + ["--ground-truth", "{directory}"], 2, ": Is a directory",
                      id="aggregate-truth-directory"),
+        pytest.param(["compare", "--config", "{directory}"], 2, ": Is a directory",
+                     id="compare-config-directory"),
+        pytest.param(["gen", "--spec", "{directory}", "{directory}/out"], 2, ": Is a directory",
+                     id="gen-spec-directory"),
+        pytest.param(["gen", "--spec", "{not_utf8}", "{directory}/out"], 2,
+                     "not_utf8.json: not UTF-8 text: invalid start byte at byte 0",
+                     id="gen-spec-not-utf8"),
+        pytest.param(ROUTE + ["--routes", "{directory}"], 2, ": Is a directory",
+                     id="routes-directory"),
         pytest.param(["route", "--world", "{world}", "--start", "0", "--goal", "99"], 2, "error: unknown node id: 99",
                      id="route-unknown-node"),
         pytest.param(["route", "--world", "{island}", "--start", "0", "--goal", "1"], 2,

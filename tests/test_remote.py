@@ -6,6 +6,7 @@ import threading
 import tracemalloc
 
 import pytest
+import requests
 
 from datagraph import (
     MalformedResponseError,
@@ -85,6 +86,81 @@ def test_annotation_forwarding_includes_objects_hint():
             "instance_id": 7,
         }
     ]
+
+
+@pytest.mark.parametrize(
+    "token, forward",
+    [(None, False), ("sesame", False), (None, True)],
+    ids=["no-token", "token", "annotations"],
+)
+def test_request_matches_what_session_post_sends(monkeypatch, tmp_path, token, forward):
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+    node = make_node()
+    body = {
+        "query_text": QUERY.text,
+        "mode": "find",
+        "node_id": node.id,
+        "payload_ref": node.snapshot.payload_ref,
+        "objects_hint": [obj.to_json_dict() for obj in node.snapshot.objects] if forward else None,
+    }
+    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    with MockRemoteServer() as server:
+        RemoteBackend(config_for(server, auth_token=token), forward_annotations=forward).answer(node, QUERY)
+        with requests.Session() as session:
+            session.post(server.base_url + "/query", json=body, headers=headers).close()
+        ours, reference = server.requests
+    assert ours.path == reference.path == "/query"
+    assert ours.headers == reference.headers
+    assert ours.raw_body == reference.raw_body
+
+
+def test_token_wins_over_netrc(monkeypatch, tmp_path):
+    netrc = tmp_path / "netrc"
+    netrc.write_text("machine 127.0.0.1 login alice password secret\n")
+    monkeypatch.setenv("NETRC", str(netrc))
+    with MockRemoteServer() as server:
+        RemoteBackend(config_for(server, auth_token="sesame")).answer(make_node(), QUERY)
+        RemoteBackend(config_for(server)).answer(make_node(), QUERY)  # no token: netrc applies
+        with_token, without_token = server.requests
+    assert with_token.headers["Authorization"] == "Bearer sesame"
+    assert without_token.headers["Authorization"] == "Basic YWxpY2U6c2VjcmV0"  # alice:secret
+
+
+def test_environment_settings_are_merged_once_per_backend():
+    class CountingSession(requests.Session):
+        merges = 0
+
+        def merge_environment_settings(self, *args):
+            self.merges += 1
+            return super().merge_environment_settings(*args)
+
+    with MockRemoteServer() as server, CountingSession() as session:
+        backend = RemoteBackend(config_for(server), session=session)
+        node = make_node()
+        for _ in range(50):
+            backend.answer(node, QUERY)
+        assert len(server.requests) == 50
+    assert session.merges == 1
+
+
+def test_http_proxy_from_the_environment_is_read_when_the_backend_is_built(monkeypatch):
+    for name in ("http_proxy", "NO_PROXY", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    with MockRemoteServer() as proxy, MockRemoteServer() as server:
+        monkeypatch.setenv("HTTP_PROXY", proxy.base_url)
+        backend = RemoteBackend(config_for(server))
+        monkeypatch.delenv("HTTP_PROXY")
+        backend.answer(make_node(), QUERY)
+        assert server.requests == []
+        assert [r.path for r in proxy.requests] == [server.base_url + "/query"]
+
+
+def test_redirect_is_a_protocol_error_and_not_followed():
+    with MockRemoteServer(status=307, headers={"Location": "/query"}) as server:
+        with pytest.raises(RemoteProtocolError) as excinfo:
+            RemoteBackend(config_for(server)).answer(make_node(), QUERY)
+        assert len(server.requests) == 1
+    assert excinfo.value.status == 307
 
 
 def test_recorded_request_parses_headers_and_body_when_read():
