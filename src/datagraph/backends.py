@@ -20,11 +20,11 @@ import json
 import threading
 from dataclasses import dataclass, replace
 from functools import cached_property
-from pathlib import Path
 from typing import TYPE_CHECKING, Protocol
 
 import requests
 
+from . import output
 from .errors import (
     GraphParseError,
     MalformedResponseError,
@@ -32,7 +32,7 @@ from .errors import (
     RemoteTimeoutError,
     ReplayMissError,
 )
-from .graph import Node, NodeId, SceneObject, Snapshot, _read_text
+from .graph import Node, NodeId, SceneObject, Snapshot, _object_text, _read_text
 
 if TYPE_CHECKING:
     from .worldgen import GroundTruthInstance
@@ -250,6 +250,20 @@ class OracleBackend:
 # --- record / replay -----------------------------------------------------------
 
 
+def _response_text(response: QueryResponse) -> str:
+    """One record of a saved replay store (see :func:`output.save_document`)."""
+    matches = output.array([_object_text(obj, "        ") for obj in response.matches], "      ")
+    return (
+        '{\n      "node": ' + output.atom(response.node)
+        + ',\n      "satisfied": ' + output.atom(response.satisfied)
+        + ',\n      "matches": ' + matches
+        + ',\n      "count": ' + output.atom(response.count)
+        + ',\n      "text": ' + output.string(response.text)
+        + ',\n      "backend_calls": ' + output.atom(response.backend_calls)
+        + "\n    }"
+    )
+
+
 class ReplayStore:
     """Recorded responses keyed by ``"<node>:<query hash>"``, JSON-persistable."""
 
@@ -280,14 +294,27 @@ class ReplayStore:
         except KeyError:
             raise ReplayMissError(node_id, query.canonical_key) from None
 
-    def save(self, destination) -> None:
-        doc = {
+    def to_json_dict(self) -> dict:
+        return {
             "format_version": self.FORMAT_VERSION,
             "responses": {
                 key: self._responses[key].to_json_dict() for key in sorted(self._responses)
             },
         }
-        Path(destination).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+
+    def save(self, destination) -> None:
+        """Write the store document to a path.
+
+        The file holds ``json.dumps(self.to_json_dict(), indent=2)`` plus a
+        newline, written one response at a time in key order, and it replaces
+        ``destination`` atomically (:func:`output.save_document`). A path that
+        cannot be written is an :class:`OutputError`.
+        """
+        records = (
+            output.string(key) + ": " + _response_text(self._responses[key])
+            for key in sorted(self._responses)
+        )
+        output.save_document(destination, self.FORMAT_VERSION, [("responses", "{}", records)])
 
     @classmethod
     def load(cls, source) -> ReplayStore:

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import json
 import sys
-from pathlib import Path
 
 import click
 
+from . import output
 from .backends import CachingBackend, Predicate, Query, RemoteEndpointConfig
 from .errors import (
     BackendError,
@@ -64,7 +64,8 @@ def main():
     Exit codes:
       0  success
       1  compare: some trial errored; validate: the world has violations
-      2  bad input: config, spec, world or store file, node id, route, option
+      2  bad input: config, spec, world or store file, node id, route, option,
+         an output that cannot be written
       3  backend failure: replay miss, remote timeout, status or body
     """
 
@@ -95,8 +96,7 @@ def gen(spec_path, grid_w, grid_h, room_size, door_prob, objects_mean, dup_prob,
             seed=seed,
         )
     graph, ground_truth = generate_world(spec)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = output.make_output_dir(out_dir)
     graph.save(out / "world.json")
     ground_truth.save(out / "ground_truth.json")
     spec.save(out / "worldspec.json")
@@ -224,8 +224,9 @@ def _read_routes(path) -> list[list[int]]:
               help="JSON array of candidate routes (arrays of node ids).")
 @_apply_options(_backend_options)
 @click.option("--cache/--no-cache", default=True, show_default=True)
-@click.option("--output", type=click.Path(), default=None, help="Write the scan report JSON here.")
-def route(world_path, start, goal, metric, routes_path, cache, output, **backend_flags):
+@click.option("--output", "output_path", type=click.Path(), default=None,
+              help="Write the scan report JSON here.")
+def route(world_path, start, goal, metric, routes_path, cache, output_path, **backend_flags):
     """Scan route(s) between START and GOAL for hazards; pick the safest."""
     config = _backend_config(**backend_flags)
     graph = Datagraph.load(world_path)
@@ -234,8 +235,8 @@ def route(world_path, start, goal, metric, routes_path, cache, output, **backend
     if cache:
         query_backend = CachingBackend(query_backend)
     report = run_route_scan(graph, query_backend, start, goal, metric, candidates)
-    if output:
-        Path(output).write_text(report.to_json(), encoding="utf-8")
+    if output_path:
+        output.write_output(output_path, [report.to_json()])
     for entry in report.entries:
         click.echo(
             f"route {list(entry.route)}: hazards={entry.hazard_count} "
@@ -252,8 +253,8 @@ def route(world_path, start, goal, metric, routes_path, cache, output, **backend
 @click.option("--radius", type=click.FloatRange(min=0), default=0.5, show_default=True,
               help="Dedup radius in meters; 0 disables merging.")
 @_apply_options(_backend_options)
-@click.option("--output", type=click.Path(), default=None)
-def aggregate(world_path, gt_path, label, attrs, radius, output, **backend_flags):
+@click.option("--output", "output_path", type=click.Path(), default=None)
+def aggregate(world_path, gt_path, label, attrs, radius, output_path, **backend_flags):
     """Count instances of LABEL across all scenes, merging boundary duplicates."""
     config = _backend_config(**backend_flags)
     graph, ground_truth = load_world_files(WorldFiles(world_path, gt_path))
@@ -270,8 +271,8 @@ def aggregate(world_path, gt_path, label, attrs, radius, output, **backend_flags
     )
     query_backend, _ = build_base_backend(config)
     report = run_aggregate(graph, query_backend, query, radius, ground_truth)
-    if output:
-        Path(output).write_text(report.to_json(), encoding="utf-8")
+    if output_path:
+        output.write_output(output_path, [report.to_json()])
     click.echo(f"raw_total={report.aggregate.raw_total} deduped_total={report.aggregate.deduped_total}")
     if report.true_count is not None:
         click.echo(f"true_count={report.true_count} count_error={report.count_error}")

@@ -54,6 +54,12 @@ class GraphValidationError(DatagraphError):
         super().__init__(f"graph failed validation: {lines}")
 
 
+# --- output files ------------------------------------------------------------
+
+class OutputError(DatagraphError):
+    """An output file or directory could not be written; the message names it."""
+
+
 # --- backends ---------------------------------------------------------------
 
 class BackendError(DatagraphError):

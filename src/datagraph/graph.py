@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from pathlib import Path
 
+from . import output
 from .errors import (
     DuplicateEdgeError,
     GraphParseError,
@@ -293,6 +294,47 @@ def _edge_faults(a: NodeId, b: NodeId, length_m: float, n: int) -> list[Violatio
     elif not 0.0 < length_m < math.inf:  # also false for NaN
         out.append(Violation("edge-length", f"edge {{{a}, {b}}} has length {length_m!r}"))
     return out
+
+
+# The records of a saved graph document, as output.save_document takes them.
+
+
+def _object_text(obj: SceneObject, pad: str) -> str:
+    """``obj.to_json_dict()`` as ``json.dumps(indent=2)`` writes it in a
+    document, opened on a line indented by ``pad``; replay stores use it too."""
+    inner = ",\n" + pad + "  "
+    position = obj.world_position
+    return (
+        "{\n" + pad + '  "label": ' + output.string(obj.label)
+        + inner + '"attributes": ' + output.mapping(obj.attributes, pad + "  ")
+        + inner + '"world_position": ' + (output.floats(position, pad + "  ") if position else "null")
+        + inner + '"instance_id": ' + output.atom(obj.instance_id)
+        + "\n" + pad + "}"
+    )
+
+
+def _node_text(node: Node) -> str:
+    pose, snapshot = node.pose, node.snapshot
+    pose_text = '"position": ' + output.floats(pose.position, "        ")
+    if pose.orientation is not None:
+        pose_text += ',\n        "orientation": ' + output.floats(pose.orientation, "        ")
+    objects = output.array([_object_text(obj, "          ") for obj in snapshot.objects], "        ")
+    if snapshot.payload_ref is not None:
+        objects += ',\n        "payload_ref": ' + output.string(snapshot.payload_ref)
+    return (
+        '{\n      "id": ' + output.atom(node.id)
+        + ',\n      "pose": {\n        ' + pose_text
+        + '\n      },\n      "snapshot": {\n        "objects": ' + objects
+        + "\n      }\n    }"
+    )
+
+
+def _edge_text(edge: Edge) -> str:
+    return (
+        '{\n      "a": ' + output.atom(edge.a) + ',\n      "b": ' + output.atom(edge.b)
+        + ',\n      "traversable": ' + output.atom(edge.traversable)
+        + ',\n      "length_m": ' + float.__repr__(edge.length_m) + "\n    }"
+    )
 
 
 def by_metric(metric: str, hops, meters):
@@ -618,12 +660,19 @@ class Datagraph:
         return {"format_version": 1, "nodes": nodes, "edges": edges}
 
     def save(self, destination) -> None:
-        """Write the graph document (JSON) to a path. Requires a sealed graph."""
+        """Write the graph document to a path. Requires a sealed graph.
+
+        The file holds ``json.dumps(self.to_json_dict(), indent=2)`` plus a
+        newline, written one node and one edge at a time, and it replaces
+        ``destination`` atomically (:func:`output.save_document`). A path that
+        cannot be written is an :class:`OutputError`.
+        """
         if not self._sealed:
             raise GraphStateError("only sealed graphs can be saved")
-        Path(destination).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        output.save_document(destination, 1, [
+            ("nodes", "[]", map(_node_text, self._nodes)),
+            ("edges", "[]", map(_edge_text, self.edges())),
+        ])
 
     @classmethod
     def from_json_dict(cls, doc) -> Datagraph:

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import output
 from .backends import (
     CachingBackend,
     OracleBackend,
@@ -337,16 +338,17 @@ class MetricsReport:
         return buffer.getvalue()
 
     def write(self, output_dir, formats=("json",), basename: str = "compare") -> list[Path]:
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        """Write the report files, each replacing its old file atomically; a
+        directory or file that cannot be written is an :class:`OutputError`."""
+        out = output.make_output_dir(output_dir)
         written = []
         if "json" in formats:
             path = out / f"{basename}.json"
-            path.write_text(self.to_json(), encoding="utf-8")
+            output.write_output(path, [self.to_json()])
             written.append(path)
         if "csv" in formats:
             path = out / f"{basename}.csv"
-            path.write_text(self.to_csv(), encoding="utf-8")
+            output.write_output(path, [self.to_csv()])
             written.append(path)
         return written
 

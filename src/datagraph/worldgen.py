@@ -20,10 +20,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
+from . import output
 from .backends import Predicate, Query, predicate_eval
 from .errors import GraphParseError, GraphValidationError, TaskUnavailableError, WorldSpecError
 from .graph import (
@@ -178,9 +178,7 @@ class WorldSpec:
         }
 
     def save(self, destination) -> None:
-        Path(destination).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        output.write_output(destination, [json.dumps(self.to_json_dict(), indent=2) + "\n"])
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> WorldSpec:
@@ -263,6 +261,19 @@ class GroundTruthInstance:
                    doc["home_node"], doc.get("duplicate_of"))
 
 
+def _instance_text(inst: GroundTruthInstance) -> str:
+    """One record of a saved ground-truth document (see :func:`output.save_document`)."""
+    return (
+        '{\n      "instance_id": ' + output.atom(inst.instance_id)
+        + ',\n      "label": ' + output.string(inst.label)
+        + ',\n      "attributes": ' + output.mapping(inst.attributes, "      ")
+        + ',\n      "world_position": ' + output.floats(inst.world_position, "      ")
+        + ',\n      "home_node": ' + output.atom(inst.home_node)
+        + ',\n      "duplicate_of": ' + output.atom(inst.duplicate_of)
+        + "\n    }"
+    )
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """All placed object occurrences; duplicates link back via duplicate_of."""
@@ -286,9 +297,14 @@ class GroundTruth:
         }
 
     def save(self, destination) -> None:
-        Path(destination).write_text(
-            json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-        )
+        """Write the ground-truth document to a path.
+
+        The file holds ``json.dumps(self.to_json_dict(), indent=2)`` plus a
+        newline, written one instance at a time, and it replaces
+        ``destination`` atomically (:func:`output.save_document`). A path that
+        cannot be written is an :class:`OutputError`.
+        """
+        output.save_document(destination, 1, [("instances", "[]", map(_instance_text, self.instances))])
 
     @classmethod
     @_collector_paused()

@@ -203,6 +203,7 @@ def input_files(tmp_path, world_dir):
         ("missing_truth", {"path": str(files["world"]), "ground_truth": missing}, None),
         ("missing_store", {"path": str(files["world"]), "ground_truth": truth},
          {"kind": "replay", "store_path": missing}),
+        ("saved", {"path": str(files["world"]), "ground_truth": truth}, None),
     ]:
         config = {
             "world": world,
@@ -213,6 +214,8 @@ def input_files(tmp_path, world_dir):
             config["backend"] = backend
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(config))
+    files["afile"] = tmp_path / "afile"
+    files["afile"].write_text("")
     files["short_route"] = tmp_path / "short_route.json"
     files["short_route"].write_text("[[0, 1]]")
     # world and ground-truth files with one field overwritten
@@ -288,6 +291,17 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="gen-spec-not-utf8"),
         pytest.param(ROUTE + ["--routes", "{directory}"], 2, ": Is a directory",
                      id="routes-directory"),
+        pytest.param(["gen", "{afile}"], 2, "error: cannot write {afile}: File exists",
+                     id="gen-into-a-file"),
+        pytest.param(["replay-record", "--store", "{directory}/nodir/s.json", "--config", "{saved}"], 2,
+                     "error: cannot write {directory}/nodir/s.json: No such file or directory",
+                     id="replay-record-store-in-missing-directory"),
+        pytest.param(["compare", "--config", "{saved}", "-o", "{afile}"], 2,
+                     "error: cannot write {afile}: File exists",
+                     id="compare-output-dir-is-a-file"),
+        pytest.param(ROUTE + ["--output", "{directory}/nodir/r.json"], 2,
+                     "error: cannot write {directory}/nodir/r.json: No such file or directory",
+                     id="route-output-in-missing-directory"),
         pytest.param(["route", "--world", "{world}", "--start", "0", "--goal", "99"], 2, "error: unknown node id: 99",
                      id="route-unknown-node"),
         pytest.param(["route", "--world", "{island}", "--start", "0", "--goal", "1"], 2,
@@ -351,6 +365,7 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
 )
 def test_failures_exit_with_code_and_one_stderr_line(runner, input_files, args, exit_code, message):
     args = [arg.format(**input_files) for arg in args]
+    message = message.format(**input_files)
     result = runner.invoke(main, args)
     assert result.exit_code == exit_code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback

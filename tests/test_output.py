@@ -1,0 +1,192 @@
+"""Saved documents: the streaming writer against ``to_json_dict``, and atomic replacement."""
+
+from __future__ import annotations
+
+import gc
+import json
+import os
+import re
+import stat
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from datagraph import (
+    Datagraph,
+    GroundTruth,
+    GroundTruthInstance,
+    OutputError,
+    Pose,
+    Predicate,
+    Query,
+    QueryResponse,
+    ReplayStore,
+    SceneObject,
+    Snapshot,
+    WorldSpec,
+    generate_world,
+)
+from datagraph import backends, graph, worldgen
+from helpers import random_decorated_graph
+
+# characters json.dumps escapes (quote, backslash, controls), non-ASCII ones it
+# writes as \u escapes (a surrogate pair above the BMP), and anything else
+TEXT = st.text(
+    st.one_of(st.sampled_from('"\\\n\t\x00\x1f\x7fé 😀'), st.characters()), min_size=1, max_size=6
+)
+# floats whose repr has an exponent, a sign or no fraction, besides any finite one
+FLOAT = st.one_of(
+    st.sampled_from([1e-300, 1e16, -0.0, 5e-324, 1.7976931348623157e308, -2.5, 0.1]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+LENGTH = st.one_of(st.sampled_from([1e-300, 1e16, 5e-324, 0.1]), st.floats(min_value=1e-6, max_value=1e9))
+POSITION = st.tuples(FLOAT, FLOAT, FLOAT)
+ORIENTATION = st.sampled_from([None, (1.0, 0.0, 0.0, 0.0), (0.0, -0.0, 0.6, 0.8), (0.5, 0.5, -0.5, 0.5)])
+ATTRIBUTES = st.dictionaries(TEXT, TEXT, max_size=3)
+IDS = st.integers(-(2**70), 2**70)
+
+
+def scene_objects(world_position=st.one_of(st.none(), POSITION)):
+    return st.builds(SceneObject, TEXT, ATTRIBUTES, world_position, IDS)
+
+
+@st.composite
+def graphs(draw) -> Datagraph:
+    built = Datagraph()
+    n = draw(st.integers(0, 5))
+    for _ in range(n):
+        objects = draw(st.lists(scene_objects(), max_size=3))
+        payload_ref = draw(st.one_of(st.none(), st.text(max_size=6), TEXT))
+        built.add_node(Pose(draw(POSITION), draw(ORIENTATION)), Snapshot(objects, payload_ref))
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
+        built.add_edge(a, b, traversable=draw(st.booleans()), length_m=draw(LENGTH))
+    return built.seal()
+
+
+ground_truths = st.builds(
+    GroundTruth,
+    st.lists(
+        st.builds(GroundTruthInstance, IDS, TEXT, ATTRIBUTES, POSITION, IDS, st.one_of(st.none(), IDS)),
+        max_size=4,
+    ),
+)
+
+
+@st.composite
+def stores(draw) -> ReplayStore:
+    store = ReplayStore()
+    for _ in range(draw(st.integers(0, 4))):
+        query = Query(draw(TEXT), Predicate(label_equals=draw(TEXT)), draw(st.sampled_from(["find", "count"])))
+        response = QueryResponse(
+            node=draw(IDS),
+            satisfied=draw(st.booleans()),
+            matches=draw(st.lists(scene_objects(), max_size=2)),
+            count=draw(IDS),
+            text=draw(st.text(max_size=6)),
+            backend_calls=draw(st.integers(0, 1)),
+        )
+        store.record(draw(IDS), query, response)
+    return store
+
+
+def _expected(document) -> bytes:
+    return (json.dumps(document.to_json_dict(), indent=2) + "\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def destination(tmp_path_factory):
+    return tmp_path_factory.mktemp("saved") / "document.json"
+
+
+@given(document=st.one_of(graphs(), ground_truths, stores()))
+@settings(max_examples=300)
+def test_saved_bytes_equal_json_dumps_of_the_document(destination, document):
+    document.save(destination)
+    assert destination.read_bytes() == _expected(document)
+
+
+@pytest.mark.parametrize("document", [Datagraph().seal(), GroundTruth(), ReplayStore()],
+                         ids=["graph", "ground-truth", "store"])
+def test_empty_documents_match_json_dumps(tmp_path, document):
+    document.save(tmp_path / "empty.json")
+    assert (tmp_path / "empty.json").read_bytes() == _expected(document)
+
+
+def test_a_generated_world_with_duplicates_matches_json_dumps(tmp_path):
+    built, truth = generate_world(WorldSpec(grid_w=7, grid_h=5, seed=11, boundary_duplicate_prob=0.3))
+    built.save(tmp_path / "world.json")
+    truth.save(tmp_path / "truth.json")
+    assert (tmp_path / "world.json").read_bytes() == _expected(built)
+    assert (tmp_path / "truth.json").read_bytes() == _expected(truth)
+
+
+def _store_with_responses() -> ReplayStore:
+    store = ReplayStore()
+    for node in range(4):
+        query = Query("find the chair", Predicate(label_equals="chair"))
+        store.record(node, query, QueryResponse(node, True, (SceneObject("chair"),), 1, "found"))
+    return store
+
+
+def _truth_with_instances() -> GroundTruth:
+    _, truth = generate_world(WorldSpec(grid_w=3, grid_h=3, seed=2))
+    assert len(truth.instances) > 2
+    return truth
+
+
+FORMATTERS = [
+    pytest.param(graph, "_edge_text", lambda: random_decorated_graph(5), id="graph-edge"),
+    pytest.param(graph, "_node_text", lambda: random_decorated_graph(5), id="graph-node"),
+    pytest.param(worldgen, "_instance_text", _truth_with_instances, id="ground-truth"),
+    pytest.param(backends, "_response_text", _store_with_responses, id="replay-store"),
+]
+
+
+@pytest.mark.parametrize("module, formatter, build", FORMATTERS)
+def test_a_save_that_fails_part_way_leaves_the_old_file(tmp_path, monkeypatch, module, formatter, build):
+    document = build()
+    path = tmp_path / "document.json"
+    path.write_bytes(b"the old file\n")
+    real = getattr(module, formatter)
+    calls = []
+
+    def fail_on_the_second_record(record):
+        calls.append(record)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return real(record)
+
+    monkeypatch.setattr(module, formatter, fail_on_the_second_record)
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        document.save(path)
+    gc.collect()  # an unclosed temporary file would warn here, and the warning is an error
+    assert len(calls) == 2
+    assert path.read_bytes() == b"the old file\n"
+    assert os.listdir(tmp_path) == ["document.json"]
+
+
+def test_a_save_replaces_the_old_file_with_the_process_umask(tmp_path):
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    path = tmp_path / "world.json"
+    path.write_text("old")
+    path.chmod(0o600)
+    random_decorated_graph(4).save(path)
+    assert path.read_bytes() == _expected(random_decorated_graph(4))
+    assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(reference.stat().st_mode)
+    assert sorted(os.listdir(tmp_path)) == ["reference", "world.json"]
+
+
+@pytest.mark.parametrize("target, reason", [
+    ("missing/world.json", "No such file or directory"),
+    ("a_directory", "Is a directory"),
+])
+def test_an_unwritable_destination_is_an_output_error(tmp_path, target, reason):
+    (tmp_path / "a_directory").mkdir()
+    destination = tmp_path / target
+    with pytest.raises(OutputError, match=re.escape(f"cannot write {destination}: {reason}")):
+        random_decorated_graph(2).save(destination)
+    assert sorted(os.listdir(tmp_path)) == ["a_directory"]
+    assert os.listdir(tmp_path / "a_directory") == []
