@@ -32,7 +32,7 @@ from .errors import (
     RemoteTimeoutError,
     ReplayMissError,
 )
-from .graph import Node, NodeId, SceneObject, Snapshot, _object_text, _read_text
+from .graph import Node, NodeId, SceneObject, Snapshot, _check_id, _KindError, _object_text, _read_text
 
 if TYPE_CHECKING:
     from .worldgen import GroundTruthInstance
@@ -147,13 +147,20 @@ class QueryResponse:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> QueryResponse:
+        """A recorded response, each field checked here rather than in
+        ``__post_init__``, which runs once per scene query."""
+        satisfied, text = doc["satisfied"], doc.get("text", "")
+        if not isinstance(satisfied, bool):
+            raise _KindError(f"satisfied must be a boolean, got {satisfied!r}")
+        if not isinstance(text, str):
+            raise _KindError(f"text must be a string, got {text!r}")
         return cls(
-            node=doc["node"],
-            satisfied=doc["satisfied"],
+            node=_check_id(doc["node"], "node"),
+            satisfied=satisfied,
             matches=tuple(SceneObject.from_json_dict(o) for o in doc.get("matches", [])),
-            count=doc.get("count", 0),
-            text=doc.get("text", ""),
-            backend_calls=doc.get("backend_calls", 1),
+            count=_check_id(doc.get("count", 0), "count"),
+            text=text,
+            backend_calls=_check_id(doc.get("backend_calls", 1), "backend_calls"),
         )
 
 

@@ -11,7 +11,9 @@ helpers, so each check is written once. Sealed graphs are immutable, safe
 to share across threads without locking, and are the only graphs accepted by
 the distance and path queries. Every query breaks ties deterministically
 (ascending node ids, lexicographically smallest paths) so traversals are
-reproducible.
+reproducible. The records are frozen, slotted dataclasses, so they take no
+``__dict__`` and no attribute beyond their fields; an edge is stored only in
+the adjacency lists of its two ends.
 
 The distance maps, :meth:`Datagraph.hop_distances` (BFS) and
 :meth:`Datagraph.geodesic_distances` (Dijkstra), are the only graph searches
@@ -25,7 +27,7 @@ import gc
 import json
 import math
 import numbers
-from bisect import insort
+from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -170,7 +172,7 @@ def _as_vec3(values, what: str) -> tuple[float, float, float]:
 # fields twice, and loading a world builds thousands of records.
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Pose:
     """A position in meters with an optional unit-quaternion orientation.
 
@@ -192,7 +194,7 @@ class Pose:
         set_field(self, "orientation", orientation)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class SceneObject:
     """An annotated object observed in a scene.
 
@@ -233,7 +235,7 @@ class SceneObject:
         )
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class Snapshot:
     """The per-node scene record: annotated objects plus an opaque payload ref.
 
@@ -253,14 +255,14 @@ class Snapshot:
         set_field(self, "payload_ref", payload_ref)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: NodeId
     pose: Pose
     snapshot: Snapshot
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """Undirected edge between neighboring areas; ``a < b`` once stored."""
 
@@ -268,9 +270,6 @@ class Edge:
     b: NodeId
     traversable: bool = True
     length_m: float = 1.0
-
-    def other(self, v: NodeId) -> NodeId:
-        return self.b if v == self.a else self.a
 
 
 @dataclass(frozen=True)
@@ -350,14 +349,13 @@ class Datagraph:
     """Immutable-after-build graph of (pose, snapshot) nodes.
 
     Node ids are dense, assigned in insertion order starting at 0, and never
-    reused. Adjacency lists are kept sorted ascending by neighbor id, which
-    anchors the deterministic tie-breaking of every traversal built on top.
+    reused. The adjacency lists, the only edge store, are sorted ascending by
+    neighbor id, which anchors the deterministic tie-breaking of traversals.
     """
 
     def __init__(self) -> None:
         self._nodes: list[Node] = []
         self._adj: list[list[tuple[NodeId, Edge]]] = []
-        self._edges: dict[tuple[NodeId, NodeId], Edge] = {}
         self._sealed = False
 
     # -- construction -------------------------------------------------------
@@ -388,8 +386,7 @@ class Datagraph:
         self._check_node(b)
         if a == b:
             raise SelfLoopError(a)
-        key = (min(a, b), max(a, b))
-        if key in self._edges:
+        if self._lookup(a, b) is not None:
             raise DuplicateEdgeError(a, b)
         if length_m is None:
             length_m = math.dist(self._nodes[a].pose.position, self._nodes[b].pose.position)
@@ -398,8 +395,7 @@ class Datagraph:
             raise InvalidLengthError(
                 f"edge {{{a}, {b}}} length must be positive and finite, got {length_m!r}"
             )
-        edge = Edge(key[0], key[1], bool(traversable), length_m)
-        self._edges[key] = edge
+        edge = Edge(min(a, b), max(a, b), bool(traversable), length_m)
         insort(self._adj[a], (b, edge), key=lambda item: item[0])
         insort(self._adj[b], (a, edge), key=lambda item: item[0])
 
@@ -432,10 +428,9 @@ class Datagraph:
         graph = cls()
         graph._nodes = nodes
         graph._adj = [[] for _ in range(n)]
-        for key in sorted(kept):
-            edge = graph._edges[key] = kept[key]
-            graph._adj[key[0]].append((key[1], edge))
-            graph._adj[key[1]].append((key[0], edge))
+        for (a, b), edge in sorted(kept.items()):  # the keys are distinct, so no Edge is compared
+            graph._adj[a].append((b, edge))
+            graph._adj[b].append((a, edge))
         return graph.seal(), duplicates + faults
 
     def seal(self) -> Datagraph:
@@ -458,15 +453,12 @@ class Datagraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Datagraph):
             return NotImplemented
-        return (
-            self._sealed == other._sealed
-            and list(self._nodes) == list(other._nodes)
-            and self._edges == other._edges
-        )
+        same_records = self.nodes() == other.nodes() and self.edges() == other.edges()
+        return self._sealed == other._sealed and same_records
 
     def __repr__(self) -> str:
         state = "sealed" if self._sealed else "building"
-        return f"Datagraph(nodes={len(self._nodes)}, edges={len(self._edges)}, {state})"
+        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._adj)) // 2}, {state})"
 
     def node(self, v: NodeId) -> Node:
         self._check_node(v)
@@ -476,8 +468,8 @@ class Datagraph:
         return tuple(self._nodes)
 
     def edges(self) -> tuple[Edge, ...]:
-        """All edges, sorted by (a, b) for deterministic iteration."""
-        return tuple(self._edges[key] for key in sorted(self._edges))
+        """All edges, sorted by (a, b): each as listed at its lower end ``a``."""
+        return tuple(e for a, entries in enumerate(self._adj) for b, e in entries if a < b)
 
     def neighbors(self, v: NodeId, traversable_only: bool = False) -> list[NodeId]:
         """Adjacent node ids in ascending order."""
@@ -495,7 +487,7 @@ class Datagraph:
         self._require_sealed()
         self._check_node(a)
         self._check_node(b)
-        return self._edges.get((min(a, b), max(a, b)))
+        return self._lookup(a, b)
 
     # -- distances & paths ------------------------------------------------------
 
@@ -601,7 +593,9 @@ class Datagraph:
 
         Violations are data, not errors. Generation and loading check each
         record and edge as they build it, so their graphs always pass; this
-        is the lint for any graph, whatever built it.
+        is the lint for any graph, whatever built it. Edges are checked where the
+        adjacency lists them: an entry ``v -> w`` is ``edge-key`` if its edge
+        joins that pair as ``a > b``, ``adjacency-edge`` if it joins another.
         """
         out: list[Violation] = []
         for index, node in enumerate(self._nodes):
@@ -620,12 +614,7 @@ class Datagraph:
                     detail = f"node {node.id} object {obj.instance_id} at {obj.world_position}"
                     out.append(Violation("object-position", detail))
         n = len(self._nodes)
-        for key, edge in self._edges.items():
-            if key != (min(edge.a, edge.b), max(edge.a, edge.b)):
-                out.append(Violation("edge-key", f"edge {edge} stored under key {key}"))
-            out.extend(_edge_faults(edge.a, edge.b, edge.length_m, n))
-        for v in range(n):
-            entries = self._adj[v]
+        for v, entries in enumerate(self._adj):
             ids = [w for w, _ in entries]
             if ids != sorted(ids):
                 out.append(Violation("adjacency-order", f"node {v} adjacency {ids} not ascending"))
@@ -635,8 +624,12 @@ class Datagraph:
                 if not 0 <= w < n:
                     out.append(Violation("edge-endpoint", f"node {v} adjacent to missing node {w}"))
                     continue
-                if self._edges.get((min(v, w), max(v, w))) is not edge:
-                    out.append(Violation("adjacency-edge", f"adjacency {v}->{w} disagrees with edge table"))
+                pair = (v, w) if v < w else (w, v)
+                if (edge.a, edge.b) != pair:
+                    invariant = "edge-key" if (edge.b, edge.a) == pair else "adjacency-edge"
+                    out.append(Violation(invariant, f"adjacency {v}->{w} holds edge {edge}"))
+                elif v <= w:  # each edge once, at its lower end
+                    out.extend(_edge_faults(edge.a, edge.b, edge.length_m, n))
                 if not any(u == v and back is edge for u, back in self._adj[w]):
                     out.append(Violation("adjacency-symmetry", f"{v} lists {w} but {w} does not list {v}"))
         return out
@@ -763,6 +756,11 @@ class Datagraph:
         return cls.from_json_dict(doc)
 
     # -- internals -----------------------------------------------------------
+
+    def _lookup(self, a: NodeId, b: NodeId) -> Edge | None:
+        entries = self._adj[a]  # bisected: (b,) sorts after smaller ids and before any (b, edge)
+        i = bisect_left(entries, (b,))
+        return entries[i][1] if i < len(entries) and entries[i][0] == b else None
 
     def _check_node(self, v: NodeId) -> None:
         if type(v) is int and 0 <= v < len(self._nodes):

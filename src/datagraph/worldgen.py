@@ -212,7 +212,7 @@ class WorldSpec:
         return cls.from_json_dict(doc)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, slots=True, init=False)
 class GroundTruthInstance:
     """One object occurrence: a physical instance or its boundary duplicate.
 
@@ -239,8 +239,13 @@ class GroundTruthInstance:
     def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
         """The record of a checked scene object, sharing its attributes and position."""
         inst = object.__new__(cls)  # the fields are already checked: skip __init__
-        inst.__dict__.update(instance_id=obj.instance_id, label=obj.label, attributes=obj.attributes,
-                             world_position=obj.world_position, home_node=home_node, duplicate_of=duplicate_of)
+        set_field = object.__setattr__  # the class is frozen
+        set_field(inst, "instance_id", obj.instance_id)
+        set_field(inst, "label", obj.label)
+        set_field(inst, "attributes", obj.attributes)
+        set_field(inst, "world_position", obj.world_position)
+        set_field(inst, "home_node", home_node)
+        set_field(inst, "duplicate_of", duplicate_of)
         return inst
 
     def to_json_dict(self) -> dict:
@@ -377,7 +382,7 @@ class TaskSpec:
 # --- generation -----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class _Placement:
     node: NodeId
     label: str

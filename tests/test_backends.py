@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -235,6 +237,31 @@ def test_replay_store_rejects_garbage(tmp_path):
     path = tmp_path / "store.json"
     path.write_text("{not json")
     with pytest.raises(GraphParseError):
+        ReplayStore.load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("satisfied", "no", "satisfied must be a boolean, got 'no'"),
+        ("text", 5, "text must be a string, got 5"),
+        ("node", True, "node must be an integer, got True"),
+        ("count", "2", "count must be an integer, got '2'"),
+        ("backend_calls", 1.5, "backend_calls must be an integer, got 1.5"),
+    ],
+)
+def test_replay_store_rejects_mistyped_fields(tmp_path, field, value, message):
+    from datagraph import GraphParseError
+
+    recorder = RecordingBackend(OracleBackend())
+    recorder.answer(make_node([KEYFOB_42], node_id=4), Query("q", Predicate(label_equals="keyfob")))
+    path = tmp_path / "store.json"
+    recorder.store.save(path)
+    doc = json.loads(path.read_text())
+    (key, response), = doc["responses"].items()
+    response[field] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(GraphParseError, match=re.escape(f"replay store entry '{key}': {message}")):
         ReplayStore.load(path)
 
 

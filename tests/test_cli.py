@@ -189,6 +189,9 @@ def input_files(tmp_path, world_dir):
     build_graph(2, []).save(files["island"])
     files["empty_store"] = tmp_path / "store.json"
     ReplayStore().save(files["empty_store"])
+    files["mistyped_store"] = tmp_path / "mistyped_store.json"
+    response = {"node": 0, "satisfied": "no", "matches": [], "count": 0, "text": "", "backend_calls": 1}
+    files["mistyped_store"].write_text(json.dumps({"format_version": 1, "responses": {"0:abc": response}}))
     files["directory"] = tmp_path
     files["not_utf8"] = tmp_path / "not_utf8.json"
     files["not_utf8"].write_bytes(b"\xff\xfe")
@@ -264,6 +267,9 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="compare-negative-seed-flag"),
         pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, "error: invalid JSON",
                      id="replay-bad-store"),
+        pytest.param(["replay-run", "--store", "{mistyped_store}", "--config", "{no_truth}"], 2,
+                     "error: replay store entry '0:abc': satisfied must be a boolean, got 'no'",
+                     id="replay-mistyped-store"),
         pytest.param(["compare", "--config", "{missing_world}"], 1, "4 trial run(s) errored",
                      id="compare-missing-world"),
         pytest.param(["compare", "--config", "{world_directory}"], 1, "4 trial run(s) errored",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from datagraph import (
     Datagraph,
     DuplicateEdgeError,
+    Edge,
     GraphParseError,
     GraphStateError,
     GraphValidationError,
@@ -278,6 +279,30 @@ def test_validate_reports_asymmetric_adjacency(path_graph):
         v.invariant == "adjacency-symmetry" and "1" in v.detail and "0" in v.detail
         for v in violations
     )
+
+
+def _relist(graph, pair, edge):
+    """Replace the adjacency entries of ``pair`` at both of its ends with ``edge``."""
+    v, w = pair
+    adj = [list(entries) for entries in graph._adj]
+    adj[v] = [(u, edge if u == w else e) for u, e in adj[v]]
+    adj[w] = [(u, edge if u == v else e) for u, e in adj[w]]
+    graph._adj = tuple(tuple(entries) for entries in adj)
+
+
+def test_validate_reports_adjacency_entry_naming_other_endpoints(path_graph):
+    _relist(path_graph, (0, 1), path_graph.edge_between(1, 2))
+    violations = path_graph.validate()
+    assert [v.invariant for v in violations] == ["adjacency-edge", "adjacency-edge"]
+    assert all("0" in v.detail and "1" in v.detail for v in violations)
+
+
+def test_validate_reports_edge_with_endpoints_out_of_order(path_graph):
+    _relist(path_graph, (0, 1), Edge(1, 0))
+    violations = path_graph.validate()
+    assert violations
+    assert {v.invariant for v in violations} <= {"edge-key", "adjacency-edge"}
+    assert all("0" in v.detail and "1" in v.detail for v in violations)
 
 
 def test_validate_reports_bad_length_injected_past_construction():

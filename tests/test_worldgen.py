@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import copy
+import gc
 import hashlib
 import json
 import math
+import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -367,6 +371,47 @@ def test_ground_truth_instance_rejects_wrong_kinds_with_value_error():
         GroundTruthInstance(0, "keyfob", {}, (0.0, 0.0), 0)
     with pytest.raises(ValueError):
         GroundTruthInstance(0, "keyfob", {}, (0.0, 0.0, 0.0), 1.0)
+
+
+# --- memory and copies -------------------------------------------------------------
+
+
+def test_generated_world_stays_under_a_memory_budget_per_room():
+    """Live bytes of a 40x40 world plus its ground truth, traced after a full
+    collection. Slotted records keep it near 2.0 KB per room; an instance
+    ``__dict__`` per record would take it to about 2.9 KB."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        graph, ground_truth = generate_world(WorldSpec(grid_w=40, grid_h=40, seed=0))
+        gc.collect()
+        per_room = (tracemalloc.get_traced_memory()[0] - before) / len(graph)
+    finally:
+        tracemalloc.stop()
+    assert ground_truth.instances
+    assert per_room < 2400, f"{per_room:.0f} B/room"
+
+
+def test_world_records_are_slotted():
+    graph, ground_truth = generate_world(WorldSpec(grid_w=3, grid_h=3, seed=1))
+    node = next(n for n in graph.nodes() if n.snapshot.objects)
+    records = [node, node.pose, node.snapshot, node.snapshot.objects[0], graph.edges()[0],
+               ground_truth.instances[0]]
+    for record in records:
+        assert not hasattr(record, "__dict__"), type(record).__name__
+        with pytest.raises(AttributeError):  # no ad-hoc attribute, even past the frozen check
+            object.__setattr__(record, "note", "x")
+
+
+@pytest.mark.parametrize("duplicate", [lambda x: pickle.loads(pickle.dumps(x)), copy.deepcopy],
+                         ids=["pickle", "deepcopy"])
+def test_world_copies_compare_equal(duplicate):
+    graph, ground_truth = generate_world(WorldSpec(grid_w=6, grid_h=6, seed=3, boundary_duplicate_prob=0.3))
+    graph_copy, truth_copy = duplicate((graph, ground_truth))
+    assert graph_copy is not graph and graph_copy == graph
+    assert truth_copy is not ground_truth and truth_copy == ground_truth
+    assert graph_copy.validate() == []  # both ends of each edge still hold one Edge
 
 
 # --- ground_truth_nearest -------------------------------------------------------
