@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
 
@@ -32,7 +32,17 @@ from .errors import (
     RemoteTimeoutError,
     ReplayMissError,
 )
-from .graph import Node, NodeId, SceneObject, Snapshot, _check_id, _KindError, _object_text, _read_text
+from .graph import (
+    Node,
+    NodeId,
+    SceneObject,
+    Snapshot,
+    _check_id,
+    _KindError,
+    _object_text,
+    _read_text,
+    _slot_setters,
+)
 
 if TYPE_CHECKING:
     from .worldgen import GroundTruthInstance
@@ -117,23 +127,36 @@ class Query:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class QueryResponse:
     """One backend answer for one node.
 
     ``backend_calls`` counts real backend invocations this response cost:
     1 for a live answer, 0 when served from a cache or replay store.
+    A traversal builds one per scene query, so ``__init__`` sets each field
+    once, and converts ``matches`` to a tuple only when it is not one.
     """
 
     node: NodeId
     satisfied: bool
-    matches: tuple[SceneObject, ...] = ()
-    count: int = 0
-    text: str = ""
-    backend_calls: int = 1
+    matches: tuple[SceneObject, ...]
+    count: int
+    text: str
+    backend_calls: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "matches", tuple(self.matches))
+    def __init__(self, node, satisfied, matches=(), count=0, text="", backend_calls=1):
+        set_node, set_satisfied, set_matches, set_count, set_text, set_calls = _RESPONSE_SETTERS
+        set_node(self, node)
+        set_satisfied(self, satisfied)
+        set_matches(self, matches if type(matches) is tuple else tuple(matches))
+        set_count(self, count)
+        set_text(self, text)
+        set_calls(self, backend_calls)
+
+    def _with(self, node: NodeId, backend_calls: int) -> QueryResponse:
+        """This answer with ``node`` and ``backend_calls`` replaced, as
+        ``dataclasses.replace`` would make it, without its per-call field walk."""
+        return QueryResponse(node, self.satisfied, self.matches, self.count, self.text, backend_calls)
 
     def to_json_dict(self) -> dict:
         return {
@@ -162,6 +185,9 @@ class QueryResponse:
             text=text,
             backend_calls=_check_id(doc.get("backend_calls", 1), "backend_calls"),
         )
+
+
+_RESPONSE_SETTERS = _slot_setters(QueryResponse)
 
 
 @dataclass(frozen=True)
@@ -228,7 +254,19 @@ def oracle_answer(snapshot: Snapshot, query: Query, node: NodeId = -1) -> QueryR
     Matches are returned in snapshot order. ``satisfied`` is count > 0 for
     every mode; ``assess_hazard`` behaves like ``find`` over the predicate.
     """
-    matches = tuple(obj for obj in snapshot.objects if predicate_eval(query.predicate, obj))
+    predicate = query.predicate
+    label, clauses = predicate.label_key, predicate.attribute_equals
+    found = []
+    for obj in snapshot.objects:  # predicate_eval, inline: this runs once per scene query
+        if label is not None and obj.label.lower() != label:
+            continue
+        attributes = obj.attributes
+        for key, value in clauses:
+            if attributes.get(key) != value:
+                break
+        else:
+            found.append(obj)
+    matches = tuple(found)
     count = len(matches)
     if count == 0:
         text = "no matching objects"
@@ -353,7 +391,8 @@ class ReplayBackend:
         self.store = store
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
-        return replace(self.store.lookup(node.id, query), backend_calls=0)
+        response = self.store.lookup(node.id, query)
+        return response._with(response.node, 0)
 
 
 class RecordingBackend:
@@ -394,7 +433,7 @@ class CachingBackend:
             cached = self._cache.get(key)
             if cached is not None:
                 self.hits += 1
-                return replace(cached, backend_calls=0)
+                return cached._with(cached.node, 0)
         response = self.inner.answer(node, query)  # errors propagate, uncached
         with self._lock:
             self._cache.setdefault(key, response)

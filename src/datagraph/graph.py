@@ -4,12 +4,15 @@ A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
 :meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
 with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
 by one checked builder, :meth:`Datagraph._assemble`, which seals them, with
-the cyclic garbage collector paused (:func:`_collector_paused`). The
-records it takes check their own fields with one helper per kind of field
-(ids, labels, attributes, number vectors), and the loaders use the same
-helpers, so each check is written once. Sealed graphs are immutable, safe
-to share across threads without locking, and are the only graphs accepted by
-the distance and path queries. Every query breaks ties deterministically
+the cyclic garbage collector paused (:func:`_collector_paused`). Records
+built by hand or loaded check their own fields with one helper per kind of
+field (ids, labels, attributes, number vectors), and the loaders use the
+same helpers, so each check is written once. Generated records are built
+unchecked, each once, through their ``_of``: world generation checks its
+spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks), and every
+field it derives from that spec is valid by construction. Sealed graphs are
+immutable, safe to share across threads without locking, and are the only
+graphs accepted by the distance and path queries. Every query breaks ties deterministically
 (ascending node ids, lexicographically smallest paths) so traversals are
 reproducible. The records are frozen, slotted dataclasses, so they take no
 ``__dict__`` and no attribute beyond their fields; an edge is stored only in
@@ -29,7 +32,7 @@ import math
 import numbers
 from bisect import bisect_left, insort
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -169,7 +172,19 @@ def _as_vec3(values, what: str) -> tuple[float, float, float]:
 
 # Records whose fields are checked or converted set each field once, in their
 # own __init__: a generated __init__ plus a __post_init__ would set those
-# fields twice, and loading a world builds thousands of records.
+# fields twice, and loading a world builds thousands of records. World
+# generation computes fields that are right by construction from a spec
+# checked once, so it builds each record through the record's unchecked
+# ``_of``, which sets each field once through its slot's setter.
+
+
+def _slot_setters(cls) -> tuple:
+    """The ``__set__`` of each field's slot on a frozen, slotted record, in field order.
+
+    They write past the frozen ``__setattr__`` as ``object.__setattr__`` does,
+    without looking the field up by name on every call.
+    """
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -192,6 +207,15 @@ class Pose:
             if not math.isfinite(norm) or abs(norm - 1.0) > _QUAT_NORM_TOL:
                 raise ValueError(f"quaternion norm {norm!r} is not within {_QUAT_NORM_TOL} of 1")
         set_field(self, "orientation", orientation)
+
+    @classmethod
+    def _of(cls, position: tuple[float, float, float]) -> Pose:
+        """The unoriented pose at ``position``, three finite floats, unchecked."""
+        pose = _new(cls)
+        set_position, set_orientation = _POSE_SETTERS
+        set_position(pose, position)
+        set_orientation(pose, None)
+        return pose
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -217,6 +241,21 @@ class SceneObject:
             world_position = _as_vec3(world_position, "world_position")
         set_field(self, "world_position", world_position)
         set_field(self, "instance_id", _check_id(instance_id, "instance_id"))
+
+    @classmethod
+    def _of(cls, label: str, attributes: dict[str, str], world_position, instance_id: int) -> SceneObject:
+        """The object of fields that ``__init__`` would store unchanged, unchecked.
+
+        It keeps ``attributes`` itself, not a copy, so the caller hands over a
+        dict that no other object holds.
+        """
+        obj = _new(cls)
+        set_label, set_attributes, set_position, set_id = _OBJECT_SETTERS
+        set_label(obj, label)
+        set_attributes(obj, attributes)
+        set_position(obj, world_position)
+        set_id(obj, instance_id)
+        return obj
 
     def to_json_dict(self) -> dict:
         return {
@@ -254,12 +293,31 @@ class Snapshot:
         set_field(self, "objects", tuple(objects))
         set_field(self, "payload_ref", payload_ref)
 
+    @classmethod
+    def _of(cls, objects: tuple[SceneObject, ...]) -> Snapshot:
+        """The snapshot of a tuple of objects, with no payload ref, unchecked."""
+        snapshot = _new(cls)
+        set_objects, set_payload_ref = _SNAPSHOT_SETTERS
+        set_objects(snapshot, objects)
+        set_payload_ref(snapshot, None)
+        return snapshot
+
 
 @dataclass(frozen=True, slots=True)
 class Node:
     id: NodeId
     pose: Pose
     snapshot: Snapshot
+
+    @classmethod
+    def _of(cls, node_id: NodeId, pose: Pose, snapshot: Snapshot) -> Node:
+        """``Node(node_id, pose, snapshot)``, set through the slot setters."""
+        node = _new(cls)
+        set_id, set_pose, set_snapshot = _NODE_SETTERS
+        set_id(node, node_id)
+        set_pose(node, pose)
+        set_snapshot(node, snapshot)
+        return node
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,6 +328,25 @@ class Edge:
     b: NodeId
     traversable: bool = True
     length_m: float = 1.0
+
+    @classmethod
+    def _of(cls, a: NodeId, b: NodeId, traversable: bool, length_m: float) -> Edge:
+        """``Edge(a, b, traversable, length_m)``, set through the slot setters."""
+        edge = _new(cls)
+        set_a, set_b, set_traversable, set_length = _EDGE_SETTERS
+        set_a(edge, a)
+        set_b(edge, b)
+        set_traversable(edge, traversable)
+        set_length(edge, length_m)
+        return edge
+
+
+_new = object.__new__
+_POSE_SETTERS = _slot_setters(Pose)
+_OBJECT_SETTERS = _slot_setters(SceneObject)
+_SNAPSHOT_SETTERS = _slot_setters(Snapshot)
+_NODE_SETTERS = _slot_setters(Node)
+_EDGE_SETTERS = _slot_setters(Edge)
 
 
 @dataclass(frozen=True)
@@ -424,7 +501,7 @@ class Datagraph:
             if found:
                 faults += found
             else:
-                kept[key] = Edge(key[0], key[1], traversable, length_m)
+                kept[key] = Edge._of(key[0], key[1], traversable, length_m)
         graph = cls()
         graph._nodes = nodes
         graph._adj = [[] for _ in range(n)]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 from .backends import Query, QueryBackend, QueryResponse
@@ -136,7 +136,7 @@ def _run(
         except BackendError as exc:
             raise TraversalAbortedError(v, result()) from exc
         if response.node != v:
-            response = replace(response, node=v)
+            response = response._with(v, response.backend_calls)
         responses.append(response)
         visit_order.append(v)
         if v in hop_map:

@@ -40,6 +40,7 @@ from .graph import (
     _collector_paused,
     _KindError,
     _read_text,
+    _slot_setters,
     by_metric,
 )
 
@@ -67,8 +68,8 @@ class CatalogEntry:
     weight: float = 1.0
 
     def __post_init__(self):
-        if not self.label:
-            raise WorldSpecError("catalog label must be non-empty")
+        if not isinstance(self.label, str) or not self.label:
+            raise WorldSpecError(f"catalog label must be a non-empty string, got {self.label!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise WorldSpecError(f"catalog weight for {self.label!r} must be >= 0")
         attrs = {str(k): dict(v) for k, v in dict(self.attributes).items()}
@@ -140,6 +141,15 @@ class WorldSpec:
                 raise WorldSpecError(f"{name} must be a positive integer, got {value!r}")
         if not (math.isfinite(self.room_size_m) and self.room_size_m > 0):
             raise WorldSpecError(f"room_size_m must be positive, got {self.room_size_m!r}")
+        try:  # every generated coordinate lies within the grid's extent
+            extent_finite = math.isfinite(max(self.grid_w, self.grid_h) * self.room_size_m)
+        except OverflowError:  # an int too large for a float
+            extent_finite = False
+        if not extent_finite:
+            raise WorldSpecError(
+                f"grid_w and grid_h times room_size_m must be finite, got "
+                f"{self.grid_w} x {self.grid_h} rooms of {self.room_size_m!r} m"
+            )
         for name in ("door_prob", "boundary_duplicate_prob"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
@@ -237,15 +247,16 @@ class GroundTruthInstance:
 
     @classmethod
     def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
-        """The record of a checked scene object, sharing its attributes and position."""
-        inst = object.__new__(cls)  # the fields are already checked: skip __init__
-        set_field = object.__setattr__  # the class is frozen
-        set_field(inst, "instance_id", obj.instance_id)
-        set_field(inst, "label", obj.label)
-        set_field(inst, "attributes", obj.attributes)
-        set_field(inst, "world_position", obj.world_position)
-        set_field(inst, "home_node", home_node)
-        set_field(inst, "duplicate_of", duplicate_of)
+        """The record of a generated scene object, sharing its attributes and
+        position, unchecked (see :meth:`SceneObject._of`)."""
+        inst = object.__new__(cls)
+        set_id, set_label, set_attributes, set_position, set_home, set_duplicate_of = _INSTANCE_SETTERS
+        set_id(inst, obj.instance_id)
+        set_label(inst, obj.label)
+        set_attributes(inst, obj.attributes)
+        set_position(inst, obj.world_position)
+        set_home(inst, home_node)
+        set_duplicate_of(inst, duplicate_of)
         return inst
 
     def to_json_dict(self) -> dict:
@@ -264,6 +275,9 @@ class GroundTruthInstance:
             raise _KindError(f"instance must be a JSON object, got {doc!r}")
         return cls(doc["instance_id"], doc["label"], doc.get("attributes", {}), doc["world_position"],
                    doc["home_node"], doc.get("duplicate_of"))
+
+
+_INSTANCE_SETTERS = _slot_setters(GroundTruthInstance)
 
 
 def _instance_text(inst: GroundTruthInstance) -> str:
@@ -406,14 +420,18 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     _assign_number_refs(spec, placements, rng)
     _inject_boundary_duplicates(spec, placements, set(edge_pairs), rng)
 
+    # every field below is right by construction from the checked spec, so
+    # each record is built once, unchecked, through its _of
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     instances = []
+    new_object, new_instance = SceneObject._of, GroundTruthInstance._of
     for instance_id, p in enumerate(placements):
-        obj = SceneObject(p.label, p.attributes, p.position, instance_id)
+        obj = new_object(p.label, p.attributes, p.position, instance_id)
         per_node[p.node].append(obj)
-        instances.append(GroundTruthInstance._of(obj, p.node, p.duplicate_of))
+        instances.append(new_instance(obj, p.node, p.duplicate_of))
     centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
-    nodes = [Node(v, Pose(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
+    new_node, new_pose, new_snapshot = Node._of, Pose._of, Snapshot._of
+    nodes = [new_node(v, new_pose(centers[v]), new_snapshot(tuple(objs))) for v, objs in enumerate(per_node)]
     del placements, per_node
     edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
     graph, violations = Datagraph._assemble(nodes, edges)
@@ -467,9 +485,10 @@ _MAX_PLACE_TRIES = 64
 
 
 class _SeparationGrid:
-    """One label's placed positions, bucketed in square cells (a grid hash).
+    """One label's placed positions, bucketed in square cells (a grid hash),
+    which are held row by row.
 
-    :meth:`admits` accepts a candidate iff every placed position is at least
+    :meth:`admit` places a candidate iff every placed position is at least
     ``separation`` away by ``math.dist``, exactly as a scan over all of them
     would, but it only looks at the 3x3 block of cells around the candidate.
     That suffices because the side is at least twice the separation, which
@@ -480,25 +499,27 @@ class _SeparationGrid:
     def __init__(self, separation: float, room_size_m: float):
         self.separation = separation
         self.side = max(2.0 * separation, room_size_m / 4)
-        self._cells: dict[tuple[int, int], list[tuple[float, float, float]]] = {}
+        self._rows: dict[int, dict[int, list[tuple[float, float, float]]]] = {}
 
-    def cell(self, position: tuple[float, float, float]) -> tuple[int, int]:
-        return math.floor(position[0] / self.side), math.floor(position[1] / self.side)
+    def admit(self, candidate: tuple[float, float, float]) -> bool:
+        """Place ``candidate`` if it keeps the separation; return whether it did.
 
-    def admits(self, candidate: tuple[float, float, float], cell: tuple[int, int]) -> bool:
-        """Whether ``candidate``, which lies in ``cell``, keeps the separation."""
-        if self.separation == 0:
+        With separation 0 every candidate is admitted, and none is stored.
+        """
+        separation = self.separation
+        if separation == 0:
             return True
-        ci, cj = cell
+        side, rows = self.side, self._rows
+        ci, cj = math.floor(candidate[0] / side), math.floor(candidate[1] / side)
         for i in (ci - 1, ci, ci + 1):
-            for j in (cj - 1, cj, cj + 1):
-                for other in self._cells.get((i, j), ()):
-                    if not math.dist(candidate, other) >= self.separation:
-                        return False
+            row = rows.get(i)
+            if row is not None:
+                for j in (cj - 1, cj, cj + 1):
+                    for other in row.get(j, ()):
+                        if not math.dist(candidate, other) >= separation:
+                            return False
+        rows.setdefault(ci, {}).setdefault(cj, []).append(candidate)
         return True
-
-    def add(self, position: tuple[float, float, float], cell: tuple[int, int]) -> None:
-        self._cells.setdefault(cell, []).append(position)
 
 
 def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
@@ -516,29 +537,34 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
         entry.label: _SeparationGrid(spec.min_label_separation_m, spec.room_size_m)
         for entry in spec.catalog
     }
+    # per catalog entry: its label, its label's grid, and its const and choice
+    # attributes in name order as (name, const value, choice values or None)
+    kinds = [
+        (entry.label, grids[entry.label].admit, tuple(
+            (name, desc.get("value"), desc["values"] if desc["kind"] == "choice" else None)
+            for name, desc in sorted(entry.attributes.items())
+            if desc["kind"] in ("const", "choice")
+        ))
+        for entry in spec.catalog
+    ]
+    random, integers, poisson = rng.random, rng.integers, rng.poisson
+    pick, mean = bisect.bisect_right, spec.objects_per_room_mean
     for v in range(spec.grid_w * spec.grid_h):
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, spec.room_size_m)
         # lo + (hi - lo) * rng.random() is what rng.uniform(lo, hi) computes
         x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        for _ in range(int(rng.poisson(spec.objects_per_room_mean))):
-            entry = spec.catalog[bisect.bisect_right(cdf, rng.random())]
-            grid = grids[entry.label]
+        for _ in range(int(poisson(mean))):
+            label, admit, plan = kinds[pick(cdf, random())]
             for _try in range(_MAX_PLACE_TRIES):
-                position = (x_lo + x_span * rng.random(), y_lo + y_span * rng.random(), 0.0)
-                cell = grid.cell(position)
-                if grid.admits(position, cell):
+                position = (x_lo + x_span * random(), y_lo + y_span * random(), 0.0)
+                if admit(position):
                     break
             else:
                 continue  # room too crowded for this label; skip the object
             attributes: dict[str, str] = {}
-            for name in sorted(entry.attributes):
-                desc = entry.attributes[name]
-                if desc["kind"] == "const":
-                    attributes[name] = desc["value"]
-                elif desc["kind"] == "choice":
-                    attributes[name] = desc["values"][int(rng.integers(len(desc["values"])))]
-            placements.append(_Placement(v, entry.label, position, attributes))
-            grid.add(position, cell)
+            for name, value, values in plan:
+                attributes[name] = value if values is None else values[int(integers(len(values)))]
+            placements.append(_Placement(v, label, position, attributes))
     return placements
 
 
@@ -600,7 +626,8 @@ def _inject_boundary_duplicates(
         eligible = [(gap, w) for gap, w in sides if gap <= BOUNDARY_BAND_M and (min(v, w), max(v, w)) in doors]
         if eligible and rng.random() < spec.boundary_duplicate_prob:
             _, target = min(eligible)
-            duplicates.append(_Placement(target, p.label, p.position, p.attributes, duplicate_of=original_id))
+            # a copy of the attributes: each scene object owns its dict
+            duplicates.append(_Placement(target, p.label, p.position, dict(p.attributes), duplicate_of=original_id))
     placements.extend(duplicates)
 
 

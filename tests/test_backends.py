@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import pickle
 import re
 from dataclasses import replace
 
@@ -145,6 +146,30 @@ def test_response_json_round_trip():
     assert QueryResponse.from_json_dict(resp.to_json_dict()) == resp
 
 
+def test_response_keeps_its_dataclass_behaviour():
+    resp = QueryResponse(node=3, satisfied=True, matches=[KEYFOB_42, DOOR_42], count=2, text="t")
+    assert resp.matches == (KEYFOB_42, DOOR_42)  # a list becomes a tuple
+    assert resp.backend_calls == 1
+    assert QueryResponse(node=3, satisfied=False) == QueryResponse(3, False, (), 0, "", 1)
+    assert resp == QueryResponse(3, True, (KEYFOB_42, DOOR_42), 2, "t", 1) != replace(resp, count=1)
+    served = replace(resp, backend_calls=0)
+    assert served.backend_calls == 0 and served.matches is resp.matches
+    assert pickle.loads(pickle.dumps(resp)) == resp
+    assert resp.to_json_dict() == {
+        "node": 3, "satisfied": True, "matches": [KEYFOB_42.to_json_dict(), DOOR_42.to_json_dict()],
+        "count": 2, "text": "t", "backend_calls": 1,
+    }
+    assert not hasattr(resp, "__dict__")
+    with pytest.raises(AttributeError):
+        resp.count = 5
+
+
+def test_response_copy_equals_dataclasses_replace():
+    resp = QueryResponse(3, True, (KEYFOB_42,), 1, "found it", 1)
+    assert resp._with(7, 0) == replace(resp, node=7, backend_calls=0)
+    assert resp._with(3, 1) == resp
+
+
 # --- oracle ---------------------------------------------------------------------
 
 
@@ -202,6 +227,26 @@ def test_property_oracle_satisfied_iff_some_object_matches(n_objects, seed):
     assert list(resp.matches) == brute
     # purity: identical call, identical response
     assert oracle_answer(Snapshot(objs), query) == resp
+
+
+clause_keys = st.sampled_from(["number", "color", "hazard"])
+clause_values = st.sampled_from(["1", "2", "red", "true"])
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(["keyfob", "KeyFob", "door", "crate"]),
+                       st.dictionaries(clause_keys, clause_values, max_size=3)), max_size=6),
+    st.sampled_from([None, "keyfob", "KEYFOB", "door", "chair"]),
+    st.lists(st.tuples(clause_keys, clause_values), max_size=3),
+)
+def test_property_oracle_matches_what_predicate_eval_accepts(objects, label, clauses):
+    if label is None and not clauses:
+        clauses = [("number", "1")]
+    predicate = Predicate(label_equals=label, attribute_equals=tuple(clauses))
+    objs = tuple(SceneObject(name, attrs, (float(i), 0.0, 0.0), i) for i, (name, attrs) in enumerate(objects))
+    resp = oracle_answer(Snapshot(objs), Query("q", predicate))
+    assert resp.matches == tuple(obj for obj in objs if predicate_eval(predicate, obj))
+    assert resp.count == len(resp.matches) and resp.satisfied == bool(resp.matches)
 
 
 # --- replay -----------------------------------------------------------------------

@@ -192,6 +192,10 @@ def input_files(tmp_path, world_dir):
     files["mistyped_store"] = tmp_path / "mistyped_store.json"
     response = {"node": 0, "satisfied": "no", "matches": [], "count": 0, "text": "", "backend_calls": 1}
     files["mistyped_store"].write_text(json.dumps({"format_version": 1, "responses": {"0:abc": response}}))
+    files["int_label_spec"] = tmp_path / "int_label_spec.json"
+    files["int_label_spec"].write_text(json.dumps(
+        {"format_version": 1, "grid_w": 2, "grid_h": 2, "catalog": [{"label": 5}]}
+    ))
     files["directory"] = tmp_path
     files["not_utf8"] = tmp_path / "not_utf8.json"
     files["not_utf8"].write_bytes(b"\xff\xfe")
@@ -295,6 +299,12 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(["gen", "--spec", "{not_utf8}", "{directory}/out"], 2,
                      "not_utf8.json: not UTF-8 text: invalid start byte at byte 0",
                      id="gen-spec-not-utf8"),
+        pytest.param(["gen", "--spec", "{int_label_spec}", "{directory}/out"], 2,
+                     "error: catalog label must be a non-empty string, got 5",
+                     id="gen-spec-int-catalog-label"),
+        pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,
+                     "error: grid_w and grid_h times room_size_m must be finite, got 3 x 6 rooms of 1e+308 m",
+                     id="gen-grid-extent-not-finite"),
         pytest.param(ROUTE + ["--routes", "{directory}"], 2, ": Is a directory",
                      id="routes-directory"),
         pytest.param(["gen", "{afile}"], 2, "error: cannot write {afile}: File exists",

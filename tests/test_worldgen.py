@@ -21,6 +21,7 @@ from datagraph import (
     OracleBackend,
     Pose,
     Predicate,
+    SceneObject,
     Snapshot,
     TaskSpec,
     TaskUnavailableError,
@@ -82,6 +83,28 @@ def test_spec_rejects_catalog_weights_without_finite_sum():
 def test_catalog_entry_rejects_unknown_generator():
     with pytest.raises(WorldSpecError):
         CatalogEntry("thing", {"x": {"kind": "sequence"}})
+
+
+@pytest.mark.parametrize("label", [5, None, b"crate", ""])
+def test_catalog_entry_rejects_a_label_that_is_no_non_empty_string(label):
+    with pytest.raises(WorldSpecError, match="catalog label must be a non-empty string"):
+        CatalogEntry(label)
+
+
+@pytest.mark.parametrize("grid_w, grid_h, room_size_m", [
+    (3, 1, 1e308),
+    (1, 2, 1e308),
+    (2, 2, 9e307),
+    (10**400, 1, 1.0),  # too large for a float
+])
+def test_spec_rejects_a_grid_whose_extent_is_not_finite(grid_w, grid_h, room_size_m):
+    with pytest.raises(WorldSpecError, match="grid_w and grid_h times room_size_m must be finite"):
+        WorldSpec(grid_w=grid_w, grid_h=grid_h, room_size_m=room_size_m)
+
+
+def test_spec_accepts_the_largest_finite_extent():
+    WorldSpec(grid_w=1, grid_h=1, room_size_m=1e308)
+    WorldSpec(grid_w=2, grid_h=3, room_size_m=5e307)
 
 
 def test_spec_json_round_trip(tmp_path):
@@ -155,8 +178,8 @@ def test_same_label_instances_keep_min_separation():
 
 @st.composite
 def separation_cases(draw):
-    """Placed positions and candidates for one label, many of them on cell
-    edges or exactly one separation away from a placed position."""
+    """Candidate positions for one label, many of them on cell edges or
+    exactly one separation away from an earlier candidate."""
     separation = draw(st.sampled_from([0.0, 1e-300, 0.25, 1.1, 7.5, 1e6]) | st.floats(0.0, 20.0))
     room = draw(st.sampled_from([1.0, 4.0, 6.0]))
     side = _SeparationGrid(separation, room).side
@@ -167,28 +190,97 @@ def separation_cases(draw):
     )
     coordinate = st.floats(0.0, extent) | near_edge
     point = st.tuples(coordinate, coordinate).map(lambda xy: (xy[0], xy[1], 0.0))
-    placed = draw(st.lists(point, max_size=25))
-    candidates = draw(st.lists(point, min_size=1, max_size=10))
+    first = draw(st.lists(point, max_size=25))
+    later = draw(st.lists(point, min_size=1, max_size=10))
     diagonal = separation / math.sqrt(2)
-    for x, y, _ in placed[:5]:
-        candidates += [
+    for x, y, _ in first[:5]:
+        later += [
             (x + separation, y, 0.0),
             (x, y - separation, 0.0),
             (x + diagonal, y + diagonal, 0.0),
             (math.nextafter(x + separation, -math.inf), y, 0.0),
         ]
-    return separation, room, placed, candidates
+    return separation, room, first + later
 
 
 @settings(max_examples=300, deadline=None)
 @given(separation_cases())
 def test_property_grid_hash_decides_like_all_pairs_scan(case):
-    separation, room, placed, candidates = case
+    separation, room, candidates = case
     grid = _SeparationGrid(separation, room)
-    for position in placed:
-        grid.add(position, grid.cell(position))
+    placed = []
     for candidate in candidates:
-        assert grid.admits(candidate, grid.cell(candidate)) == all_pairs_admits(candidate, placed, separation)
+        admitted = all_pairs_admits(candidate, placed, separation)
+        assert grid.admit(candidate) == admitted
+        if admitted:
+            placed.append(candidate)
+
+
+@st.composite
+def generation_cases(draw):
+    """A spec with every attribute generator, separation 0 or crowded rooms,
+    boundary duplicates, room sizes from 1e-3 to 1e300, and catalog labels
+    that are not always non-empty strings."""
+    name = st.sampled_from(["number", "color", "hazard"]) | st.text(max_size=3)
+    text = st.text(max_size=4)
+    good_label = st.sampled_from(["chair", "keyfob", "door", "Crate"]) | st.text(min_size=1, max_size=4)
+    bad_label = st.sampled_from([5, None, ""])
+    labels = draw(st.lists(st.integers(0, 9).flatmap(lambda k: bad_label if k == 0 else good_label),
+                           min_size=1, max_size=4))
+    generator = st.one_of(
+        st.builds(lambda v: {"kind": "const", "value": v}, text),
+        st.builds(lambda vs: {"kind": "choice", "values": vs}, st.lists(text, min_size=1, max_size=3)),
+        st.just({"kind": "number_pool"}),
+        st.builds(lambda source: {"kind": "number_of", "label": source},
+                  st.sampled_from([label for label in labels if label] or ["keyfob"])),
+    )
+    weights = [draw(st.floats(0.1, 3.0))] + [
+        draw(st.just(0.0) | st.floats(0.1, 3.0)) for _ in labels[1:]
+    ]
+    entries = [(label, draw(st.dictionaries(name, generator, max_size=3)), weight)
+               for label, weight in zip(labels, weights)]
+    fields = dict(
+        grid_w=draw(st.integers(1, 4)),
+        grid_h=draw(st.integers(1, 4)),
+        room_size_m=draw(st.sampled_from([1e-3, 1.0, 6.0, 1e300]) | st.floats(1e-3, 8.0) | st.floats(1e-3, 1e300)),
+        door_prob=draw(st.floats(0.0, 1.0)),
+        objects_per_room_mean=draw(st.sampled_from([0.0, 2.0, 6.0]) | st.floats(0.5, 5.0)),
+        boundary_duplicate_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**64 - 1)),
+        min_label_separation_m=draw(st.sampled_from([0.0, 1.1, 4.0]) | st.floats(0.0, 5.0)),
+    )
+    return entries, fields
+
+
+def assert_rebuilt_alike(record, rebuilt):
+    assert rebuilt == record
+    assert repr(rebuilt) == repr(record)  # also the types: 0.0 is not 0, a str subclass shows
+
+
+@settings(max_examples=200, deadline=None)
+@given(generation_cases())
+def test_property_generated_records_equal_their_checked_rebuilds(case):
+    """Generation builds its records unchecked, from a spec checked once; each
+    must equal the record its checking constructor builds from its fields."""
+    entries, fields = case
+    try:
+        spec = WorldSpec(catalog=tuple(CatalogEntry(*entry) for entry in entries), **fields)
+    except WorldSpecError:
+        assert any(not isinstance(label, str) or not label for label, _, _ in entries)
+        return
+    graph, ground_truth = generate_world(spec)
+    for node in graph.nodes():
+        assert_rebuilt_alike(node.pose, Pose(node.pose.position))
+        for obj in node.snapshot.objects:
+            assert_rebuilt_alike(obj, SceneObject(obj.label, obj.attributes, obj.world_position, obj.instance_id))
+        assert_rebuilt_alike(node.snapshot, Snapshot(node.snapshot.objects))
+    for inst in ground_truth.instances:
+        rebuilt = GroundTruthInstance(inst.instance_id, inst.label, inst.attributes, inst.world_position,
+                                      inst.home_node, inst.duplicate_of)
+        assert_rebuilt_alike(inst, rebuilt)
+    objects = [obj for node in graph.nodes() for obj in node.snapshot.objects]
+    assert len({id(obj.attributes) for obj in objects}) == len(objects)  # one attributes dict each
+    assert graph.validate() == []
 
 
 # SHA-256 of each saved world followed by its saved ground truth, as the
