@@ -12,11 +12,11 @@ unchecked, each once, through their ``_of``: world generation checks its
 spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks), and every
 field it derives from that spec is valid by construction. Sealed graphs are
 immutable, safe to share across threads without locking, and are the only
-graphs accepted by the distance and path queries. Every query breaks ties deterministically
-(ascending node ids, lexicographically smallest paths) so traversals are
-reproducible. The records are frozen, slotted dataclasses, so they take no
-``__dict__`` and no attribute beyond their fields; an edge is stored only in
-the adjacency lists of its two ends.
+graphs accepted by the distance and path queries. Every query breaks ties
+deterministically (ascending node ids, lexicographically smallest paths) so
+traversals are reproducible. The records are frozen, slotted dataclasses,
+so they take no ``__dict__`` and no attribute beyond their fields; an edge
+is stored only in the adjacency lists of its two ends.
 
 The distance maps, :meth:`Datagraph.hop_distances` (BFS) and
 :meth:`Datagraph.geodesic_distances` (Dijkstra), are the only graph searches
