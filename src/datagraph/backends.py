@@ -254,19 +254,7 @@ def oracle_answer(snapshot: Snapshot, query: Query, node: NodeId = -1) -> QueryR
     Matches are returned in snapshot order. ``satisfied`` is count > 0 for
     every mode; ``assess_hazard`` behaves like ``find`` over the predicate.
     """
-    predicate = query.predicate
-    label, clauses = predicate.label_key, predicate.attribute_equals
-    found = []
-    for obj in snapshot.objects:  # predicate_eval, inline: this runs once per scene query
-        if label is not None and obj.label.lower() != label:
-            continue
-        attributes = obj.attributes
-        for key, value in clauses:
-            if attributes.get(key) != value:
-                break
-        else:
-            found.append(obj)
-    matches = tuple(found)
+    matches = tuple(obj for obj in snapshot.objects if predicate_eval(query.predicate, obj))
     count = len(matches)
     if count == 0:
         text = "no matching objects"

@@ -237,13 +237,13 @@ class GroundTruthInstance:
     duplicate_of: int | None
 
     def __init__(self, instance_id, label, attributes, world_position, home_node, duplicate_of=None):
-        set_field = object.__setattr__  # the class is frozen
-        set_field(self, "instance_id", _check_id(instance_id, "instance_id"))
-        set_field(self, "label", _check_label(label, "label"))
-        set_field(self, "attributes", _check_attributes(attributes))
-        set_field(self, "world_position", _as_vec3(world_position, "world_position"))
-        set_field(self, "home_node", _check_id(home_node, "home_node"))
-        set_field(self, "duplicate_of", None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"))
+        set_id, set_label, set_attributes, set_position, set_home, set_duplicate_of = _INSTANCE_SETTERS
+        set_id(self, _check_id(instance_id, "instance_id"))
+        set_label(self, _check_label(label, "label"))
+        set_attributes(self, _check_attributes(attributes))
+        set_position(self, _as_vec3(world_position, "world_position"))
+        set_home(self, _check_id(home_node, "home_node"))
+        set_duplicate_of(self, None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"))
 
     @classmethod
     def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
@@ -409,19 +409,21 @@ class _Placement:
 def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     """Build a connected room-grid world; deterministic in the spec."""
     rng = np.random.default_rng(spec.seed)
-    gw, gh, size = spec.grid_w, spec.grid_h, spec.room_size_m
+    # a float room size keeps every derived position and length a float, as
+    # the checking constructors would store them, whatever real the spec holds
+    gw, gh, size = spec.grid_w, spec.grid_h, float(spec.room_size_m)
     n = gw * gh
 
     walls = _interior_walls(gw, gh)
     edge_pairs = _choose_doors(walls, spec.door_prob, rng)
 
-    placements = _place_objects(spec, rng)
+    placements = _place_objects(spec, size, rng)
     _assign_number_pools(spec, placements, rng)
     _assign_number_refs(spec, placements, rng)
-    _inject_boundary_duplicates(spec, placements, set(edge_pairs), rng)
+    _inject_boundary_duplicates(spec, size, placements, set(edge_pairs), rng)
 
     # every field below is right by construction from the checked spec, so
-    # each record is built once, unchecked, through its _of
+    # the scene objects, ground-truth instances and poses skip their checks
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     instances = []
     new_object, new_instance = SceneObject._of, GroundTruthInstance._of
@@ -430,8 +432,7 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
         per_node[p.node].append(obj)
         instances.append(new_instance(obj, p.node, p.duplicate_of))
     centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
-    new_node, new_pose, new_snapshot = Node._of, Pose._of, Snapshot._of
-    nodes = [new_node(v, new_pose(centers[v]), new_snapshot(tuple(objs))) for v, objs in enumerate(per_node)]
+    nodes = [Node(v, Pose._of(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
     del placements, per_node
     edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
     graph, violations = Datagraph._assemble(nodes, edges)
@@ -522,7 +523,7 @@ class _SeparationGrid:
         return True
 
 
-def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
+def _place_objects(spec: WorldSpec, size: float, rng) -> list[_Placement]:
     placements: list[_Placement] = []
     if spec.objects_per_room_mean == 0 or not spec.catalog:
         return placements
@@ -534,7 +535,7 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
     cdf /= cdf[-1]
     cdf = cdf.tolist()
     grids = {
-        entry.label: _SeparationGrid(spec.min_label_separation_m, spec.room_size_m)
+        entry.label: _SeparationGrid(spec.min_label_separation_m, size)
         for entry in spec.catalog
     }
     # per catalog entry: its label, its label's grid, and its const and choice
@@ -550,7 +551,7 @@ def _place_objects(spec: WorldSpec, rng) -> list[_Placement]:
     random, integers, poisson = rng.random, rng.integers, rng.poisson
     pick, mean = bisect.bisect_right, spec.objects_per_room_mean
     for v in range(spec.grid_w * spec.grid_h):
-        x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, spec.room_size_m)
+        x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, size)
         # lo + (hi - lo) * rng.random() is what rng.uniform(lo, hi) computes
         x_span, y_span = x_hi - x_lo, y_hi - y_lo
         for _ in range(int(poisson(mean))):
@@ -601,6 +602,7 @@ def _assign_number_refs(spec: WorldSpec, placements: list[_Placement], rng) -> N
 
 def _inject_boundary_duplicates(
     spec: WorldSpec,
+    size: float,
     placements: list[_Placement],
     doors: set[tuple[NodeId, NodeId]],
     rng,
@@ -612,7 +614,7 @@ def _inject_boundary_duplicates(
     leak detections."""
     if spec.boundary_duplicate_prob == 0:
         return
-    gw, size = spec.grid_w, spec.room_size_m
+    gw = spec.grid_w
     duplicates: list[_Placement] = []
     for original_id, p in enumerate(placements):
         v, (x, y, _) = p.node, p.position

@@ -229,26 +229,6 @@ def test_property_oracle_satisfied_iff_some_object_matches(n_objects, seed):
     assert oracle_answer(Snapshot(objs), query) == resp
 
 
-clause_keys = st.sampled_from(["number", "color", "hazard"])
-clause_values = st.sampled_from(["1", "2", "red", "true"])
-
-
-@given(
-    st.lists(st.tuples(st.sampled_from(["keyfob", "KeyFob", "door", "crate"]),
-                       st.dictionaries(clause_keys, clause_values, max_size=3)), max_size=6),
-    st.sampled_from([None, "keyfob", "KEYFOB", "door", "chair"]),
-    st.lists(st.tuples(clause_keys, clause_values), max_size=3),
-)
-def test_property_oracle_matches_what_predicate_eval_accepts(objects, label, clauses):
-    if label is None and not clauses:
-        clauses = [("number", "1")]
-    predicate = Predicate(label_equals=label, attribute_equals=tuple(clauses))
-    objs = tuple(SceneObject(name, attrs, (float(i), 0.0, 0.0), i) for i, (name, attrs) in enumerate(objects))
-    resp = oracle_answer(Snapshot(objs), Query("q", predicate))
-    assert resp.matches == tuple(obj for obj in objs if predicate_eval(predicate, obj))
-    assert resp.count == len(resp.matches) and resp.satisfied == bool(resp.matches)
-
-
 # --- replay -----------------------------------------------------------------------
 
 

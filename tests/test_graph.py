@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import copy
 import json
 import math
+import pickle
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
@@ -611,6 +614,22 @@ def test_record_constructors_accept_numpy_numbers():
     assert all(type(c) is float for c in pose.position + pose.orientation)
     obj = SceneObject("crate", world_position=(np.int64(1), 2, 3), instance_id=np.int64(4))
     assert obj.world_position == (1.0, 2.0, 3.0)
+
+
+def test_node_and_edge_keep_their_dataclass_behaviour():
+    pose, snapshot = Pose((1.0, 2.0, 0.0)), Snapshot()
+    node = Node(id=3, pose=pose, snapshot=snapshot)
+    assert node == Node(3, pose, snapshot) != replace(node, id=4)
+    edge = Edge(1, 2)
+    assert edge == Edge(a=1, b=2, traversable=True, length_m=1.0)
+    assert replace(edge, length_m=2.5) == Edge(1, 2, True, 2.5)
+    assert repr(edge) == "Edge(a=1, b=2, traversable=True, length_m=1.0)"
+    for record, field in ((node, "id"), (edge, "a")):
+        assert pickle.loads(pickle.dumps(record)) == record == copy.deepcopy(record)
+        assert hash(record) == hash(copy.copy(record))
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
 
 
 def test_node_lookup_takes_ints_and_numpy_ints_but_not_bools(path_graph):

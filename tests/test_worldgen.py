@@ -8,8 +8,9 @@ import math
 import pickle
 import tracemalloc
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from datagraph import (
@@ -219,8 +220,8 @@ def test_property_grid_hash_decides_like_all_pairs_scan(case):
 @st.composite
 def generation_cases(draw):
     """A spec with every attribute generator, separation 0 or crowded rooms,
-    boundary duplicates, room sizes from 1e-3 to 1e300, and catalog labels
-    that are not always non-empty strings."""
+    boundary duplicates, room sizes from 1e-3 to 1e300 (some of them ints or
+    numpy scalars), and catalog labels that are not always non-empty strings."""
     name = st.sampled_from(["number", "color", "hazard"]) | st.text(max_size=3)
     text = st.text(max_size=4)
     good_label = st.sampled_from(["chair", "keyfob", "door", "Crate"]) | st.text(min_size=1, max_size=4)
@@ -242,7 +243,8 @@ def generation_cases(draw):
     fields = dict(
         grid_w=draw(st.integers(1, 4)),
         grid_h=draw(st.integers(1, 4)),
-        room_size_m=draw(st.sampled_from([1e-3, 1.0, 6.0, 1e300]) | st.floats(1e-3, 8.0) | st.floats(1e-3, 1e300)),
+        room_size_m=draw(st.sampled_from([1e-3, 1.0, 6.0, 1e300, 6, 1, np.float32(6), np.float32(0.3), np.float64(2.5)])
+                         | st.floats(1e-3, 8.0) | st.floats(1e-3, 1e300)),
         door_prob=draw(st.floats(0.0, 1.0)),
         objects_per_room_mean=draw(st.sampled_from([0.0, 2.0, 6.0]) | st.floats(0.5, 5.0)),
         boundary_duplicate_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
@@ -257,8 +259,15 @@ def assert_rebuilt_alike(record, rebuilt):
     assert repr(rebuilt) == repr(record)  # also the types: 0.0 is not 0, a str subclass shows
 
 
+def crowded_fields(room_size_m):
+    return dict(grid_w=2, grid_h=2, room_size_m=room_size_m, door_prob=0.5, objects_per_room_mean=6.0,
+                boundary_duplicate_prob=0.5, seed=1, min_label_separation_m=0.0)
+
+
 @settings(max_examples=200, deadline=None)
 @given(generation_cases())
+@example(([(5, {}, 1.0)], crowded_fields(6.0)))
+@example(([("chair", {"color": {"kind": "const", "value": "red"}}, 1.0)], crowded_fields(np.float32(0.3))))
 def test_property_generated_records_equal_their_checked_rebuilds(case):
     """Generation builds its records unchecked, from a spec checked once; each
     must equal the record its checking constructor builds from its fields."""
