@@ -37,10 +37,10 @@ from .graph import (
     NodeId,
     SceneObject,
     Snapshot,
+    _check_bool,
     _check_id,
     _KindError,
     _object_text,
-    _read_text,
     _slot_setters,
 )
 
@@ -172,9 +172,7 @@ class QueryResponse:
     def from_json_dict(cls, doc: dict) -> QueryResponse:
         """A recorded response, each field checked here rather than in
         ``__post_init__``, which runs once per scene query."""
-        satisfied, text = doc["satisfied"], doc.get("text", "")
-        if not isinstance(satisfied, bool):
-            raise _KindError(f"satisfied must be a boolean, got {satisfied!r}")
+        satisfied, text = _check_bool(doc["satisfied"], "satisfied"), doc.get("text", "")
         if not isinstance(text, str):
             raise _KindError(f"text must be a string, got {text!r}")
         return cls(
@@ -351,15 +349,8 @@ class ReplayStore:
 
     @classmethod
     def load(cls, source) -> ReplayStore:
-        text = _read_text(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        if not isinstance(doc, dict) or doc.get("format_version") != cls.FORMAT_VERSION:
-            raise GraphParseError("replay store: unsupported or missing format_version")
+        """Read a store document from a path (:func:`output.read_document`)."""
+        doc = output.read_document(source, GraphParseError, cls.FORMAT_VERSION)
         store = cls()
         responses = doc.get("responses")
         if not isinstance(responses, dict):

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import sys
 
 import click
@@ -16,7 +15,7 @@ from .errors import (
     GraphValidationError,
     TraversalAbortedError,
 )
-from .graph import Datagraph, _read_text
+from .graph import Datagraph
 from .harness import (
     BackendConfig,
     ExperimentConfig,
@@ -206,10 +205,7 @@ def _backend_config(backend, store, base_url, timeout_ms, auth_token) -> Backend
 
 
 def _read_routes(path) -> list[list[int]]:
-    try:
-        routes = json.loads(_read_text(path, ConfigError))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"routes file {path} is not valid JSON: {exc}") from exc
+    routes = output.read_document(path, ConfigError)
     if not isinstance(routes, list) or not all(isinstance(r, list) and r for r in routes):
         raise ConfigError(f"routes file {path}: expected an array of non-empty node id arrays")
     return routes

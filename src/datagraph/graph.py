@@ -4,20 +4,22 @@ A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
 :meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
 with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
 by one checked builder, :meth:`Datagraph._assemble`, which seals them, with
-the cyclic garbage collector paused (:func:`_collector_paused`). Records
-built by hand or loaded check their own fields with one helper per kind of
-field (ids, labels, attributes, number vectors), and the loaders use the
-same helpers, so each check is written once. Generated poses and scene
-objects are built unchecked, each once, through their ``_of``: world
-generation checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold
-those checks), and every field it derives from that spec is valid by
-construction. Sealed graphs are immutable, safe to share across threads
-without locking, and are the only graphs accepted by the distance and path
-queries. Every query breaks ties deterministically (ascending node ids,
-lexicographically smallest paths) so traversals are reproducible. The
-records are frozen, slotted dataclasses, so they take no ``__dict__`` and no
-attribute beyond their fields; an edge is stored only in the adjacency lists
-of its two ends.
+the cyclic garbage collector paused (:func:`_collector_paused`). Loading
+reads the document through :func:`output.read_document`, the one reader of
+every input file, which also checks its ``format_version``. Records built by
+hand or loaded check their own fields with one helper per kind of field
+(ids, booleans, labels, attributes, numbers and number vectors), and the
+loaders, the experiment config and the world spec use the same helpers, so
+each check is written once. Generated poses and scene objects are built
+unchecked, each once, through their ``_of``: world generation checks its
+spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks), and every
+field it derives from that spec is valid by construction. Sealed graphs are
+immutable, safe to share across threads without locking, and are the only
+graphs accepted by the distance and path queries. Every query breaks ties
+deterministically (ascending node ids, lexicographically smallest paths) so
+traversals are reproducible. The records are frozen, slotted dataclasses, so
+they take no ``__dict__`` and no attribute beyond their fields; an edge is
+stored only in the adjacency lists of its two ends.
 
 The distance maps, :meth:`Datagraph.hop_distances` (BFS) and
 :meth:`Datagraph.geodesic_distances` (Dijkstra), are the only graph searches
@@ -28,14 +30,12 @@ a metric name.
 from __future__ import annotations
 
 import gc
-import json
 import math
 import numbers
 from bisect import bisect_left, insort
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from heapq import heappop, heappush
-from pathlib import Path
 
 from . import output
 from .errors import (
@@ -85,18 +85,6 @@ def _collector_paused():
         gc.enable()
 
 
-def _read_text(source, error: type[Exception] = GraphParseError) -> str:
-    """A UTF-8 file's text; an unreadable file is an ``error`` naming it."""
-    try:
-        return Path(source).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise error(f"cannot read {source}: {exc.strerror or exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise error(
-            f"cannot read {source}: not UTF-8 text: {exc.reason} at byte {exc.start}"
-        ) from exc
-
-
 # The field checks: the record constructors and both loaders call these, so
 # each check is written once. Each returns the checked value. A wrong kind of
 # value raises _KindError, a bad value of the right kind ValueError.
@@ -111,6 +99,12 @@ def _check_id(value, what: str) -> int:
     """An integer id; its range is the caller's business."""
     if type(value) is not int and not _is_integer(value):  # a plain int skips the ABC check
         raise _KindError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _check_bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise _KindError(f"{what} must be a boolean, got {value!r}")
     return value
 
 
@@ -739,11 +733,7 @@ class Datagraph:
         offending ``nodes[i]`` or ``edges[i]``; structural problems raise
         :class:`GraphValidationError` listing violations.
         """
-        if not isinstance(doc, dict):
-            raise GraphParseError("top level: expected an object")
-        version = doc.get("format_version")
-        if version != 1:
-            raise GraphParseError(f"format_version: expected 1, got {version!r}")
+        output.check_version(doc, 1, "world")
         raw_nodes = doc.get("nodes")
         raw_edges = doc.get("edges")
         if not isinstance(raw_nodes, list):
@@ -791,8 +781,7 @@ class Datagraph:
                 raise GraphParseError(f"edges[{i}]: missing field {exc}") from exc
             try:
                 a, b = _check_id(a, "a"), _check_id(b, "b")
-                if not isinstance(traversable, bool):
-                    raise _KindError(f"traversable must be a boolean, got {traversable!r}")
+                traversable = _check_bool(traversable, "traversable")
                 edges.append((a, b, traversable, _as_float(length_m, "length_m")))
             except _KindError as exc:
                 raise GraphParseError(f"edges[{i}]: {exc}") from exc
@@ -807,15 +796,8 @@ class Datagraph:
     @classmethod
     @_collector_paused()
     def load(cls, source) -> Datagraph:
-        """Read a graph document from a path."""
-        text = _read_text(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(
-                f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-            ) from exc
-        return cls.from_json_dict(doc)
+        """Read a graph document from a path (:func:`output.read_document`)."""
+        return cls.from_json_dict(output.read_document(source, GraphParseError, 1))
 
     # -- internals -----------------------------------------------------------
 

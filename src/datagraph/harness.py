@@ -17,7 +17,7 @@ import io
 import json
 import statistics
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ from .backends import (
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
-from .graph import Datagraph, NodeId, _collector_paused, _read_text, by_metric
+from .graph import Datagraph, NodeId, _check_bool, _check_id, _collector_paused, _KindError, by_metric
 from .traversal import (
     AggregateReport,
     TraversalResult,
@@ -58,19 +58,6 @@ from .worldgen import (
 STRATEGIES = ("proximity", "brute_force")
 REPORT_FORMATS = ("json", "csv")
 COMPARE_TASK_KINDS = ("nearest_search", "keyfob_match")
-
-CSV_HEADER = [
-    "task_id",
-    "strategy",
-    "backend_calls",
-    "hops_of_found",
-    "meters_of_found",
-    "optimal_hops",
-    "found_is_closest",
-    "wall_time_ms",
-    "cache_hits",
-    "error",
-]
 
 _TASK_RETRY_ATTEMPTS = 20
 
@@ -154,8 +141,11 @@ class ExperimentConfig:
     brute_force_stop_on_first: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        object.__setattr__(self, "report_formats", tuple(self.report_formats))
+        for name in ("strategies", "report_formats"):
+            names = getattr(self, name)
+            if not isinstance(names, (list, tuple)):
+                raise ConfigError(f"{name} must be an array of names, got {names!r}")
+            object.__setattr__(self, name, tuple(names))
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
         for strategy in self.strategies:
@@ -222,12 +212,12 @@ class ExperimentConfig:
         try:
             tasks = TaskConfig(
                 kind=tasks_doc["kind"],
-                count=int(tasks_doc.get("count", 1)),
+                count=_check_id(tasks_doc.get("count", 1), "count"),
                 seed=tasks_doc.get("seed", 0),
             )
         except KeyError as exc:
             raise ConfigError(f"config.tasks: missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"config.tasks: {exc}") from exc
         backend_doc = merged.get("backend", {"kind": "oracle"})
         if not isinstance(backend_doc, dict):
@@ -238,42 +228,47 @@ class ExperimentConfig:
             try:
                 remote = RemoteEndpointConfig(
                     base_url=remote_doc["base_url"],
-                    timeout_ms=int(remote_doc.get("timeout_ms", 10_000)),
-                    max_in_flight=int(remote_doc.get("max_in_flight", 4)),
+                    timeout_ms=_check_id(remote_doc.get("timeout_ms", 10_000), "timeout_ms"),
+                    max_in_flight=_check_id(remote_doc.get("max_in_flight", 4), "max_in_flight"),
                     auth_token=remote_doc.get("auth_token"),
                 )
             except KeyError as exc:
                 raise ConfigError(f"config.backend: missing field {exc}") from exc
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ConfigError(f"config.backend: {exc}") from exc
         backend = BackendConfig(
             kind=backend_doc.get("kind", "oracle"),
             store_path=backend_doc.get("store_path"),
             record_path=backend_doc.get("record_path"),
             remote=remote,
-            forward_annotations=bool(backend_doc.get("forward_annotations", False)),
+            forward_annotations=_flag(backend_doc, "forward_annotations", False, "config.backend"),
         )
         return cls(
             world=world,
             tasks=tasks,
             backend=backend,
-            strategies=tuple(merged.get("strategies", STRATEGIES)),
-            cache_enabled=bool(merged.get("cache_enabled", True)),
+            strategies=merged.get("strategies", STRATEGIES),
+            cache_enabled=_flag(merged, "cache_enabled", True),
             output_dir=merged.get("output_dir"),
-            report_formats=tuple(merged.get("report_formats", ("json",))),
+            report_formats=merged.get("report_formats", ("json",)),
             metric=merged.get("metric", "hops"),
-            shared_cache=bool(merged.get("shared_cache", False)),
-            brute_force_stop_on_first=bool(merged.get("brute_force_stop_on_first", False)),
+            shared_cache=_flag(merged, "shared_cache", False),
+            brute_force_stop_on_first=_flag(merged, "brute_force_stop_on_first", False),
         )
 
     @classmethod
     def load(cls, source, overrides: dict | None = None) -> ExperimentConfig:
-        """Parse a config file; ``overrides`` as in :meth:`from_json_dict`."""
-        try:
-            doc = json.loads(_read_text(source, ConfigError))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(doc, overrides)
+        """Read a config file (:func:`output.read_document`); ``overrides`` as in
+        :meth:`from_json_dict`."""
+        return cls.from_json_dict(output.read_document(source, ConfigError), overrides)
+
+
+def _flag(doc: dict, name: str, default: bool, where: str = "config") -> bool:
+    """A boolean config field; any other kind of value is a ConfigError."""
+    try:
+        return _check_bool(doc.get(name, default), f"{where}.{name}")
+    except _KindError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -290,18 +285,10 @@ class TrialRecord:
     error: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "task_id": self.task_id,
-            "strategy": self.strategy,
-            "backend_calls": self.backend_calls,
-            "hops_of_found": self.hops_of_found,
-            "meters_of_found": self.meters_of_found,
-            "optimal_hops": self.optimal_hops,
-            "found_is_closest": self.found_is_closest,
-            "wall_time_ms": self.wall_time_ms,
-            "cache_hits": self.cache_hits,
-            "error": self.error,
-        }
+        return asdict(self)
+
+
+CSV_HEADER = [f.name for f in fields(TrialRecord)]
 
 
 @dataclass(frozen=True)
@@ -433,8 +420,10 @@ def build_base_backend(config: BackendConfig) -> tuple[QueryBackend, ReplayStore
 def run_compare(config: ExperimentConfig) -> MetricsReport:
     """Run every seeded task under every selected strategy and score it.
 
-    Both strategies of a trial see the identical world and task, each behind
-    an independent fresh cache (unless ``shared_cache``). A saved world is
+    Both strategies of a trial see the identical world and task. With
+    ``cache_enabled`` and ``shared_cache`` each strategy keeps one cache for
+    the whole run; no trial queries a scene twice, so a cache that lives for
+    one trial would never hit, and none is built. A saved world is
     loaded and checked once per run. Failures to load the world, set up a
     trial or answer a query mark the trial errored and the run continues.
     """
@@ -447,7 +436,10 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
             saved = load_world_files(config.world)
         except DatagraphError as exc:
             world_error = str(exc)
-    shared_caches: dict[str, CachingBackend] = {}
+    shared_caches = {
+        strategy: CachingBackend(base_backend)
+        for strategy in (config.strategies if config.cache_enabled and config.shared_cache else ())
+    }
     rows: list[TrialRecord] = []
     for trial in range(config.tasks.count):
         error = world_error
@@ -469,14 +461,8 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
             )
             optimal = nearest[1] if nearest is not None else None
         for strategy in sorted(config.strategies):
-            backend: QueryBackend = base_backend
-            cache = None
-            if config.cache_enabled:
-                if config.shared_cache:
-                    cache = shared_caches.setdefault(strategy, CachingBackend(base_backend))
-                else:
-                    cache = CachingBackend(base_backend)
-                backend = cache
+            cache = shared_caches.get(strategy)
+            backend: QueryBackend = base_backend if cache is None else cache
             hits_before = cache.hits if cache else 0
             started = time.perf_counter()
             try:

@@ -1,5 +1,10 @@
-"""Output files: saved documents written record by record, and the one way
-to write any output file.
+"""Document files: the one reader of every input file, saved documents
+written record by record, and the one way to write any output file.
+
+:func:`read_document` reads a world, ground truth, replay store, world spec,
+config or routes file; any fault is one error ``cannot read PATH: REASON``.
+:func:`check_version` checks a saved document's envelope (the top-level
+object with its ``format_version``), which :func:`save_document` writes.
 
 A saved world, ground truth or replay store is exactly the text of
 ``json.dumps(doc.to_json_dict(), indent=2) + "\\n"``, but it is never built
@@ -18,12 +23,13 @@ written is an :class:`OutputError` naming it.
 
 from __future__ import annotations
 
+import json
 import os
 from collections.abc import Iterable, Mapping, Sequence
 from json.encoder import encode_basestring_ascii as string
 from pathlib import Path
 
-from .errors import OutputError
+from .errors import GraphParseError, OutputError
 
 _float = float.__repr__
 _int = int.__repr__
@@ -63,6 +69,32 @@ def mapping(values: Mapping[str, str], pad: str) -> str:
     inner = "\n" + pad + "  "
     pairs = ("," + inner).join([string(k) + ": " + string(v) for k, v in values.items()])
     return "{" + inner + pairs + "\n" + pad + "}"
+
+
+def check_version(doc, version: int, what: str, error: type[Exception] = GraphParseError):
+    """``doc`` if it is an object whose ``format_version`` is ``version``, else an ``error``."""
+    if not isinstance(doc, dict):
+        raise error(f"{what}: expected an object")
+    if doc.get("format_version") != version:
+        raise error(f"{what}: format_version: expected {version}, got {doc.get('format_version')!r}")
+    return doc
+
+
+def read_document(source, error: type[Exception] = GraphParseError, format_version: int | None = None):
+    """The JSON document in the UTF-8 file ``source``, its envelope checked if
+    ``format_version`` is given; any fault is an ``error`` ``cannot read PATH: ...``."""
+    what = f"cannot read {source}"
+    try:
+        doc = json.loads(Path(source).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise error(f"{what}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what}: not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+    except json.JSONDecodeError as exc:
+        raise error(f"{what}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # an integer too long to convert, nesting too deep
+        raise error(f"{what}: invalid JSON: {exc}") from exc
+    return doc if format_version is None else check_version(doc, format_version, what, error)
 
 
 def _document(format_version: int, fields) -> Iterable[str]:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import json
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -33,13 +34,13 @@ from .graph import (
     Pose,
     SceneObject,
     Snapshot,
+    _as_float,
     _as_vec3,
     _check_attributes,
     _check_id,
     _check_label,
     _collector_paused,
     _KindError,
-    _read_text,
     _slot_setters,
     by_metric,
 )
@@ -47,6 +48,15 @@ from .graph import (
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
 
 _ATTR_KINDS = ("const", "choice", "number_pool", "number_of")
+
+
+def _check_number(value, what: str) -> None:
+    """A real number within float range, not a bool or a string; the value
+    itself is kept as given, so an int stays an int in saved specs."""
+    try:
+        _as_float(value, what)
+    except _KindError as exc:
+        raise WorldSpecError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -70,6 +80,7 @@ class CatalogEntry:
     def __post_init__(self):
         if not isinstance(self.label, str) or not self.label:
             raise WorldSpecError(f"catalog label must be a non-empty string, got {self.label!r}")
+        _check_number(self.weight, f"catalog weight for {self.label!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise WorldSpecError(f"catalog weight for {self.label!r} must be >= 0")
         attrs = {str(k): dict(v) for k, v in dict(self.attributes).items()}
@@ -139,8 +150,15 @@ class WorldSpec:
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise WorldSpecError(f"{name} must be a positive integer, got {value!r}")
-        if not (math.isfinite(self.room_size_m) and self.room_size_m > 0):
-            raise WorldSpecError(f"room_size_m must be positive, got {self.room_size_m!r}")
+        for name in ("room_size_m", "door_prob", "objects_per_room_mean",
+                     "boundary_duplicate_prob", "min_label_separation_m"):
+            _check_number(getattr(self, name), name)
+        # a subnormal size rounds neighboring room centers to one float
+        if not (math.isfinite(self.room_size_m) and self.room_size_m >= sys.float_info.min):
+            raise WorldSpecError(
+                f"room_size_m must be positive and at least {sys.float_info.min!r}, "
+                f"got {self.room_size_m!r}"
+            )
         try:  # every generated coordinate lies within the grid's extent
             extent_finite = math.isfinite(max(self.grid_w, self.grid_h) * self.room_size_m)
         except OverflowError:  # an int too large for a float
@@ -192,10 +210,7 @@ class WorldSpec:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> WorldSpec:
-        if not isinstance(doc, dict):
-            raise WorldSpecError("world spec: expected an object")
-        if doc.get("format_version") != 1:
-            raise WorldSpecError(f"world spec: unsupported format_version {doc.get('format_version')!r}")
+        output.check_version(doc, 1, "world spec", WorldSpecError)
         try:
             return cls(
                 grid_w=doc["grid_w"],
@@ -215,11 +230,8 @@ class WorldSpec:
 
     @classmethod
     def load(cls, source) -> WorldSpec:
-        try:
-            doc = json.loads(_read_text(source, WorldSpecError))
-        except json.JSONDecodeError as exc:
-            raise WorldSpecError(f"world spec is not valid JSON: {exc}") from exc
-        return cls.from_json_dict(doc)
+        """Read a spec document from a path (:func:`output.read_document`)."""
+        return cls.from_json_dict(output.read_document(source, WorldSpecError, 1))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -328,14 +340,8 @@ class GroundTruth:
     @classmethod
     @_collector_paused()
     def load(cls, source) -> GroundTruth:
-        text = _read_text(source)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise GraphParseError(f"ground truth is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format_version") != 1:
-            raise GraphParseError("ground truth: unsupported or missing format_version")
-        raw = doc.get("instances")
+        """Read a ground-truth document from a path (:func:`output.read_document`)."""
+        raw = output.read_document(source, GraphParseError, 1).get("instances")
         if not isinstance(raw, list):
             raise GraphParseError("ground truth instances: expected an array")
         instances = []

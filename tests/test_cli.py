@@ -196,6 +196,21 @@ def input_files(tmp_path, world_dir):
     files["int_label_spec"].write_text(json.dumps(
         {"format_version": 1, "grid_w": 2, "grid_h": 2, "catalog": [{"label": 5}]}
     ))
+    files["store_v2"] = tmp_path / "store_v2.json"
+    files["store_v2"].write_text(json.dumps({"format_version": 2, "responses": {}}))
+    spec = {"format_version": 1, "grid_w": 2, "grid_h": 2}
+    for name, key, value in [
+        ("spec_v2", "format_version", 2),
+        ("spec_string_room_size", "room_size_m", "6"),
+        ("spec_subnormal_room_size", "room_size_m", 5e-324),
+        ("spec_string_door_prob", "door_prob", "0.3"),
+        ("spec_null_objects_mean", "objects_per_room_mean", None),
+        ("spec_bool_duplicate_prob", "boundary_duplicate_prob", True),
+        ("spec_list_separation", "min_label_separation_m", [1.1]),
+        ("spec_string_weight", "catalog", [{"label": "crate", "weight": "1"}]),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps({**spec, key: value}))
     files["directory"] = tmp_path
     files["not_utf8"] = tmp_path / "not_utf8.json"
     files["not_utf8"].write_bytes(b"\xff\xfe")
@@ -221,6 +236,26 @@ def input_files(tmp_path, world_dir):
             config["backend"] = backend
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(config))
+    # the saved-world config with one field overwritten
+    saved = json.loads(files["saved"].read_text())
+    for name, key, value in [
+        ("config_array", None, []),
+        ("config_spec_v2", "world", {"format_version": 2, "grid_w": 2, "grid_h": 2}),
+        ("config_string_cache", "cache_enabled", "false"),
+        ("config_string_shared_cache", "shared_cache", "false"),
+        ("config_string_stop_on_first", "brute_force_stop_on_first", "false"),
+        ("config_string_forward", "backend", {"kind": "oracle", "forward_annotations": "false"}),
+        ("config_fractional_count", "tasks", {"kind": "nearest_search", "count": 2.7}),
+        ("config_bool_count", "tasks", {"kind": "nearest_search", "count": True}),
+        ("config_fractional_timeout", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "timeout_ms": 2.5}),
+        ("config_fractional_in_flight", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "max_in_flight": 1.5}),
+        ("config_string_strategies", "strategies", "proximity"),
+        ("config_string_formats", "report_formats", "json"),
+    ]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps(value if key is None else {**saved, key: value}))
     files["afile"] = tmp_path / "afile"
     files["afile"].write_text("")
     files["short_route"] = tmp_path / "short_route.json"
@@ -239,6 +274,8 @@ def input_files(tmp_path, world_dir):
         ("gt_int_attribute", truth, truth["instances"][0], "attributes", {"number": 4}),
         ("gt_far_home", truth, truth["instances"][0], "home_node", 999),
         ("gt_dangling_duplicate", truth, truth["instances"][0], "duplicate_of", 999),
+        ("world_v2", world, world, "format_version", 2),
+        ("truth_v2", truth, truth, "format_version", 2),
     ]:
         saved = target[key]
         target[key] = value
@@ -248,6 +285,7 @@ def input_files(tmp_path, world_dir):
     return files
 
 
+BAD_JSON = "error: cannot read {bad}: invalid JSON at line 1, column 2: Expecting property name"
 ROUTE = ["route", "--world", "{world}", "--start", "0", "--goal", "11"]
 AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
 
@@ -255,8 +293,12 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
 @pytest.mark.parametrize(
     "args, exit_code, message",
     [
-        pytest.param(["compare", "--config", "{bad}"], 2, "error: config is not valid JSON",
-                     id="compare-bad-json"),
+        pytest.param(["compare", "--config", "{bad}"], 2, BAD_JSON, id="compare-bad-json"),
+        pytest.param(["compare", "--config", "{config_array}"], 2, "error: config: expected an object",
+                     id="compare-config-not-an-object"),
+        pytest.param(["compare", "--config", "{config_spec_v2}"], 2,
+                     "error: world spec: format_version: expected 1, got 2",
+                     id="compare-inline-spec-bad-version"),
         pytest.param(["compare"], 2, "error: no experiment config; pass --config FILE",
                      id="compare-no-config"),
         pytest.param(["compare", "--config", "{inline_shared}"], 2, "error: shared_cache needs a saved world",
@@ -269,8 +311,11 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(["compare", "--config", "{no_truth}", "--seed", "-1"], 2,
                      "error: task seed must be a non-negative integer, got -1",
                      id="compare-negative-seed-flag"),
-        pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, "error: invalid JSON",
+        pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, BAD_JSON,
                      id="replay-bad-store"),
+        pytest.param(["replay-run", "--store", "{store_v2}", "--config", "{no_truth}"], 2,
+                     "error: cannot read {store_v2}: format_version: expected 1, got 2",
+                     id="replay-store-bad-version"),
         pytest.param(["replay-run", "--store", "{mistyped_store}", "--config", "{no_truth}"], 2,
                      "error: replay store entry '0:abc': satisfied must be a boolean, got 'no'",
                      id="replay-mistyped-store"),
@@ -290,6 +335,19 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="validate-not-utf8"),
         pytest.param(["validate", "{directory}"], 2, ": Is a directory",
                      id="validate-directory"),
+        pytest.param(["validate", "{bad}"], 2, BAD_JSON, id="validate-bad-json"),
+        pytest.param(["validate", "{world_v2}"], 2,
+                     "error: cannot read {world_v2}: format_version: expected 1, got 2",
+                     id="validate-bad-version"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{bad}"], 2, BAD_JSON,
+                     id="aggregate-truth-bad-json"),
+        pytest.param(AGGREGATE + ["--ground-truth", "{truth_v2}"], 2,
+                     "error: cannot read {truth_v2}: format_version: expected 1, got 2",
+                     id="aggregate-truth-bad-version"),
+        pytest.param(["gen", "--spec", "{bad}", "{directory}/out"], 2, BAD_JSON, id="gen-spec-bad-json"),
+        pytest.param(["gen", "--spec", "{spec_v2}", "{directory}/out"], 2,
+                     "error: cannot read {spec_v2}: format_version: expected 1, got 2",
+                     id="gen-spec-bad-version"),
         pytest.param(AGGREGATE + ["--ground-truth", "{directory}"], 2, ": Is a directory",
                      id="aggregate-truth-directory"),
         pytest.param(["compare", "--config", "{directory}"], 2, ": Is a directory",
@@ -302,6 +360,44 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(["gen", "--spec", "{int_label_spec}", "{directory}/out"], 2,
                      "error: catalog label must be a non-empty string, got 5",
                      id="gen-spec-int-catalog-label"),
+        *[
+            pytest.param(["gen", "--spec", "{%s}" % name, "{directory}/out"], 2, message,
+                         id=name.replace("_", "-"))
+            for name, message in [
+                ("spec_string_room_size", "error: room_size_m must be a number, got '6'"),
+                ("spec_subnormal_room_size",
+                 "error: room_size_m must be positive and at least 2.2250738585072014e-308"),
+                ("spec_string_door_prob", "error: door_prob must be a number, got '0.3'"),
+                ("spec_null_objects_mean", "error: objects_per_room_mean must be a number, got None"),
+                ("spec_bool_duplicate_prob", "error: boundary_duplicate_prob must be a number, got True"),
+                ("spec_list_separation", "error: min_label_separation_m must be a number, got [1.1]"),
+                ("spec_string_weight", "error: catalog weight for 'crate' must be a number, got '1'"),
+            ]
+        ],
+        pytest.param(["gen", "--grid-w", "3", "--grid-h", "1", "--room-size", "5e-324", "{directory}/out"], 2,
+                     "error: room_size_m must be positive and at least 2.2250738585072014e-308, got 5e-324",
+                     id="gen-subnormal-room-size"),
+        *[
+            pytest.param(["compare", "--config", "{%s}" % name], 2, message, id=name.replace("_", "-"))
+            for name, message in [
+                ("config_string_cache", "error: config.cache_enabled must be a boolean, got 'false'"),
+                ("config_string_shared_cache", "error: config.shared_cache must be a boolean, got 'false'"),
+                ("config_string_stop_on_first",
+                 "error: config.brute_force_stop_on_first must be a boolean, got 'false'"),
+                ("config_string_forward",
+                 "error: config.backend.forward_annotations must be a boolean, got 'false'"),
+                ("config_fractional_count", "error: config.tasks: count must be an integer, got 2.7"),
+                ("config_bool_count", "error: config.tasks: count must be an integer, got True"),
+                ("config_fractional_timeout",
+                 "error: config.backend: timeout_ms must be an integer, got 2.5"),
+                ("config_fractional_in_flight",
+                 "error: config.backend: max_in_flight must be an integer, got 1.5"),
+                ("config_string_strategies",
+                 "error: strategies must be an array of names, got 'proximity'"),
+                ("config_string_formats",
+                 "error: report_formats must be an array of names, got 'json'"),
+            ]
+        ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,
                      "error: grid_w and grid_h times room_size_m must be finite, got 3 x 6 rooms of 1e+308 m",
                      id="gen-grid-extent-not-finite"),
@@ -323,10 +419,9 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(["route", "--world", "{island}", "--start", "0", "--goal", "1"], 2,
                      "error: goal 1 is unreachable from 0",
                      id="route-unreachable"),
-        pytest.param(["route", "--world", "{bad}", "--start", "0", "--goal", "1"], 2, "error: invalid JSON",
+        pytest.param(["route", "--world", "{bad}", "--start", "0", "--goal", "1"], 2, BAD_JSON,
                      id="route-bad-world"),
-        pytest.param(ROUTE + ["--routes", "{bad}"], 2, "error: routes file",
-                     id="routes-bad-json"),
+        pytest.param(ROUTE + ["--routes", "{bad}"], 2, BAD_JSON, id="routes-bad-json"),
         pytest.param(ROUTE + ["--routes", "{no_truth}"], 2, "expected an array of non-empty node id arrays",
                      id="routes-not-arrays"),
         pytest.param(ROUTE + ["--routes", "{short_route}"], 2,

@@ -352,6 +352,30 @@ def test_record_then_replay_matches(tmp_path):
     assert replayed.summary["proximity"]["closest_rate"] == recorded.summary["proximity"]["closest_rate"]
 
 
+@pytest.mark.parametrize("kind", ["nearest_search", "keyfob_match"])
+def test_only_a_shared_cache_is_built(tmp_path, monkeypatch, kind):
+    # no trial queries a scene twice, so a cache that lived for one trial would never hit
+    built = []
+    real_init = datagraph.harness.CachingBackend.__init__
+
+    def counting_init(self, inner):
+        built.append(self)
+        real_init(self, inner)
+
+    monkeypatch.setattr(datagraph.harness.CachingBackend, "__init__", counting_init)
+    world = save_world(tmp_path, WorldSpec(5, 5, seed=4, objects_per_room_mean=2.0))
+    config = compare_config(world=world, tasks=TaskConfig(kind, 3, 1))
+    reports = [
+        run_compare(replace(config, cache_enabled=cache, shared_cache=shared))
+        for cache, shared in [(False, False), (True, False), (True, True)]
+    ]
+    assert len(built) == 2  # one per strategy, for the shared run only
+    off, on, _ = (strip_wall_time(report.to_json_dict()) for report in reports)
+    assert all(row["cache_hits"] == 0 for row in off["per_trial"])
+    assert off["per_trial"] == on["per_trial"]
+    assert on["config"]["cache_enabled"] is True and off["config"]["cache_enabled"] is False
+
+
 def test_shared_cache_spans_trials_on_fixed_world(tmp_path):
     world = save_world(tmp_path, WorldSpec(3, 3, seed=8, objects_per_room_mean=2.0))
     config = compare_config(world=world, tasks=TaskConfig("nearest_search", 6, 2), shared_cache=True)

@@ -1,19 +1,25 @@
-"""Saved documents: the streaming writer against ``to_json_dict``, and atomic replacement."""
+"""Document files: the one reader, the streaming writer against ``to_json_dict``, and
+atomic replacement."""
 
 from __future__ import annotations
 
+import ast
 import gc
 import json
 import os
 import re
 import stat
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from datagraph import (
+    ConfigError,
     Datagraph,
+    ExperimentConfig,
+    GraphParseError,
     GroundTruth,
     GroundTruthInstance,
     OutputError,
@@ -25,9 +31,10 @@ from datagraph import (
     SceneObject,
     Snapshot,
     WorldSpec,
+    WorldSpecError,
     generate_world,
 )
-from datagraph import backends, graph, worldgen
+from datagraph import backends, cli, graph, output, worldgen
 from helpers import random_decorated_graph
 
 # characters json.dumps escapes (quote, backslash, controls), non-ASCII ones it
@@ -190,3 +197,78 @@ def test_an_unwritable_destination_is_an_output_error(tmp_path, target, reason):
         random_decorated_graph(2).save(destination)
     assert sorted(os.listdir(tmp_path)) == ["a_directory"]
     assert os.listdir(tmp_path / "a_directory") == []
+
+
+# --- reading -------------------------------------------------------------------------
+
+
+READERS = [
+    (Datagraph.load, GraphParseError),
+    (GroundTruth.load, GraphParseError),
+    (ReplayStore.load, GraphParseError),
+    (WorldSpec.load, WorldSpecError),
+    (ExperimentConfig.load, ConfigError),
+    (cli._read_routes, ConfigError),
+]
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("{", "invalid JSON at line 1, column 2: Expecting property name enclosed in double quotes"),
+    ("[1,\n 2", "invalid JSON at line 2, column 3: Expecting ',' delimiter"),
+    ("1" * 5000, "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion"),
+    ("[" * 100_000, "invalid JSON: maximum recursion depth exceeded"),
+])
+@pytest.mark.parametrize("reader, error", READERS)
+def test_every_reader_reports_a_malformed_file_in_one_form(tmp_path, reader, error, text, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with pytest.raises(error, match=re.escape(f"cannot read {path}: {reason}")):
+        reader(path)
+
+
+@pytest.mark.parametrize("reader, error", READERS[:4])
+@pytest.mark.parametrize("doc, reason", [
+    ({"format_version": 2}, "format_version: expected 1, got 2"),
+    ({}, "format_version: expected 1, got None"),
+    ([], "expected an object"),
+])
+def test_every_versioned_reader_checks_the_envelope(tmp_path, reader, error, doc, reason):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(error, match=re.escape(f"cannot read {path}: {reason}")):
+        reader(path)
+
+
+def test_read_document_returns_the_parsed_document(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_text('{"format_version": 1, "nodes": [1.5, "é"]}', encoding="utf-8")
+    assert output.read_document(path, format_version=1) == {"format_version": 1, "nodes": [1.5, "é"]}
+    assert output.read_document(path) == output.read_document(path, ConfigError, 1)
+
+
+def _file_text_parsers(tree: ast.AST):
+    """Calls in a module that read a file or parse JSON text: json.load(s),
+    Path.read_text/read_bytes and the open builtin."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id == "open":
+            yield "open", node.lineno
+        elif isinstance(func, ast.Attribute):
+            if func.attr in ("read_text", "read_bytes"):
+                yield func.attr, node.lineno
+            elif func.attr in ("load", "loads") and isinstance(func.value, ast.Name) and func.value.id == "json":
+                yield f"json.{func.attr}", node.lineno
+
+
+def test_only_the_output_module_reads_and_parses_files():
+    found = []
+    for path in sorted(Path(output.__file__).parent.glob("*.py")):
+        if path.name == "output.py":
+            continue
+        for call, line in _file_text_parsers(ast.parse(path.read_text(encoding="utf-8"))):
+            if path.name == "mock_remote.py" and call == "json.loads":
+                continue  # an HTTP request body, not a file
+            found.append(f"{path.name}:{line}: {call}")
+    assert found == []

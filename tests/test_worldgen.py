@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import pickle
+import sys
 import tracemalloc
 
 import numpy as np
@@ -106,6 +107,40 @@ def test_spec_rejects_a_grid_whose_extent_is_not_finite(grid_w, grid_h, room_siz
 def test_spec_accepts_the_largest_finite_extent():
     WorldSpec(grid_w=1, grid_h=1, room_size_m=1e308)
     WorldSpec(grid_w=2, grid_h=3, room_size_m=5e307)
+
+
+@pytest.mark.parametrize("field", [
+    "room_size_m", "door_prob", "objects_per_room_mean", "boundary_duplicate_prob", "min_label_separation_m",
+])
+@pytest.mark.parametrize("value", ["0.5", None, True, [0.5], 10**400])
+def test_spec_rejects_a_number_field_of_the_wrong_kind(field, value):
+    with pytest.raises(WorldSpecError, match=f"^{field} (must be a number|is too large for a float)"):
+        WorldSpec(grid_w=2, grid_h=2, **{field: value})
+
+
+@pytest.mark.parametrize("weight", ["1", None, False, 10**400])
+def test_catalog_entry_rejects_a_weight_of_the_wrong_kind(weight):
+    with pytest.raises(WorldSpecError, match="catalog weight for 'crate' (must be a number|is too large)"):
+        CatalogEntry("crate", {}, weight)
+
+
+@pytest.mark.parametrize("room_size_m", [5e-324, 1e-320, sys.float_info.min / 2])
+def test_spec_rejects_a_subnormal_room_size(room_size_m):
+    # neighboring room centers would round to one float, and their door to length 0
+    with pytest.raises(WorldSpecError, match="room_size_m must be positive and at least"):
+        WorldSpec(3, 1, room_size_m=room_size_m, seed=1)
+
+
+def test_the_smallest_normal_room_size_generates_a_valid_world():
+    graph, _ = generate_world(WorldSpec(3, 3, room_size_m=sys.float_info.min, seed=1))
+    assert graph.validate() == []
+
+
+def test_an_integer_room_size_is_kept_as_given(tmp_path):
+    spec = WorldSpec(grid_w=2, grid_h=2, room_size_m=6, door_prob=1)
+    spec.save(tmp_path / "spec.json")
+    assert '"room_size_m": 6,' in (tmp_path / "spec.json").read_text()
+    assert '"door_prob": 1,' in (tmp_path / "spec.json").read_text()
 
 
 def test_spec_json_round_trip(tmp_path):
