@@ -41,6 +41,7 @@ from .graph import (
     _check_id,
     _KindError,
     _object_text,
+    _record,
     _slot_setters,
 )
 
@@ -127,7 +128,7 @@ class Query:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class QueryResponse:
     """One backend answer for one node.
 

@@ -21,10 +21,16 @@ traversals are reproducible. The records are frozen, slotted dataclasses, so
 they take no ``__dict__`` and no attribute beyond their fields; an edge is
 stored only in the adjacency lists of its two ends.
 
-The distance maps, :meth:`Datagraph.hop_distances` (BFS) and
-:meth:`Datagraph.geodesic_distances` (Dijkstra), are the only graph searches
-and return their keys in visit order. :func:`by_metric` is the one check of
-a metric name.
+Every distance comes from one frontier kernel per metric over the sealed
+adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
+which settles one hop level at a time, sorted by id, and Dijkstra for
+meters, which settles one node at a time in ``(meters, id)`` pop order. A
+kernel is a generator, and each caller advances it only as far as it reads
+(:func:`_settle`). The full maps, :meth:`Datagraph.hop_distances` and
+:meth:`Datagraph.geodesic_distances`, drain it, so their keys come out in
+visit order. :meth:`Datagraph.shortest_path` stops once every node no
+farther than its start has settled, and the ground-truth oracle once it
+passes its first hit. :func:`by_metric` is the one check of a metric name.
 """
 
 from __future__ import annotations
@@ -34,7 +40,8 @@ import math
 import numbers
 from bisect import bisect_left, insort
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from collections import deque
+from dataclasses import FrozenInstanceError, dataclass, fields
 from heapq import heappop, heappush
 
 from . import output
@@ -174,6 +181,29 @@ def _as_vec3(values, what: str) -> tuple[float, float, float]:
 # Both set the fields through the records' slot setters (:func:`_slot_setters`).
 
 
+def _refuse_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _record(cls):
+    """``cls`` as a frozen, slotted dataclass with its own ``__init__``, on
+    which every attribute set or delete raises ``FrozenInstanceError``.
+
+    The ``__setattr__`` and ``__delattr__`` that ``dataclass(frozen=True,
+    slots=True)`` writes call ``super()`` with the class that the slotted one
+    replaced, so on CPython 3.11 setting a name that is not a field raised
+    ``TypeError``; these two are assigned once the class exists.
+    """
+    cls = dataclass(frozen=True, slots=True, init=False)(cls)
+    cls.__setattr__ = _refuse_setattr
+    cls.__delattr__ = _refuse_delattr
+    return cls
+
+
 def _slot_setters(cls) -> tuple:
     """The ``__set__`` of each field's slot on a frozen, slotted record, in field order.
 
@@ -184,7 +214,7 @@ def _slot_setters(cls) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Pose:
     """A position in meters with an optional unit-quaternion orientation.
 
@@ -215,7 +245,7 @@ class Pose:
         return pose
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class SceneObject:
     """An annotated object observed in a scene.
 
@@ -271,7 +301,7 @@ class SceneObject:
         )
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Snapshot:
     """The per-node scene record: annotated objects plus an opaque payload ref.
 
@@ -291,7 +321,7 @@ class Snapshot:
         set_payload_ref(self, payload_ref)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Node:
     id: NodeId
     pose: Pose
@@ -304,7 +334,7 @@ class Node:
         set_snapshot(self, snapshot)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class Edge:
     """Undirected edge between neighboring areas; ``a < b`` once stored."""
 
@@ -390,6 +420,16 @@ def _edge_text(edge: Edge) -> str:
         + ',\n      "traversable": ' + output.atom(edge.traversable)
         + ',\n      "length_m": ' + float.__repr__(edge.length_m) + "\n    }"
     )
+
+
+def _settle(dist: dict, frontier, v: NodeId):
+    """``v``'s distance in a kernel's ``dist``, advancing its ``frontier``
+    (see :meth:`Datagraph._frontier`) until ``v`` settles; None if it never does."""
+    if v not in dist:
+        for _ in frontier:
+            if v in dist:
+                break
+    return dist.get(v)
 
 
 def by_metric(metric: str, hops, meters):
@@ -550,58 +590,22 @@ class Datagraph:
     def hop_distances(self, source: NodeId, traversable_only: bool = False) -> dict[NodeId, int]:
         """Minimum edge counts from ``source``; unreachable nodes are absent.
 
-        A level-synchronous BFS, so the keys come out in visit order: by hops,
+        The hop kernel drained: the keys come out in visit order, by hops,
         then by ascending id.
         """
-        self._require_sealed()
-        self._check_node(source)
-        adj = self._adj
-        seen = [False] * len(adj)  # faster to index than a set or a bytearray
-        seen[source] = True
-        dist: dict[NodeId, int] = {source: 0}
-        level = [source]
-        hops = 0
-        while level:
-            hops += 1
-            frontier = []
-            for v in level:
-                for w, e in adj[v]:
-                    if not seen[w] and (not traversable_only or e.traversable):
-                        seen[w] = True
-                        frontier.append(w)
-            frontier.sort()
-            dist.update(dict.fromkeys(frontier, hops))
-            level = frontier
-        return dist
+        return self._drained("hops", source, traversable_only)
 
     def geodesic_distances(
         self, source: NodeId, traversable_only: bool = False
     ) -> dict[NodeId, float]:
-        """Shortest path lengths in meters (Dijkstra); unreachable nodes are absent.
+        """Shortest path lengths in meters; unreachable nodes are absent.
 
-        Each node is settled when the heap first pops its ``(meters, id)``,
-        so the keys come out in visit order: by meters, then by ascending id.
-        Meters are float sums along each path, so two nodes tie only when
-        their sums are equal floats (0.1 + 0.2 is not 0.3).
+        The meter kernel drained: the keys come out in visit order, by
+        meters, then by ascending id. Meters are float sums along each path,
+        so two nodes tie only when their sums are equal floats (0.1 + 0.2 is
+        not 0.3).
         """
-        self._require_sealed()
-        self._check_node(source)
-        dist: dict[NodeId, float] = {}
-        best: dict[NodeId, float] = {source: 0.0}
-        heap: list[tuple[float, NodeId]] = [(0.0, source)]
-        while heap:
-            d, v = heappop(heap)
-            if v in dist:
-                continue
-            dist[v] = d
-            for w, e in self._adj[v]:
-                if traversable_only and not e.traversable:
-                    continue
-                nd = d + e.length_m
-                if w not in dist and (w not in best or nd < best[w]):
-                    best[w] = nd
-                    heappush(heap, (nd, w))
-        return dist
+        return self._drained("meters", source, traversable_only)
 
     def shortest_path(
         self,
@@ -613,34 +617,118 @@ class Datagraph:
         """Minimal path from ``a`` to ``b`` under the chosen metric, or None.
 
         Among equally short paths the lexicographically smallest node-id
-        sequence is returned. ``metric`` is ``"hops"`` or ``"meters"``.
+        sequence is returned. ``metric`` is ``"hops"`` or ``"meters"``. The
+        search runs from ``b`` only until every node no farther than ``a``
+        has settled, which is every node the descent can step to.
         """
         self._require_sealed()
         self._check_node(a)
-        self._check_node(b)
-        dist_to_goal = by_metric(metric, self.hop_distances, self.geodesic_distances)(b, traversable_only)
-        if a not in dist_to_goal:
+        dist_to_goal, frontier = self._frontier(metric, b, traversable_only)
+        limit = _settle(dist_to_goal, frontier, a)
+        if limit is None:
             return None
+        if metric == "meters":
+            # A node that ties a can settle after it (a larger id, or reached
+            # through another tie), and is a step down from a when their edge
+            # is too short to change a's float sum. A hop level settles whole.
+            for d, _ in frontier:
+                if d > limit:
+                    break
         # Greedy descent toward the goal: among neighbors still on a shortest
         # path, the smallest id yields the lexicographically smallest sequence.
+        # A neighbor that has not settled is farther than the node it leaves.
+        # Two nodes that an edge too short for their float sums joins are each
+        # a step from the other, so the descent never steps back onto its own
+        # path, and backs up out of such a tie when it leads nowhere.
+        adj, hops = self._adj, metric == "hops"
+        on_path = {a}
+
+        def steps(v):
+            target = dist_to_goal[v]
+            for w, e in adj[v]:
+                if (
+                    (e.traversable or not traversable_only)
+                    and w in dist_to_goal
+                    and w not in on_path
+                    and dist_to_goal[w] + (1 if hops else e.length_m) == target
+                ):
+                    yield w
+
         path = [a]
-        current = a
-        while current != b:
-            step_to_next = None
-            for w, e in self._adj[current]:
-                if traversable_only and not e.traversable:
-                    continue
-                if w not in dist_to_goal:
-                    continue
-                step = 1 if metric == "hops" else e.length_m
-                if dist_to_goal[w] + step == dist_to_goal[current]:
-                    step_to_next = w
-                    break
-            if step_to_next is None:  # pragma: no cover - Dijkstra guarantees a predecessor
-                return None
-            path.append(step_to_next)
-            current = step_to_next
+        options = [steps(a)]
+        while path[-1] != b:
+            w = next(options[-1], None)
+            if w is None:
+                on_path.discard(path.pop())
+                options.pop()
+            else:
+                path.append(w)
+                on_path.add(w)
+                options.append(steps(w))
         return path
+
+    # -- the frontier kernels ---------------------------------------------------
+
+    def _frontier(self, metric: str, source: NodeId, traversable_only: bool = False):
+        """A resumable search from ``source``: ``(dist, kernel)``.
+
+        ``dist`` gains each node's distance under ``metric`` when the kernel,
+        a generator, settles it, nearest first. Advance the kernel only as
+        far as the caller reads (:func:`_settle`), or drain it for the full map.
+        """
+        self._require_sealed()
+        self._check_node(source)
+        kernel = by_metric(metric, self._hop_kernel, self._meter_kernel)
+        dist: dict[NodeId, float] = {}
+        return dist, kernel(source, traversable_only, dist)
+
+    def _drained(self, metric: str, source: NodeId, traversable_only: bool) -> dict:
+        dist, frontier = self._frontier(metric, source, traversable_only)
+        deque(frontier, maxlen=0)
+        return dist
+
+    def _hop_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, int]):
+        """Level-synchronous BFS: settles one hop level into ``dist`` per step,
+        sorted by id, and yields ``(hops, level)``; ``source`` is level 0."""
+        adj = self._adj
+        seen = [False] * len(adj)  # faster to index than a set or a bytearray
+        seen[source] = True
+        dist[source] = 0
+        level = [source]
+        hops = 0
+        while level:
+            yield hops, level
+            hops += 1
+            frontier = []
+            for v in level:
+                for w, e in adj[v]:
+                    if not seen[w] and (not traversable_only or e.traversable):
+                        seen[w] = True
+                        frontier.append(w)
+            frontier.sort()
+            dist.update(dict.fromkeys(frontier, hops))
+            level = frontier
+
+    def _meter_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, float]):
+        """Dijkstra: settles one node into ``dist`` per step, when the heap
+        first pops its ``(meters, id)``, and yields that pair."""
+        adj = self._adj
+        best: dict[NodeId, float] = {source: 0.0}
+        heap: list[tuple[float, NodeId]] = [(0.0, source)]
+        while heap:
+            settled = heappop(heap)
+            d, v = settled
+            if v in dist:
+                continue
+            dist[v] = d
+            yield settled
+            for w, e in adj[v]:
+                if w in dist or (traversable_only and not e.traversable):
+                    continue
+                nd = d + e.length_m
+                if w not in best or nd < best[w]:
+                    best[w] = nd
+                    heappush(heap, (nd, w))
 
     # -- validation -----------------------------------------------------------
 

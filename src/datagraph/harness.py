@@ -36,7 +36,16 @@ from .backends import (
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
-from .graph import Datagraph, NodeId, _check_bool, _check_id, _collector_paused, _KindError, by_metric
+from .graph import (
+    Datagraph,
+    NodeId,
+    _check_bool,
+    _check_id,
+    _check_label,
+    _collector_paused,
+    _KindError,
+    by_metric,
+)
 from .traversal import (
     AggregateReport,
     TraversalResult,
@@ -199,9 +208,12 @@ class ExperimentConfig:
                 merged[key] = value
         world_doc = merged.get("world")
         if isinstance(world_doc, str):
-            world: WorldSpec | WorldFiles = WorldFiles(world_doc)
+            world: WorldSpec | WorldFiles = WorldFiles(_path(merged, "world", "config"))
         elif isinstance(world_doc, dict) and "path" in world_doc:
-            world = WorldFiles(world_doc["path"], world_doc.get("ground_truth"))
+            world = WorldFiles(
+                _path(world_doc, "path", "config.world", required=True),
+                _path(world_doc, "ground_truth", "config.world"),
+            )
         elif isinstance(world_doc, dict):
             world = WorldSpec.from_json_dict(world_doc)
         else:
@@ -238,8 +250,8 @@ class ExperimentConfig:
                 raise ConfigError(f"config.backend: {exc}") from exc
         backend = BackendConfig(
             kind=backend_doc.get("kind", "oracle"),
-            store_path=backend_doc.get("store_path"),
-            record_path=backend_doc.get("record_path"),
+            store_path=_path(backend_doc, "store_path", "config.backend"),
+            record_path=_path(backend_doc, "record_path", "config.backend"),
             remote=remote,
             forward_annotations=_flag(backend_doc, "forward_annotations", False, "config.backend"),
         )
@@ -249,7 +261,7 @@ class ExperimentConfig:
             backend=backend,
             strategies=merged.get("strategies", STRATEGIES),
             cache_enabled=_flag(merged, "cache_enabled", True),
-            output_dir=merged.get("output_dir"),
+            output_dir=_path(merged, "output_dir", "config"),
             report_formats=merged.get("report_formats", ("json",)),
             metric=merged.get("metric", "hops"),
             shared_cache=_flag(merged, "shared_cache", False),
@@ -261,6 +273,18 @@ class ExperimentConfig:
         """Read a config file (:func:`output.read_document`); ``overrides`` as in
         :meth:`from_json_dict`."""
         return cls.from_json_dict(output.read_document(source, ConfigError), overrides)
+
+
+def _path(doc: dict, name: str, where: str, required: bool = False) -> str | None:
+    """A path config field: a non-empty string, or absent or null unless
+    ``required``; any other value is a ConfigError."""
+    value = doc.get(name)
+    if value is None and not required:
+        return None
+    try:
+        return _check_label(value, f"{where}.{name}")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _flag(doc: dict, name: str, default: bool, where: str = "config") -> bool:

@@ -72,11 +72,13 @@ def mapping(values: Mapping[str, str], pad: str) -> str:
 
 
 def check_version(doc, version: int, what: str, error: type[Exception] = GraphParseError):
-    """``doc`` if it is an object whose ``format_version`` is ``version``, else an ``error``."""
+    """``doc`` if it is an object whose ``format_version`` is the int ``version``
+    (not a bool or a float that equals it), else an ``error``."""
     if not isinstance(doc, dict):
         raise error(f"{what}: expected an object")
-    if doc.get("format_version") != version:
-        raise error(f"{what}: format_version: expected {version}, got {doc.get('format_version')!r}")
+    found = doc.get("format_version")
+    if type(found) is not int or found != version:
+        raise error(f"{what}: format_version: expected {version}, got {found!r}")
     return doc
 
 

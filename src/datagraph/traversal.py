@@ -4,14 +4,21 @@ Proximity traversal expands outward from the agent's node and queries each
 scene as it is reached, so the closest satisfying scene is found before any
 farther one. Visit order is fully deterministic: nondecreasing distance from
 the agent (hop count by default, geodesic meters with ``metric="meters"``),
-ties broken by ascending node id: the key order of the agent's distance map
-under that metric (:meth:`Datagraph.hop_distances`,
+ties broken by ascending node id: the key order of the agent's full distance
+map under that metric (:meth:`Datagraph.hop_distances`,
 :meth:`Datagraph.geodesic_distances`). Meters are the float sums Dijkstra
 accumulates, so two nodes tie only when those sums are equal floats: with
 edges 0-1 of 0.1 m, 1-2 of 0.2 m and 0-3 of 0.3 m, node 3 comes before node
 2, which is 0.30000000000000004 m away. The brute-force baseline ignores
 space entirely and walks node ids in order, modeling a search over every
 captured frame.
+
+Distances come from the graph's frontier kernels. A search that stops at
+its first hit builds only the map that orders its visits; the other
+metric's distance of each visited node comes from a kernel cursor advanced
+until that node settles. A path query advances both cursors only as far as
+its path. The full traversal and the brute-force baseline visit every node,
+so they drain both kernels up front.
 
 Backend failures never skip a node silently: the traversal aborts with
 :class:`TraversalAbortedError` carrying the partial result.
@@ -31,7 +38,7 @@ from .errors import (
     InvalidPathError,
     TraversalAbortedError,
 )
-from .graph import Datagraph, NodeId, SceneObject, by_metric
+from .graph import Datagraph, NodeId, SceneObject, _settle, by_metric
 
 
 @dataclass(frozen=True)
@@ -107,13 +114,24 @@ def _run(
     agent: NodeId,
     stop_on_first: bool,
     metric: str = "hops",
+    full: tuple[str, ...] = (),
 ) -> TraversalResult:
     """Query the nodes of ``order``; if it is None, the keys of the agent's
-    distance map under ``metric``, which come out in visit order."""
-    hop_map = graph.hop_distances(agent)
-    geo_map = graph.geodesic_distances(agent)
+    full distance map under ``metric``, which come out in visit order.
+
+    ``full`` names the metrics whose full map is built before the first
+    query: the one that orders the visits, or both when every node is
+    visited. Any other metric's distances come from a kernel cursor
+    (:meth:`Datagraph._frontier`) advanced only until the visited node settles.
+    """
+
+    def distances_by(name, full_map):
+        return (full_map(agent), ()) if name in full else graph._frontier(name, agent)
+
+    hops_dist, hops_frontier = distances_by("hops", graph.hop_distances)
+    meters_dist, meters_frontier = distances_by("meters", graph.geodesic_distances)
     if order is None:
-        order = by_metric(metric, hop_map, geo_map)
+        order = by_metric(metric, hops_dist, meters_dist)
     responses: list[QueryResponse] = []
     visit_order: list[NodeId] = []
     distances: dict[NodeId, tuple[int, float]] = {}
@@ -139,11 +157,14 @@ def _run(
             response = response._with(v, response.backend_calls)
         responses.append(response)
         visit_order.append(v)
-        if v in hop_map:
-            distances[v] = (hop_map[v], geo_map[v])
+        hops = hops_dist.get(v)
+        meters = meters_dist.get(v)
+        if hops is None or meters is None:  # not settled yet, or unreachable
+            hops = _settle(hops_dist, hops_frontier, v)
+            meters = _settle(meters_dist, meters_frontier, v)
+        if hops is not None:
+            distances[v] = (hops, meters)
         if response.satisfied and first_satisfied is None:
-            hops = hop_map.get(v)
-            meters = geo_map.get(v)
             first_satisfied = (v, hops, meters)
         if stop_on_first and response.satisfied:
             stopped_early = True
@@ -167,7 +188,7 @@ def proximity_query_all(
     with ascending node ids inside each tie; unreachable nodes are never
     queried.
     """
-    return _run(graph, backend, query, None, agent, stop_on_first=False, metric=metric)
+    return _run(graph, backend, query, None, agent, False, metric, full=("hops", "meters"))
 
 
 def proximity_search_first(
@@ -183,7 +204,7 @@ def proximity_search_first(
     is a closest satisfying node, not just any satisfying node. With no
     satisfied response this equals the full traversal.
     """
-    return _run(graph, backend, query, None, agent, stop_on_first=True, metric=metric)
+    return _run(graph, backend, query, None, agent, True, metric, full=(metric,))
 
 
 def path_query(
@@ -223,7 +244,7 @@ def brute_force_query(
     """
     graph.node(agent)
     order = range(len(graph))
-    return _run(graph, backend, query, order, agent, stop_on_first=stop_on_first)
+    return _run(graph, backend, query, order, agent, stop_on_first, full=("hops", "meters"))
 
 
 def aggregate_count(

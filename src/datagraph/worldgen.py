@@ -41,8 +41,8 @@ from .graph import (
     _check_label,
     _collector_paused,
     _KindError,
+    _record,
     _slot_setters,
-    by_metric,
 )
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
@@ -234,7 +234,7 @@ class WorldSpec:
         return cls.from_json_dict(output.read_document(source, WorldSpecError, 1))
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_record
 class GroundTruthInstance:
     """One object occurrence: a physical instance or its boundary duplicate.
 
@@ -649,25 +649,27 @@ def ground_truth_nearest(
     predicate: Predicate,
     metric: str = "hops",
 ) -> tuple[NodeId, float] | None:
-    """Closest node holding a matching instance, by exhaustive scan.
+    """Closest node holding a matching instance, as ``(node, distance)``.
 
     Independent of the traversal module: ground truth names the candidate
     nodes (duplicates count for every node whose snapshot holds them) and a
-    single-source distance map ranks them. Ties go to the smallest node id.
-    Returns None when no match is reachable.
+    single-source search under ``metric`` settles nodes nearest first until
+    it passes the first candidate's distance. Ties go to the smallest node
+    id. Returns None when no match is reachable.
     """
-    distance_map = by_metric(metric, graph.hop_distances, graph.geodesic_distances)
-    candidate_nodes = sorted(
-        {inst.home_node for inst in ground_truth.instances if predicate_eval(predicate, inst)}
-    )
-    distances = distance_map(agent)
-    best = min(
-        ((distances[v], v) for v in candidate_nodes if v in distances),
-        default=None,
-    )
-    if best is None:
+    _, frontier = graph._frontier(metric, agent)
+    candidates = {inst.home_node for inst in ground_truth.instances if predicate_eval(predicate, inst)}
+    nearest = None
+    if candidates:
+        for d, settled in frontier:  # (hops, level) or (meters, node)
+            if nearest is not None and d > nearest[0]:
+                break
+            for v in settled if metric == "hops" else (settled,):
+                if v in candidates and (nearest is None or (d, v) < nearest):
+                    nearest = (d, v)
+    if nearest is None:
         return None
-    return best[1], best[0]
+    return nearest[1], nearest[0]
 
 
 def make_nearest_search_task(

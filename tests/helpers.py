@@ -8,8 +8,10 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from heapq import heappop, heappush
 
 import numpy as np
+from hypothesis import strategies as st
 
 from datagraph import Datagraph, Pose, SceneObject, Snapshot
 
@@ -61,6 +63,91 @@ def bfs_visit_order(n: int, edges: dict[tuple[int, int], float], source: int) ->
     """(hop level, node id) visit order derived from queue-based BFS levels."""
     hops = queue_bfs_levels(n, edges, source)
     return [v for _, v in sorted((d, v) for v, d in hops.items())]
+
+
+def eager_hop_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, int]:
+    """The full hop map as a level-synchronous BFS built it before the
+    kernels could stop early: keys by hops, then by ascending id."""
+    dist = {source: 0}
+    level = [source]
+    hops = 0
+    while level:
+        hops += 1
+        frontier = sorted({w for v in level for w in graph.neighbors(v, traversable_only) if w not in dist})
+        dist.update(dict.fromkeys(frontier, hops))
+        level = frontier
+    return dist
+
+
+def eager_geodesic_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, float]:
+    """The full meter map as Dijkstra built it before the kernels could stop
+    early: keys in the heap's ``(meters, id)`` pop order."""
+    dist: dict[int, float] = {}
+    best = {source: 0.0}
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for w, e in graph.adjacency(v, traversable_only):
+            nd = d + e.length_m
+            if w not in dist and (w not in best or nd < best[w]):
+                best[w] = nd
+                heappush(heap, (nd, w))
+    return dist
+
+
+LOOPS = "loops"
+
+
+def eager_shortest_path(graph: Datagraph, a: int, b: int, metric: str, traversable_only: bool = False):
+    """The greedy descent over a full map from ``b``, as ``shortest_path``
+    ran it before its search could stop early; :data:`LOOPS` where that
+    descent stepped back onto its own path and so never ended."""
+    full = eager_hop_distances if metric == "hops" else eager_geodesic_distances
+    dist_to_goal = full(graph, b, traversable_only)
+    if a not in dist_to_goal:
+        return None
+    path = [a]
+    while path[-1] != b:
+        current = path[-1]
+        step = next(
+            w for w, e in graph.adjacency(current, traversable_only)
+            if w in dist_to_goal
+            and dist_to_goal[w] + (1 if metric == "hops" else e.length_m) == dist_to_goal[current]
+        )
+        if step in path:
+            return LOOPS
+        path.append(step)
+    return path
+
+
+# Edge lengths for the lazy-against-eager properties: dyadic lengths sum
+# exactly and tie often; other floats round; 1e16 next to 0.5-3.0 m makes
+# sums that absorb a short edge, so a node can tie its own predecessor.
+DYADIC_LENGTHS = st.sampled_from([0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+FLOAT_LENGTHS = st.floats(min_value=0.1, max_value=50.0)
+ABSORBING_LENGTHS = st.sampled_from([1e16, 1e16, 0.5, 1.0, 3.0])
+
+
+@st.composite
+def frontier_graphs(draw, max_nodes: int = 24):
+    """A sealed graph of up to ``max_nodes`` nodes, not always connected, with
+    some untraversable edges and lengths from one of the three families."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    lengths = draw(st.sampled_from([DYADIC_LENGTHS, FLOAT_LENGTHS, ABSORBING_LENGTHS]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        max_size=3 * n,
+        unique_by=lambda p: (min(p), max(p)),
+    ))
+    graph = Datagraph()
+    for v in range(n):
+        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
+    for a, b in pairs:
+        graph.add_edge(a, b, traversable=draw(st.sampled_from([True, True, False])), length_m=draw(lengths))
+    return graph.seal()
 
 
 def all_pairs_admits(candidate, placed, separation: float) -> bool:

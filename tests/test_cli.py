@@ -241,6 +241,15 @@ def input_files(tmp_path, world_dir):
     for name, key, value in [
         ("config_array", None, []),
         ("config_spec_v2", "world", {"format_version": 2, "grid_w": 2, "grid_h": 2}),
+        ("config_spec_bool_version", "world", {"format_version": True, "grid_w": 2, "grid_h": 2}),
+        ("config_int_output_dir", "output_dir", 5),
+        ("config_int_world_path", "world", {"path": 5}),
+        ("config_empty_world_path", "world", {"path": ""}),
+        ("config_empty_world", "world", ""),
+        ("config_null_world_path", "world", {"path": None}),
+        ("config_int_ground_truth", "world", {"path": str(files["world"]), "ground_truth": 5}),
+        ("config_int_store_path", "backend", {"kind": "replay", "store_path": 5}),
+        ("config_list_record_path", "backend", {"kind": "oracle", "record_path": ["r.json"]}),
         ("config_string_cache", "cache_enabled", "false"),
         ("config_string_shared_cache", "shared_cache", "false"),
         ("config_string_stop_on_first", "brute_force_stop_on_first", "false"),
@@ -276,6 +285,8 @@ def input_files(tmp_path, world_dir):
         ("gt_dangling_duplicate", truth, truth["instances"][0], "duplicate_of", 999),
         ("world_v2", world, world, "format_version", 2),
         ("truth_v2", truth, truth, "format_version", 2),
+        ("world_bool_version", world, world, "format_version", True),
+        ("world_float_version", world, world, "format_version", 1.0),
     ]:
         saved = target[key]
         target[key] = value
@@ -339,6 +350,15 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
         pytest.param(["validate", "{world_v2}"], 2,
                      "error: cannot read {world_v2}: format_version: expected 1, got 2",
                      id="validate-bad-version"),
+        pytest.param(["validate", "{world_bool_version}"], 2,
+                     "error: cannot read {world_bool_version}: format_version: expected 1, got True",
+                     id="validate-bool-version"),
+        pytest.param(["validate", "{world_float_version}"], 2,
+                     "error: cannot read {world_float_version}: format_version: expected 1, got 1.0",
+                     id="validate-float-version"),
+        pytest.param(["compare", "--config", "{config_spec_bool_version}"], 2,
+                     "error: world spec: format_version: expected 1, got True",
+                     id="compare-inline-spec-bool-version"),
         pytest.param(AGGREGATE + ["--ground-truth", "{bad}"], 2, BAD_JSON,
                      id="aggregate-truth-bad-json"),
         pytest.param(AGGREGATE + ["--ground-truth", "{truth_v2}"], 2,
@@ -396,6 +416,15 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                  "error: strategies must be an array of names, got 'proximity'"),
                 ("config_string_formats",
                  "error: report_formats must be an array of names, got 'json'"),
+                ("config_int_output_dir", "error: config.output_dir must be a string, got 5"),
+                ("config_int_world_path", "error: config.world.path must be a string, got 5"),
+                ("config_empty_world_path", "error: config.world.path must be non-empty"),
+                ("config_empty_world", "error: config.world must be non-empty"),
+                ("config_null_world_path", "error: config.world.path must be a string, got None"),
+                ("config_int_ground_truth", "error: config.world.ground_truth must be a string, got 5"),
+                ("config_int_store_path", "error: config.backend.store_path must be a string, got 5"),
+                ("config_list_record_path",
+                 "error: config.backend.record_path must be a string, got ['r.json']"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,

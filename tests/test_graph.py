@@ -4,7 +4,7 @@ import copy
 import json
 import math
 import pickle
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import pytest
 from click.testing import CliRunner
@@ -18,6 +18,7 @@ from datagraph import (
     GraphParseError,
     GraphStateError,
     GraphValidationError,
+    GroundTruthInstance,
     InvalidLengthError,
     MissingNodeError,
     Node,
@@ -25,6 +26,7 @@ from datagraph import (
     Pose,
     Predicate,
     Query,
+    QueryResponse,
     SceneObject,
     SelfLoopError,
     Snapshot,
@@ -32,9 +34,14 @@ from datagraph import (
 )
 from datagraph.cli import main
 from helpers import (
+    LOOPS,
     bfs_visit_order,
     build_graph,
+    eager_geodesic_distances,
+    eager_hop_distances,
+    eager_shortest_path,
     edge_dict,
+    frontier_graphs,
     random_decorated_graph,
     simple_path_distances,
 )
@@ -632,6 +639,28 @@ def test_node_and_edge_keep_their_dataclass_behaviour():
             setattr(record, field, 0)
 
 
+def test_every_record_refuses_any_attribute_set_or_delete():
+    pose = Pose((1.0, 2.0, 0.0))
+    obj = SceneObject("crate", {"color": "red"}, (1.0, 2.0, 0.0), 0)
+    records = [
+        pose,
+        obj,
+        Snapshot((obj,), "scene://0"),
+        Node(0, pose, Snapshot()),
+        Edge(0, 1, True, 1.0),
+        GroundTruthInstance(0, "crate", {}, (1.0, 2.0, 0.0), 0),
+        QueryResponse(0, True, (obj,), 1, "yes"),
+    ]
+    for record in records:
+        before = copy.copy(record)
+        for name in (fields(record)[0].name, "pose", "__class__"):  # a field, a stray name, a dunder
+            with pytest.raises(FrozenInstanceError):
+                setattr(record, name, 1)
+            with pytest.raises(FrozenInstanceError):
+                delattr(record, name)
+        assert record == before, type(record).__name__
+
+
 def test_node_lookup_takes_ints_and_numpy_ints_but_not_bools(path_graph):
     np = pytest.importorskip("numpy")
     assert path_graph.node(2) is path_graph.node(np.int64(2))
@@ -977,3 +1006,86 @@ def test_property_traversable_only_equals_subgraph(script):
     assert full.geodesic_distances(0, traversable_only=True) == sub.geodesic_distances(0)
     for target in range(n):
         assert full.shortest_path(0, target, traversable_only=True) == sub.shortest_path(0, target)
+
+
+# --- the frontier kernels against the eager maps ------------------------------------
+
+
+EAGER_MAPS = {"hops": eager_hop_distances, "meters": eager_geodesic_distances}
+FULL_MAPS = {"hops": Datagraph.hop_distances, "meters": Datagraph.geodesic_distances}
+
+
+@given(frontier_graphs(), st.data())
+@example(build_graph(4, [(0, 1, 1e16), (1, 2, 1.0), (0, 3, 1e16)]), None)
+@settings(max_examples=150, deadline=None)
+def test_property_each_cursor_settles_a_prefix_of_the_eager_map(graph, data):
+    # the example: 1e16 + 1.0 rounds to 1e16, so node 2 ties its predecessor 1 and node 3
+    sources = range(len(graph)) if data is None else [data.draw(st.integers(0, len(graph) - 1))]
+    for metric, eager in EAGER_MAPS.items():
+        for traversable_only in (False, True):
+            for source in sources:
+                full = list(eager(graph, source, traversable_only).items())
+                dist, frontier = graph._frontier(metric, source, traversable_only)
+                for step in frontier:
+                    settled = list(dist.items())
+                    assert settled == full[: len(settled)]
+                    if metric == "hops":  # a whole level, sorted, at the end of the prefix
+                        hops, level = step
+                        assert level == sorted(level) and settled[-len(level):] == [(v, hops) for v in level]
+                    else:
+                        assert step == settled[-1][::-1]
+                assert list(dist.items()) == full
+                assert list(FULL_MAPS[metric](graph, source, traversable_only).items()) == full
+
+
+@given(frontier_graphs(max_nodes=14))
+@example(build_graph(6, [(0, 5, 1.0), (2, 5, 1e16), (0, 1, 1e16), (1, 3, 1.0), (2, 3, 1.0)]))
+@example(build_graph(3, [(0, 1, 1.0), (0, 2, 1e16)]))
+@settings(max_examples=150, deadline=None)
+def test_property_shortest_path_equals_the_eager_descent(graph):
+    # the first example: 1, 2 and 3 all lie 1e16 m from 0, 3 settles after 2, and the path
+    # from 2 is 2, 3, 1, 0; the second: 0 and 1 both lie 1e16 m from 2, and the eager
+    # descent from 0 stepped to 1 and back
+    for metric, eager in EAGER_MAPS.items():
+        for traversable_only in (False, True):
+            for b in range(len(graph)):
+                dist = eager(graph, b, traversable_only)
+                for a in range(len(graph)):
+                    expected = eager_shortest_path(graph, a, b, metric, traversable_only)
+                    found = graph.shortest_path(a, b, metric, traversable_only)
+                    if expected is not LOOPS:
+                        assert found == expected, (a, b, metric)
+                        continue
+                    # a simple path down the map, each step an edge whose length closes the gap
+                    assert found[0] == a and found[-1] == b and len(set(found)) == len(found)
+                    for u, w in zip(found, found[1:]):
+                        edge = graph.edge_between(u, w)
+                        assert edge is not None and (edge.traversable or not traversable_only)
+                        assert dist[w] + (1 if metric == "hops" else edge.length_m) == dist[u]
+
+
+def test_shortest_path_backs_out_of_a_tie_that_an_absorbed_edge_makes():
+    # 0 and 1 both lie 1e16 m from 2: 1e16 + 1.0 rounds to 1e16
+    graph = build_graph(3, [(0, 1, 1.0), (0, 2, 1e16)])
+    assert graph.geodesic_distances(2) == {2: 0.0, 0: 1e16, 1: 1e16}
+    assert graph.shortest_path(0, 2, "meters") == [0, 2]
+    assert graph.shortest_path(1, 2, "meters") == [1, 0, 2]
+
+
+def test_shortest_path_settles_only_what_its_descent_reads(monkeypatch):
+    """On a long line, a path to a near goal settles the goal's neighborhood:
+    under meters every node no farther than the start plus the first one
+    beyond it, under hops the start's whole level and nothing past it."""
+    graph = build_graph(400, [(v, v + 1) for v in range(399)])
+    settled = []
+    real = Datagraph._frontier
+
+    def recording(self, metric, source, traversable_only=False):
+        dist, frontier = real(self, metric, source, traversable_only)
+        settled.append(dist)
+        return dist, frontier
+
+    monkeypatch.setattr(Datagraph, "_frontier", recording)
+    assert graph.shortest_path(200, 203, "meters") == [200, 201, 202, 203]
+    assert graph.shortest_path(200, 197, "hops") == [200, 199, 198, 197]
+    assert [sorted(dist) for dist in settled] == [list(range(199, 207)), list(range(194, 201))]

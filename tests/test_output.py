@@ -230,6 +230,8 @@ def test_every_reader_reports_a_malformed_file_in_one_form(tmp_path, reader, err
 @pytest.mark.parametrize("doc, reason", [
     ({"format_version": 2}, "format_version: expected 1, got 2"),
     ({}, "format_version: expected 1, got None"),
+    ({"format_version": True}, "format_version: expected 1, got True"),
+    ({"format_version": 1.0}, "format_version: expected 1, got 1.0"),
     ([], "expected an object"),
 ])
 def test_every_versioned_reader_checks_the_envelope(tmp_path, reader, error, doc, reason):

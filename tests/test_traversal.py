@@ -485,3 +485,37 @@ def test_visit_orders_of_saved_worlds_are_pinned(tmp_path):
                     seen = [result.visit_order, result.total_backend_calls, result.first_satisfied]
                     digest.update(json.dumps(seen).encode())
     assert digest.hexdigest() == PINNED_VISIT_ORDERS_DIGEST
+
+
+# --- laziness: which searches build a full distance map -----------------------------
+
+
+@pytest.fixture
+def full_map_calls(monkeypatch):
+    """Counts of the calls to each full distance map, by its method name."""
+    calls = {"hop_distances": 0, "geodesic_distances": 0}
+    for name in calls:
+        real = getattr(Datagraph, name)
+
+        def counting(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Datagraph, name, counting)
+    return calls
+
+
+def test_only_the_visit_order_builds_a_full_map(full_map_calls):
+    graph, ground_truth = generate_world(WorldSpec(grid_w=12, grid_h=12, seed=4))
+    query = Query("find a chair", Predicate(label_equals="chair"))
+    for metric, full_map in (("hops", "hop_distances"), ("meters", "geodesic_distances")):
+        result = proximity_search_first(graph, OracleBackend(), query, 70, metric)
+        assert result.first_satisfied is not None and result.distances
+        assert full_map_calls == {"hop_distances": 0, "geodesic_distances": 0, full_map: 1}, metric
+        full_map_calls[full_map] = 0
+    route = graph.shortest_path(0, len(graph) - 1, "meters")
+    assert graph.shortest_path(0, len(graph) - 1, "hops", traversable_only=True) is not None
+    path_query(graph, OracleBackend(), query, route)
+    for metric in ("hops", "meters"):
+        assert ground_truth_nearest(graph, ground_truth, 70, query.predicate, metric) is not None
+    assert full_map_calls == {"hop_distances": 0, "geodesic_distances": 0}

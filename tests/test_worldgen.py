@@ -38,7 +38,7 @@ from datagraph import (
     proximity_search_first,
 )
 from datagraph.worldgen import BOUNDARY_BAND_M, _SeparationGrid
-from helpers import all_pairs_admits
+from helpers import all_pairs_admits, build_graph, eager_geodesic_distances, eager_hop_distances, frontier_graphs
 
 
 def room_bounds(node, spec):
@@ -613,6 +613,60 @@ def test_nearest_meters_metric():
         )
     )
     assert ground_truth_nearest(graph, gt, 0, Predicate(label_equals="crate"), "meters") == (2, 3.0)
+
+
+def scanned_nearest(graph, ground_truth, agent, label, metric):
+    """The nearest ``label`` by exhaustive scan: the smallest ``(distance, id)``
+    over every home of a matching instance in the agent's full map."""
+    full = (eager_hop_distances if metric == "hops" else eager_geodesic_distances)(graph, agent)
+    homes = {inst.home_node for inst in ground_truth.instances if inst.label.lower() == label}
+    best = min(((full[v], v) for v in homes if v in full), default=None)
+    return None if best is None else (best[1], best[0])
+
+
+@given(
+    st.integers(1, 7), st.integers(1, 7), st.integers(0, 10_000),
+    st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([6.0, 0.3, 1e16]), st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_property_nearest_equals_an_exhaustive_scan_on_generated_worlds(w, h, seed, duplicates, room, data):
+    graph, ground_truth = generate_world(WorldSpec(
+        w, h, room_size_m=room, boundary_duplicate_prob=duplicates, seed=seed, min_label_separation_m=0.0,
+    ))
+    labels = sorted({inst.label for inst in ground_truth.instances}) + ["nothing"]
+    for _ in range(4):
+        agent = data.draw(st.integers(0, len(graph) - 1))
+        label = data.draw(st.sampled_from(labels))
+        for metric in ("hops", "meters"):
+            found = ground_truth_nearest(graph, ground_truth, agent, Predicate(label_equals=label), metric)
+            assert found == scanned_nearest(graph, ground_truth, agent, label, metric)
+
+
+@given(frontier_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_property_nearest_equals_an_exhaustive_scan_on_random_graphs(graph, data):
+    """Unconnected graphs, untraversable edges, and lengths that a float sum
+    absorbs, so a candidate can tie one that settles before it; each home
+    may also hold a duplicate of an instance homed elsewhere."""
+    n = len(graph)
+    homes = data.draw(st.lists(st.integers(0, n - 1), max_size=4))
+    instances = [GroundTruthInstance(i, "crate", {}, (0.0, 0.0, 0.0), v) for i, v in enumerate(homes)]
+    for v in data.draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        if instances:
+            instances.append(GroundTruthInstance(len(instances), "crate", {}, (0.0, 0.0, 0.0), v, duplicate_of=0))
+    ground_truth = GroundTruth(tuple(instances))
+    for agent in range(n):
+        for metric in ("hops", "meters"):
+            found = ground_truth_nearest(graph, ground_truth, agent, Predicate(label_equals="crate"), metric)
+            assert found == scanned_nearest(graph, ground_truth, agent, "crate", metric)
+
+
+def test_nearest_reads_past_the_first_hit_to_a_tie_that_settles_later():
+    # 1e16 + 1.0 rounds to 1e16: node 1 ties node 2 but is reached through it
+    graph = build_graph(3, [(0, 2, 1e16), (1, 2, 1.0)])
+    assert list(graph.geodesic_distances(0)) == [0, 2, 1]
+    gt = GroundTruth(tuple(GroundTruthInstance(i, "crate", {}, (0.0, 0.0, 0.0), v) for i, v in enumerate((2, 1))))
+    assert ground_truth_nearest(graph, gt, 0, Predicate(label_equals="crate"), "meters") == (1, 1e16)
 
 
 def test_ground_truth_labels_match_case_insensitively():
