@@ -22,11 +22,8 @@ from .errors import (
     ConfigError,
     DatagraphError,
     DedupUnavailableError,
-    DuplicateEdgeError,
     GraphParseError,
-    GraphStateError,
     GraphValidationError,
-    InvalidLengthError,
     InvalidPathError,
     MalformedResponseError,
     MissingNodeError,
@@ -35,7 +32,6 @@ from .errors import (
     RemoteTimeoutError,
     ReplayMissError,
     RouteError,
-    SelfLoopError,
     TaskUnavailableError,
     TraversalAbortedError,
     WorldSpecError,

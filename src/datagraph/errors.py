@@ -7,11 +7,7 @@ class DatagraphError(Exception):
     """Base class for every error raised by this package."""
 
 
-# --- graph construction / lifecycle ---------------------------------------
-
-class GraphStateError(DatagraphError):
-    """Operation attempted in the wrong lifecycle phase (sealed vs. building)."""
-
+# --- graphs ------------------------------------------------------------------
 
 class MissingNodeError(DatagraphError):
     """A node id does not exist in the graph."""
@@ -21,32 +17,12 @@ class MissingNodeError(DatagraphError):
         super().__init__(f"unknown node id: {node_id!r}")
 
 
-class SelfLoopError(DatagraphError):
-    """An edge may not connect a node to itself."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"self-loop on node {node_id} is not allowed")
-
-
-class DuplicateEdgeError(DatagraphError):
-    """At most one edge may exist per unordered node pair."""
-
-    def __init__(self, a: int, b: int):
-        self.pair = (min(a, b), max(a, b))
-        super().__init__(f"edge {{{self.pair[0]}, {self.pair[1]}}} already exists")
-
-
-class InvalidLengthError(DatagraphError):
-    """Edge lengths must be positive, finite meters."""
-
-
 class GraphParseError(DatagraphError):
     """A graph document could not be parsed; the message names the location."""
 
 
 class GraphValidationError(DatagraphError):
-    """A graph document parsed fine but violates structural invariants."""
+    """A graph, or a document that parsed fine, violates structural invariants."""
 
     def __init__(self, violations):
         self.violations = list(violations)

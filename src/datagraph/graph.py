@@ -1,27 +1,27 @@
 """Spatial datagraph core: pose+snapshot nodes joined by neighboring-area edges.
 
-A :class:`Datagraph` has a two-phase lifecycle. Hand-built graphs grow with
-:meth:`Datagraph.add_node` and :meth:`Datagraph.add_edge`, then are frozen
-with :meth:`Datagraph.seal`. Generated and loaded worlds are built in bulk
-by one checked builder, :meth:`Datagraph._assemble`, which seals them, with
-the cyclic garbage collector paused (:func:`_collector_paused`). Loading
-reads the document through :func:`output.read_document`, the one reader of
-every input file, which also checks its ``format_version``. Records built by
-hand or loaded check their own fields with one helper per kind of field
-(ids, booleans, labels, attributes, numbers and number vectors), and the
-loaders, the experiment config and the world spec use the same helpers, so
-each check is written once. Generated poses and scene objects are built
-unchecked, each once, through their ``_of``: world generation checks its
-spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks), and every
-field it derives from that spec is valid by construction. Sealed graphs are
-immutable, safe to share across threads without locking, and are the only
-graphs accepted by the distance and path queries. Every query breaks ties
-deterministically (ascending node ids, lexicographically smallest paths) so
-traversals are reproducible. The records are frozen, slotted dataclasses, so
-they take no ``__dict__`` and no attribute beyond their fields; an edge is
-stored only in the adjacency lists of its two ends.
+A :class:`Datagraph` is built whole and never changes: its one constructor,
+``Datagraph(nodes, edges)``, takes :class:`Node` records in id order and
+``(a, b, traversable, length_m)`` edge tuples, checks each edge once, and
+raises :class:`GraphValidationError` on any violation. World generation and
+loading both call it, with the cyclic garbage collector paused
+(:func:`_collector_paused`). Loading reads the document through
+:func:`output.read_document`, the one reader of every input file, which also
+checks its ``format_version``. Records built by hand or loaded check their
+own fields with one helper per kind of field (ids, booleans, labels,
+attributes, numbers and number vectors), and the constructor, the loaders,
+the experiment config and the world spec use the same helpers, so each check
+is written once. Generated poses and scene objects are built unchecked, each
+once, through their ``_of``: world generation checks its spec once
+(``WorldSpec`` and ``CatalogEntry`` hold those checks), and every field it
+derives from that spec is valid by construction. A graph is safe to share
+across threads without locking. Every query breaks ties deterministically
+(ascending node ids, lexicographically smallest paths) so traversals are
+reproducible. The records are frozen, slotted dataclasses, so they take no
+``__dict__`` and no attribute beyond their fields; an edge is stored only in
+the adjacency lists of its two ends.
 
-Every distance comes from one frontier kernel per metric over the sealed
+Every distance comes from one frontier kernel per metric over the
 adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
 which settles one hop level at a time, sorted by id, and Dijkstra for
 meters, which settles one node at a time in ``(meters, id)`` pop order. A
@@ -38,22 +38,14 @@ from __future__ import annotations
 import gc
 import math
 import numbers
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from contextlib import contextmanager
 from collections import deque
 from dataclasses import FrozenInstanceError, dataclass, fields
 from heapq import heappop, heappush
 
 from . import output
-from .errors import (
-    DuplicateEdgeError,
-    GraphParseError,
-    GraphStateError,
-    GraphValidationError,
-    InvalidLengthError,
-    MissingNodeError,
-    SelfLoopError,
-)
+from .errors import GraphParseError, GraphValidationError, MissingNodeError
 
 NodeId = int
 
@@ -103,10 +95,12 @@ def _is_integer(value) -> bool:
 
 
 def _check_id(value, what: str) -> int:
-    """An integer id; its range is the caller's business."""
-    if type(value) is not int and not _is_integer(value):  # a plain int skips the ABC check
+    """An integer id as an int, which a document can hold; its range is the caller's business."""
+    if type(value) is int:  # the common case, without the ABC check
+        return value
+    if not _is_integer(value):
         raise _KindError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _check_bool(value, what: str) -> bool:
@@ -381,6 +375,15 @@ def _edge_faults(a: NodeId, b: NodeId, length_m: float, n: int) -> list[Violatio
     return out
 
 
+def _edge_fields(i: int, a, b, traversable, length_m) -> tuple[NodeId, NodeId, bool, float]:
+    """The fields of ``edges[i]`` checked for kind: two int ids, a bool and a float length."""
+    try:
+        return (_check_id(a, "a"), _check_id(b, "b"), _check_bool(traversable, "traversable"),
+                _as_float(length_m, "length_m"))
+    except _KindError as exc:
+        raise _KindError(f"edges[{i}]: {exc}") from None
+
+
 # The records of a saved graph document, as output.save_document takes them.
 
 
@@ -442,104 +445,56 @@ def by_metric(metric: str, hops, meters):
 
 
 class Datagraph:
-    """Immutable-after-build graph of (pose, snapshot) nodes.
+    """An immutable graph of (pose, snapshot) nodes, built whole.
 
-    Node ids are dense, assigned in insertion order starting at 0, and never
-    reused. The adjacency lists, the only edge store, are sorted ascending by
-    neighbor id, which anchors the deterministic tie-breaking of traversals.
+    Node ids are dense: node ``i`` is the ``i``-th record. The adjacency
+    lists, the only edge store, are sorted ascending by neighbor id, which
+    anchors the deterministic tie-breaking of traversals.
     """
 
-    def __init__(self) -> None:
-        self._nodes: list[Node] = []
-        self._adj: list[list[tuple[NodeId, Edge]]] = []
-        self._sealed = False
+    def __init__(self, nodes, edges) -> None:
+        """The graph of ``nodes``, :class:`Node` records in id order, joined by
+        ``edges``, ``(a, b, traversable, length_m)`` tuples in any order and
+        either way round; each edge is read and checked once.
 
-    # -- construction -------------------------------------------------------
-
-    def add_node(self, pose: Pose, snapshot: Snapshot) -> NodeId:
-        """Append a node and return its fresh id (= previous node count)."""
-        self._require_unsealed()
-        node_id = len(self._nodes)
-        self._nodes.append(Node(node_id, pose, snapshot))
-        self._adj.append([])
-        return node_id
-
-    def add_edge(
-        self,
-        a: NodeId,
-        b: NodeId,
-        traversable: bool = True,
-        length_m: float | None = None,
-    ) -> None:
-        """Connect two existing nodes.
-
-        When ``length_m`` is omitted the Euclidean distance between the
-        endpoint positions is stored; coincident poses therefore need an
-        explicit positive length.
+        An edge field of the wrong kind (an id that is not an integer, a
+        ``traversable`` that is not a bool, a length that is not a real
+        number) is a ``ValueError`` naming its ``edges[i]``. Any other fault
+        raises :class:`GraphValidationError` listing the violations: nodes out
+        of id order, then repeated pairs, then each new edge's
+        :func:`_edge_faults`, in input order.
         """
-        self._require_unsealed()
-        self._check_node(a)
-        self._check_node(b)
-        if a == b:
-            raise SelfLoopError(a)
-        if self._lookup(a, b) is not None:
-            raise DuplicateEdgeError(a, b)
-        if length_m is None:
-            length_m = math.dist(self._nodes[a].pose.position, self._nodes[b].pose.position)
-        length_m = float(length_m)
-        if not (math.isfinite(length_m) and length_m > 0.0):
-            raise InvalidLengthError(
-                f"edge {{{a}, {b}}} length must be positive and finite, got {length_m!r}"
-            )
-        edge = Edge(min(a, b), max(a, b), bool(traversable), length_m)
-        insort(self._adj[a], (b, edge), key=lambda item: item[0])
-        insort(self._adj[b], (a, edge), key=lambda item: item[0])
-
-    @classmethod
-    def _assemble(cls, nodes, edges) -> tuple[Datagraph, list[Violation]]:
-        """Build a sealed graph from :class:`Node` records in id order and
-        ``(a, b, traversable, length_m)`` tuples, checking each edge once.
-
-        Returns the graph and its violations, not raising them: repeated
-        pairs first, then each new edge's :func:`_edge_faults` in input order.
-        A faulty edge stays out of the graph. Appending both ends of the kept
-        edges in ``(a, b)`` order leaves every adjacency list ascending.
-        """
+        nodes = tuple(nodes)
         n = len(nodes)
-        duplicates: list[Violation] = []
+        violations = [
+            Violation("node-id-density", f"nodes[{i}] has id {node.id}, expected {i}")
+            for i, node in enumerate(nodes) if node.id != i
+        ]
         faults: list[Violation] = []
-        seen: set[tuple[NodeId, NodeId]] = set()
         kept: dict[tuple[NodeId, NodeId], Edge] = {}
         for i, (a, b, traversable, length_m) in enumerate(edges):
+            if not (type(a) is int and type(b) is int and type(traversable) is bool
+                    and type(length_m) is float):  # the common kinds skip the checks
+                a, b, traversable, length_m = _edge_fields(i, a, b, traversable, length_m)
             key = (a, b) if a < b else (b, a)
-            if key in seen:
-                duplicates.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
+            if key in kept:
+                violations.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
                 continue
-            seen.add(key)
-            found = _edge_faults(key[0], key[1], length_m, n)
-            if found:
-                faults += found
-            else:
-                kept[key] = Edge(key[0], key[1], traversable, length_m)
-        graph = cls()
-        graph._nodes = nodes
-        graph._adj = [[] for _ in range(n)]
-        for (a, b), edge in sorted(kept.items()):  # the keys are distinct, so no Edge is compared
-            graph._adj[a].append((b, edge))
-            graph._adj[b].append((a, edge))
-        return graph.seal(), duplicates + faults
-
-    def seal(self) -> Datagraph:
-        """Freeze the graph; all further mutation raises. Idempotent."""
-        if not self._sealed:
-            self._nodes = tuple(self._nodes)  # type: ignore[assignment]
-            self._adj = tuple(tuple(entries) for entries in self._adj)  # type: ignore[assignment]
-            self._sealed = True
-        return self
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
+            faults += _edge_faults(key[0], key[1], length_m, n)
+            kept[key] = Edge(key[0], key[1], traversable, length_m)
+        violations += faults
+        if violations:
+            raise GraphValidationError(violations)
+        adj: list = [[] for _ in range(n)]
+        # appended in (a, b) order, every list comes out ascending; the keys
+        # are distinct, so no Edge is compared
+        for (a, b), edge in sorted(kept.items()):
+            adj[a].append((b, edge))
+            adj[b].append((a, edge))
+        for v, entries in enumerate(adj):  # a tuple holds its entries inline, so kernels sweep it faster
+            adj[v] = tuple(entries)
+        self._nodes = nodes
+        self._adj = adj
 
     # -- access ---------------------------------------------------------------
 
@@ -549,19 +504,17 @@ class Datagraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Datagraph):
             return NotImplemented
-        same_records = self.nodes() == other.nodes() and self.edges() == other.edges()
-        return self._sealed == other._sealed and same_records
+        return self._nodes == other._nodes and self.edges() == other.edges()
 
     def __repr__(self) -> str:
-        state = "sealed" if self._sealed else "building"
-        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._adj)) // 2}, {state})"
+        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._adj)) // 2})"
 
     def node(self, v: NodeId) -> Node:
         self._check_node(v)
         return self._nodes[v]
 
     def nodes(self) -> tuple[Node, ...]:
-        return tuple(self._nodes)
+        return self._nodes
 
     def edges(self) -> tuple[Edge, ...]:
         """All edges, sorted by (a, b): each as listed at its lower end ``a``."""
@@ -569,18 +522,15 @@ class Datagraph:
 
     def neighbors(self, v: NodeId, traversable_only: bool = False) -> list[NodeId]:
         """Adjacent node ids in ascending order."""
-        self._require_sealed()
         self._check_node(v)
         return [w for w, e in self._adj[v] if e.traversable or not traversable_only]
 
     def adjacency(self, v: NodeId, traversable_only: bool = False) -> list[tuple[NodeId, Edge]]:
         """(neighbor id, edge) pairs in ascending neighbor order."""
-        self._require_sealed()
         self._check_node(v)
         return [(w, e) for w, e in self._adj[v] if e.traversable or not traversable_only]
 
     def edge_between(self, a: NodeId, b: NodeId) -> Edge | None:
-        self._require_sealed()
         self._check_node(a)
         self._check_node(b)
         return self._lookup(a, b)
@@ -621,7 +571,6 @@ class Datagraph:
         search runs from ``b`` only until every node no farther than ``a``
         has settled, which is every node the descent can step to.
         """
-        self._require_sealed()
         self._check_node(a)
         dist_to_goal, frontier = self._frontier(metric, b, traversable_only)
         limit = _settle(dist_to_goal, frontier, a)
@@ -676,7 +625,6 @@ class Datagraph:
         a generator, settles it, nearest first. Advance the kernel only as
         far as the caller reads (:func:`_settle`), or drain it for the full map.
         """
-        self._require_sealed()
         self._check_node(source)
         kernel = by_metric(metric, self._hop_kernel, self._meter_kernel)
         dist: dict[NodeId, float] = {}
@@ -735,11 +683,12 @@ class Datagraph:
     def validate(self) -> list[Violation]:
         """Re-check every structural invariant; empty list means well-formed.
 
-        Violations are data, not errors. Generation and loading check each
-        record and edge as they build it, so their graphs always pass; this
-        is the lint for any graph, whatever built it. Edges are checked where the
-        adjacency lists them: an entry ``v -> w`` is ``edge-key`` if its edge
-        joins that pair as ``a > b``, ``adjacency-edge`` if it joins another.
+        Violations are data, not errors. The constructor refuses every
+        violation, so a graph passes unless something reached past it into
+        its records or adjacency; this re-checks what is stored. Edges are
+        checked where the adjacency lists them: an entry ``v -> w`` is
+        ``edge-key`` if its edge joins that pair as ``a > b``,
+        ``adjacency-edge`` if it joins another.
         """
         out: list[Violation] = []
         for index, node in enumerate(self._nodes):
@@ -797,15 +746,13 @@ class Datagraph:
         return {"format_version": 1, "nodes": nodes, "edges": edges}
 
     def save(self, destination) -> None:
-        """Write the graph document to a path. Requires a sealed graph.
+        """Write the graph document to a path.
 
         The file holds ``json.dumps(self.to_json_dict(), indent=2)`` plus a
         newline, written one node and one edge at a time, and it replaces
         ``destination`` atomically (:func:`output.save_document`). A path that
         cannot be written is an :class:`OutputError`.
         """
-        if not self._sealed:
-            raise GraphStateError("only sealed graphs can be saved")
         output.save_document(destination, 1, [
             ("nodes", "[]", map(_node_text, self._nodes)),
             ("edges", "[]", map(_edge_text, self.edges())),
@@ -813,7 +760,7 @@ class Datagraph:
 
     @classmethod
     def from_json_dict(cls, doc) -> Datagraph:
-        """Rebuild a sealed graph from its document form.
+        """Rebuild a graph from its document form.
 
         Each field is checked once, where it is parsed. Shape and type
         problems (a missing field, a string where a number belongs, a number
@@ -829,7 +776,6 @@ class Datagraph:
         if not isinstance(raw_edges, list):
             raise GraphParseError("edges: expected an array")
 
-        violations: list[Violation] = []
         nodes: list[Node] = []
         for i, node_doc in enumerate(raw_nodes):
             if not isinstance(node_doc, dict):
@@ -854,32 +800,24 @@ class Datagraph:
                 raise GraphParseError(f"nodes[{i}]: {exc}") from exc
             except ValueError as exc:
                 raise GraphValidationError([Violation("node-data", f"nodes[{i}]: {exc}")]) from exc
-            if node_id != i:
-                violations.append(Violation("node-id-density", f"nodes[{i}] has id {node_id}, expected {i}"))
-            nodes.append(Node(i, pose, snapshot))
+            nodes.append(Node(node_id, pose, snapshot))
 
-        edges = []
-        for i, edge_doc in enumerate(raw_edges):
-            if not isinstance(edge_doc, dict):
-                raise GraphParseError(f"edges[{i}]: expected an object")
-            try:
-                a, b = edge_doc["a"], edge_doc["b"]
-                traversable, length_m = edge_doc["traversable"], edge_doc["length_m"]
-            except KeyError as exc:
-                raise GraphParseError(f"edges[{i}]: missing field {exc}") from exc
-            try:
-                a, b = _check_id(a, "a"), _check_id(b, "b")
-                traversable = _check_bool(traversable, "traversable")
-                edges.append((a, b, traversable, _as_float(length_m, "length_m")))
-            except _KindError as exc:
-                raise GraphParseError(f"edges[{i}]: {exc}") from exc
+        def edge_tuples():
+            for i, edge_doc in enumerate(raw_edges):
+                if not isinstance(edge_doc, dict):
+                    raise GraphParseError(f"edges[{i}]: expected an object")
+                try:
+                    fields = edge_doc["a"], edge_doc["b"], edge_doc["traversable"], edge_doc["length_m"]
+                except KeyError as exc:
+                    raise GraphParseError(f"edges[{i}]: missing field {exc}") from exc
+                yield fields
 
-        # every record and edge is checked as it is built, so validate() would find nothing
-        graph, built = cls._assemble(nodes, edges)
-        violations += built
-        if violations:
-            raise GraphValidationError(violations)
-        return graph
+        # the constructor reads the edges one at a time, so the first parse
+        # fault in document order wins over every violation
+        try:
+            return cls(nodes, edge_tuples())
+        except _KindError as exc:
+            raise GraphParseError(str(exc)) from exc
 
     @classmethod
     @_collector_paused()
@@ -900,10 +838,3 @@ class Datagraph:
         if not (_is_integer(v) and 0 <= v < len(self._nodes)):
             raise MissingNodeError(v)
 
-    def _require_unsealed(self) -> None:
-        if self._sealed:
-            raise GraphStateError("graph is sealed; construction is over")
-
-    def _require_sealed(self) -> None:
-        if not self._sealed:
-            raise GraphStateError("graph must be sealed before it can be queried")

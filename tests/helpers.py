@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 import numpy as np
 from hypothesis import strategies as st
 
-from datagraph import Datagraph, Pose, SceneObject, Snapshot
+from datagraph import Datagraph, Node, Pose, SceneObject, Snapshot
 
 
 def simple_path_distances(
@@ -57,6 +57,25 @@ def queue_bfs_levels(n: int, edges: dict[tuple[int, int], float], source: int) -
                 hops[w] = hops[v] + 1
                 queue.append(w)
     return hops
+
+
+def heap_dijkstra(n: int, edges: dict[tuple[int, int], float], source: int) -> dict[int, float]:
+    """Plain heap Dijkstra over an edge dict; no library code involved."""
+    adjacency: dict[int, list[tuple[int, float]]] = {v: [] for v in range(n)}
+    for (a, b), length in edges.items():
+        adjacency[a].append((b, length))
+        adjacency[b].append((a, length))
+    meters: dict[int, float] = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, v = heappop(heap)
+        if v in meters:
+            continue
+        meters[v] = d
+        for w, length in adjacency[v]:
+            if w not in meters:
+                heappush(heap, (d + length, w))
+    return meters
 
 
 def bfs_visit_order(n: int, edges: dict[tuple[int, int], float], source: int) -> list[int]:
@@ -133,8 +152,8 @@ ABSORBING_LENGTHS = st.sampled_from([1e16, 1e16, 0.5, 1.0, 3.0])
 
 @st.composite
 def frontier_graphs(draw, max_nodes: int = 24):
-    """A sealed graph of up to ``max_nodes`` nodes, not always connected, with
-    some untraversable edges and lengths from one of the three families."""
+    """A graph of up to ``max_nodes`` nodes, not always connected, with some
+    untraversable edges and lengths from one of the three families."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     lengths = draw(st.sampled_from([DYADIC_LENGTHS, FLOAT_LENGTHS, ABSORBING_LENGTHS]))
     pairs = draw(st.lists(
@@ -142,12 +161,11 @@ def frontier_graphs(draw, max_nodes: int = 24):
         max_size=3 * n,
         unique_by=lambda p: (min(p), max(p)),
     ))
-    graph = Datagraph()
-    for v in range(n):
-        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
+    edges = []
     for a, b in pairs:
-        graph.add_edge(a, b, traversable=draw(st.sampled_from([True, True, False])), length_m=draw(lengths))
-    return graph.seal()
+        traversable = draw(st.sampled_from([True, True, False]))
+        edges.append((a, b, draw(lengths), traversable))
+    return build_graph(n, edges)
 
 
 def all_pairs_admits(candidate, placed, separation: float) -> bool:
@@ -160,41 +178,38 @@ def edge_dict(graph: Datagraph) -> dict[tuple[int, int], float]:
     return {(e.a, e.b): e.length_m for e in graph.edges()}
 
 
-def build_graph(
-    n: int,
-    edges,
-    positions=None,
-    objects: dict[int, list[SceneObject]] | None = None,
-    seal: bool = True,
-) -> Datagraph:
-    """Small-world builder: edges as (a, b) or (a, b, length) or (a, b, length, traversable)."""
-    graph = Datagraph()
-    for v in range(n):
-        pos = positions[v] if positions is not None else (float(v), 0.0, 0.0)
-        objs = tuple(objects.get(v, [])) if objects else ()
-        graph.add_node(Pose(pos), Snapshot(objs))
+def build_graph(n: int, edges, positions=None, objects=None, poses=None, snapshots=None) -> Datagraph:
+    """Small-world builder, through the graph's one constructor.
+
+    Node ``v`` stands at ``positions[v]`` (by default ``(v, 0, 0)``) and holds
+    ``objects[v]``, unless ``poses`` and ``snapshots`` give its records whole.
+    Edges are (a, b), (a, b, length) or (a, b, length, traversable); a length
+    left out or None is the Euclidean distance between the two ends.
+    """
+    if poses is None:
+        poses = [Pose(positions[v] if positions is not None else (float(v), 0.0, 0.0)) for v in range(n)]
+    if snapshots is None:
+        snapshots = [Snapshot(tuple(objects.get(v, [])) if objects else ()) for v in range(n)]
+    tuples = []
     for spec in edges:
         a, b = spec[0], spec[1]
         length = spec[2] if len(spec) > 2 else None
-        traversable = spec[3] if len(spec) > 3 else True
-        graph.add_edge(a, b, traversable=traversable, length_m=length)
-    if seal:
-        graph.seal()
-    return graph
+        if length is None:
+            length = math.dist(poses[a].position, poses[b].position)
+        tuples.append((a, b, spec[3] if len(spec) > 3 else True, length))
+    return Datagraph([Node(v, poses[v], snapshots[v]) for v in range(n)], tuples)
 
 
 def random_connected_graph(seed: int, max_nodes: int = 200) -> Datagraph:
     """Random tree plus chords, random poses; connected by construction."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_nodes + 1))
-    graph = Datagraph()
-    for v in range(n):
-        position = tuple(float(c) for c in rng.uniform(-50.0, 50.0, size=3))
-        graph.add_node(Pose(position), Snapshot())
+    positions = [tuple(float(c) for c in rng.uniform(-50.0, 50.0, size=3)) for _ in range(n)]
+    edges = []
     pairs = set()
     for v in range(1, n):
         parent = int(rng.integers(v))
-        graph.add_edge(parent, v)
+        edges.append((parent, v))
         pairs.add((min(parent, v), max(parent, v)))
     extra = int(rng.integers(0, n))
     for _ in range(extra):
@@ -203,8 +218,8 @@ def random_connected_graph(seed: int, max_nodes: int = 200) -> Datagraph:
         if a == b or key in pairs:
             continue
         pairs.add(key)
-        graph.add_edge(a, b)
-    return graph.seal()
+        edges.append((a, b))
+    return build_graph(n, edges, positions=positions)
 
 
 def random_decorated_graph(seed: int, max_nodes: int = 40) -> Datagraph:
@@ -212,7 +227,7 @@ def random_decorated_graph(seed: int, max_nodes: int = 40) -> Datagraph:
     non-traversable edges; for serialization round-trips."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(1, max_nodes + 1))
-    graph = Datagraph()
+    poses, snapshots = [], []
     labels = ["extinguisher", "keyfob", "door", "crate"]
     for v in range(n):
         position = tuple(float(c) for c in rng.uniform(-9.0, 9.0, size=3))
@@ -232,11 +247,13 @@ def random_decorated_graph(seed: int, max_nodes: int = 40) -> Datagraph:
                     instance_id=v * 100 + k,
                 )
             )
-        graph.add_node(Pose(position, orientation), Snapshot(tuple(objs), payload))
+        poses.append(Pose(position, orientation))
+        snapshots.append(Snapshot(tuple(objs), payload))
+    edges = []
     pairs = set()
     for v in range(1, n):
         parent = int(rng.integers(v))
-        graph.add_edge(parent, v, traversable=bool(rng.random() < 0.8))
+        edges.append((parent, v, None, bool(rng.random() < 0.8)))
         pairs.add((parent, v) if parent < v else (v, parent))
     for _ in range(int(rng.integers(0, n))):
         a, b = int(rng.integers(n)), int(rng.integers(n))
@@ -244,5 +261,6 @@ def random_decorated_graph(seed: int, max_nodes: int = 40) -> Datagraph:
         if a == b or key in pairs:
             continue
         pairs.add(key)
-        graph.add_edge(a, b, traversable=bool(rng.random() < 0.8), length_m=float(rng.uniform(0.5, 30.0)))
-    return graph.seal()
+        traversable = bool(rng.random() < 0.8)
+        edges.append((a, b, float(rng.uniform(0.5, 30.0)), traversable))
+    return build_graph(n, edges, poses=poses, snapshots=snapshots)

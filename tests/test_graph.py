@@ -13,13 +13,10 @@ from hypothesis import strategies as st
 
 from datagraph import (
     Datagraph,
-    DuplicateEdgeError,
     Edge,
     GraphParseError,
-    GraphStateError,
     GraphValidationError,
     GroundTruthInstance,
-    InvalidLengthError,
     MissingNodeError,
     Node,
     OracleBackend,
@@ -28,7 +25,6 @@ from datagraph import (
     Query,
     QueryResponse,
     SceneObject,
-    SelfLoopError,
     Snapshot,
     proximity_query_all,
 )
@@ -79,80 +75,78 @@ def test_empty_snapshot_is_valid():
 # --- construction ---------------------------------------------------------------
 
 
-def test_add_node_returns_dense_ids():
-    g = Datagraph()
-    assert g.add_node(Pose((0, 0, 0)), Snapshot()) == 0
-    assert g.add_node(Pose((1, 0, 0)), Snapshot()) == 1
-    assert g.add_node(Pose((2, 0, 0)), Snapshot()) == 2
-    assert g.add_node(Pose((3, 0, 0)), Snapshot()) == 3
-
-
 def test_added_nodes_keep_their_snapshots():
-    g = Datagraph()
     snap_a = Snapshot((SceneObject("keyfob", {"number": "42"}, (0, 0, 0), 1),))
     snap_b = Snapshot((), payload_ref="scene://b")
-    a = g.add_node(Pose((0, 0, 0)), snap_a)
-    b = g.add_node(Pose((1, 0, 0)), snap_b)
-    assert (a, b) == (0, 1)
+    g = Datagraph([Node(0, Pose((0, 0, 0)), snap_a), Node(1, Pose((1, 0, 0)), snap_b)], [])
     assert g.node(0).snapshot == snap_a
     assert g.node(1).snapshot == snap_b
 
 
-def test_add_node_after_seal_is_an_error():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    g.seal()
-    with pytest.raises(GraphStateError):
-        g.add_node(Pose((1, 0, 0)), Snapshot())
-    with pytest.raises(GraphStateError):
-        g.add_edge(0, 0)
-
-
-def test_default_edge_length_is_euclidean():
-    g = build_graph(2, [(0, 1)], positions=[(0, 0, 0), (3, 4, 0)])
-    assert g.edges()[0].length_m == 5.0
+def _violations(n, edges):
+    """The (invariant, detail) list the constructor refuses ``edges`` on ``n`` nodes with."""
+    with pytest.raises(GraphValidationError) as excinfo:
+        build_graph(n, edges)
+    return [(v.invariant, v.detail) for v in excinfo.value.violations]
 
 
 def test_self_loop_rejected():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    with pytest.raises(SelfLoopError):
-        g.add_edge(0, 0)
+    assert _violations(1, [(0, 0, 1.0)]) == [("self-loop", "edge on node 0")]
 
 
 def test_duplicate_edge_rejected_either_direction():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    g.add_node(Pose((1, 0, 0)), Snapshot())
-    g.add_edge(0, 1)
-    with pytest.raises(DuplicateEdgeError):
-        g.add_edge(1, 0)
+    assert _violations(2, [(0, 1), (1, 0)]) == [("duplicate-edge", "edges[1] repeats pair (0, 1)")]
+    assert _violations(2, [(0, 1), (0, 1)]) == [("duplicate-edge", "edges[1] repeats pair (0, 1)")]
 
 
 def test_edge_to_missing_node():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    with pytest.raises(MissingNodeError):
-        g.add_edge(0, 7)
+    assert _violations(1, [(0, 7, 1.0)]) == [("edge-endpoint", "edge {0, 7} endpoint missing")]
 
 
 def test_non_positive_length_rejected():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    g.add_node(Pose((1, 0, 0)), Snapshot())
-    with pytest.raises(InvalidLengthError):
-        g.add_edge(0, 1, length_m=0.0)
-    with pytest.raises(InvalidLengthError):
-        g.add_edge(0, 1, length_m=-2.0)
+    assert _violations(2, [(0, 1, 0.0)]) == [("edge-length", "edge {0, 1} has length 0.0")]
+    assert _violations(2, [(0, 1, -2.0)]) == [("edge-length", "edge {0, 1} has length -2.0")]
 
 
 def test_coincident_poses_need_explicit_length():
-    g = Datagraph()
-    g.add_node(Pose((1, 1, 0)), Snapshot())
-    g.add_node(Pose((1, 1, 0)), Snapshot())
-    with pytest.raises(InvalidLengthError):
-        g.add_edge(0, 1)
-    g.add_edge(0, 1, length_m=0.5)
+    with pytest.raises(GraphValidationError) as excinfo:
+        build_graph(2, [(0, 1)], positions=[(1, 1, 0), (1, 1, 0)])
+    assert [v.invariant for v in excinfo.value.violations] == ["edge-length"]
+    assert build_graph(2, [(0, 1, 0.5)], positions=[(1, 1, 0), (1, 1, 0)]).edges()[0].length_m == 0.5
+
+
+def test_constructor_refuses_nodes_out_of_id_order():
+    nodes = [Node(0, Pose((0, 0, 0)), Snapshot()), Node(2, Pose((1, 0, 0)), Snapshot())]
+    with pytest.raises(GraphValidationError) as excinfo:
+        Datagraph(nodes, [(0, 1, True, 1.0)])
+    assert [str(v) for v in excinfo.value.violations] == ["node-id-density: nodes[1] has id 2, expected 1"]
+
+
+@pytest.mark.parametrize(
+    "edge, message",
+    [
+        (("0", 2, True, 1.0), "edges[1]: a must be an integer, got '0'"),
+        ((0, True, True, 1.0), "edges[1]: b must be an integer, got True"),
+        ((0, 2, 1, 1.0), "edges[1]: traversable must be a boolean, got 1"),
+        ((0, 2, True, "1.5"), "edges[1]: length_m must be a number, got '1.5'"),
+    ],
+    ids=["a", "b", "traversable", "length_m"],
+)
+def test_constructor_refuses_an_edge_field_of_the_wrong_kind(edge, message):
+    nodes = [Node(v, Pose((float(v), 0.0, 0.0)), Snapshot()) for v in range(3)]
+    with pytest.raises(ValueError) as excinfo:
+        Datagraph(nodes, [(0, 1, True, 1.0), edge])
+    assert str(excinfo.value) == message
+
+
+def test_constructor_stores_real_lengths_and_integral_ids_as_floats_and_ints(tmp_path):
+    np = pytest.importorskip("numpy")
+    nodes = [Node(v, Pose((float(v), 0.0, 0.0)), Snapshot()) for v in range(3)]
+    g = Datagraph(nodes, [(0, 1, True, 2), (np.int64(2), np.int64(1), False, np.float32(0.5))])
+    assert g.edges() == (Edge(0, 1, True, 2.0), Edge(1, 2, False, 0.5))
+    assert all(type(e.a) is int and type(e.b) is int and type(e.length_m) is float for e in g.edges())
+    g.save(tmp_path / "world.json")
+    assert Datagraph.load(tmp_path / "world.json") == g
 
 
 # --- neighbors ---------------------------------------------------------------
@@ -171,13 +165,6 @@ def test_neighbors_sorted_regardless_of_insertion_order():
     # star: center 0, leaves wired 3, 1, 2 in that order
     g = build_graph(4, [(0, 3), (0, 1), (0, 2)])
     assert g.neighbors(0) == [1, 2, 3]
-
-
-def test_neighbors_requires_sealed_graph():
-    g = Datagraph()
-    g.add_node(Pose((0, 0, 0)), Snapshot())
-    with pytest.raises(GraphStateError):
-        g.neighbors(0)
 
 
 def test_neighbors_unknown_id(path_graph):
@@ -326,7 +313,7 @@ def test_validate_reports_bad_length_injected_past_construction():
 
 
 def test_round_trip_empty_graph(tmp_path):
-    g = Datagraph().seal()
+    g = Datagraph([], [])
     path = tmp_path / "empty.json"
     g.save(path)
     assert Datagraph.load(path) == g
@@ -354,12 +341,6 @@ def test_round_trip_100_node_seeded_world(tmp_path):
     path = tmp_path / "big.json"
     graph.save(path)
     assert Datagraph.load(path) == graph
-
-
-def test_save_requires_sealed_graph(tmp_path):
-    g = Datagraph()
-    with pytest.raises(GraphStateError):
-        g.save(tmp_path / "x.json")
 
 
 def test_load_truncated_file_is_parse_error(tmp_path):
@@ -621,6 +602,7 @@ def test_record_constructors_accept_numpy_numbers():
     assert all(type(c) is float for c in pose.position + pose.orientation)
     obj = SceneObject("crate", world_position=(np.int64(1), 2, 3), instance_id=np.int64(4))
     assert obj.world_position == (1.0, 2.0, 3.0)
+    assert type(obj.instance_id) is int  # so that a document can hold it
 
 
 def test_node_and_edge_keep_their_dataclass_behaviour():
@@ -671,9 +653,7 @@ def test_node_lookup_takes_ints_and_numpy_ints_but_not_bools(path_graph):
 
 def test_numbers_survive_round_trip_bit_exact(tmp_path):
     pos = (0.1 + 0.2, math.pi, -1.0 / 3.0)
-    g = Datagraph()
-    g.add_node(Pose(pos), Snapshot())
-    g.seal()
+    g = build_graph(1, [], positions=[pos])
     path = tmp_path / "float.json"
     g.save(path)
     assert Datagraph.load(path).node(0).pose.position == pos
@@ -690,23 +670,6 @@ def build_scripts(draw, length=st.floats(min_value=0.1, max_value=50.0, allow_na
     lengths = draw(st.lists(length, min_size=len(chosen), max_size=len(chosen)))
     flags = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
     return n, list(zip(chosen, lengths, flags))
-
-
-@given(build_scripts())
-def test_property_adjacency_symmetric_and_sorted(script):
-    n, edges = script
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, traversable in edges:
-        g.add_edge(a, b, traversable=traversable, length_m=length)
-    g.seal()
-    assert g.validate() == []
-    for v in range(n):
-        ids = g.neighbors(v)
-        assert ids == sorted(ids)
-        for w in ids:
-            assert v in g.neighbors(w)
 
 
 @st.composite
@@ -727,33 +690,29 @@ def bulk_edge_lists(draw):
 
 @given(bulk_edge_lists())
 @settings(max_examples=200)
-def test_property_bulk_builder_matches_add_edge_path(script):
+def test_property_adjacency_symmetric_and_sorted(script):
+    # the edges come in any order and either way round; each is stored once, as a < b
     n, edges = script
-    nodes = [Node(v, Pose((float(v), 0.0, 0.0)), Snapshot()) for v in range(n)]
-    built, violations = Datagraph._assemble(nodes, edges)
-    assert violations == []
-    by_hand = Datagraph()
-    for node in nodes:
-        by_hand.add_node(node.pose, node.snapshot)
-    for a, b, traversable, length in edges:
-        by_hand.add_edge(a, b, traversable, length)
-    by_hand.seal()
-    assert built == by_hand
-    assert built.edges() == by_hand.edges()
+    g = build_graph(n, [(a, b, length, traversable) for a, b, traversable, length in edges])
+    assert g.validate() == []
+    stored = sorted((Edge(min(a, b), max(a, b), t, length) for a, b, t, length in edges), key=lambda e: (e.a, e.b))
+    assert g.edges() == tuple(stored)
+    expected = {v: [] for v in range(n)}
+    for edge in stored:
+        expected[edge.a].append((edge.b, edge))
+        expected[edge.b].append((edge.a, edge))
     for v in range(n):
-        assert built.adjacency(v) == by_hand.adjacency(v)
-    assert built.validate() == []
+        assert g.adjacency(v) == sorted(expected[v], key=lambda item: item[0])
+        ids = g.neighbors(v)
+        assert ids == sorted(ids)
+        for w in ids:
+            assert v in g.neighbors(w)
 
 
 @given(build_scripts())
 def test_property_bfs_recurrence(script):
     n, edges = script
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, _ in edges:
-        g.add_edge(a, b, length_m=length)
-    g.seal()
+    g = _build(n, edges)
     dist = g.hop_distances(0)
     assert dist[0] == 0
     for e in g.edges():
@@ -765,12 +724,7 @@ def test_property_bfs_recurrence(script):
 @settings(max_examples=150)
 def test_property_distances_match_enumeration(script):
     n, edges = script
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, _ in edges:
-        g.add_edge(a, b, length_m=length)
-    g.seal()
+    g = _build(n, edges)
     brute_hops = simple_path_distances(n, edge_dict(g), 0, weighted=False)
     assert g.hop_distances(0) == {v: int(d) for v, d in brute_hops.items()}
     brute_meters = simple_path_distances(n, edge_dict(g), 0, weighted=True)
@@ -781,15 +735,9 @@ def test_property_distances_match_enumeration(script):
 
 
 def _build(n, edges, traversable_only=False):
-    """A sealed graph on ``n`` nodes from a build script's edges; with
+    """The graph on ``n`` nodes of a build script's edges; with
     ``traversable_only`` the untraversable edges are left out."""
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, traversable in edges:
-        if traversable or not traversable_only:
-            g.add_edge(a, b, traversable=traversable, length_m=length)
-    return g.seal()
+    return build_graph(n, [(a, b, length, t) for (a, b), length, t in edges if t or not traversable_only])
 
 
 @given(build_scripts())
@@ -826,12 +774,7 @@ def test_property_meter_order_matches_enumeration_with_exact_ties(script):
 @settings(max_examples=150)
 def test_property_shortest_path_consistent_with_distances(script):
     n, edges = script
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, _ in edges:
-        g.add_edge(a, b, length_m=length)
-    g.seal()
+    g = _build(n, edges)
     for target in range(n):
         for metric in ("hops", "meters"):
             path = g.shortest_path(0, target, metric=metric)
@@ -853,15 +796,11 @@ def test_property_shortest_path_consistent_with_distances(script):
 @settings(max_examples=150)
 def test_property_hop_paths_are_lexicographically_minimal(script):
     n, edges = script
-    g = Datagraph()
-    for v in range(n):
-        g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
+    g = _build(n, edges)
     adjacency = {v: set() for v in range(n)}
-    for (a, b), length, _ in edges:
-        g.add_edge(a, b, length_m=length)
+    for (a, b), _, _ in edges:
         adjacency[a].add(b)
         adjacency[b].add(a)
-    g.seal()
 
     def all_simple_paths(start, goal):
         stack = [(start, [start])]
@@ -991,17 +930,8 @@ def test_every_single_field_fault_loads_clean_or_is_refused():
 @given(build_scripts())
 def test_property_traversable_only_equals_subgraph(script):
     n, edges = script
-    full = Datagraph()
-    sub = Datagraph()
-    for v in range(n):
-        for g in (full, sub):
-            g.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    for (a, b), length, traversable in edges:
-        full.add_edge(a, b, traversable=traversable, length_m=length)
-        if traversable:
-            sub.add_edge(a, b, traversable=True, length_m=length)
-    full.seal()
-    sub.seal()
+    full = _build(n, edges)
+    sub = _build(n, edges, traversable_only=True)
     assert full.hop_distances(0, traversable_only=True) == sub.hop_distances(0)
     assert full.geodesic_distances(0, traversable_only=True) == sub.geodesic_distances(0)
     for target in range(n):

@@ -440,20 +440,20 @@ def test_unreadable_replay_store_fails_the_run(tmp_path):
 
 @pytest.fixture
 def collector_seen(monkeypatch):
-    """``gc.isenabled()`` as seen by each bulk build of a graph or a ground truth."""
+    """``gc.isenabled()`` as seen by each construction of a graph or a ground truth."""
     seen = []
-    assemble = Datagraph._assemble.__func__
+    construct = Datagraph.__init__
     post_init = GroundTruth.__post_init__
 
-    def spy_assemble(cls, nodes, edges):
+    def spy_construct(self, nodes, edges):
         seen.append(gc.isenabled())
-        return assemble(cls, nodes, edges)
+        construct(self, nodes, edges)
 
     def spy_post_init(self):
         seen.append(gc.isenabled())
         post_init(self)
 
-    monkeypatch.setattr(Datagraph, "_assemble", classmethod(spy_assemble))
+    monkeypatch.setattr(Datagraph, "__init__", spy_construct)
     monkeypatch.setattr(GroundTruth, "__post_init__", spy_post_init)
     yield seen
     gc.enable()  # also after a test that failed with the collector off

@@ -35,7 +35,7 @@ from datagraph import (
     generate_world,
 )
 from datagraph import backends, cli, graph, output, worldgen
-from helpers import random_decorated_graph
+from helpers import build_graph, random_decorated_graph
 
 # characters json.dumps escapes (quote, backslash, controls), non-ASCII ones it
 # writes as \u escapes (a surrogate pair above the BMP), and anything else
@@ -60,16 +60,19 @@ def scene_objects(world_position=st.one_of(st.none(), POSITION)):
 
 @st.composite
 def graphs(draw) -> Datagraph:
-    built = Datagraph()
     n = draw(st.integers(0, 5))
+    poses, snapshots = [], []
     for _ in range(n):
         objects = draw(st.lists(scene_objects(), max_size=3))
         payload_ref = draw(st.one_of(st.none(), st.text(max_size=6), TEXT))
-        built.add_node(Pose(draw(POSITION), draw(ORIENTATION)), Snapshot(objects, payload_ref))
+        snapshots.append(Snapshot(objects, payload_ref))
+        poses.append(Pose(draw(POSITION), draw(ORIENTATION)))
     pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = []
     for a, b in draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []:
-        built.add_edge(a, b, traversable=draw(st.booleans()), length_m=draw(LENGTH))
-    return built.seal()
+        traversable = draw(st.booleans())
+        edges.append((a, b, draw(LENGTH), traversable))
+    return build_graph(n, edges, poses=poses, snapshots=snapshots)
 
 
 ground_truths = st.builds(
@@ -114,7 +117,7 @@ def test_saved_bytes_equal_json_dumps_of_the_document(destination, document):
     assert destination.read_bytes() == _expected(document)
 
 
-@pytest.mark.parametrize("document", [Datagraph().seal(), GroundTruth(), ReplayStore()],
+@pytest.mark.parametrize("document", [Datagraph([], []), GroundTruth(), ReplayStore()],
                          ids=["graph", "ground-truth", "store"])
 def test_empty_documents_match_json_dumps(tmp_path, document):
     document.save(tmp_path / "empty.json")

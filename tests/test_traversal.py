@@ -2,16 +2,22 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import datagraph
 from datagraph import (
     BackendError,
     CachingBackend,
     Datagraph,
     DedupUnavailableError,
+    ExperimentConfig,
     InvalidPathError,
     MissingNodeError,
     OracleBackend,
@@ -19,6 +25,7 @@ from datagraph import (
     Query,
     QueryResponse,
     SceneObject,
+    TaskConfig,
     TraversalAbortedError,
     WorldSpec,
     aggregate_count,
@@ -28,8 +35,16 @@ from datagraph import (
     path_query,
     proximity_query_all,
     proximity_search_first,
+    run_compare,
 )
-from helpers import build_graph, edge_dict, bfs_visit_order, random_connected_graph
+from helpers import (
+    bfs_visit_order,
+    build_graph,
+    edge_dict,
+    heap_dijkstra,
+    queue_bfs_levels,
+    random_connected_graph,
+)
 
 FIND_KEYFOB = Query("find a keyfob", Predicate(label_equals="keyfob"))
 
@@ -447,6 +462,60 @@ def test_property_query_count_bound(seed):
     assert result.total_backend_calls == below + rank
 
 
+# Generated worlds from 6x6 to 100x100 rooms, each with and without boundary
+# duplicates; the larger ones hold fewer objects, so that searches run far.
+FORMULA_WORLDS = [
+    WorldSpec(6, 6, seed=1),
+    WorldSpec(6, 6, seed=2, boundary_duplicate_prob=0.5),
+    WorldSpec(16, 16, seed=3, objects_per_room_mean=0.3),
+    WorldSpec(16, 16, seed=4, objects_per_room_mean=0.3, boundary_duplicate_prob=0.5),
+    WorldSpec(40, 40, seed=5, objects_per_room_mean=0.05),
+    WorldSpec(40, 40, seed=6, objects_per_room_mean=0.05, boundary_duplicate_prob=0.5),
+    WorldSpec(100, 100, seed=7, objects_per_room_mean=0.01),
+    WorldSpec(100, 100, seed=8, objects_per_room_mean=0.01, boundary_duplicate_prob=0.5),
+]
+
+
+def formula_calls(dist, homes):
+    """The query-count formula: nodes closer than the nearest hit, plus the
+    hit's rank by id within its distance tie; with no reachable hit, every
+    reachable node. Returns the count and the hit."""
+    reachable = [v for v in homes if v in dist]
+    if not reachable:
+        return len(dist), None
+    nearest = min(dist[v] for v in reachable)
+    hit = min(v for v in reachable if dist[v] == nearest)
+    closer = sum(1 for d in dist.values() if d < nearest)
+    return closer + sorted(v for v, d in dist.items() if d == nearest).index(hit) + 1, hit
+
+
+@pytest.mark.parametrize("spec", FORMULA_WORLDS, ids=lambda spec: f"{spec.grid_w}x{spec.grid_h}-seed{spec.seed}")
+def test_query_count_formula_against_a_reference_bfs_and_dijkstra(spec):
+    """Distances come from a queue BFS and a heap Dijkstra over ``graph.edges()``,
+    hits from the ground truth: nothing here runs the graph's own kernels."""
+    graph, ground_truth = generate_world(spec)
+    n, edges = len(graph), edge_dict(graph)
+    labels = sorted({inst.label for inst in ground_truth.instances}) + ["nothing"]
+    for agent in (0, (spec.seed * 7919) % n):
+        reference = {"hops": queue_bfs_levels(n, edges, agent), "meters": heap_dijkstra(n, edges, agent)}
+        for label in labels:
+            query = Query(f"find {label}", Predicate(label_equals=label))
+            homes = {inst.home_node for inst in ground_truth.instances if inst.label == label}
+            for metric, dist in reference.items():
+                calls, hit = formula_calls(dist, homes)
+                result = proximity_search_first(graph, OracleBackend(), query, agent, metric)
+                assert result.total_backend_calls == calls, (agent, label, metric)
+                if hit is None:
+                    assert result.first_satisfied is None
+                else:
+                    node, hops, meters = result.first_satisfied
+                    assert node == hit and (hops if metric == "hops" else meters) == dist[hit]
+            blind = brute_force_query(graph, OracleBackend(), query, agent, stop_on_first=True)
+            first = min(homes, default=None)  # ids are dense, so its rank by id is the id itself
+            assert blind.total_backend_calls == (n if first is None else first + 1)
+            assert (blind.first_satisfied or (None,))[0] == first
+
+
 # SHA-256 over visit_order, total_backend_calls and first_satisfied of
 # proximity_search_first and proximity_query_all for a keyfob query, from every
 # agent of three saved worlds, by hops and by meters, as the traversal ordered
@@ -485,6 +554,71 @@ def test_visit_orders_of_saved_worlds_are_pinned(tmp_path):
                     seen = [result.visit_order, result.total_backend_calls, result.first_satisfied]
                     digest.update(json.dumps(seen).encode())
     assert digest.hexdigest() == PINNED_VISIT_ORDERS_DIGEST
+
+
+# SHA-256 of run_compare reports, as report_digest reads them, for a config
+# per metric and one keyfob config, computed before graphs had one constructor
+PINNED_REPORTS = {
+    "hops": (
+        ExperimentConfig(WorldSpec(6, 6, seed=42), TaskConfig("nearest_search", 12, 1)),
+        "46f8a371e0383eaf77c9772af4b65ebfec22dec8e397f07b9109218822cdb972",
+    ),
+    "meters": (
+        ExperimentConfig(WorldSpec(9, 7, seed=8, boundary_duplicate_prob=0.3),
+                         TaskConfig("nearest_search", 12, 2), metric="meters"),
+        "cc86123d114d8e7f03c8119272f5d54cafb210ebbce8a9610949da47fc65b0bb",
+    ),
+    "keyfob": (
+        ExperimentConfig(WorldSpec(6, 6, seed=5, objects_per_room_mean=2.0),
+                         TaskConfig("keyfob_match", 8, 3), brute_force_stop_on_first=True),
+        "884616bc830334a19a333aafa6cc67c72b1e05f1ed26c79abe9cf5eb5716ef51",
+    ),
+}
+
+
+def report_digest(report) -> str:
+    """SHA-256 of a report's JSON with its wall-clock fields nulled."""
+    doc = json.loads(report.to_json())
+    for row in doc["per_trial"]:
+        row["wall_time_ms"] = None
+    for stats in doc["summary"].values():
+        stats["total_wall_time_ms"] = None
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", PINNED_REPORTS)
+def test_compare_reports_are_pinned(name):
+    config, digest = PINNED_REPORTS[name]
+    assert report_digest(run_compare(config)) == digest
+
+
+# run in a fresh interpreter: saves a world to argv[1], then prints its
+# digest (pinned below, from before graphs had one constructor) and each
+# pinned report's
+SCRIPT_WORLD_DIGEST = "1930f43991c433dd43916c28f360256bbd1e7b3265ad5bd4d014adec3f7e8ccd"
+DETERMINISM_SCRIPT = """
+import hashlib, sys
+from datagraph import WorldSpec, generate_world, run_compare
+from test_traversal import PINNED_REPORTS, report_digest
+generate_world(WorldSpec(20, 20, seed=9, boundary_duplicate_prob=0.3))[0].save(sys.argv[1])
+with open(sys.argv[1], "rb") as saved:
+    print(hashlib.sha256(saved.read()).hexdigest())
+for config, _ in PINNED_REPORTS.values():
+    print(report_digest(run_compare(config)))
+"""
+
+
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    path = os.pathsep.join([str(Path(datagraph.__file__).parents[1]), str(Path(__file__).parent)])
+    runs = []
+    for hash_seed in ("0", "12345"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
+        world = tmp_path / f"world-{hash_seed}.json"
+        done = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, str(world)],
+                              env=env, capture_output=True, text=True, check=True)
+        runs.append((world.read_bytes(), done.stdout))
+    assert runs[0] == runs[1]
+    assert runs[0][1].split() == [SCRIPT_WORLD_DIGEST] + [digest for _, digest in PINNED_REPORTS.values()]
 
 
 # --- laziness: which searches build a full distance map -----------------------------

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from datagraph import (
     CatalogEntry,
-    Datagraph,
     GraphParseError,
     GroundTruth,
     GroundTruthInstance,
@@ -554,12 +553,7 @@ def test_world_copies_compare_equal(duplicate):
 
 
 def path_world_with_matches():
-    graph = Datagraph()
-    for v in range(3):
-        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    graph.add_edge(0, 1)
-    graph.add_edge(1, 2)
-    graph.seal()
+    graph = build_graph(3, [(0, 1), (1, 2)])
     instances = (
         GroundTruthInstance(0, "keyfob", {}, (0.0, 0.0, 0.0), 0),
         GroundTruthInstance(1, "keyfob", {}, (2.0, 0.0, 0.0), 2),
@@ -583,12 +577,7 @@ def test_nearest_tie_breaks_on_node_id():
 
 
 def test_nearest_counts_duplicate_copies_at_their_nodes():
-    graph = Datagraph()
-    for v in range(3):
-        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    graph.add_edge(0, 1)
-    graph.add_edge(1, 2)
-    graph.seal()
+    graph = build_graph(3, [(0, 1), (1, 2)])
     gt = GroundTruth(
         (
             GroundTruthInstance(0, "keyfob", {}, (2.0, 0.0, 0.0), 2),
@@ -600,12 +589,7 @@ def test_nearest_counts_duplicate_copies_at_their_nodes():
 
 
 def test_nearest_meters_metric():
-    graph = Datagraph()
-    for v in range(3):
-        graph.add_node(Pose((0.0, 0.0, 0.0)), Snapshot())
-    graph.add_edge(0, 1, length_m=10.0)
-    graph.add_edge(0, 2, length_m=3.0)
-    graph.seal()
+    graph = build_graph(3, [(0, 1, 10.0), (0, 2, 3.0)], positions=[(0.0, 0.0, 0.0)] * 3)
     gt = GroundTruth(
         (
             GroundTruthInstance(0, "crate", {}, (0.0, 0.0, 0.0), 1),
@@ -670,11 +654,7 @@ def test_nearest_reads_past_the_first_hit_to_a_tie_that_settles_later():
 
 
 def test_ground_truth_labels_match_case_insensitively():
-    graph = Datagraph()
-    for v in range(2):
-        graph.add_node(Pose((float(v), 0.0, 0.0)), Snapshot())
-    graph.add_edge(0, 1)
-    graph.seal()
+    graph = build_graph(2, [(0, 1)])
     gt = GroundTruth((GroundTruthInstance(0, "Chair", {"color": "red"}, (1.0, 0.0, 0.0), 1),))
     for label in ("chair", "CHAIR", "Chair"):
         predicate = Predicate(label_equals=label)
