@@ -11,7 +11,6 @@ from .backends import (
     RecordingBackend,
     RemoteBackend,
     RemoteEndpointConfig,
-    ReplayBackend,
     ReplayStore,
     canonical_query_key,
     oracle_answer,

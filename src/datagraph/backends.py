@@ -5,12 +5,12 @@ multimodal models stay pluggable:
 
 * :class:`OracleBackend` answers deterministically from snapshot annotations
   by exact predicate matching.
-* :class:`ReplayBackend` / :class:`RecordingBackend` replay and capture
-  recorded sessions keyed by (node id, canonical query hash).
+* :class:`ReplayStore` holds answers keyed to the scene they came from; a
+  loaded store replays them, and :class:`RecordingBackend` captures one.
 * :class:`RemoteBackend` speaks the HTTP wire format to an external endpoint.
 
-:class:`CachingBackend` wraps any of them and suppresses repeat calls for
-identical (node, query) pairs.
+:class:`CachingBackend` wraps any of them and answers repeat queries about
+one scene from its own store.
 """
 
 from __future__ import annotations
@@ -297,16 +297,22 @@ def _response_text(response: QueryResponse) -> str:
 
 
 class ReplayStore:
-    """Recorded responses keyed by ``"<node>:<query hash>"``, JSON-persistable."""
+    """Answers keyed to their scene by :meth:`key_for`, JSON-persistable.
 
-    FORMAT_VERSION = 1
+    The one answer store: a cache and a recorder fill one, and a loaded one
+    replays. The first answer stored under a key wins.
+    """
+
+    FORMAT_VERSION = 2
 
     def __init__(self) -> None:
         self._responses: dict[str, QueryResponse] = {}
 
     @staticmethod
-    def key_for(node_id: NodeId, query: Query) -> str:
-        return f"{node_id}:{query.canonical_key}"
+    def key_for(node: Node, query: Query) -> str:
+        """``"<node id>:<scene digest>:<query hash>"``: generated worlds reuse
+        node ids, and empty rooms share a digest, so the key needs both."""
+        return f"{node.id}:{node.snapshot.digest}:{query.canonical_key}"
 
     def __len__(self) -> int:
         return len(self._responses)
@@ -316,15 +322,19 @@ class ReplayStore:
             return NotImplemented
         return self._responses == other._responses
 
-    def record(self, node_id: NodeId, query: Query, response: QueryResponse) -> None:
-        self._responses[self.key_for(node_id, query)] = response
+    def record(self, node: Node, query: Query, response: QueryResponse) -> None:
+        self._responses.setdefault(self.key_for(node, query), response)
 
-    def lookup(self, node_id: NodeId, query: Query) -> QueryResponse:
-        key = self.key_for(node_id, query)
-        try:
-            return self._responses[key]
-        except KeyError:
-            raise ReplayMissError(node_id, query.canonical_key) from None
+    def get(self, node: Node, query: Query) -> QueryResponse | None:
+        """The stored answer, costing no backend call, or None."""
+        response = self._responses.get(self.key_for(node, query))
+        return None if response is None else response._with(response.node, 0)
+
+    def answer(self, node: Node, query: Query) -> QueryResponse:
+        response = self.get(node, query)
+        if response is None:
+            raise ReplayMissError(node.id, node.snapshot.digest, query.canonical_key)
+        return response
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,19 +374,8 @@ class ReplayStore:
         return store
 
 
-class ReplayBackend:
-    """Serves only recorded responses; misses raise :class:`ReplayMissError`."""
-
-    def __init__(self, store: ReplayStore):
-        self.store = store
-
-    def answer(self, node: Node, query: Query) -> QueryResponse:
-        response = self.store.lookup(node.id, query)
-        return response._with(response.node, 0)
-
-
 class RecordingBackend:
-    """Delegates to an inner backend and records every answer."""
+    """Delegates to an inner backend and puts every answer into ``store``."""
 
     def __init__(self, inner: QueryBackend, store: ReplayStore | None = None):
         self.inner = inner
@@ -384,7 +383,7 @@ class RecordingBackend:
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
         response = self.inner.answer(node, query)
-        self.store.record(node.id, query, response)
+        self.store.record(node, query, response)
         return response
 
 
@@ -392,32 +391,26 @@ class RecordingBackend:
 
 
 class CachingBackend:
-    """Per-session unbounded cache keyed by (node id, canonical query hash).
+    """Per-session unbounded cache: a :class:`ReplayStore` in front of ``inner``.
 
     Never changes response content, only the backend_calls accounting.
-    Concurrent identical requests may both hit the inner backend (one or two
-    calls are both acceptable); the first stored entry wins so the cache is
-    never corrupted.
+    Concurrent identical requests may both reach the inner backend (one or
+    two calls are both acceptable); the first stored answer wins, so the
+    store is never corrupted.
     """
 
     def __init__(self, inner: QueryBackend):
         self.inner = inner
-        self._cache: dict[tuple[NodeId, str], QueryResponse] = {}
-        self._lock = threading.Lock()
+        self.store = ReplayStore()
         self.hits = 0
-        self.misses = 0
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
-        key = (node.id, query.canonical_key)
-        with self._lock:
-            cached = self._cache.get(key)
-            if cached is not None:
-                self.hits += 1
-                return cached._with(cached.node, 0)
+        response = self.store.get(node, query)
+        if response is not None:
+            self.hits += 1
+            return response
         response = self.inner.answer(node, query)  # errors propagate, uncached
-        with self._lock:
-            self._cache.setdefault(key, response)
-            self.misses += 1
+        self.store.record(node, query, response)
         return response
 
 

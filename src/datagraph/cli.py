@@ -227,7 +227,7 @@ def route(world_path, start, goal, metric, routes_path, cache, output_path, **ba
     config = _backend_config(**backend_flags)
     graph = Datagraph.load(world_path)
     candidates = _read_routes(routes_path) if routes_path else None
-    query_backend, _ = build_base_backend(config)
+    query_backend = build_base_backend(config)
     if cache:
         query_backend = CachingBackend(query_backend)
     report = run_route_scan(graph, query_backend, start, goal, metric, candidates)
@@ -265,7 +265,7 @@ def aggregate(world_path, gt_path, label, attrs, radius, output_path, **backend_
         predicate=Predicate(label_equals=label, attribute_equals=tuple(clauses)),
         mode="count",
     )
-    query_backend, _ = build_base_backend(config)
+    query_backend = build_base_backend(config)
     report = run_aggregate(graph, query_backend, query, radius, ground_truth)
     if output_path:
         output.write_output(output_path, [report.to_json()])

@@ -43,14 +43,13 @@ class BackendError(DatagraphError):
 
 
 class ReplayMissError(BackendError):
-    """A (node, query) pair was not found in the replay store."""
+    """No answer for this query about this scene was found in the replay store."""
 
-    def __init__(self, node_id: int, query_hash: str):
+    def __init__(self, node_id: int, scene_digest: str, query_hash: str):
         self.node_id = node_id
+        self.scene_digest = scene_digest
         self.query_hash = query_hash
-        super().__init__(
-            f"no recorded response for node {node_id}, query hash {query_hash}"
-        )
+        super().__init__(f"no recorded response for node {node_id}, scene {scene_digest}, query hash {query_hash}")
 
 
 class RemoteTimeoutError(BackendError):

@@ -36,12 +36,13 @@ passes its first hit. :func:`by_metric` is the one check of a metric name.
 from __future__ import annotations
 
 import gc
+import hashlib
 import math
 import numbers
 from bisect import bisect_left
 from contextlib import contextmanager
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, fields
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from heapq import heappop, heappush
 
 from . import output
@@ -301,18 +302,27 @@ class Snapshot:
 
     ``payload_ref`` points at external scene data (a mesh, pointcloud, image
     set, ...). This library never dereferences it; it is only forwarded to
-    remote backends.
+    remote backends. ``digest`` names the scene's content for stored answers.
     """
 
     objects: tuple[SceneObject, ...]
     payload_ref: str | None
+    _digest: str | None = field(init=False, repr=False, compare=False)
 
     def __init__(self, objects=(), payload_ref=None):
         if payload_ref is not None and not isinstance(payload_ref, str):
             raise _KindError(f"payload_ref must be a string, got {payload_ref!r}")
-        set_objects, set_payload_ref = _SNAPSHOT_SETTERS
+        set_objects, set_payload_ref, set_digest = _SNAPSHOT_SETTERS
         set_objects(self, tuple(objects))
         set_payload_ref(self, payload_ref)
+        set_digest(self, None)
+
+    @property
+    def digest(self) -> str:
+        """16 hex digits of SHA-256 over the saved text, computed on first use."""
+        if self._digest is None:
+            _SNAPSHOT_SETTERS[2](self, hashlib.sha256(_snapshot_text(self).encode()).hexdigest()[:16])
+        return self._digest
 
 
 @_record
@@ -401,19 +411,23 @@ def _object_text(obj: SceneObject, pad: str) -> str:
     )
 
 
-def _node_text(node: Node) -> str:
-    pose, snapshot = node.pose, node.snapshot
-    pose_text = '"position": ' + output.floats(pose.position, "        ")
-    if pose.orientation is not None:
-        pose_text += ',\n        "orientation": ' + output.floats(pose.orientation, "        ")
+def _snapshot_text(snapshot: Snapshot) -> str:
+    """The snapshot as its node's saved record holds it; its digest hashes this."""
     objects = output.array([_object_text(obj, "          ") for obj in snapshot.objects], "        ")
     if snapshot.payload_ref is not None:
         objects += ',\n        "payload_ref": ' + output.string(snapshot.payload_ref)
+    return '{\n        "objects": ' + objects + "\n      }"
+
+
+def _node_text(node: Node) -> str:
+    pose = node.pose
+    pose_text = '"position": ' + output.floats(pose.position, "        ")
+    if pose.orientation is not None:
+        pose_text += ',\n        "orientation": ' + output.floats(pose.orientation, "        ")
     return (
         '{\n      "id": ' + output.atom(node.id)
         + ',\n      "pose": {\n        ' + pose_text
-        + '\n      },\n      "snapshot": {\n        "objects": ' + objects
-        + "\n      }\n    }"
+        + '\n      },\n      "snapshot": ' + _snapshot_text(node.snapshot) + "\n    }"
     )
 
 

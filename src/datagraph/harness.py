@@ -32,7 +32,6 @@ from .backends import (
     RecordingBackend,
     RemoteBackend,
     RemoteEndpointConfig,
-    ReplayBackend,
     ReplayStore,
 )
 from .errors import ConfigError, DatagraphError, GraphParseError, RouteError, TaskUnavailableError
@@ -167,9 +166,6 @@ class ExperimentConfig:
             by_metric(self.metric, None, None)  # raises on an unknown metric
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.shared_cache and isinstance(self.world, WorldSpec):
-            # the cache keys answers by node id, which every generated world reuses
-            raise ConfigError("shared_cache needs a saved world; an inline world spec changes per trial")
 
     def to_json_dict(self) -> dict:
         world_doc = (
@@ -422,20 +418,15 @@ def _trial_setup(
     )
 
 
-def build_base_backend(config: BackendConfig) -> tuple[QueryBackend, ReplayStore | None]:
-    """The shared backend for a run, plus the recording store when capturing."""
+def build_base_backend(config: BackendConfig) -> QueryBackend:
+    """The shared backend for a run, inside a :class:`RecordingBackend` when capturing."""
     if config.kind == "oracle":
         backend: QueryBackend = OracleBackend()
     elif config.kind == "replay":
-        backend = ReplayBackend(ReplayStore.load(config.store_path))
+        backend = ReplayStore.load(config.store_path)
     else:
         backend = RemoteBackend(config.remote, forward_annotations=config.forward_annotations)
-    record_store = None
-    if config.record_path:
-        recorder = RecordingBackend(backend)
-        backend = recorder
-        record_store = recorder.store
-    return backend, record_store
+    return RecordingBackend(backend) if config.record_path else backend
 
 
 # --- compare ---------------------------------------------------------------------
@@ -447,13 +438,15 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     Both strategies of a trial see the identical world and task. With
     ``cache_enabled`` and ``shared_cache`` each strategy keeps one cache for
     the whole run; no trial queries a scene twice, so a cache that lives for
-    one trial would never hit, and none is built. A saved world is
-    loaded and checked once per run. Failures to load the world, set up a
-    trial or answer a query mark the trial errored and the run continues.
+    one trial would never hit, and none is built. Answers are stored keyed to
+    their scene, so neither a cache nor a replay crosses generated worlds; a
+    recording saves the recorder's store. A saved world is loaded and checked
+    once per run. Failures to load the world, set up a trial or answer a
+    query mark the trial errored and the run continues.
     """
     if config.tasks.kind not in COMPARE_TASK_KINDS:
         raise ConfigError(f"run_compare supports task kinds {COMPARE_TASK_KINDS}")
-    base_backend, record_store = build_base_backend(config.backend)
+    base_backend = build_base_backend(config.backend)
     saved = world_error = None
     if isinstance(config.world, WorldFiles):
         try:
@@ -519,8 +512,8 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
         summary=_summarize(rows, config.strategies),
         config=config.to_json_dict(),
     )
-    if record_store is not None and config.backend.record_path:
-        record_store.save(config.backend.record_path)
+    if config.backend.record_path:
+        base_backend.store.save(config.backend.record_path)
     if config.output_dir is not None:
         report.write(config.output_dir, config.report_formats)
     return report

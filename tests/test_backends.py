@@ -20,7 +20,6 @@ from datagraph import (
     Query,
     QueryResponse,
     RecordingBackend,
-    ReplayBackend,
     ReplayMissError,
     ReplayStore,
     SceneObject,
@@ -238,7 +237,7 @@ def test_record_then_replay_round_trip(tmp_path):
     recorder = RecordingBackend(OracleBackend())
     live = recorder.answer(node, query)
 
-    replayed = ReplayBackend(recorder.store).answer(node, query)
+    replayed = recorder.store.answer(node, query)
     assert replayed.backend_calls == 0
     assert replace(replayed, backend_calls=1) == live
 
@@ -248,12 +247,32 @@ def test_record_then_replay_round_trip(tmp_path):
 
 
 def test_replay_miss_names_node_and_hash():
-    backend = ReplayBackend(ReplayStore())
     query = Query("q", Predicate(label_equals="keyfob"))
+    node = make_node([KEYFOB_42], node_id=5)
     with pytest.raises(ReplayMissError) as excinfo:
-        backend.answer(make_node([KEYFOB_42], node_id=5), query)
-    assert excinfo.value.node_id == 5
-    assert excinfo.value.query_hash == canonical_query_key(query)
+        ReplayStore().answer(node, query)
+    miss = excinfo.value
+    assert (miss.node_id, miss.scene_digest, miss.query_hash) == (5, node.snapshot.digest, canonical_query_key(query))
+    assert str(miss) == (f"no recorded response for node 5, scene {node.snapshot.digest}, "
+                         f"query hash {canonical_query_key(query)}")
+
+
+def test_replay_misses_the_same_node_id_in_another_scene():
+    query = Query("q", Predicate(label_equals="keyfob"))
+    recorder = RecordingBackend(OracleBackend())
+    recorder.answer(make_node([KEYFOB_42], node_id=5), query)
+    with pytest.raises(ReplayMissError):
+        recorder.store.answer(make_node([KEYFOB_7], node_id=5), query)
+    assert recorder.store.answer(make_node([KEYFOB_42], node_id=5), query).satisfied
+
+
+def test_first_stored_answer_wins():
+    node, query = make_node([KEYFOB_42], node_id=2), Query("q", Predicate(label_equals="keyfob"))
+    first, second = QueryResponse(2, True, text="first"), QueryResponse(2, False, text="second")
+    store = ReplayStore()
+    store.record(node, query, first)
+    store.record(node, query, second)
+    assert len(store) == 1 and store.answer(node, query) == first._with(2, 0)
 
 
 def test_replay_store_rejects_garbage(tmp_path):
@@ -329,7 +348,7 @@ def test_cache_serves_repeat_queries_without_calls():
     assert first.backend_calls == 1
     assert second.backend_calls == 0
     assert replace(second, backend_calls=1) == first
-    assert cached.hits == 1 and cached.misses == 1
+    assert cached.hits == 1 and len(cached.store) == 1
 
 
 def test_cache_computes_query_key_once_per_query(monkeypatch):
@@ -345,13 +364,14 @@ def test_cache_computes_query_key_once_per_query(monkeypatch):
     cached = CachingBackend(counting)
     query = Query("find the keyfob", Predicate(label_equals="keyfob"))
     first = proximity_search_first(graph, cached, query, 0)
-    assert (cached.hits, cached.misses, counting.calls) == (0, 4, 4)
+    assert (cached.hits, len(cached.store), counting.calls) == (0, 4, 4)
     second = proximity_search_first(graph, cached, query, 0)
-    assert (cached.hits, cached.misses, counting.calls) == (4, 4, 4)
+    assert (cached.hits, len(cached.store), counting.calls) == (4, 4, 4)
     assert first.visit_order == second.visit_order == (0, 1, 2, 3)
     assert second.total_backend_calls == 0
     assert computed == [query]
-    assert ReplayStore.key_for(3, query) == f"3:{canonical_query_key(query)}"
+    scene = graph.node(3).snapshot
+    assert ReplayStore.key_for(graph.node(3), query) == f"3:{scene.digest}:{canonical_query_key(query)}"
 
 
 def test_cache_keyed_per_node():
@@ -361,6 +381,17 @@ def test_cache_keyed_per_node():
     cached.answer(make_node([KEYFOB_42], node_id=0), query)
     cached.answer(make_node([KEYFOB_42], node_id=1), query)
     assert counting.calls == 2
+
+
+def test_cache_keys_empty_rooms_apart():
+    counting = CountingBackend(OracleBackend())
+    cached = CachingBackend(counting)
+    query = Query("q", Predicate(label_equals="keyfob"))
+    rooms = [make_node([], node_id=0), make_node([], node_id=1)]
+    assert rooms[0].snapshot.digest == rooms[1].snapshot.digest
+    for room in rooms + rooms:
+        cached.answer(room, query)
+    assert (counting.calls, cached.hits) == (2, 2)
 
 
 def test_cache_does_not_cache_errors():

@@ -5,7 +5,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from datagraph import Datagraph, ReplayStore, WorldSpec, generate_world
+from datagraph import Datagraph, Predicate, Query, QueryResponse, ReplayStore, WorldSpec, generate_world
 from datagraph.cli import main
 from helpers import build_graph
 
@@ -190,14 +190,18 @@ def input_files(tmp_path, world_dir):
     files["empty_store"] = tmp_path / "store.json"
     ReplayStore().save(files["empty_store"])
     files["mistyped_store"] = tmp_path / "mistyped_store.json"
-    response = {"node": 0, "satisfied": "no", "matches": [], "count": 0, "text": "", "backend_calls": 1}
-    files["mistyped_store"].write_text(json.dumps({"format_version": 1, "responses": {"0:abc": response}}))
+    store = ReplayStore()
+    store.record(Datagraph.load(files["world"]).node(0), Query("q", Predicate("chair")), QueryResponse(0, False))
+    doc = store.to_json_dict()
+    (files["mistyped_key"], response), = doc["responses"].items()
+    response["satisfied"] = "no"
+    files["mistyped_store"].write_text(json.dumps(doc))
     files["int_label_spec"] = tmp_path / "int_label_spec.json"
     files["int_label_spec"].write_text(json.dumps(
         {"format_version": 1, "grid_w": 2, "grid_h": 2, "catalog": [{"label": 5}]}
     ))
-    files["store_v2"] = tmp_path / "store_v2.json"
-    files["store_v2"].write_text(json.dumps({"format_version": 2, "responses": {}}))
+    files["store_v1"] = tmp_path / "store_v1.json"
+    files["store_v1"].write_text(json.dumps({"format_version": 1, "responses": {}}))
     spec = {"format_version": 1, "grid_w": 2, "grid_h": 2}
     for name, key, value in [
         ("spec_v2", "format_version", 2),
@@ -301,6 +305,12 @@ ROUTE = ["route", "--world", "{world}", "--start", "0", "--goal", "11"]
 AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
 
 
+def test_shared_cache_runs_on_an_inline_world(runner, input_files):
+    result = runner.invoke(main, ["compare", "--config", str(input_files["inline_shared"])])
+    assert result.exit_code == 0, result.output
+    assert "proximity: trials=2 errors=0" in result.output and result.stderr == ""
+
+
 @pytest.mark.parametrize(
     "args, exit_code, message",
     [
@@ -312,8 +322,6 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="compare-inline-spec-bad-version"),
         pytest.param(["compare"], 2, "error: no experiment config; pass --config FILE",
                      id="compare-no-config"),
-        pytest.param(["compare", "--config", "{inline_shared}"], 2, "error: shared_cache needs a saved world",
-                     id="compare-shared-inline"),
         pytest.param(["compare", "--config", "{no_truth}"], 1, "4 trial run(s) errored",
                      id="compare-errored-trials"),
         pytest.param(["compare", "--config", "{negative_seed}"], 2,
@@ -324,11 +332,11 @@ AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
                      id="compare-negative-seed-flag"),
         pytest.param(["replay-run", "--store", "{bad}", "--config", "{no_truth}"], 2, BAD_JSON,
                      id="replay-bad-store"),
-        pytest.param(["replay-run", "--store", "{store_v2}", "--config", "{no_truth}"], 2,
-                     "error: cannot read {store_v2}: format_version: expected 1, got 2",
+        pytest.param(["replay-run", "--store", "{store_v1}", "--config", "{no_truth}"], 2,
+                     "error: cannot read {store_v1}: format_version: expected 2, got 1",
                      id="replay-store-bad-version"),
         pytest.param(["replay-run", "--store", "{mistyped_store}", "--config", "{no_truth}"], 2,
-                     "error: replay store entry '0:abc': satisfied must be a boolean, got 'no'",
+                     "error: replay store entry '{mistyped_key}': satisfied must be a boolean, got 'no'",
                      id="replay-mistyped-store"),
         pytest.param(["compare", "--config", "{missing_world}"], 1, "4 trial run(s) errored",
                      id="compare-missing-world"),

@@ -26,6 +26,8 @@ from datagraph import (
     QueryResponse,
     SceneObject,
     Snapshot,
+    WorldSpec,
+    generate_world,
     proximity_query_all,
 )
 from datagraph.cli import main
@@ -70,6 +72,29 @@ def test_scene_object_requires_label():
 
 def test_empty_snapshot_is_valid():
     assert Snapshot().objects == ()
+
+
+def test_scene_digest_names_the_scene_content_only():
+    chair = SceneObject("chair", {"color": "red"}, (1.0, 0.0, 0.0), 0)
+    scenes = [Snapshot(), Snapshot((), "scene://0"), Snapshot((chair,)), Snapshot((replace(chair, instance_id=1),))]
+    digests = [scene.digest for scene in scenes]
+    assert len(set(digests)) == 4 and all(len(d) == 16 and int(d, 16) >= 0 for d in digests)
+    fresh = Snapshot((chair,))
+    assert fresh == scenes[2] and repr(fresh) == repr(scenes[2])  # computed or not, it is no field
+    assert fresh.digest == digests[2]
+
+
+def test_saved_and_loaded_worlds_keep_their_scene_digests(tmp_path):
+    graph, _ = generate_world(WorldSpec(6, 6, seed=3, boundary_duplicate_prob=0.3))
+    path = tmp_path / "world.json"
+    graph.save(path)
+    loaded = Datagraph.load(path)
+    scenes = [node.snapshot for node in graph.nodes() + loaded.nodes()]
+    assert all(scene._digest is None for scene in scenes)  # generation, save and load compute none
+    assert [node.snapshot.digest for node in loaded.nodes()] == [node.snapshot.digest for node in graph.nodes()]
+    saved = path.read_bytes()
+    graph.save(path)
+    assert path.read_bytes() == saved and loaded == graph
 
 
 # --- construction ---------------------------------------------------------------

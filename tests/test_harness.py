@@ -133,18 +133,17 @@ def test_config_from_json_with_overrides(tmp_path):
     assert config.cache_enabled is True
 
 
-def test_shared_cache_needs_a_saved_world():
-    # inline worlds change per trial but reuse node ids, so a shared cache would cross worlds
-    with pytest.raises(ConfigError, match="shared_cache"):
-        compare_config(shared_cache=True)
-    with pytest.raises(ConfigError, match="shared_cache"):
-        ExperimentConfig.from_json_dict(
-            {
-                "world": {"format_version": 1, "grid_w": 3, "grid_h": 3},
-                "tasks": {"kind": "nearest_search"},
-                "shared_cache": True,
-            }
-        )
+def test_shared_cache_takes_an_inline_world():
+    # stored answers are keyed to their scene, so generated worlds that reuse node ids stay apart
+    assert compare_config(shared_cache=True).shared_cache
+    config = ExperimentConfig.from_json_dict(
+        {
+            "world": {"format_version": 1, "grid_w": 3, "grid_h": 3},
+            "tasks": {"kind": "nearest_search", "count": 2},
+            "shared_cache": True,
+        }
+    )
+    assert config.shared_cache and run_compare(config).error_count == 0
     assert compare_config(world=WorldFiles("w.json", "gt.json"), shared_cache=True).shared_cache
 
 
@@ -333,6 +332,40 @@ def test_route_kind_is_rejected_by_compare():
         run_compare(config)
 
 
+def outcomes(report):
+    """Each trial's scored outcome: what a recording and its replay must share."""
+    return [
+        (r.task_id, r.strategy, r.hops_of_found, r.meters_of_found, r.found_is_closest, r.optimal_hops, r.error)
+        for r in report.per_trial
+    ]
+
+
+# inline worlds that reuse node ids from trial to trial: keyed by node id
+# alone, their replays scored a proximity closest_rate of 0.383 and 0.85
+CROSSING_CONFIGS = {
+    "nearest": ExperimentConfig(WorldSpec(6, 6, seed=3), TaskConfig("nearest_search", 60, 1)),
+    "keyfob": ExperimentConfig(WorldSpec(6, 6, seed=3), TaskConfig("keyfob_match", 20, 1)),
+}
+
+
+@pytest.mark.parametrize("name", CROSSING_CONFIGS)
+def test_replay_of_inline_worlds_gives_the_recorded_outcomes(tmp_path, name):
+    store = str(tmp_path / "session.json")
+    config = CROSSING_CONFIGS[name]
+    recorded = run_compare(replace(config, backend=BackendConfig(kind="oracle", record_path=store)))
+    replayed = run_compare(replace(config, backend=BackendConfig(kind="replay", store_path=store)))
+    assert replayed.error_count == recorded.error_count == 0
+    assert outcomes(replayed) == outcomes(recorded)
+    assert replayed.summary["proximity"]["closest_rate"] == recorded.summary["proximity"]["closest_rate"] == 1.0
+
+
+@pytest.mark.parametrize("name", CROSSING_CONFIGS)
+def test_shared_cache_over_inline_worlds_keeps_each_outcome(name):
+    config = replace(CROSSING_CONFIGS[name], shared_cache=True)
+    shared, fresh = run_compare(config), run_compare(replace(config, shared_cache=False))
+    assert outcomes(shared) == outcomes(fresh)
+
+
 def test_record_then_replay_matches(tmp_path):
     store = tmp_path / "session.json"
     base = compare_config(tasks=TaskConfig("nearest_search", 3, 7))
@@ -384,13 +417,6 @@ def test_shared_cache_spans_trials_on_fixed_world(tmp_path):
     assert shared.error_count == fresh.error_count == 0
     assert sum(r.cache_hits for r in shared.per_trial) > 0  # later trials repeat queries
     assert sum(r.cache_hits for r in fresh.per_trial) == 0
-
-    def outcomes(report):
-        return [
-            (r.task_id, r.strategy, r.hops_of_found, r.meters_of_found, r.found_is_closest)
-            for r in report.per_trial
-        ]
-
     assert outcomes(shared) == outcomes(fresh)
 
 
@@ -586,7 +612,7 @@ def test_candidate_route_must_join_start_to_goal(route):
     backend = CachingBackend(OracleBackend())
     with pytest.raises(RouteError, match="does not join 0 to 5"):
         run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
-    assert backend.hits == backend.misses == 0  # checked before any scene is queried
+    assert backend.hits == len(backend.store) == 0  # checked before any scene is queried
 
 
 @pytest.mark.parametrize("candidates", [None, [[0, 1, 3, 5]]])
@@ -594,7 +620,7 @@ def test_route_scan_rejects_unknown_metric_before_querying(candidates):
     backend = CachingBackend(OracleBackend())
     with pytest.raises(ValueError, match="metric must be 'hops' or 'meters', got 'furlongs'"):
         run_route_scan(grid2x3(), backend, 0, 5, metric="furlongs", candidate_routes=candidates)
-    assert backend.hits == backend.misses == 0
+    assert backend.hits == len(backend.store) == 0
 
 
 def test_unknown_metric_gets_one_message_everywhere():

@@ -22,6 +22,7 @@ from datagraph import (
     GraphParseError,
     GroundTruth,
     GroundTruthInstance,
+    Node,
     OutputError,
     Pose,
     Predicate,
@@ -97,7 +98,8 @@ def stores(draw) -> ReplayStore:
             text=draw(st.text(max_size=6)),
             backend_calls=draw(st.integers(0, 1)),
         )
-        store.record(draw(IDS), query, response)
+        scene = Snapshot(draw(st.lists(scene_objects(), max_size=2)), draw(st.one_of(st.none(), TEXT)))
+        store.record(Node(draw(IDS), Pose((0.0, 0.0, 0.0)), scene), query, response)
     return store
 
 
@@ -134,9 +136,9 @@ def test_a_generated_world_with_duplicates_matches_json_dumps(tmp_path):
 
 def _store_with_responses() -> ReplayStore:
     store = ReplayStore()
-    for node in range(4):
-        query = Query("find the chair", Predicate(label_equals="chair"))
-        store.record(node, query, QueryResponse(node, True, (SceneObject("chair"),), 1, "found"))
+    query = Query("find the chair", Predicate(label_equals="chair"))
+    for node in build_graph(4, []).nodes():
+        store.record(node, query, QueryResponse(node.id, True, (SceneObject("chair"),), 1, "found"))
     return store
 
 
@@ -229,15 +231,15 @@ def test_every_reader_reports_a_malformed_file_in_one_form(tmp_path, reader, err
         reader(path)
 
 
-@pytest.mark.parametrize("reader, error", READERS[:4])
-@pytest.mark.parametrize("doc, reason", [
-    ({"format_version": 2}, "format_version: expected 1, got 2"),
-    ({}, "format_version: expected 1, got None"),
-    ({"format_version": True}, "format_version: expected 1, got True"),
-    ({"format_version": 1.0}, "format_version: expected 1, got 1.0"),
-    ([], "expected an object"),
+@pytest.mark.parametrize("reader, error, version", [
+    (*reader, version) for reader, version in zip(READERS[:4], (1, 1, ReplayStore.FORMAT_VERSION, 1))
 ])
-def test_every_versioned_reader_checks_the_envelope(tmp_path, reader, error, doc, reason):
+@pytest.mark.parametrize("found", ["another", None, True, "float", "array"])
+def test_every_versioned_reader_checks_the_envelope(tmp_path, reader, error, version, found):
+    # another version (a version 1 store, a version 2 world), none, a bool, the float of the version
+    found = {"another": 3 - version, "float": float(version)}.get(found, found)
+    doc = [] if found == "array" else {} if found is None else {"format_version": found}
+    reason = "expected an object" if found == "array" else f"format_version: expected {version}, got {found}"
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(error, match=re.escape(f"cannot read {path}: {reason}")):

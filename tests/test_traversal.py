@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from heapq import heappop, heappush
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 import datagraph
@@ -516,6 +517,100 @@ def test_query_count_formula_against_a_reference_bfs_and_dijkstra(spec):
             assert (blind.first_satisfied or (None,))[0] == first
 
 
+# Edge lengths for the formula on random graphs: dyadic sums are exact and tie
+# often; 0.1 + 0.2 rounds past 0.3; 1e16 next to 1.0 absorbs the short edge,
+# so a node can tie its own predecessor and pop after a higher id.
+FORMULA_LENGTHS = {
+    "dyadic": st.sampled_from([0.25, 0.5, 1.0]),
+    "non-dyadic": st.sampled_from([0.1, 0.2, 0.3]),
+    "absorbing": st.sampled_from([1e16, 1.0]),
+}
+
+
+@st.composite
+def formula_cases(draw):
+    """``(family, n, edges, homes, agent)``: a random graph of up to 24 nodes,
+    not always connected, with ``(a, b, length, traversable)`` edges whose
+    lengths come from one family, and the nodes that hold a keyfob."""
+    n = draw(st.integers(1, 24))
+    family = draw(st.sampled_from(sorted(FORMULA_LENGTHS)))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda p: p[0] != p[1]),
+        max_size=3 * n,
+        unique_by=lambda p: (min(p), max(p)),
+    ))
+    edges = [(a, b, draw(FORMULA_LENGTHS[family]), draw(st.booleans())) for a, b in pairs]
+    return family, n, edges, draw(st.sets(st.integers(0, n - 1), max_size=3)), draw(st.integers(0, n - 1))
+
+
+def check_query_count_formula(case):
+    """A first-hit search spends one query per node the reference reaches
+    before the first keyfob, plus one; with none reachable, one per node.
+
+    The references run over the drawn edges (only the traversable ones with
+    ``traversable_only``), never over the graph: the queue BFS in (hops, id)
+    order and the heap Dijkstra in pop order. Unless a sum absorbs an edge,
+    those pops follow (meters, id), so the count is nodes closer than the hit
+    plus the hit's rank by id in its tie. Traversals take no
+    ``traversable_only``, so with it the graph's own map is checked."""
+    family, n, edges, homes, agent = case
+    graph = build_graph(n, edges, objects={v: [keyfob(v)] for v in homes})
+    for traversable_only in (False, True):
+        kept = {(a, b): length for a, b, length, traversable in edges if traversable or not traversable_only}
+        hops, meters = queue_bfs_levels(n, kept, agent), heap_dijkstra(n, kept, agent)
+        orders = {"hops": sorted(hops, key=lambda v: (hops[v], v)), "meters": list(meters)}
+        if family != "absorbing":
+            assert orders["meters"] == sorted(meters, key=lambda v: (meters[v], v))
+        for metric, order in orders.items():
+            hit = next((v for v in order if v in homes), None)
+            calls = len(order) if hit is None else order.index(hit) + 1
+            if traversable_only:
+                visits = list((graph.hop_distances if metric == "hops" else graph.geodesic_distances)(agent, True))
+                assert visits[:calls] == order[:calls]
+            else:
+                result = proximity_search_first(graph, OracleBackend(), FIND_KEYFOB, agent, metric)
+                assert result.total_backend_calls == calls, (metric, result.visit_order, order)
+                assert result.first_satisfied == (None if hit is None else (hit, hops[hit], meters[hit]))
+
+
+@given(formula_cases())
+@settings(max_examples=300, deadline=None)
+def test_property_query_count_formula_on_random_graphs(case):
+    check_query_count_formula(case)
+
+
+def _meter_kernel_with_descending_ties(self, source, traversable_only, dist):
+    """A planted fault: the meter kernel popping equal sums by descending id."""
+    best, heap = {source: 0.0}, [(0.0, -source)]
+    while heap:
+        d, v = heappop(heap)
+        v = -v
+        if v in dist:
+            continue
+        dist[v] = d
+        yield d, v
+        for w, e in self._adj[v]:
+            if w not in dist and (e.traversable or not traversable_only):
+                if w not in best or d + e.length_m < best[w]:
+                    best[w] = d + e.length_m
+                    heappush(heap, (best[w], -w))
+
+
+def test_the_formula_check_catches_a_kernel_that_breaks_ties_by_descending_id(monkeypatch):
+    def fails(case):
+        try:
+            check_query_count_formula(case)
+        except AssertionError:
+            return True
+        return False
+
+    monkeypatch.setattr(Datagraph, "_meter_kernel", _meter_kernel_with_descending_ties)
+    search = settings(max_examples=1000, database=None, derandomize=True, phases=[Phase.generate])
+    case = find(formula_cases(), fails, settings=search)
+    monkeypatch.undo()
+    check_query_count_formula(case)  # only the fault failed it
+
+
 # SHA-256 over visit_order, total_backend_calls and first_satisfied of
 # proximity_search_first and proximity_query_all for a keyfob query, from every
 # agent of three saved worlds, by hops and by meters, as the traversal ordered
@@ -594,17 +689,19 @@ def test_compare_reports_are_pinned(name):
 
 # run in a fresh interpreter: saves a world to argv[1], then prints its
 # digest (pinned below, from before graphs had one constructor) and each
-# pinned report's
+# pinned report's, then records a run of 60 inline worlds to argv[2]
 SCRIPT_WORLD_DIGEST = "1930f43991c433dd43916c28f360256bbd1e7b3265ad5bd4d014adec3f7e8ccd"
 DETERMINISM_SCRIPT = """
 import hashlib, sys
-from datagraph import WorldSpec, generate_world, run_compare
+from datagraph import BackendConfig, ExperimentConfig, TaskConfig, WorldSpec, generate_world, run_compare
 from test_traversal import PINNED_REPORTS, report_digest
 generate_world(WorldSpec(20, 20, seed=9, boundary_duplicate_prob=0.3))[0].save(sys.argv[1])
 with open(sys.argv[1], "rb") as saved:
     print(hashlib.sha256(saved.read()).hexdigest())
 for config, _ in PINNED_REPORTS.values():
     print(report_digest(run_compare(config)))
+run_compare(ExperimentConfig(WorldSpec(6, 6, seed=3), TaskConfig("nearest_search", 60, 1),
+                             BackendConfig(record_path=sys.argv[2])))
 """
 
 
@@ -613,12 +710,12 @@ def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
     runs = []
     for hash_seed in ("0", "12345"):
         env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": path}
-        world = tmp_path / f"world-{hash_seed}.json"
-        done = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, str(world)],
+        world, store = tmp_path / f"world-{hash_seed}.json", tmp_path / f"store-{hash_seed}.json"
+        done = subprocess.run([sys.executable, "-c", DETERMINISM_SCRIPT, str(world), str(store)],
                               env=env, capture_output=True, text=True, check=True)
-        runs.append((world.read_bytes(), done.stdout))
+        runs.append((world.read_bytes(), store.read_bytes(), done.stdout))
     assert runs[0] == runs[1]
-    assert runs[0][1].split() == [SCRIPT_WORLD_DIGEST] + [digest for _, digest in PINNED_REPORTS.values()]
+    assert runs[0][2].split() == [SCRIPT_WORLD_DIGEST] + [digest for _, digest in PINNED_REPORTS.values()]
 
 
 # --- laziness: which searches build a full distance map -----------------------------
