@@ -18,8 +18,16 @@ derives from that spec is valid by construction. A graph is safe to share
 across threads without locking. Every query breaks ties deterministically
 (ascending node ids, lexicographically smallest paths) so traversals are
 reproducible. The records are frozen, slotted dataclasses, so they take no
-``__dict__`` and no attribute beyond their fields; an edge is stored only in
-the adjacency lists of its two ends.
+``__dict__`` and no attribute beyond their fields.
+
+No :class:`Edge` record is stored. The constructor builds the adjacency once,
+in the form the kernels read: per node, a tuple of ascending neighbor ids and
+an aligned tuple of ``(neighbor, length_m)`` pairs, each edge listed at both
+ends, plus a traversable-only view of each (the very same tuples when no edge
+is closed) and the set of closed pairs. :meth:`Datagraph.edges`,
+:meth:`Datagraph.edge_between` and :meth:`Datagraph.adjacency` build ``Edge``
+records from these on each call, so two calls return equal records, not the
+same objects; saving writes the same fields straight from the tuples.
 
 Every distance comes from one frontier kernel per metric over the
 adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
@@ -431,11 +439,13 @@ def _node_text(node: Node) -> str:
     )
 
 
-def _edge_text(edge: Edge) -> str:
+def _edge_text(row: tuple[NodeId, NodeId, bool, float]) -> str:
+    """An edge's saved record, from its ``(a, b, traversable, length_m)``."""
+    a, b, traversable, length_m = row
     return (
-        '{\n      "a": ' + output.atom(edge.a) + ',\n      "b": ' + output.atom(edge.b)
-        + ',\n      "traversable": ' + output.atom(edge.traversable)
-        + ',\n      "length_m": ' + float.__repr__(edge.length_m) + "\n    }"
+        '{\n      "a": ' + output.atom(a) + ',\n      "b": ' + output.atom(b)
+        + ',\n      "traversable": ' + output.atom(traversable)
+        + ',\n      "length_m": ' + float.__repr__(length_m) + "\n    }"
     )
 
 
@@ -461,9 +471,13 @@ def by_metric(metric: str, hops, meters):
 class Datagraph:
     """An immutable graph of (pose, snapshot) nodes, built whole.
 
-    Node ids are dense: node ``i`` is the ``i``-th record. The adjacency
-    lists, the only edge store, are sorted ascending by neighbor id, which
-    anchors the deterministic tie-breaking of traversals.
+    Node ids are dense: node ``i`` is the ``i``-th record. Edges are stored
+    as each node's neighbor ids (``_ids``) and ``(neighbor, length_m)`` pairs
+    (``_pairs``), both sorted ascending by neighbor id, which anchors the
+    deterministic tie-breaking of traversals; ``_open_ids`` and
+    ``_open_pairs`` keep only the traversable edges, and ``_closed`` holds
+    the ``(a, b)``, ``a < b``, of the others. ``Edge`` records are built from
+    these on demand.
     """
 
     def __init__(self, nodes, edges) -> None:
@@ -485,7 +499,8 @@ class Datagraph:
             for i, node in enumerate(nodes) if node.id != i
         ]
         faults: list[Violation] = []
-        kept: dict[tuple[NodeId, NodeId], Edge] = {}
+        kept: dict[tuple[NodeId, NodeId], float] = {}
+        closed: set[tuple[NodeId, NodeId]] = set()
         for i, (a, b, traversable, length_m) in enumerate(edges):
             if not (type(a) is int and type(b) is int and type(traversable) is bool
                     and type(length_m) is float):  # the common kinds skip the checks
@@ -495,20 +510,31 @@ class Datagraph:
                 violations.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
                 continue
             faults += _edge_faults(key[0], key[1], length_m, n)
-            kept[key] = Edge(key[0], key[1], traversable, length_m)
+            kept[key] = length_m
+            if not traversable:
+                closed.add(key)
         violations += faults
         if violations:
             raise GraphValidationError(violations)
-        adj: list = [[] for _ in range(n)]
-        # appended in (a, b) order, every list comes out ascending; the keys
-        # are distinct, so no Edge is compared
-        for (a, b), edge in sorted(kept.items()):
-            adj[a].append((b, edge))
-            adj[b].append((a, edge))
-        for v, entries in enumerate(adj):  # a tuple holds its entries inline, so kernels sweep it faster
-            adj[v] = tuple(entries)
+        pairs: list = [[] for _ in range(n)]
+        for key in sorted(kept):  # appended in (a, b) order, every list comes out ascending
+            a, b = key
+            length_m = kept[key]
+            pairs[a].append((b, length_m))
+            pairs[b].append((a, length_m))
+        del kept  # before the tuples below exist, which lowers the peak
+        # tuples hold their entries inline, so the kernels sweep them faster
         self._nodes = nodes
-        self._adj = adj
+        self._pairs = tuple(map(tuple, pairs))
+        self._ids = tuple(tuple([w for w, _ in entries]) for entries in self._pairs)
+        self._closed = frozenset(closed)
+        self._open_pairs, self._open_ids = self._pairs, self._ids
+        if closed:
+            self._open_pairs = tuple(self._open_entries(v, entries) for v, entries in enumerate(self._pairs))
+            self._open_ids = tuple(
+                ids if open_entries is entries else tuple([w for w, _ in open_entries])
+                for ids, entries, open_entries in zip(self._ids, self._pairs, self._open_pairs)
+            )
 
     # -- access ---------------------------------------------------------------
 
@@ -518,10 +544,10 @@ class Datagraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Datagraph):
             return NotImplemented
-        return self._nodes == other._nodes and self.edges() == other.edges()
+        return (self._nodes, self._pairs, self._closed) == (other._nodes, other._pairs, other._closed)
 
     def __repr__(self) -> str:
-        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._adj)) // 2})"
+        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._ids)) // 2})"
 
     def node(self, v: NodeId) -> Node:
         self._check_node(v)
@@ -531,23 +557,29 @@ class Datagraph:
         return self._nodes
 
     def edges(self) -> tuple[Edge, ...]:
-        """All edges, sorted by (a, b): each as listed at its lower end ``a``."""
-        return tuple(e for a, entries in enumerate(self._adj) for b, e in entries if a < b)
+        """All edges, sorted by (a, b), as records built on each call: two
+        calls return equal records, not the same objects."""
+        return tuple([Edge(a, b, traversable, length_m) for a, b, traversable, length_m in self._edge_rows()])
 
     def neighbors(self, v: NodeId, traversable_only: bool = False) -> list[NodeId]:
         """Adjacent node ids in ascending order."""
         self._check_node(v)
-        return [w for w, e in self._adj[v] if e.traversable or not traversable_only]
+        return list((self._open_ids if traversable_only else self._ids)[v])
 
     def adjacency(self, v: NodeId, traversable_only: bool = False) -> list[tuple[NodeId, Edge]]:
-        """(neighbor id, edge) pairs in ascending neighbor order."""
+        """(neighbor id, edge) pairs in ascending neighbor order; each edge is
+        built on the call, as in :meth:`edges`."""
         self._check_node(v)
-        return [(w, e) for w, e in self._adj[v] if e.traversable or not traversable_only]
+        entries = (self._open_pairs if traversable_only else self._pairs)[v]
+        return [(w, self._edge(v, w, length_m)) for w, length_m in entries]
 
     def edge_between(self, a: NodeId, b: NodeId) -> Edge | None:
+        """The edge joining ``a`` and ``b``, built on the call, or None."""
         self._check_node(a)
         self._check_node(b)
-        return self._lookup(a, b)
+        ids = self._ids[a]
+        i = bisect_left(ids, b)
+        return self._edge(a, b, self._pairs[a][i][1]) if i < len(ids) and ids[i] == b else None
 
     # -- distances & paths ------------------------------------------------------
 
@@ -564,10 +596,12 @@ class Datagraph:
     ) -> dict[NodeId, float]:
         """Shortest path lengths in meters; unreachable nodes are absent.
 
-        The meter kernel drained: the keys come out in visit order, by
-        meters, then by ascending id. Meters are float sums along each path,
-        so two nodes tie only when their sums are equal floats (0.1 + 0.2 is
-        not 0.3).
+        The meter kernel drained: the keys come out in visit order, the
+        heap's ``(meters, id)`` pop order. That is by meters, then by
+        ascending id, except that a node tying its own predecessor (through
+        an edge too short to change the float sum) comes after it. Meters
+        are float sums along each path, so two nodes tie only when their
+        sums are equal floats (0.1 + 0.2 is not 0.3).
         """
         return self._drained("meters", source, traversable_only)
 
@@ -603,18 +637,14 @@ class Datagraph:
         # Two nodes that an edge too short for their float sums joins are each
         # a step from the other, so the descent never steps back onto its own
         # path, and backs up out of such a tie when it leads nowhere.
-        adj, hops = self._adj, metric == "hops"
+        adj, hops = (self._open_pairs if traversable_only else self._pairs), metric == "hops"
         on_path = {a}
 
         def steps(v):
             target = dist_to_goal[v]
-            for w, e in adj[v]:
-                if (
-                    (e.traversable or not traversable_only)
-                    and w in dist_to_goal
-                    and w not in on_path
-                    and dist_to_goal[w] + (1 if hops else e.length_m) == target
-                ):
+            for w, length_m in adj[v]:
+                step = 1 if hops else length_m
+                if w in dist_to_goal and w not in on_path and dist_to_goal[w] + step == target:
                     yield w
 
         path = [a]
@@ -652,7 +682,7 @@ class Datagraph:
     def _hop_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, int]):
         """Level-synchronous BFS: settles one hop level into ``dist`` per step,
         sorted by id, and yields ``(hops, level)``; ``source`` is level 0."""
-        adj = self._adj
+        adj = self._open_ids if traversable_only else self._ids
         seen = [False] * len(adj)  # faster to index than a set or a bytearray
         seen[source] = True
         dist[source] = 0
@@ -663,8 +693,8 @@ class Datagraph:
             hops += 1
             frontier = []
             for v in level:
-                for w, e in adj[v]:
-                    if not seen[w] and (not traversable_only or e.traversable):
+                for w in adj[v]:
+                    if not seen[w]:
                         seen[w] = True
                         frontier.append(w)
             frontier.sort()
@@ -674,7 +704,7 @@ class Datagraph:
     def _meter_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, float]):
         """Dijkstra: settles one node into ``dist`` per step, when the heap
         first pops its ``(meters, id)``, and yields that pair."""
-        adj = self._adj
+        adj = self._open_pairs if traversable_only else self._pairs
         best: dict[NodeId, float] = {source: 0.0}
         heap: list[tuple[float, NodeId]] = [(0.0, source)]
         while heap:
@@ -684,10 +714,10 @@ class Datagraph:
                 continue
             dist[v] = d
             yield settled
-            for w, e in adj[v]:
-                if w in dist or (traversable_only and not e.traversable):
+            for w, length_m in adj[v]:
+                if w in dist:
                     continue
-                nd = d + e.length_m
+                nd = d + length_m
                 if w not in best or nd < best[w]:
                     best[w] = nd
                     heappush(heap, (nd, w))
@@ -699,10 +729,15 @@ class Datagraph:
 
         Violations are data, not errors. The constructor refuses every
         violation, so a graph passes unless something reached past it into
-        its records or adjacency; this re-checks what is stored. Edges are
-        checked where the adjacency lists them: an entry ``v -> w`` is
-        ``edge-key`` if its edge joins that pair as ``a > b``,
-        ``adjacency-edge`` if it joins another.
+        its records or its adjacency; this re-checks what is stored. Each
+        node's neighbor ids must ascend without repeats, name existing
+        nodes and line up with its ``(neighbor, length_m)`` pairs
+        (``adjacency-pairs``), and each edge's length is checked once, at
+        its lower end. ``v`` lists ``w`` only if ``w`` lists ``v`` at the
+        same length, and in the same open or closed state: each node's
+        traversable view must list exactly its neighbors whose pair is not
+        in the closed set (``adjacency-open``), and every closed pair must
+        be an edge (``closed-pair``).
         """
         out: list[Violation] = []
         for index, node in enumerate(self._nodes):
@@ -720,25 +755,32 @@ class Datagraph:
                 if obj.world_position is not None and not all(map(math.isfinite, obj.world_position)):
                     detail = f"node {node.id} object {obj.instance_id} at {obj.world_position}"
                     out.append(Violation("object-position", detail))
-        n = len(self._nodes)
-        for v, entries in enumerate(self._adj):
-            ids = [w for w, _ in entries]
+        n, pairs = len(self._nodes), self._pairs
+        for v, entries in enumerate(pairs):
+            ids = list(self._ids[v])
             if ids != sorted(ids):
                 out.append(Violation("adjacency-order", f"node {v} adjacency {ids} not ascending"))
             if len(ids) != len(set(ids)):
                 out.append(Violation("duplicate-edge", f"node {v} adjacency {ids} repeats a neighbor"))
-            for w, edge in entries:
+            listed = [w for w, _ in entries]
+            if listed != ids:
+                out.append(Violation("adjacency-pairs", f"node {v} lists ids {ids} but pairs for {listed}"))
+            open_entries, open_ids = self._open_pairs[v], list(self._open_ids[v])
+            if open_entries != self._open_entries(v, entries) or open_ids != [w for w, _ in open_entries]:
+                detail = f"node {v} traversable view {open_ids} is not its open neighbors"
+                out.append(Violation("adjacency-open", detail))
+            for w, length_m in entries:
                 if not 0 <= w < n:
                     out.append(Violation("edge-endpoint", f"node {v} adjacent to missing node {w}"))
                     continue
-                pair = (v, w) if v < w else (w, v)
-                if (edge.a, edge.b) != pair:
-                    invariant = "edge-key" if (edge.b, edge.a) == pair else "adjacency-edge"
-                    out.append(Violation(invariant, f"adjacency {v}->{w} holds edge {edge}"))
-                elif v <= w:  # each edge once, at its lower end
-                    out.extend(_edge_faults(edge.a, edge.b, edge.length_m, n))
-                if not any(u == v and back is edge for u, back in self._adj[w]):
-                    out.append(Violation("adjacency-symmetry", f"{v} lists {w} but {w} does not list {v}"))
+                if v <= w:  # each edge once, at its lower end
+                    out.extend(_edge_faults(v, w, length_m, n))
+                if (v, length_m) not in pairs[w]:
+                    detail = f"{v} lists {w} at {length_m!r} m but {w} does not list {v} at that length"
+                    out.append(Violation("adjacency-symmetry", detail))
+        for a, b in sorted(self._closed):
+            if not (0 <= a < b < n and b in self._ids[a]):
+                out.append(Violation("closed-pair", f"closed pair ({a}, {b}) is not an edge"))
         return out
 
     # -- serialization -----------------------------------------------------------
@@ -754,8 +796,8 @@ class Datagraph:
                 snap_doc["payload_ref"] = node.snapshot.payload_ref
             nodes.append({"id": node.id, "pose": pose_doc, "snapshot": snap_doc})
         edges = [
-            {"a": e.a, "b": e.b, "traversable": e.traversable, "length_m": e.length_m}
-            for e in self.edges()
+            {"a": a, "b": b, "traversable": traversable, "length_m": length_m}
+            for a, b, traversable, length_m in self._edge_rows()
         ]
         return {"format_version": 1, "nodes": nodes, "edges": edges}
 
@@ -769,7 +811,7 @@ class Datagraph:
         """
         output.save_document(destination, 1, [
             ("nodes", "[]", map(_node_text, self._nodes)),
-            ("edges", "[]", map(_edge_text, self.edges())),
+            ("edges", "[]", map(_edge_text, self._edge_rows())),
         ])
 
     @classmethod
@@ -841,10 +883,29 @@ class Datagraph:
 
     # -- internals -----------------------------------------------------------
 
-    def _lookup(self, a: NodeId, b: NodeId) -> Edge | None:
-        entries = self._adj[a]  # bisected: (b,) sorts after smaller ids and before any (b, edge)
-        i = bisect_left(entries, (b,))
-        return entries[i][1] if i < len(entries) and entries[i][0] == b else None
+    def _edge_rows(self):
+        """Each edge as ``(a, b, traversable, length_m)``, sorted by (a, b)."""
+        closed = self._closed
+        return (
+            (a, b, (a, b) not in closed, length_m)
+            for a, entries in enumerate(self._pairs) for b, length_m in entries if a < b
+        )
+
+    def _edge(self, v: NodeId, w: NodeId, length_m: float) -> Edge:
+        """The record of the edge that joins ``v`` and ``w``."""
+        a, b = (v, w) if v < w else (w, v)
+        return Edge(a, b, (a, b) not in self._closed, length_m)
+
+    def _open_entries(self, v: NodeId, entries: tuple) -> tuple:
+        """``v``'s ``(neighbor, length_m)`` entries whose edge is open:
+        ``entries`` itself when none is closed."""
+        closed = self._closed
+        if not closed:
+            return entries
+        kept = tuple([
+            entry for entry in entries if ((v, entry[0]) if v < entry[0] else (entry[0], v)) not in closed
+        ])
+        return entries if len(kept) == len(entries) else kept
 
     def _check_node(self, v: NodeId) -> None:
         if type(v) is int and 0 <= v < len(self._nodes):

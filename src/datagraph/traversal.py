@@ -2,16 +2,20 @@
 
 Proximity traversal expands outward from the agent's node and queries each
 scene as it is reached, so the closest satisfying scene is found before any
-farther one. Visit order is fully deterministic: nondecreasing distance from
-the agent (hop count by default, geodesic meters with ``metric="meters"``),
-ties broken by ascending node id: the key order of the agent's full distance
-map under that metric (:meth:`Datagraph.hop_distances`,
-:meth:`Datagraph.geodesic_distances`). Meters are the float sums Dijkstra
-accumulates, so two nodes tie only when those sums are equal floats: with
-edges 0-1 of 0.1 m, 1-2 of 0.2 m and 0-3 of 0.3 m, node 3 comes before node
-2, which is 0.30000000000000004 m away. The brute-force baseline ignores
-space entirely and walks node ids in order, modeling a search over every
-captured frame.
+farther one. Visit order is fully deterministic: the key order of the
+agent's full distance map under the metric (:meth:`Datagraph.hop_distances`
+for hop counts, the default; :meth:`Datagraph.geodesic_distances` with
+``metric="meters"``), nondecreasing in distance. By hops, ties are broken by
+ascending node id. By meters the order is Dijkstra's pop order. Meters are
+the float sums Dijkstra accumulates, so two nodes tie only when those sums
+are equal floats: with edges 0-1 of 0.1 m, 1-2 of 0.2 m and 0-3 of 0.3 m,
+node 3 comes before node 2, which is 0.30000000000000004 m away. Ties pop by
+ascending id, except where a sum absorbs an edge: a node that ties its own
+predecessor is reached only once that predecessor pops, so it comes after it
+even with a lower id: with edges 0-2 of 1e16 m and 2-1 of 1.0 m, nodes 1
+and 2 both lie 1e16 m from 0 (1e16 + 1.0 rounds to 1e16), and the order is
+0, 2, 1. The brute-force baseline ignores space entirely and walks node ids
+in order, modeling a search over every captured frame.
 
 Distances come from the graph's frontier kernels. A search that stops at
 its first hit builds only the map that orders its visits; the other
@@ -184,9 +188,11 @@ def proximity_query_all(
 ) -> TraversalResult:
     """Query every node reachable from the agent, closest first.
 
-    Visit order is nondecreasing distance from ``agent`` under ``metric``
-    with ascending node ids inside each tie; unreachable nodes are never
-    queried.
+    Visit order is nondecreasing distance from ``agent`` under ``metric``.
+    By hops, ties come in ascending node id. By meters the order is
+    Dijkstra's pop order, which puts a node that ties its own predecessor
+    after it, whatever their ids (see the module docstring). Unreachable
+    nodes are never queried.
     """
     return _run(graph, backend, query, None, agent, False, metric, full=("hops", "meters"))
 

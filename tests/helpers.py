@@ -150,10 +150,16 @@ FLOAT_LENGTHS = st.floats(min_value=0.1, max_value=50.0)
 ABSORBING_LENGTHS = st.sampled_from([1e16, 1e16, 0.5, 1.0, 3.0])
 
 
-@st.composite
-def frontier_graphs(draw, max_nodes: int = 24):
+def frontier_graphs(max_nodes: int = 24):
     """A graph of up to ``max_nodes`` nodes, not always connected, with some
     untraversable edges and lengths from one of the three families."""
+    return frontier_edges(max_nodes).map(lambda case: build_graph(*case))
+
+
+@st.composite
+def frontier_edges(draw, max_nodes: int = 24):
+    """``(n, edges)`` of a :func:`frontier_graphs` graph, with ``(a, b,
+    length, traversable)`` edges, so a test can check the graph against them."""
     n = draw(st.integers(min_value=1, max_value=max_nodes))
     lengths = draw(st.sampled_from([DYADIC_LENGTHS, FLOAT_LENGTHS, ABSORBING_LENGTHS]))
     pairs = draw(st.lists(
@@ -165,7 +171,7 @@ def frontier_graphs(draw, max_nodes: int = 24):
     for a, b in pairs:
         traversable = draw(st.sampled_from([True, True, False]))
         edges.append((a, b, draw(lengths), traversable))
-    return build_graph(n, edges)
+    return n, edges
 
 
 def all_pairs_admits(candidate, placed, separation: float) -> bool:

@@ -39,7 +39,10 @@ from helpers import (
     eager_hop_distances,
     eager_shortest_path,
     edge_dict,
+    frontier_edges,
     frontier_graphs,
+    heap_dijkstra,
+    queue_bfs_levels,
     random_decorated_graph,
     simple_path_distances,
 )
@@ -292,46 +295,76 @@ def test_validate_clean_graph(path_graph):
     assert path_graph.validate() == []
 
 
+def _relist(graph, v, entries):
+    """Store ``entries``, ``(neighbor, length_m)`` pairs, as node ``v``'s
+    adjacency, in both views of a graph with no closed edge."""
+    pairs, ids = list(graph._pairs), list(graph._ids)
+    pairs[v], ids[v] = tuple(entries), tuple(w for w, _ in entries)
+    graph._pairs = graph._open_pairs = tuple(pairs)
+    graph._ids = graph._open_ids = tuple(ids)
+
+
 def test_validate_reports_asymmetric_adjacency(path_graph):
-    adj = [list(entries) for entries in path_graph._adj]
-    adj[0] = []  # drop 0 -> 1 while 1 -> 0 survives
-    path_graph._adj = tuple(tuple(e) for e in adj)
+    _relist(path_graph, 0, [])  # drop 0 -> 1 while 1 -> 0 survives
     violations = path_graph.validate()
-    assert any(
-        v.invariant == "adjacency-symmetry" and "1" in v.detail and "0" in v.detail
-        for v in violations
-    )
+    assert [v.invariant for v in violations] == ["adjacency-symmetry"]
+    assert violations[0].detail.startswith("1 lists 0")
 
 
-def _relist(graph, pair, edge):
-    """Replace the adjacency entries of ``pair`` at both of its ends with ``edge``."""
-    v, w = pair
-    adj = [list(entries) for entries in graph._adj]
-    adj[v] = [(u, edge if u == w else e) for u, e in adj[v]]
-    adj[w] = [(u, edge if u == v else e) for u, e in adj[w]]
-    graph._adj = tuple(tuple(entries) for entries in adj)
-
-
-def test_validate_reports_adjacency_entry_naming_other_endpoints(path_graph):
-    _relist(path_graph, (0, 1), path_graph.edge_between(1, 2))
+def test_validate_reports_ends_listing_unequal_lengths(path_graph):
+    _relist(path_graph, 0, [(1, 2.5)])  # 1 still lists 0 at 1.0 m
     violations = path_graph.validate()
-    assert [v.invariant for v in violations] == ["adjacency-edge", "adjacency-edge"]
+    assert [v.invariant for v in violations] == ["adjacency-symmetry", "adjacency-symmetry"]
     assert all("0" in v.detail and "1" in v.detail for v in violations)
 
 
-def test_validate_reports_edge_with_endpoints_out_of_order(path_graph):
-    _relist(path_graph, (0, 1), Edge(1, 0))
+def test_validate_reports_neighbor_ids_out_of_order(path_graph):
+    _relist(path_graph, 1, path_graph._pairs[1][::-1])
     violations = path_graph.validate()
-    assert violations
-    assert {v.invariant for v in violations} <= {"edge-key", "adjacency-edge"}
-    assert all("0" in v.detail and "1" in v.detail for v in violations)
+    assert [v.invariant for v in violations] == ["adjacency-order"]
+    assert "[2, 0]" in violations[0].detail
+
+
+def test_validate_reports_repeated_neighbor_ids(path_graph):
+    _relist(path_graph, 0, path_graph._pairs[0] * 2)
+    assert [v.invariant for v in path_graph.validate()] == ["duplicate-edge"]
+
+
+def test_validate_reports_an_out_of_range_neighbor(path_graph):
+    _relist(path_graph, 2, path_graph._pairs[2] + ((3, 1.0),))
+    violations = path_graph.validate()
+    assert [v.invariant for v in violations] == ["edge-endpoint"]
+    assert "missing node 3" in violations[0].detail
+
+
+def test_validate_reports_pairs_that_do_not_line_up_with_the_ids(path_graph):
+    path_graph._ids = path_graph._open_ids = ((2,), (0, 2), (1,))
+    violations = path_graph.validate()
+    assert "adjacency-pairs" in {v.invariant for v in violations}
+    assert any(v.detail == "node 0 lists ids [2] but pairs for [1]" for v in violations)
+
+
+def test_validate_reports_a_traversable_view_that_disagrees_with_the_closed_set():
+    graph = build_graph(3, [(0, 1, 1.0, False), (1, 2, 1.0)])
+    assert graph.validate() == [] and graph._open_ids == ((), (2,), (1,))
+    graph._open_ids = (graph._ids[0],) + graph._open_ids[1:]  # 0 -> 1 open at 0, closed at 1
+    graph._open_pairs = (graph._pairs[0],) + graph._open_pairs[1:]
+    assert [(v.invariant, v.detail) for v in graph.validate()] == [
+        ("adjacency-open", "node 0 traversable view [1] is not its open neighbors"),
+    ]
+
+
+def test_validate_reports_a_closed_pair_that_is_no_edge(path_graph):
+    path_graph._closed = frozenset({(0, 2)})
+    violations = path_graph.validate()
+    assert ("closed-pair", "closed pair (0, 2) is not an edge") in [(v.invariant, v.detail) for v in violations]
 
 
 def test_validate_reports_bad_length_injected_past_construction():
     g = build_graph(2, [(0, 1)])
-    edge = g.edges()[0]
-    object.__setattr__(edge, "length_m", 0.0)
-    assert any(v.invariant == "edge-length" for v in g.validate())
+    _relist(g, 0, [(1, 0.0)])
+    _relist(g, 1, [(0, 0.0)])
+    assert [v.invariant for v in g.validate()] == ["edge-length"]
 
 
 # --- serialization -----------------------------------------------------------------
@@ -1044,3 +1077,75 @@ def test_shortest_path_settles_only_what_its_descent_reads(monkeypatch):
     assert graph.shortest_path(200, 203, "meters") == [200, 201, 202, 203]
     assert graph.shortest_path(200, 197, "hops") == [200, 199, 198, 197]
     assert [sorted(dist) for dist in settled] == [list(range(199, 207)), list(range(194, 201))]
+
+
+# --- the adjacency store against the drawn edges ------------------------------------
+
+
+def _descent(adjacency, dist, a, b, hops):
+    """The lexicographically first path from ``a`` to ``b`` that steps down
+    ``dist`` along ``adjacency``, never revisiting a node; None if ``a`` is
+    not in ``dist``."""
+
+    def walk(path):
+        u = path[-1]
+        if u == b:
+            return path
+        for w, length in adjacency[u]:
+            if w in dist and w not in path and dist[w] + (1 if hops else length) == dist[u]:
+                found = walk(path + [w])
+                if found:
+                    return found
+        return None
+
+    return walk([a]) if a in dist else None
+
+
+@given(frontier_edges(max_nodes=16))
+@example((3, [(0, 2, 1e16, True), (2, 1, 1.0, False), (0, 1, 0.5, False)]))
+@settings(max_examples=150, deadline=None)
+def test_property_the_store_answers_as_the_drawn_edges_do(case):
+    """Every edge read and every search of the graph equals a reference built
+    from the drawn ``(a, b, length, traversable)`` edges, never from the graph."""
+    n, edges = case
+    graph = build_graph(n, edges)
+    records = {(min(a, b), max(a, b)): Edge(min(a, b), max(a, b), t, length) for a, b, length, t in edges}
+    assert graph.edges() == tuple(records[key] for key in sorted(records))
+    for a in range(n):
+        for b in range(n):
+            assert graph.edge_between(a, b) == records.get((min(a, b), max(a, b)))
+    for traversable_only in (False, True):
+        kept = {key: e.length_m for key, e in records.items() if e.traversable or not traversable_only}
+        adjacency = {v: [] for v in range(n)}
+        for (a, b), length in sorted(kept.items()):
+            adjacency[a].append((b, length))
+            adjacency[b].append((a, length))
+        for v in range(n):
+            adjacency[v].sort()
+            assert graph.neighbors(v, traversable_only) == [w for w, _ in adjacency[v]]
+            assert graph.adjacency(v, traversable_only) == [
+                (w, records[min(v, w), max(v, w)]) for w, _ in adjacency[v]
+            ]
+        for source in range(n):
+            hops, meters = queue_bfs_levels(n, kept, source), heap_dijkstra(n, kept, source)
+            hop_map = graph.hop_distances(source, traversable_only)
+            assert list(hop_map.items()) == sorted(hops.items(), key=lambda item: (item[1], item[0]))
+            assert list(graph.geodesic_distances(source, traversable_only).items()) == list(meters.items())
+            for metric, dist in (("hops", hops), ("meters", meters)):
+                for a in range(n):
+                    expected = _descent(adjacency, dist, a, source, metric == "hops")
+                    assert graph.shortest_path(a, source, metric, traversable_only) == expected
+
+
+def test_a_saved_world_with_closed_doors_loads_and_saves_to_the_same_bytes(tmp_path):
+    generated, _ = generate_world(WorldSpec(grid_w=6, grid_h=6, seed=4))
+    edges = [(e.a, e.b, i % 3 != 0, e.length_m) for i, e in enumerate(generated.edges())]
+    graph = Datagraph(generated.nodes(), edges)
+    assert any(graph.neighbors(v, True) != graph.neighbors(v) for v in range(len(graph)))
+    path = tmp_path / "world.json"
+    graph.save(path)
+    loaded = Datagraph.load(path)
+    assert loaded == graph and loaded.validate() == []
+    assert [e.traversable for e in loaded.edges()] == [t for _, _, t, _ in edges]
+    loaded.save(tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == path.read_bytes()

@@ -134,6 +134,14 @@ def test_meter_order_ties_only_on_equal_float_sums():
     assert result.visit_order == (0, 1, 2, 3)
 
 
+def test_a_node_that_ties_its_own_predecessor_is_visited_after_it():
+    # 1e16 + 1.0 rounds to 1e16: nodes 1 and 2 tie, but 1 is reached only through 2
+    g = build_graph(3, [(0, 2, 1e16), (2, 1, 1.0)])
+    result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
+    assert result.visit_order == (0, 2, 1)
+    assert result.distances == {0: (0, 0.0), 2: (1, 1e16), 1: (2, 1e16)}
+
+
 class ExplodingBackend:
     def __init__(self, explode_at):
         self.explode_at = explode_at
@@ -581,6 +589,7 @@ def test_property_query_count_formula_on_random_graphs(case):
 
 def _meter_kernel_with_descending_ties(self, source, traversable_only, dist):
     """A planted fault: the meter kernel popping equal sums by descending id."""
+    adj = self._open_pairs if traversable_only else self._pairs
     best, heap = {source: 0.0}, [(0.0, -source)]
     while heap:
         d, v = heappop(heap)
@@ -589,11 +598,10 @@ def _meter_kernel_with_descending_ties(self, source, traversable_only, dist):
             continue
         dist[v] = d
         yield d, v
-        for w, e in self._adj[v]:
-            if w not in dist and (e.traversable or not traversable_only):
-                if w not in best or d + e.length_m < best[w]:
-                    best[w] = d + e.length_m
-                    heappush(heap, (best[w], -w))
+        for w, length_m in adj[v]:
+            if w not in dist and (w not in best or d + length_m < best[w]):
+                best[w] = d + length_m
+                heappush(heap, (best[w], -w))
 
 
 def test_the_formula_check_catches_a_kernel_that_breaks_ties_by_descending_id(monkeypatch):
