@@ -82,7 +82,6 @@ from .worldgen import (
     ground_truth_nearest,
     make_keyfob_task,
     make_nearest_search_task,
-    make_route_hazard_task,
 )
 
 __version__ = "0.1.0"

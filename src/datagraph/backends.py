@@ -83,19 +83,6 @@ class Predicate:
             "attrs": sorted(list(pair) for pair in self.attribute_equals),
         }
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label_equals": self.label_equals,
-            "attribute_equals": [list(pair) for pair in self.attribute_equals],
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> Predicate:
-        return cls(
-            label_equals=doc.get("label_equals"),
-            attribute_equals=tuple((k, v) for k, v in doc.get("attribute_equals", [])),
-        )
-
 
 @dataclass(frozen=True)
 class Query:
@@ -115,17 +102,6 @@ class Query:
     def canonical_key(self) -> str:
         """:func:`canonical_query_key` of this query, computed once."""
         return canonical_query_key(self)
-
-    def to_json_dict(self) -> dict:
-        return {"text": self.text, "mode": self.mode, "predicate": self.predicate.to_json_dict()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> Query:
-        return cls(
-            text=doc["text"],
-            predicate=Predicate.from_json_dict(doc["predicate"]),
-            mode=doc.get("mode", "find"),
-        )
 
 
 @_record

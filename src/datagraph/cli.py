@@ -17,6 +17,7 @@ from .errors import (
 )
 from .graph import Datagraph
 from .harness import (
+    TASK_KINDS,
     BackendConfig,
     ExperimentConfig,
     WorldFiles,
@@ -131,7 +132,7 @@ _compare_options = [
     click.option("--output-dir", "-o", type=click.Path(), default=None),
     click.option("--count", type=int, default=None, help="Number of seeded tasks."),
     click.option("--seed", type=int, default=None, help="Master task seed."),
-    click.option("--kind", type=click.Choice(["nearest_search", "keyfob_match"]), default=None),
+    click.option("--kind", type=click.Choice(TASK_KINDS), default=None),
     click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default=None),
     click.option("--strategies", default=None, help="Comma list: proximity,brute_force."),
     click.option("--cache/--no-cache", "cache", default=None),

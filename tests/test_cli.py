@@ -273,6 +273,8 @@ def input_files(tmp_path, world_dir):
     files["afile"].write_text("")
     files["short_route"] = tmp_path / "short_route.json"
     files["short_route"].write_text("[[0, 1]]")
+    files["no_routes"] = tmp_path / "no_routes.json"
+    files["no_routes"].write_text("[]")
     # world and ground-truth files with one field overwritten
     world = json.loads(files["world"].read_text())
     node = next(n for n in world["nodes"] if n["snapshot"]["objects"])
@@ -464,6 +466,11 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(ROUTE + ["--routes", "{short_route}"], 2,
                      "error: candidate route [0, 1] does not join 0 to 11",
                      id="routes-not-joining-start-to-goal"),
+        pytest.param(ROUTE + ["--routes", "{no_routes}"], 2, "error: no candidate routes from 0 to 11 to scan",
+                     id="routes-empty"),
+        pytest.param(["compare", "--config", "{saved}", "--strategies", "proximity,proximity"], 2,
+                     "error: strategies names one entry twice: ['proximity', 'proximity']",
+                     id="compare-repeated-strategy"),
         pytest.param(ROUTE + ["--timeout-ms", "0"], 2, "error: Invalid value for '--timeout-ms'",
                      id="timeout-zero"),
         pytest.param(ROUTE + ["--backend", "replay"], 2, "error: replay backend needs a store_path",

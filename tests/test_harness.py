@@ -88,6 +88,21 @@ def test_task_config_rejects_zero_count():
         TaskConfig("nearest_search", 0, 0)
 
 
+@pytest.mark.parametrize("count", [2.5, True, "3"])
+def test_task_config_rejects_counts_that_are_not_integers(count):
+    with pytest.raises(ConfigError, match="task count must be a positive integer"):
+        TaskConfig("nearest_search", count, 0)
+
+
+@pytest.mark.parametrize(
+    "field, names",
+    [("strategies", ("proximity", "proximity")), ("report_formats", ("json", "csv", "json"))],
+)
+def test_config_rejects_a_repeated_name(field, names):
+    with pytest.raises(ConfigError, match=f"{field} names one entry twice"):
+        ExperimentConfig(WorldSpec(2, 2), TaskConfig("nearest_search", 2, 0), **{field: names})
+
+
 @pytest.mark.parametrize("seed", [-1, True, 1.5, "3"])
 def test_task_config_rejects_seeds_that_are_not_natural_numbers(seed):
     with pytest.raises(ConfigError, match="task seed"):
@@ -201,7 +216,7 @@ def test_compare_scans_ground_truth_once_per_trial_and_metric(monkeypatch, metri
     monkeypatch.setattr(datagraph.worldgen, "ground_truth_nearest", counting)
     monkeypatch.setattr(datagraph.harness, "ground_truth_nearest", counting)
     report = run_compare(compare_config(metric=metric))
-    # one hop scan per trial from the task generator, one meters scan when scoring by meters
+    # one hop scan per trial for the reported optimum, one meters scan when scoring by meters
     expected = ["hops", "meters"] if metric == "meters" else ["hops"]
     assert [m for m, _ in scans] == expected * 4
     hop_optima = [result[1] for m, result in scans if m == "hops"]
@@ -327,9 +342,8 @@ def test_ground_truth_home_node_outside_the_world_is_rejected(tmp_path, home_nod
 
 
 def test_route_kind_is_rejected_by_compare():
-    config = compare_config(tasks=TaskConfig("route_hazard", 1, 0))
-    with pytest.raises(ConfigError):
-        run_compare(config)
+    with pytest.raises(ConfigError, match="unknown task kind 'route_hazard'"):
+        TaskConfig("route_hazard", 1, 0)
 
 
 def outcomes(report):
@@ -599,6 +613,13 @@ def test_cached_route_rerun_hits_every_node():
     assert first.cache_hits == 0
     assert second.cache_hits == len(second.selected_route)
     assert second.total_backend_calls == 0
+
+
+def test_empty_candidate_set_is_route_error():
+    backend = CachingBackend(OracleBackend())
+    with pytest.raises(RouteError, match="no candidate routes from 0 to 5"):
+        run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[])
+    assert backend.hits == len(backend.store) == 0
 
 
 def test_unreachable_goal_is_route_error():
