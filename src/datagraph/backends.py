@@ -70,6 +70,8 @@ class Predicate:
         object.__setattr__(self, "attribute_equals", clauses)
         if self.label_equals is None and not clauses:
             raise ValueError("predicate needs at least one clause")
+        if self.label_equals == "":
+            raise ValueError("predicate label must be non-empty: no object has an empty label")
 
     @cached_property
     def label_key(self) -> str | None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import sys
 
 import click
@@ -242,30 +243,37 @@ def route(world_path, start, goal, metric, routes_path, cache, output_path, **ba
     click.echo(f"selected route: {list(report.selected_route)}")
 
 
+def _finite(ctx, param, value: float) -> float:
+    """Refuse NaN and infinity, which ``click.FloatRange`` lets through."""
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{value} is not a finite number")
+    return value
+
+
 @main.command()
 @click.option("--world", "world_path", type=click.Path(exists=True), required=True)
 @click.option("--ground-truth", "gt_path", type=click.Path(exists=True), default=None)
 @click.option("--label", required=True, help="Object label to count.")
 @click.option("--attr", "attrs", multiple=True, help="Extra key=value attribute clauses.")
-@click.option("--radius", type=click.FloatRange(min=0), default=0.5, show_default=True,
+@click.option("--radius", type=click.FloatRange(min=0), callback=_finite, default=0.5, show_default=True,
               help="Dedup radius in meters; 0 disables merging.")
 @_apply_options(_backend_options)
 @click.option("--output", "output_path", type=click.Path(), default=None)
 def aggregate(world_path, gt_path, label, attrs, radius, output_path, **backend_flags):
     """Count instances of LABEL across all scenes, merging boundary duplicates."""
     config = _backend_config(**backend_flags)
-    graph, ground_truth = load_world_files(WorldFiles(world_path, gt_path))
     clauses = []
     for raw in attrs:
         if "=" not in raw:
             raise click.UsageError(f"--attr needs key=value, got {raw!r}")
         key, value = raw.split("=", 1)
         clauses.append((key, value))
-    query = Query(
-        text=f"how many {label} are there?",
-        predicate=Predicate(label_equals=label, attribute_equals=tuple(clauses)),
-        mode="count",
-    )
+    try:
+        predicate = Predicate(label_equals=label, attribute_equals=tuple(clauses))
+    except ValueError as exc:
+        raise click.UsageError(f"--label: {exc}") from None
+    query = Query(text=f"how many {label} are there?", predicate=predicate, mode="count")
+    graph, ground_truth = load_world_files(WorldFiles(world_path, gt_path))
     query_backend = build_base_backend(config)
     report = run_aggregate(graph, query_backend, query, radius, ground_truth)
     if output_path:

@@ -348,17 +348,18 @@ class MetricsReport:
             writer.writerow(["" if doc[k] is None else doc[k] for k in CSV_HEADER])
         return buffer.getvalue()
 
-    def write(self, output_dir, formats=("json",), basename: str = "compare") -> list[Path]:
-        """Write the report files, each replacing its old file atomically; a
-        directory or file that cannot be written is an :class:`OutputError`."""
+    def write(self, output_dir, formats=("json",)) -> list[Path]:
+        """Write ``compare.json`` and/or ``compare.csv``, each replacing its old
+        file atomically; a directory or file that cannot be written is an
+        :class:`OutputError`."""
         out = output.make_output_dir(output_dir)
         written = []
         if "json" in formats:
-            path = out / f"{basename}.json"
+            path = out / "compare.json"
             output.write_output(path, [self.to_json()])
             written.append(path)
         if "csv" in formats:
-            path = out / f"{basename}.csv"
+            path = out / "compare.csv"
             output.write_output(path, [self.to_csv()])
             written.append(path)
         return written

@@ -17,12 +17,12 @@ and 2 both lie 1e16 m from 0 (1e16 + 1.0 rounds to 1e16), and the order is
 0, 2, 1. The brute-force baseline ignores space entirely and walks node ids
 in order, modeling a search over every captured frame.
 
-Distances come from the graph's frontier kernels. A search that stops at
-its first hit builds only the map that orders its visits; the other
-metric's distance of each visited node comes from a kernel cursor advanced
-until that node settles. A path query advances both cursors only as far as
-its path. The full traversal and the brute-force baseline visit every node,
-so they drain both kernels up front.
+A traversal reports the distances of its first hit only, as (node, hops,
+meters). The metric that orders the visits gives its distance from the map
+the search drained; the other metric's comes from one frontier kernel
+cursor advanced until the hit settles. A caller that wants every node's
+distance reads :meth:`Datagraph.hop_distances` or
+:meth:`Datagraph.geodesic_distances` itself.
 
 Backend failures never skip a node silently: the traversal aborts with
 :class:`TraversalAbortedError` carrying the partial result.
@@ -47,21 +47,20 @@ from .graph import Datagraph, NodeId, SceneObject, _settle, by_metric
 
 @dataclass(frozen=True)
 class TraversalResult:
-    """Ordered per-node responses plus distance and cost accounting.
+    """Ordered per-node responses, their cost, and the first hit.
 
-    ``distances`` maps each visited node to (hops, meters) from the agent
-    node; nodes unreachable from the agent are absent. ``first_satisfied``
-    is the first satisfied response in visit order as (node, hops, meters),
-    or None. ``stopped_early`` is set only when the traversal was actually
-    truncated by a satisfied response.
+    ``first_satisfied`` is the first satisfied response in visit order as
+    (node, hops, meters) from the agent node, with None for both distances
+    when the agent cannot reach that node, or None when no response is
+    satisfied. ``stopped_early`` is set only when the traversal was
+    actually truncated by a satisfied response.
     """
 
     responses: tuple[QueryResponse, ...]
     visit_order: tuple[NodeId, ...]
-    distances: dict[NodeId, tuple[int, float]]
     total_backend_calls: int
     stopped_early: bool
-    first_satisfied: tuple[NodeId, int, float] | None
+    first_satisfied: tuple[NodeId, int | None, float | None] | None
 
     def to_json_dict(self) -> dict:
         first = None
@@ -71,9 +70,6 @@ class TraversalResult:
         return {
             "responses": [r.to_json_dict() for r in self.responses],
             "visit_order": list(self.visit_order),
-            "distances": {
-                str(v): {"hops": h, "meters": m} for v, (h, m) in self.distances.items()
-            },
             "total_backend_calls": self.total_backend_calls,
             "stopped_early": self.stopped_early,
             "first_satisfied": first,
@@ -114,39 +110,33 @@ def _run(
     graph: Datagraph,
     backend: QueryBackend,
     query: Query,
-    order: Iterable[NodeId] | None,
+    order: Iterable[NodeId],
     agent: NodeId,
     stop_on_first: bool,
-    metric: str = "hops",
-    full: tuple[str, ...] = (),
+    metric: str | None = None,
 ) -> TraversalResult:
-    """Query the nodes of ``order``; if it is None, the keys of the agent's
-    full distance map under ``metric``, which come out in visit order.
+    """Query the nodes of ``order``, reporting the first hit's distances from ``agent``.
 
-    ``full`` names the metrics whose full map is built before the first
-    query: the one that orders the visits, or both when every node is
-    visited. Any other metric's distances come from a kernel cursor
-    (:meth:`Datagraph._frontier`) advanced only until the visited node settles.
+    ``metric`` is set when ``order`` is the agent's drained distance map
+    under that metric; the hit's distance under it is then read from the
+    map. Any other distance comes from a kernel cursor
+    (:meth:`Datagraph._frontier`) advanced only until the hit settles.
     """
-
-    def distances_by(name, full_map):
-        return (full_map(agent), ()) if name in full else graph._frontier(name, agent)
-
-    hops_dist, hops_frontier = distances_by("hops", graph.hop_distances)
-    meters_dist, meters_frontier = distances_by("meters", graph.geodesic_distances)
-    if order is None:
-        order = by_metric(metric, hops_dist, meters_dist)
     responses: list[QueryResponse] = []
-    visit_order: list[NodeId] = []
-    distances: dict[NodeId, tuple[int, float]] = {}
-    first_satisfied: tuple[NodeId, int, float] | None = None
+    hit: NodeId | None = None
     stopped_early = False
 
     def result() -> TraversalResult:
+        first_satisfied = None
+        if hit is not None:
+            hops, meters = (
+                order.get(hit) if name == metric else _settle(*graph._frontier(name, agent), hit)
+                for name in ("hops", "meters")
+            )
+            first_satisfied = (hit, hops, meters)
         return TraversalResult(
             responses=tuple(responses),
-            visit_order=tuple(visit_order),
-            distances=distances,
+            visit_order=tuple(r.node for r in responses),
             total_backend_calls=sum(r.backend_calls for r in responses),
             stopped_early=stopped_early,
             first_satisfied=first_satisfied,
@@ -160,20 +150,20 @@ def _run(
         if response.node != v:
             response = response._with(v, response.backend_calls)
         responses.append(response)
-        visit_order.append(v)
-        hops = hops_dist.get(v)
-        meters = meters_dist.get(v)
-        if hops is None or meters is None:  # not settled yet, or unreachable
-            hops = _settle(hops_dist, hops_frontier, v)
-            meters = _settle(meters_dist, meters_frontier, v)
-        if hops is not None:
-            distances[v] = (hops, meters)
-        if response.satisfied and first_satisfied is None:
-            first_satisfied = (v, hops, meters)
-        if stop_on_first and response.satisfied:
-            stopped_early = True
-            break
+        if response.satisfied and hit is None:
+            hit = v
+            if stop_on_first:
+                stopped_early = True
+                break
     return result()
+
+
+def _by_proximity(graph: Datagraph, backend: QueryBackend, query: Query, agent: NodeId,
+                  metric: str, stop_on_first: bool) -> TraversalResult:
+    """Visit in the key order of the agent's full distance map under ``metric``."""
+    graph.node(agent)  # an unknown agent is reported before an unknown metric
+    order = by_metric(metric, graph.hop_distances, graph.geodesic_distances)(agent)
+    return _run(graph, backend, query, order, agent, stop_on_first, metric)
 
 
 # --- public operations ----------------------------------------------------------------
@@ -194,7 +184,7 @@ def proximity_query_all(
     after it, whatever their ids (see the module docstring). Unreachable
     nodes are never queried.
     """
-    return _run(graph, backend, query, None, agent, False, metric, full=("hops", "meters"))
+    return _by_proximity(graph, backend, query, agent, metric, stop_on_first=False)
 
 
 def proximity_search_first(
@@ -210,7 +200,7 @@ def proximity_search_first(
     is a closest satisfying node, not just any satisfying node. With no
     satisfied response this equals the full traversal.
     """
-    return _run(graph, backend, query, None, agent, True, metric, full=(metric,))
+    return _by_proximity(graph, backend, query, agent, metric, stop_on_first=True)
 
 
 def path_query(
@@ -223,7 +213,7 @@ def path_query(
 
     Consecutive path nodes must be adjacent. A node repeated in the path is
     queried once per occurrence unless a caching backend suppresses the
-    duplicate call. Distances are reported relative to the path start.
+    duplicate call. The hit's distances are reported relative to the path start.
     """
     path = list(path)
     if not path:
@@ -246,11 +236,10 @@ def brute_force_query(
     """Spatially blind baseline: query all nodes in ascending id order.
 
     Models a search over every captured frame. ``agent`` is used only to
-    report distances for comparison with proximity traversals.
+    report the hit's distances for comparison with proximity traversals.
     """
     graph.node(agent)
-    order = range(len(graph))
-    return _run(graph, backend, query, order, agent, stop_on_first, full=("hops", "meters"))
+    return _run(graph, backend, query, range(len(graph)), agent, stop_on_first)
 
 
 def aggregate_count(
@@ -267,8 +256,8 @@ def aggregate_count(
     """
     if query.mode != "count":
         raise ValueError(f"aggregate_count requires a count query, got mode {query.mode!r}")
-    if dedup_radius_m < 0:
-        raise ValueError("dedup_radius_m must be non-negative")
+    if not (math.isfinite(dedup_radius_m) and dedup_radius_m >= 0):
+        raise ValueError(f"dedup_radius_m must be finite and non-negative, got {dedup_radius_m!r}")
     per_node_counts: dict[NodeId, int] = {}
     matches: list[tuple[NodeId, SceneObject]] = []
     for v in range(len(graph)):

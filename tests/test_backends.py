@@ -48,6 +48,13 @@ def test_predicate_needs_a_clause():
         Predicate()
 
 
+def test_predicate_refuses_an_empty_label_that_no_object_can_match():
+    with pytest.raises(ValueError, match="label must be non-empty"):
+        Predicate(label_equals="")
+    with pytest.raises(ValueError, match="label must be non-empty"):
+        Predicate(label_equals="", attribute_equals=(("number", "42"),))
+
+
 def test_predicate_label_match():
     assert predicate_eval(Predicate(label_equals="keyfob"), KEYFOB_42)
 

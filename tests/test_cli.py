@@ -143,6 +143,19 @@ def test_aggregate_command_reports_truth(world_dir, runner, tmp_path):
     assert "raw_total" in result.output
 
 
+@pytest.mark.parametrize("flags", [["--radius", "nan"], ["--radius", "inf"], ["--label", ""]],
+                         ids=["radius-nan", "radius-inf", "label-empty"])
+def test_aggregate_writes_nothing_for_an_input_it_refuses(world_dir, runner, tmp_path, flags):
+    output = tmp_path / "agg.json"
+    result = runner.invoke(
+        main,
+        ["aggregate", "--world", str(world_dir / "world.json"), "--label", "extinguisher",
+         *flags, "--output", str(output)],
+    )
+    assert result.exit_code == 2, result.output
+    assert not output.exists()
+
+
 def test_replay_record_then_run(tmp_path, runner):
     config_path = tmp_path / "config.json"
     config_path.write_text(
@@ -485,6 +498,15 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      id="route-remote-refused"),
         pytest.param(AGGREGATE + ["--radius", "-1"], 2, "error: Invalid value for '--radius'",
                      id="radius-negative"),
+        pytest.param(AGGREGATE + ["--radius", "nan"], 2,
+                     "error: Invalid value for '--radius': nan is not a finite number",
+                     id="radius-nan"),
+        pytest.param(AGGREGATE + ["--radius", "1e309"], 2,
+                     "error: Invalid value for '--radius': inf is not a finite number",
+                     id="radius-inf"),
+        pytest.param(["aggregate", "--world", "{world}", "--label", ""], 2,
+                     "error: --label: predicate label must be non-empty",
+                     id="label-empty"),
         pytest.param(AGGREGATE + ["--attr", "colour"], 2, "error: --attr needs key=value",
                      id="attr-no-value"),
         pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{empty_store}"], 3,

@@ -41,6 +41,8 @@ from datagraph import (
 from helpers import (
     bfs_visit_order,
     build_graph,
+    eager_geodesic_distances,
+    eager_hop_distances,
     edge_dict,
     heap_dijkstra,
     queue_bfs_levels,
@@ -48,11 +50,18 @@ from helpers import (
 )
 
 FIND_KEYFOB = Query("find a keyfob", Predicate(label_equals="keyfob"))
+FIND_CHAIR = Query("find a chair", Predicate(label_equals="chair"))
 
 
 def keyfob(instance_id, pos=(0.0, 0.0, 0.0), number=None):
     attrs = {"number": number} if number else {}
     return SceneObject("keyfob", attrs, pos, instance_id)
+
+
+def reference_hit(graph, agent, v):
+    """``(v, hops, meters)`` from the eager reference BFS and Dijkstra; None
+    for both distances when ``agent`` cannot reach ``v``."""
+    return v, eager_hop_distances(graph, agent).get(v), eager_geodesic_distances(graph, agent).get(v)
 
 
 def grid3x3():
@@ -76,7 +85,7 @@ def test_single_node_graph():
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0)
     assert result.visit_order == (0,)
     assert result.total_backend_calls == 1
-    assert result.distances == {0: (0, 0.0)}
+    assert result.first_satisfied == (0, 0, 0.0)
 
 
 def test_level_tie_break_ascending_ids():
@@ -88,16 +97,16 @@ def test_level_tie_break_ascending_ids():
 def test_grid_levels_from_corner_match_independent_bfs():
     g = grid3x3()
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0)
-    hops = [result.distances[v][0] for v in result.visit_order]
-    assert hops == [0, 1, 1, 2, 2, 2, 3, 3, 4]
+    levels = queue_bfs_levels(9, edge_dict(g), 0)
+    assert [levels[v] for v in result.visit_order] == [0, 1, 1, 2, 2, 2, 3, 3, 4]
     assert list(result.visit_order) == bfs_visit_order(9, edge_dict(g), 0)
 
 
 def test_unreachable_nodes_not_queried():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = build_graph(4, [(0, 1), (2, 3)], objects={2: [keyfob(1)]})
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0)
     assert result.visit_order == (0, 1)
-    assert 2 not in result.distances
+    assert result.first_satisfied is None
 
 
 def test_responses_align_with_visit_order():
@@ -117,10 +126,10 @@ def test_unknown_agent_is_missing_node():
 
 def test_meters_metric_uses_dijkstra_order():
     # hop order from 0 would visit 1 before 2; meters order must not
-    g = build_graph(3, [(0, 1, 10.0), (0, 2, 3.0), (1, 2, 3.0)])
+    g = build_graph(3, [(0, 1, 10.0), (0, 2, 3.0), (1, 2, 3.0)], objects={1: [keyfob(1)]})
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
     assert result.visit_order == (0, 2, 1)
-    assert result.distances[1] == (1, 6.0)
+    assert result.first_satisfied == reference_hit(g, 0, 1) == (1, 1, 6.0)
 
 
 def test_meter_order_ties_only_on_equal_float_sums():
@@ -139,7 +148,17 @@ def test_a_node_that_ties_its_own_predecessor_is_visited_after_it():
     g = build_graph(3, [(0, 2, 1e16), (2, 1, 1.0)])
     result = proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric="meters")
     assert result.visit_order == (0, 2, 1)
-    assert result.distances == {0: (0, 0.0), 2: (1, 1e16), 1: (2, 1e16)}
+
+
+@pytest.mark.parametrize("hit, expected", [(0, (0, 0, 0.0)), (2, (2, 1, 1e16)), (1, (1, 2, 1e16))])
+def test_hit_distances_under_absorbing_meter_lengths(hit, expected):
+    # 1e16 + 1.0 rounds to 1e16: both metrics read the distances the kernels settle
+    g = build_graph(3, [(0, 2, 1e16), (2, 1, 1.0)], objects={hit: [keyfob(1)]})
+    assert reference_hit(g, 0, hit) == expected
+    for metric in ("hops", "meters"):
+        assert proximity_query_all(g, OracleBackend(), FIND_KEYFOB, 0, metric).first_satisfied == expected
+        assert proximity_search_first(g, OracleBackend(), FIND_KEYFOB, 0, metric).first_satisfied == expected
+    assert brute_force_query(g, OracleBackend(), FIND_KEYFOB, agent=0).first_satisfied == expected
 
 
 class ExplodingBackend:
@@ -159,7 +178,16 @@ def test_backend_error_aborts_with_partial_result():
     err = excinfo.value
     assert err.node_id == 1
     assert err.partial.visit_order == (0,)
+    assert err.partial.first_satisfied is None
     assert isinstance(err.__cause__, BackendError)
+
+
+def test_partial_result_of_an_aborted_traversal_reports_its_hit():
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3)], objects={1: [keyfob(1)]})
+    with pytest.raises(TraversalAbortedError) as excinfo:
+        proximity_query_all(g, ExplodingBackend(explode_at=3), FIND_KEYFOB, 0, metric="meters")
+    assert excinfo.value.partial.visit_order == (0, 1, 2)
+    assert excinfo.value.partial.first_satisfied == reference_hit(g, 0, 1) == (1, 1, 1.0)
 
 
 # --- proximity_search_first ------------------------------------------------------------
@@ -218,6 +246,23 @@ def test_path_query_visits_path_in_order():
     assert result.visit_order == (0, 1, 2)
     assert [r.node for r in result.responses] == [0, 1, 2]
     assert result.stopped_early is False
+
+
+def test_path_query_reports_the_hit_relative_to_the_path_start():
+    # the path walks round the square, but node 3 is one edge from its start
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3, 5.0)], objects={3: [keyfob(1)]})
+    result = path_query(g, OracleBackend(), FIND_KEYFOB, [0, 1, 2, 3, 2])
+    assert result.visit_order == (0, 1, 2, 3, 2)
+    assert result.first_satisfied == reference_hit(g, 0, 3) == (3, 1, 3.0)
+
+
+def test_path_query_hit_along_a_long_route_matches_the_reference_searches():
+    graph, _ = generate_world(WorldSpec(grid_w=12, grid_h=10, seed=8))
+    for metric in ("hops", "meters"):
+        route = graph.shortest_path(0, len(graph) - 1, metric)
+        result = path_query(graph, OracleBackend(), FIND_CHAIR, route)
+        assert result.first_satisfied is not None
+        assert result.first_satisfied == reference_hit(graph, 0, result.first_satisfied[0])
 
 
 def test_path_query_rejects_non_adjacent_pair():
@@ -285,17 +330,31 @@ def test_brute_force_stop_on_first_ignores_agent_position():
 
 
 def test_brute_force_reports_distances_relative_to_agent():
-    g = build_graph(3, [(0, 1), (1, 2)])
+    g = build_graph(3, [(0, 1), (1, 2)], objects={0: [keyfob(1)], 2: [keyfob(2)]})
     result = brute_force_query(g, OracleBackend(), FIND_KEYFOB, agent=2)
-    assert result.distances[0] == (2, 2.0)
-    assert result.distances[2] == (0, 0.0)
+    assert result.first_satisfied == reference_hit(g, 2, 0) == (0, 2, 2.0)
+    result = brute_force_query(g, OracleBackend(), FIND_KEYFOB, agent=0)
+    assert result.first_satisfied == (0, 0, 0.0)
+
+
+def test_brute_force_hit_far_from_agent_matches_the_reference_searches():
+    graph, _ = generate_world(WorldSpec(grid_w=9, grid_h=7, seed=5))
+    uneven = Datagraph(graph.nodes(), [(e.a, e.b, e.traversable, e.length_m * (1 + (e.a * 7 + e.b) % 5))
+                                       for e in graph.edges()])
+    agent = len(graph) - 1
+    for g in (graph, uneven):
+        for stop_on_first in (False, True):
+            result = brute_force_query(g, OracleBackend(), FIND_CHAIR, agent, stop_on_first)
+            hit = result.first_satisfied[0]
+            assert reference_hit(g, agent, hit)[1] >= 5
+            assert result.first_satisfied == reference_hit(g, agent, hit)
 
 
 def test_brute_force_covers_disconnected_nodes():
-    g = build_graph(3, [(0, 1)])
+    g = build_graph(3, [(0, 1)], objects={2: [keyfob(1)]})
     result = brute_force_query(g, OracleBackend(), FIND_KEYFOB, agent=0)
     assert result.visit_order == (0, 1, 2)
-    assert 2 not in result.distances  # unreachable from agent
+    assert result.first_satisfied == reference_hit(g, 0, 2) == (2, None, None)  # unreachable from agent
 
 
 def test_multiset_equivalence_with_proximity():
@@ -371,6 +430,13 @@ def test_aggregate_requires_count_mode():
     g = build_graph(1, [])
     with pytest.raises(ValueError):
         aggregate_count(g, OracleBackend(), FIND_KEYFOB, 0.5)
+
+
+@pytest.mark.parametrize("radius", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_aggregate_refuses_a_negative_or_non_finite_radius(radius):
+    g = build_graph(2, [(0, 1)], objects={0: [ext(0, (0, 0, 0))], 1: [ext(1, (0, 0, 0))]})
+    with pytest.raises(ValueError, match="dedup_radius_m must be finite and non-negative"):
+        aggregate_count(g, OracleBackend(), COUNT_EXT, radius)
 
 
 def test_aggregate_label_and_attributes_gate_merging():
@@ -746,15 +812,23 @@ def full_map_calls(monkeypatch):
 
 def test_only_the_visit_order_builds_a_full_map(full_map_calls):
     graph, ground_truth = generate_world(WorldSpec(grid_w=12, grid_h=12, seed=4))
-    query = Query("find a chair", Predicate(label_equals="chair"))
+    none = {"hop_distances": 0, "geodesic_distances": 0}
     for metric, full_map in (("hops", "hop_distances"), ("meters", "geodesic_distances")):
-        result = proximity_search_first(graph, OracleBackend(), query, 70, metric)
-        assert result.first_satisfied is not None and result.distances
-        assert full_map_calls == {"hop_distances": 0, "geodesic_distances": 0, full_map: 1}, metric
-        full_map_calls[full_map] = 0
+        for query in (FIND_CHAIR, Query("find a unicorn", Predicate(label_equals="unicorn"))):
+            result = proximity_search_first(graph, OracleBackend(), query, 70, metric)
+            assert full_map_calls == {**none, full_map: 1}, (metric, query.text)
+            full_map_calls[full_map] = 0
+            if result.first_satisfied is not None:
+                assert result.first_satisfied == reference_hit(graph, 70, result.first_satisfied[0])
+            else:
+                assert query.text == "find a unicorn" and len(result.visit_order) == len(graph)
     route = graph.shortest_path(0, len(graph) - 1, "meters")
     assert graph.shortest_path(0, len(graph) - 1, "hops", traversable_only=True) is not None
-    path_query(graph, OracleBackend(), query, route)
+    result = path_query(graph, OracleBackend(), FIND_CHAIR, route)
+    assert result.first_satisfied == reference_hit(graph, 0, result.first_satisfied[0])
+    for stop_on_first in (False, True):
+        result = brute_force_query(graph, OracleBackend(), FIND_CHAIR, 70, stop_on_first)
+        assert result.first_satisfied == reference_hit(graph, 70, result.first_satisfied[0])
     for metric in ("hops", "meters"):
-        assert ground_truth_nearest(graph, ground_truth, 70, query.predicate, metric) is not None
-    assert full_map_calls == {"hop_distances": 0, "geodesic_distances": 0}
+        assert ground_truth_nearest(graph, ground_truth, 70, FIND_CHAIR.predicate, metric) is not None
+    assert full_map_calls == none
