@@ -153,7 +153,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("strategies", "report_formats"):
             names = getattr(self, name)
-            if not isinstance(names, (list, tuple)):
+            if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
                 raise ConfigError(f"{name} must be an array of names, got {names!r}")
             if len(set(names)) < len(names):
                 raise ConfigError(f"{name} names one entry twice: {list(names)!r}")

@@ -4,14 +4,20 @@ Binds an ephemeral loopback port and answers ``POST /query`` with a
 configurable canned verdict, raw bytes, error status, or per-request
 callback. It records every request it sees and tracks the peak number of
 concurrent requests so client-side in-flight limits can be asserted.
+
+It speaks HTTP/1.1 and keeps each connection open, so a client that pools
+its connections sends all its requests over one; ``connections_seen``
+counts the connections accepted. ``stop()`` closes every connection still
+open, cuts short any ``delay_s`` wait, and returns once each connection's
+handler thread has ended.
 """
 
 from __future__ import annotations
 
 import email
 import json
+import socket
 import threading
-import time
 from dataclasses import dataclass, field
 from http.client import HTTPMessage
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -56,19 +62,80 @@ class MockBehavior:
     request_log: list[RecordedRequest] = field(default_factory=list)
 
 
+# how often serve_forever looks for a shutdown request; stop() waits up to this long
+_POLL_INTERVAL_S = 0.05
+
+
+class _Server(ThreadingHTTPServer):
+    """Serves each connection on its own thread and keeps the open ones.
+
+    ``server_close`` shuts down every connection still open, which ends its
+    handler's wait for a next request, and joins every handler thread.
+    """
+
+    def __init__(self, handler_class):
+        super().__init__(("127.0.0.1", 0), handler_class)
+        self._connections_lock = threading.Lock()
+        self._open: set[socket.socket] = set()
+        self._handlers: list[threading.Thread] = []
+        self.connections_seen = 0
+
+    def process_request(self, request, client_address):
+        thread = threading.Thread(
+            target=self.process_request_thread, args=(request, client_address), daemon=True
+        )
+        with self._connections_lock:
+            self.connections_seen += 1
+            self._open.add(request)
+            self._handlers = [t for t in self._handlers if t.is_alive()]
+            self._handlers.append(thread)
+        thread.start()
+
+    def shutdown_request(self, request):
+        # leave the set before the socket is closed, so server_close never
+        # shuts down a closed socket
+        with self._connections_lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def server_close(self):
+        super().server_close()
+        with self._connections_lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client already reset it
+                    pass
+            handlers = self._handlers
+        for thread in handlers:
+            thread.join()
+
+
 class MockRemoteServer:
     """Loopback HTTP server implementing the remote wire format."""
 
     def __init__(self, **behavior_kwargs):
         self.behavior = MockBehavior(**behavior_kwargs)
         self._lock = threading.Lock()
+        self._stopping = threading.Event()
         self._in_flight = 0
         self.max_concurrent_seen = 0
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"  # one handler thread serves a whole connection
+            # headers and body go out in two sends; without this, Nagle's
+            # algorithm holds the body until the client's delayed ACK
+            disable_nagle_algorithm = True
+
             def log_message(self, *args):  # keep test output clean
                 pass
+
+            def handle(self):
+                try:
+                    super().handle()
+                except ConnectionError:  # the client gave up (timeout tests): end the connection
+                    pass
 
             def do_POST(self):
                 outer._enter()
@@ -80,7 +147,7 @@ class MockRemoteServer:
                         outer.behavior.request_log.append(request)
                     behavior = outer.behavior
                     if behavior.delay_s:
-                        time.sleep(behavior.delay_s)
+                        outer._stopping.wait(behavior.delay_s)
                     if behavior.handler is not None:
                         status, doc = behavior.handler(request.body)
                         payload = json.dumps(doc).encode("utf-8")
@@ -91,22 +158,20 @@ class MockRemoteServer:
                         if doc is None:
                             doc = {"satisfied": False, "text": "nothing here"}
                         status, payload = behavior.status, json.dumps(doc).encode("utf-8")
-                    try:
-                        self.send_response(status)
-                        self.send_header("Content-Type", "application/json")
-                        self.send_header("Content-Length", str(len(payload)))
-                        for name, value in behavior.headers.items():
-                            self.send_header(name, value)
-                        self.end_headers()
-                        self.wfile.write(payload)
-                    except (BrokenPipeError, ConnectionResetError):
-                        pass  # client gave up (timeout tests)
+                    self.send_response(status)
+                    self.send_header("Content-Type", "application/json")
+                    self.send_header("Content-Length", str(len(payload)))
+                    for name, value in behavior.headers.items():
+                        self.send_header(name, value)
+                    self.end_headers()
+                    self.wfile.write(payload)
                 finally:
                     outer._exit()
 
-        self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        self._server = _Server(Handler)
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
+        )
 
     def _enter(self):
         with self._lock:
@@ -126,12 +191,20 @@ class MockRemoteServer:
     def requests(self) -> list[RecordedRequest]:
         return self.behavior.request_log
 
+    @property
+    def connections_seen(self) -> int:
+        """How many TCP connections the server has accepted."""
+        return self._server.connections_seen
+
     def start(self) -> MockRemoteServer:
         self._thread.start()
         return self
 
     def stop(self) -> None:
+        """Stop serving and close every open connection; return once their threads end."""
+        self._stopping.set()
         self._server.shutdown()
+        self._thread.join()
         self._server.server_close()
 
     def __enter__(self) -> MockRemoteServer:

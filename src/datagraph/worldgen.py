@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +86,16 @@ class CatalogEntry:
         _check_number(self.weight, f"catalog weight for {self.label!r}")
         if not (math.isfinite(self.weight) and self.weight >= 0):
             raise WorldSpecError(f"catalog weight for {self.label!r} must be >= 0")
-        attrs = {str(k): dict(v) for k, v in dict(self.attributes).items()}
+        if not isinstance(self.attributes, Mapping):
+            raise WorldSpecError(
+                f"attributes of {self.label!r} must be an object, got {self.attributes!r}"
+            )
+        for name, desc in self.attributes.items():
+            if not isinstance(desc, Mapping):
+                raise WorldSpecError(
+                    f"attribute {name!r} of {self.label!r} must be an object, got {desc!r}"
+                )
+        attrs = {str(k): dict(v) for k, v in self.attributes.items()}
         for name, desc in attrs.items():
             kind = desc.get("kind")
             if kind not in _ATTR_KINDS:
@@ -112,6 +122,8 @@ class CatalogEntry:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> CatalogEntry:
+        if not isinstance(doc, dict):
+            raise WorldSpecError(f"catalog entry must be an object, got {doc!r}")
         return cls(
             label=doc["label"],
             attributes=doc.get("attributes", {}),
@@ -213,15 +225,16 @@ class WorldSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> WorldSpec:
         output.check_version(doc, 1, "world spec", WorldSpecError)
+        catalog = doc.get("catalog", [])
+        if not isinstance(catalog, list):
+            raise WorldSpecError(f"catalog must be an array of entries, got {catalog!r}")
         try:
             return cls(
                 grid_w=doc["grid_w"],
                 grid_h=doc["grid_h"],
                 room_size_m=doc.get("room_size_m", 6.0),
                 door_prob=doc.get("door_prob", 0.35),
-                catalog=tuple(
-                    CatalogEntry.from_json_dict(e) for e in doc.get("catalog", [])
-                ) or default_catalog(),
+                catalog=tuple(CatalogEntry.from_json_dict(e) for e in catalog) or default_catalog(),
                 objects_per_room_mean=doc.get("objects_per_room_mean", 2.0),
                 boundary_duplicate_prob=doc.get("boundary_duplicate_prob", 0.0),
                 seed=doc.get("seed", 0),
@@ -394,7 +407,7 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     n = gw * gh
 
     walls = _interior_walls(gw, gh)
-    edge_pairs = _choose_doors(walls, spec.door_prob, rng)
+    edge_pairs = _choose_doors(walls, n, spec.door_prob, rng)
 
     placements = _place_objects(spec, size, rng)
     _assign_number_pools(spec, placements, rng)
@@ -429,9 +442,8 @@ def _interior_walls(gw: int, gh: int) -> list[tuple[NodeId, NodeId]]:
     return walls
 
 
-def _choose_doors(walls, door_prob: float, rng) -> list[tuple[NodeId, NodeId]]:
-    """Random spanning tree first (connectivity repair), extra doors after."""
-    n_cells = max(max(pair) for pair in walls) + 1 if walls else 1
+def _choose_doors(walls, n_cells: int, door_prob: float, rng) -> list[tuple[NodeId, NodeId]]:
+    """Random spanning tree over ``n_cells`` rooms first (connectivity repair), extra doors after."""
     parent = list(range(n_cells))
 
     def find(x: int) -> int:

@@ -225,6 +225,10 @@ def input_files(tmp_path, world_dir):
         ("spec_bool_duplicate_prob", "boundary_duplicate_prob", True),
         ("spec_list_separation", "min_label_separation_m", [1.1]),
         ("spec_string_weight", "catalog", [{"label": "crate", "weight": "1"}]),
+        ("spec_int_catalog", "catalog", 5),
+        ("spec_int_catalog_entry", "catalog", [5]),
+        ("spec_list_attributes", "catalog", [{"label": "crate", "attributes": ["a"]}]),
+        ("spec_int_attribute", "catalog", [{"label": "chair", "attributes": {"color": 5}}]),
     ]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**spec, key: value}))
@@ -279,6 +283,8 @@ def input_files(tmp_path, world_dir):
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "max_in_flight": 1.5}),
         ("config_string_strategies", "strategies", "proximity"),
         ("config_string_formats", "report_formats", "json"),
+        ("config_nested_strategies", "strategies", [["proximity"]]),
+        ("config_nested_formats", "report_formats", [["json"]]),
     ]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps(value if key is None else {**saved, key: value}))
@@ -415,6 +421,10 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("spec_bool_duplicate_prob", "error: boundary_duplicate_prob must be a number, got True"),
                 ("spec_list_separation", "error: min_label_separation_m must be a number, got [1.1]"),
                 ("spec_string_weight", "error: catalog weight for 'crate' must be a number, got '1'"),
+                ("spec_int_catalog", "error: catalog must be an array of entries, got 5"),
+                ("spec_int_catalog_entry", "error: catalog entry must be an object, got 5"),
+                ("spec_list_attributes", "error: attributes of 'crate' must be an object, got ['a']"),
+                ("spec_int_attribute", "error: attribute 'color' of 'chair' must be an object, got 5"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--grid-h", "1", "--room-size", "5e-324", "{directory}/out"], 2,
@@ -439,6 +449,10 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                  "error: strategies must be an array of names, got 'proximity'"),
                 ("config_string_formats",
                  "error: report_formats must be an array of names, got 'json'"),
+                ("config_nested_strategies",
+                 "error: strategies must be an array of names, got [['proximity']]"),
+                ("config_nested_formats",
+                 "error: report_formats must be an array of names, got [['json']]"),
                 ("config_int_output_dir", "error: config.output_dir must be a string, got 5"),
                 ("config_int_world_path", "error: config.world.path must be a string, got 5"),
                 ("config_empty_world_path", "error: config.world.path must be non-empty"),

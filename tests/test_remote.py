@@ -3,6 +3,7 @@ from __future__ import annotations
 import gc
 import http.client
 import threading
+import time
 import tracemalloc
 
 import pytest
@@ -276,6 +277,77 @@ def test_max_in_flight_never_exceeded():
         assert len(server.requests) == 9
         assert server.max_concurrent_seen <= 3
         assert server.max_concurrent_seen >= 2  # the limit was actually exercised
+        assert server.connections_seen <= 3  # the pool reuses its connections
+
+
+def test_one_backend_sends_all_its_calls_over_one_connection():
+    with MockRemoteServer() as server:
+        backend = RemoteBackend(config_for(server))
+        node = make_node()
+        for _ in range(50):
+            backend.answer(node, QUERY)
+        assert len(server.requests) == 50
+        assert server.connections_seen == 1
+
+
+def test_a_late_answer_never_reaches_the_next_call():
+    release = threading.Event()
+    seen = []
+
+    def handler(body):
+        seen.append(body["node_id"])
+        if len(seen) == 1:
+            release.wait(5)  # only the first request is late
+        return 200, {"satisfied": False, "text": f"node {body['node_id']}"}
+
+    with MockRemoteServer(handler=handler) as server:
+        backend = RemoteBackend(RemoteEndpointConfig(base_url=server.base_url, timeout_ms=200))
+        with pytest.raises(RemoteTimeoutError):
+            backend.answer(make_node(node_id=1), QUERY)
+        release.set()
+        response = backend.answer(make_node(node_id=2), QUERY)
+        assert server.connections_seen == 2  # the timed-out connection was dropped
+    assert (response.node, response.text) == (2, "node 2")
+    assert seen == [1, 2]
+
+
+def test_stop_ends_every_handler_thread_while_a_session_is_open():
+    before = set(threading.enumerate())
+    with requests.Session() as session:
+        server = MockRemoteServer().start()
+        RemoteBackend(config_for(server), session=session).answer(make_node(), QUERY)
+        assert len(set(threading.enumerate()) - before) == 2  # serve_forever and one handler
+        server.stop()
+        assert set(threading.enumerate()) <= before
+
+
+def test_stop_does_not_wait_out_a_delay():
+    outcome = []
+    with requests.Session() as session:
+        server = MockRemoteServer(delay_s=60).start()
+        backend = RemoteBackend(RemoteEndpointConfig(server.base_url, timeout_ms=120_000), session=session)
+
+        def call():
+            try:
+                outcome.append(backend.answer(make_node(), QUERY))
+            except RemoteProtocolError as exc:  # the connection was shut under the call
+                outcome.append(exc)
+
+        client = threading.Thread(target=call)
+        client.start()
+        try:
+            deadline = time.monotonic() + 5
+            while not server.requests and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.requests, "the request never reached the server"
+        finally:
+            started = time.monotonic()
+            server.stop()
+            stopped_in = time.monotonic() - started
+            client.join(10)
+    assert stopped_in < 5
+    assert not client.is_alive()
+    assert len(outcome) == 1
 
 
 def test_config_validation():
