@@ -81,6 +81,7 @@ class _Server(ThreadingHTTPServer):
         self.connections_seen = 0
 
     def process_request(self, request, client_address):
+        # a daemon, as in ThreadingHTTPServer: a server never stopped does not hold up exit
         thread = threading.Thread(
             target=self.process_request_thread, args=(request, client_address), daemon=True
         )
