@@ -210,19 +210,33 @@ def canonical_query_key(query: Query) -> str:
 # --- oracle -------------------------------------------------------------------
 
 
-def predicate_eval(predicate: Predicate, obj: SceneObject | GroundTruthInstance) -> bool:
-    """True iff every clause of the predicate holds for the object.
+def _matching(predicate: Predicate, objects) -> list:
+    """The objects for which every clause of ``predicate`` holds, in order.
 
-    Labels compare case-insensitively, as :func:`canonical_query_key` treats
-    label casing as cosmetic.
+    The one predicate matcher: the oracle, :func:`predicate_eval` and the
+    ground-truth scans all call it. Labels compare case-insensitively, as
+    :func:`canonical_query_key` treats label casing as cosmetic. It reads
+    the clauses once and walks the objects in one loop, since the oracle
+    calls it once per scene query.
     """
     label = predicate.label_key
-    if label is not None and obj.label.lower() != label:
-        return False
-    for key, value in predicate.attribute_equals:
-        if obj.attributes.get(key) != value:
-            return False
-    return True
+    clauses = predicate.attribute_equals
+    matches = []
+    for obj in objects:
+        if label is not None and obj.label.lower() != label:
+            continue
+        attributes = obj.attributes
+        for key, value in clauses:
+            if attributes.get(key) != value:
+                break
+        else:
+            matches.append(obj)
+    return matches
+
+
+def predicate_eval(predicate: Predicate, obj: SceneObject | GroundTruthInstance) -> bool:
+    """True iff every clause of the predicate holds for the object."""
+    return bool(_matching(predicate, (obj,)))
 
 
 def oracle_answer(snapshot: Snapshot, query: Query, node: NodeId = -1) -> QueryResponse:
@@ -231,23 +245,15 @@ def oracle_answer(snapshot: Snapshot, query: Query, node: NodeId = -1) -> QueryR
     Matches are returned in snapshot order. ``satisfied`` is count > 0 for
     every mode; ``assess_hazard`` behaves like ``find`` over the predicate.
     """
-    matches = tuple(obj for obj in snapshot.objects if predicate_eval(query.predicate, obj))
+    matches = _matching(query.predicate, snapshot.objects)
+    if not matches:
+        return QueryResponse(node, False, (), 0, "no matching objects", 1)
     count = len(matches)
-    if count == 0:
-        text = "no matching objects"
-    elif query.mode == "count":
+    if query.mode == "count":
         text = f"counted {count} matching object(s)"
     else:
-        labels = ", ".join(obj.label for obj in matches)
-        text = f"found {count} matching object(s): {labels}"
-    return QueryResponse(
-        node=node,
-        satisfied=count > 0,
-        matches=matches,
-        count=count,
-        text=text,
-        backend_calls=1,
-    )
+        text = f"found {count} matching object(s): {', '.join(obj.label for obj in matches)}"
+    return QueryResponse(node, True, tuple(matches), count, text, 1)
 
 
 class OracleBackend:

@@ -5,7 +5,8 @@ A :class:`Datagraph` is built whole and never changes: its one constructor,
 ``(a, b, traversable, length_m)`` edge tuples, checks each edge once, and
 raises :class:`GraphValidationError` on any violation. World generation and
 loading both call it, with the cyclic garbage collector paused
-(:func:`_collector_paused`). Loading reads the document through
+(:func:`_collector_paused`), and each trial of ``run_compare`` runs under
+the same pause. Loading reads the document through
 :func:`output.read_document`, the one reader of every input file, which also
 checks its ``format_version``. Records built by hand or loaded check their
 own fields with one helper per kind of field (ids, booleans, labels,
@@ -82,6 +83,12 @@ def _collector_paused():
     If it is already off (the caller's choice, or an outer builder's pause)
     this does nothing, so nested builders pause once. The pause is
     process-wide: other threads' cyclic garbage waits until the build ends.
+
+    ``run_compare`` pauses each trial too, so a generated world is freed by
+    reference counting before any collection walks it. It pauses one trial,
+    not the whole run, because a remote call that times out leaves about 64
+    objects in reference cycles, which a run-long pause would keep until
+    the run ended.
     """
     if not gc.isenabled():
         yield

@@ -237,6 +237,8 @@ class ExperimentConfig:
         remote = None
         if backend_doc.get("kind") == "remote":
             remote_doc = backend_doc.get("remote", backend_doc)
+            if not isinstance(remote_doc, dict):
+                raise ConfigError(f"config.backend.remote must be an object, got {remote_doc!r}")
             try:
                 remote = RemoteEndpointConfig(
                     base_url=remote_doc["base_url"],
@@ -447,7 +449,8 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     their scene, so neither a cache nor a replay crosses generated worlds; a
     recording saves the recorder's store. A saved world is loaded and checked
     once per run. Failures to load the world, set up a trial or answer a
-    query mark the trial errored and the run continues.
+    query mark the trial errored and the run continues. Each trial runs with
+    the collector paused (:func:`_run_trial`).
     """
     base_backend = build_base_backend(config.backend)
     saved = world_error = None
@@ -462,53 +465,10 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     }
     rows: list[TrialRecord] = []
     for trial in range(config.tasks.count):
-        error = world_error
-        if error is None:
-            try:
-                graph, ground_truth, task = _trial_setup(config, trial, saved)
-            except DatagraphError as exc:
-                error = str(exc)
-        if error is not None:
-            for strategy in sorted(config.strategies):
-                rows.append(TrialRecord(task_id=trial, strategy=strategy, error=error))
-            continue
-        # the hop optimum is reported; the optimum under the run's metric is scored
-        optima: dict[str, float | None] = {}
-        for metric in dict.fromkeys(("hops", config.metric)):
-            nearest = ground_truth_nearest(
-                graph, ground_truth, task.agent_node, task.query.predicate, metric
-            )
-            optima[metric] = nearest[1] if nearest is not None else None
-        for strategy in sorted(config.strategies):
-            cache = shared_caches.get(strategy)
-            backend: QueryBackend = base_backend if cache is None else cache
-            hits_before = cache.hits if cache else 0
-            started = time.perf_counter()
-            try:
-                result = _run_strategy(config, strategy, graph, backend, task)
-            except DatagraphError as exc:
-                rows.append(
-                    TrialRecord(
-                        task_id=trial,
-                        strategy=strategy,
-                        wall_time_ms=(time.perf_counter() - started) * 1000.0,
-                        error=str(exc),
-                    )
-                )
-                continue
-            wall_ms = (time.perf_counter() - started) * 1000.0
-            rows.append(
-                _score_trial(
-                    trial,
-                    strategy,
-                    result,
-                    optima[config.metric],
-                    optima["hops"],
-                    config.metric,
-                    wall_ms,
-                    (cache.hits - hits_before) if cache else 0,
-                )
-            )
+        if world_error is None:
+            rows.extend(_run_trial(config, trial, saved, base_backend, shared_caches))
+        else:
+            rows.extend(_errored_trial(config, trial, world_error))
     report = MetricsReport(
         per_trial=tuple(sorted(rows, key=lambda r: (r.task_id, r.strategy))),
         summary=_summarize(rows, config.strategies),
@@ -519,6 +479,72 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     if config.output_dir is not None:
         report.write(config.output_dir, config.report_formats)
     return report
+
+
+def _errored_trial(config: ExperimentConfig, trial: int, error: str) -> list[TrialRecord]:
+    return [
+        TrialRecord(task_id=trial, strategy=strategy, error=error) for strategy in sorted(config.strategies)
+    ]
+
+
+@_collector_paused()
+def _run_trial(
+    config: ExperimentConfig,
+    trial: int,
+    saved: tuple[Datagraph, GroundTruth | None] | None,
+    base_backend: QueryBackend,
+    shared_caches: dict[str, CachingBackend],
+) -> list[TrialRecord]:
+    """One trial's rows: its world and task, both strategies, their scores.
+
+    The collector is paused for the trial and no longer. An inline world,
+    its ground truth and the responses are this function's locals, so
+    reference counting frees them when it returns, before the collector
+    resumes, and no collection walks them. A run-long pause would also hold
+    back the reference cycles a failed remote call leaves (about 64 objects
+    per timeout) until the run ended.
+    """
+    try:
+        graph, ground_truth, task = _trial_setup(config, trial, saved)
+    except DatagraphError as exc:
+        return _errored_trial(config, trial, str(exc))
+    # the hop optimum is reported; the optimum under the run's metric is scored
+    optima: dict[str, float | None] = {}
+    for metric in dict.fromkeys(("hops", config.metric)):
+        nearest = ground_truth_nearest(graph, ground_truth, task.agent_node, task.query.predicate, metric)
+        optima[metric] = nearest[1] if nearest is not None else None
+    rows = []
+    for strategy in sorted(config.strategies):
+        cache = shared_caches.get(strategy)
+        backend: QueryBackend = base_backend if cache is None else cache
+        hits_before = cache.hits if cache else 0
+        started = time.perf_counter()
+        try:
+            result = _run_strategy(config, strategy, graph, backend, task)
+        except DatagraphError as exc:
+            rows.append(
+                TrialRecord(
+                    task_id=trial,
+                    strategy=strategy,
+                    wall_time_ms=(time.perf_counter() - started) * 1000.0,
+                    error=str(exc),
+                )
+            )
+            continue
+        wall_ms = (time.perf_counter() - started) * 1000.0
+        rows.append(
+            _score_trial(
+                trial,
+                strategy,
+                result,
+                optima[config.metric],
+                optima["hops"],
+                config.metric,
+                wall_ms,
+                (cache.hits - hits_before) if cache else 0,
+            )
+        )
+    return rows
 
 
 def _run_strategy(

@@ -117,10 +117,13 @@ def _run(
 ) -> TraversalResult:
     """Query the nodes of ``order``, reporting the first hit's distances from ``agent``.
 
-    ``metric`` is set when ``order`` is the agent's drained distance map
-    under that metric; the hit's distance under it is then read from the
-    map. Any other distance comes from a kernel cursor
-    (:meth:`Datagraph._frontier`) advanced only until the hit settles.
+    Every id in ``order`` is a node of ``graph``, so it is not checked again:
+    ``order`` is ``range(len(graph))``, a distance map's keys, or a path
+    whose nodes :func:`path_query` has checked. ``metric`` is set when
+    ``order`` is the agent's drained distance map under that metric; the
+    hit's distance under it is then read from the map. Any other distance
+    comes from a kernel cursor (:meth:`Datagraph._frontier`) advanced only
+    until the hit settles.
     """
     responses: list[QueryResponse] = []
     hit: NodeId | None = None
@@ -142,9 +145,10 @@ def _run(
             first_satisfied=first_satisfied,
         )
 
+    nodes = graph.nodes()
     for v in order:
         try:
-            response = backend.answer(graph.node(v), query)
+            response = backend.answer(nodes[v], query)
         except BackendError as exc:
             raise TraversalAbortedError(v, result()) from exc
         if response.node != v:
@@ -260,8 +264,8 @@ def aggregate_count(
         raise ValueError(f"dedup_radius_m must be finite and non-negative, got {dedup_radius_m!r}")
     per_node_counts: dict[NodeId, int] = {}
     matches: list[tuple[NodeId, SceneObject]] = []
-    for v in range(len(graph)):
-        response = backend.answer(graph.node(v), query)
+    for v, node in enumerate(graph.nodes()):
+        response = backend.answer(node, query)
         per_node_counts[v] = response.count
         matches.extend((v, obj) for obj in response.matches)
         if dedup_radius_m > 0 and response.count != len(response.matches):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import output
-from .backends import Predicate, Query, predicate_eval
+from .backends import Predicate, Query, _matching
 from .errors import GraphParseError, TaskUnavailableError, WorldSpecError
 from .graph import (
     Datagraph,
@@ -49,6 +49,9 @@ from .graph import (
 )
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
+# the most rooms a spec may name: generating 10**5 rooms peaks near 270 MB,
+# so 10**7 already needs some 27 GB
+MAX_ROOMS = 10**7
 
 _ATTR_KINDS = ("const", "choice", "number_pool", "number_of")
 
@@ -181,6 +184,11 @@ class WorldSpec:
             raise WorldSpecError(
                 f"grid_w and grid_h times room_size_m must be finite, got "
                 f"{self.grid_w} x {self.grid_h} rooms of {self.room_size_m!r} m"
+            )
+        if self.grid_w * self.grid_h > MAX_ROOMS:
+            raise WorldSpecError(
+                f"a world holds at most {MAX_ROOMS} rooms, got {self.grid_w} x {self.grid_h} "
+                f"= {self.grid_w * self.grid_h}"
             )
         for name in ("door_prob", "boundary_duplicate_prob"):
             value = getattr(self, name)
@@ -334,7 +342,7 @@ class GroundTruth:
 
     def count_matching(self, predicate: Predicate) -> int:
         """Physical instances (duplicates not counted) that match ``predicate``."""
-        return sum(1 for inst in self.physical_instances() if predicate_eval(predicate, inst))
+        return len(_matching(predicate, self.physical_instances()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -640,7 +648,7 @@ def ground_truth_nearest(
     id. Returns None when no match is reachable.
     """
     _, frontier = graph._frontier(metric, agent)
-    candidates = {inst.home_node for inst in ground_truth.instances if predicate_eval(predicate, inst)}
+    candidates = {inst.home_node for inst in _matching(predicate, ground_truth.instances)}
     nearest = None
     if candidates:
         for d, settled in frontier:  # (hops, level) or (meters, node)

@@ -13,7 +13,7 @@ from heapq import heappop, heappush
 import numpy as np
 from hypothesis import strategies as st
 
-from datagraph import Datagraph, Node, Pose, SceneObject, Snapshot
+from datagraph import Datagraph, Node, Pose, QueryResponse, SceneObject, Snapshot
 
 
 def simple_path_distances(
@@ -270,3 +270,29 @@ def random_decorated_graph(seed: int, max_nodes: int = 40) -> Datagraph:
         traversable = bool(rng.random() < 0.8)
         edges.append((a, b, float(rng.uniform(0.5, 30.0)), traversable))
     return build_graph(n, edges, poses=poses, snapshots=snapshots)
+
+
+def reference_predicate_eval(predicate, obj) -> bool:
+    """Every clause of ``predicate`` tested on one object, as the oracle
+    tested them one object at a call before it matched a scene in one loop."""
+    label = predicate.label_key
+    if label is not None and obj.label.lower() != label:
+        return False
+    for key, value in predicate.attribute_equals:
+        if obj.attributes.get(key) != value:
+            return False
+    return True
+
+
+def reference_oracle_answer(snapshot: Snapshot, query, node: int = -1) -> QueryResponse:
+    """The oracle's answer as a generator over :func:`reference_predicate_eval`, with its texts."""
+    matches = tuple(obj for obj in snapshot.objects if reference_predicate_eval(query.predicate, obj))
+    count = len(matches)
+    if count == 0:
+        text = "no matching objects"
+    elif query.mode == "count":
+        text = f"counted {count} matching object(s)"
+    else:
+        labels = ", ".join(obj.label for obj in matches)
+        text = f"found {count} matching object(s): {labels}"
+    return QueryResponse(node=node, satisfied=count > 0, matches=matches, count=count, text=text, backend_calls=1)

@@ -6,13 +6,15 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import datagraph.backends
 from datagraph import (
     BackendError,
     CachingBackend,
+    GroundTruth,
+    GroundTruthInstance,
     Node,
     OracleBackend,
     Pose,
@@ -25,11 +27,13 @@ from datagraph import (
     SceneObject,
     Snapshot,
     canonical_query_key,
+    ground_truth_nearest,
     oracle_answer,
     predicate_eval,
     proximity_search_first,
 )
-from helpers import build_graph
+from datagraph.backends import QUERY_MODES
+from helpers import build_graph, reference_oracle_answer, reference_predicate_eval
 
 KEYFOB_42 = SceneObject("keyfob", {"number": "42"}, (0.0, 0.0, 0.0), 1)
 KEYFOB_7 = SceneObject("keyfob", {"number": "7"}, (1.0, 0.0, 0.0), 2)
@@ -198,6 +202,56 @@ def test_oracle_count_mode():
     assert resp.count == 3
     assert resp.count == len(resp.matches)
     assert resp.satisfied is True
+
+
+LABELS = st.sampled_from(["chair", "Chair", "CHAIR", "keyfob", "KeyFob", "door"])
+ATTRIBUTE_KEYS = st.sampled_from(["number", "hazard", "color"])
+ATTRIBUTE_VALUES = st.sampled_from(["1", "2", "true"])
+SCENE_OBJECTS = st.builds(
+    SceneObject, LABELS, st.dictionaries(ATTRIBUTE_KEYS, ATTRIBUTE_VALUES, max_size=2), st.just((0.0, 0.0, 0.0))
+)
+CLAUSES = st.dictionaries(ATTRIBUTE_KEYS, ATTRIBUTE_VALUES, min_size=1, max_size=2).map(lambda d: tuple(d.items()))
+PREDICATES = st.one_of(
+    st.builds(Predicate, LABELS),
+    st.builds(Predicate, st.none(), CLAUSES),
+    st.builds(Predicate, LABELS, CLAUSES),
+)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(
+    scenes=st.lists(st.lists(st.tuples(SCENE_OBJECTS, st.booleans()), max_size=6), min_size=1, max_size=4),
+    predicate=PREDICATES,
+    mode=st.sampled_from(QUERY_MODES),
+    agent=st.integers(0, 3),
+)
+def test_matching_equals_the_per_object_reference(scenes, predicate, mode, agent):
+    """The oracle, the ground-truth nearest scan and the ground-truth count
+    match as one ``predicate_eval`` call per object did: on a path of scenes,
+    each object also a ground-truth instance, some marked duplicates."""
+    query = Query("q", predicate, mode)
+    instances = []
+    for v, scene in enumerate(scenes):
+        for obj, duplicate in scene:
+            assert predicate_eval(predicate, obj) is reference_predicate_eval(predicate, obj)
+            instances.append(GroundTruthInstance(
+                len(instances), obj.label, obj.attributes, obj.world_position, v,
+                len(instances) - 1 if duplicate and instances else None,
+            ))
+        snapshot = Snapshot(tuple(obj for obj, _ in scene))
+        assert oracle_answer(snapshot, query, v) == reference_oracle_answer(snapshot, query, v)
+    ground_truth = GroundTruth(tuple(instances))
+    assert ground_truth.count_matching(predicate) == sum(
+        reference_predicate_eval(predicate, inst) for inst in ground_truth.physical_instances()
+    )
+    n = len(scenes)
+    agent = min(agent, n - 1)
+    graph = build_graph(n, [(v, v + 1) for v in range(n - 1)])  # unit edges: hops equal meters
+    homes = {inst.home_node for inst in instances if reference_predicate_eval(predicate, inst)}
+    expected = min(((abs(v - agent), v) for v in homes), default=None)
+    for metric in ("hops", "meters"):
+        nearest = ground_truth_nearest(graph, ground_truth, agent, predicate, metric)
+        assert nearest == (None if expected is None else (expected[1], expected[0]))
 
 
 def test_oracle_backend_fills_node_id():

@@ -229,6 +229,7 @@ def input_files(tmp_path, world_dir):
         ("spec_int_catalog_entry", "catalog", [5]),
         ("spec_list_attributes", "catalog", [{"label": "crate", "attributes": ["a"]}]),
         ("spec_int_attribute", "catalog", [{"label": "chair", "attributes": {"color": 5}}]),
+        ("spec_huge_grid", "grid_w", 2**70),
     ]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**spec, key: value}))
@@ -271,6 +272,7 @@ def input_files(tmp_path, world_dir):
         ("config_int_ground_truth", "world", {"path": str(files["world"]), "ground_truth": 5}),
         ("config_int_store_path", "backend", {"kind": "replay", "store_path": 5}),
         ("config_list_record_path", "backend", {"kind": "oracle", "record_path": ["r.json"]}),
+        ("config_int_remote", "backend", {"kind": "remote", "remote": 5}),
         ("config_string_cache", "cache_enabled", "false"),
         ("config_string_shared_cache", "shared_cache", "false"),
         ("config_string_stop_on_first", "brute_force_stop_on_first", "false"),
@@ -425,11 +427,16 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("spec_int_catalog_entry", "error: catalog entry must be an object, got 5"),
                 ("spec_list_attributes", "error: attributes of 'crate' must be an object, got ['a']"),
                 ("spec_int_attribute", "error: attribute 'color' of 'chair' must be an object, got 5"),
+                ("spec_huge_grid",
+                 f"error: a world holds at most 10000000 rooms, got {2**70} x 2 = {2**71}"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--grid-h", "1", "--room-size", "5e-324", "{directory}/out"], 2,
                      "error: room_size_m must be positive and at least 2.2250738585072014e-308, got 5e-324",
                      id="gen-subnormal-room-size"),
+        pytest.param(["gen", "--grid-w", "4294967296", "--grid-h", "1", "{directory}/out"], 2,
+                     "error: a world holds at most 10000000 rooms, got 4294967296 x 1 = 4294967296",
+                     id="gen-too-many-rooms"),
         *[
             pytest.param(["compare", "--config", "{%s}" % name], 2, message, id=name.replace("_", "-"))
             for name, message in [
@@ -462,6 +469,7 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("config_int_store_path", "error: config.backend.store_path must be a string, got 5"),
                 ("config_list_record_path",
                  "error: config.backend.record_path must be a string, got ['r.json']"),
+                ("config_int_remote", "error: config.backend.remote must be an object, got 5"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,

@@ -563,6 +563,8 @@ def test_builders_make_no_cyclic_garbage(tmp_path):
         "ground-truth": lambda: GroundTruth.load(world.ground_truth_path),
         "world-files": lambda: load_world_files(world),
     }
+    for name, config in compare_runs(tmp_path).items():
+        calls[f"compare-{name}"] = lambda config=config: run_compare(config)
     gc.collect()
     gc.disable()  # so that no automatic collection frees a cycle before the check
     try:
@@ -571,6 +573,51 @@ def test_builders_make_no_cyclic_garbage(tmp_path):
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def compare_runs(directory) -> dict[str, ExperimentConfig]:
+    """``run_compare`` configs: an inline world, a saved world with a shared
+    cache, and a world file that cannot be read."""
+    directory = directory / "compare"
+    directory.mkdir()
+    world = save_world(directory, WorldSpec(6, 6, seed=9, objects_per_room_mean=2.0))
+    tasks = TaskConfig("nearest_search", 3, 2)
+    return {
+        "inline": compare_config(tasks=tasks),
+        "saved-cached": compare_config(world=world, tasks=tasks, cache_enabled=True, shared_cache=True),
+        "unreadable-world": compare_config(world=replace(world, path=str(directory / "missing.json")), tasks=tasks),
+    }
+
+
+@pytest.mark.parametrize("caller_disabled", [False, True])
+@pytest.mark.parametrize("name", ["inline", "saved-cached"])
+def test_each_compare_trial_runs_with_the_collector_paused(tmp_path, monkeypatch, name, caller_disabled):
+    config = compare_runs(tmp_path)[name]
+    answers, trials = [], []
+    for backend in (OracleBackend, CachingBackend):
+        def spy_answer(self, node, query, answer=backend.answer):
+            answers.append(gc.isenabled())
+            return answer(self, node, query)
+
+        monkeypatch.setattr(backend, "answer", spy_answer)
+    run_trial = datagraph.harness._run_trial
+
+    def spy_run_trial(*args):
+        trials.append(gc.isenabled())
+        return run_trial(*args)
+
+    monkeypatch.setattr(datagraph.harness, "_run_trial", spy_run_trial)
+    if caller_disabled:
+        gc.disable()
+    try:
+        report = run_compare(config)
+        assert gc.isenabled() is not caller_disabled
+    finally:
+        gc.enable()
+    assert report.error_count == 0
+    assert answers and not any(answers)  # every answer, cached or not, runs paused
+    # the collector runs between trials: the pause covers one trial, not the run
+    assert trials == [not caller_disabled] * config.tasks.count
 
 
 # --- run_route_scan -----------------------------------------------------------------

@@ -34,7 +34,7 @@ from datagraph import (
     make_nearest_search_task,
     proximity_search_first,
 )
-from datagraph.worldgen import BOUNDARY_BAND_M, _SeparationGrid
+from datagraph.worldgen import BOUNDARY_BAND_M, MAX_ROOMS, _SeparationGrid
 from helpers import all_pairs_admits, build_graph, eager_geodesic_distances, eager_hop_distances, frontier_graphs
 
 
@@ -104,6 +104,25 @@ def test_spec_rejects_a_grid_whose_extent_is_not_finite(grid_w, grid_h, room_siz
 def test_spec_accepts_the_largest_finite_extent():
     WorldSpec(grid_w=1, grid_h=1, room_size_m=1e308)
     WorldSpec(grid_w=2, grid_h=3, room_size_m=5e307)
+
+
+@pytest.mark.parametrize("grid_w, grid_h, objects_per_room_mean", [
+    (2**70, 1, 0.0),
+    (10**6, 10**6, 2.0),
+    (MAX_ROOMS + 1, 1, 2.0),
+    (1, MAX_ROOMS + 1, 0.0),
+])
+def test_spec_refuses_more_rooms_than_can_be_built(grid_w, grid_h, objects_per_room_mean):
+    # construction alone refuses it: generation would run until memory runs out
+    message = f"^a world holds at most {MAX_ROOMS} rooms, got {grid_w} x {grid_h} = {grid_w * grid_h}$"
+    with pytest.raises(WorldSpecError, match=message):
+        WorldSpec(grid_w, grid_h, objects_per_room_mean=objects_per_room_mean)
+
+
+def test_spec_accepts_up_to_the_room_limit():
+    assert MAX_ROOMS == 10**7
+    WorldSpec(3162, 3162)  # 9,998,244 rooms; only constructed, never generated
+    WorldSpec(MAX_ROOMS, 1, objects_per_room_mean=0.0)
 
 
 @pytest.mark.parametrize("field", [
