@@ -21,6 +21,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Protocol
+from urllib.parse import urlsplit
 
 import requests
 
@@ -175,8 +176,9 @@ class RemoteEndpointConfig:
     auth_token: str | None = None
 
     def __post_init__(self):
-        if not self.base_url:
-            raise ValueError("base_url must be non-empty")
+        url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        if url is None or url.scheme not in ("http", "https") or not url.hostname:
+            raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         if self.timeout_ms < 1:
             raise ValueError("timeout_ms must be >= 1")
         if self.max_in_flight < 1:

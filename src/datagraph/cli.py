@@ -102,7 +102,7 @@ def gen(spec_path, grid_w, grid_h, room_size, door_prob, objects_mean, dup_prob,
     ground_truth.save(out / "ground_truth.json")
     spec.save(out / "worldspec.json")
     click.echo(
-        f"wrote {out / 'world.json'} ({len(graph)} nodes, {len(graph.edges())} edges, "
+        f"wrote {out / 'world.json'} ({len(graph)} nodes, {graph.edge_count} edges, "
         f"{len(ground_truth.instances)} object records)"
     )
 
@@ -202,7 +202,10 @@ def _backend_config(backend, store, base_url, timeout_ms, auth_token) -> Backend
     """The ``_backend_options`` flags as a checked BackendConfig."""
     remote = None
     if base_url:
-        remote = RemoteEndpointConfig(base_url=base_url, timeout_ms=timeout_ms, auth_token=auth_token)
+        try:
+            remote = RemoteEndpointConfig(base_url=base_url, timeout_ms=timeout_ms, auth_token=auth_token)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     return BackendConfig(kind=backend, store_path=store, remote=remote)
 
 
@@ -293,7 +296,7 @@ def validate(world_path):
         for violation in exc.violations:
             click.echo(str(violation), err=True)
         sys.exit(1)
-    click.echo(f"ok: {len(graph)} nodes, {len(graph.edges())} edges, 0 violations")
+    click.echo(f"ok: {len(graph)} nodes, {graph.edge_count} edges, 0 violations")
 
 
 if __name__ == "__main__":

@@ -25,10 +25,13 @@ No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
 an aligned tuple of ``(neighbor, length_m)`` pairs, each edge listed at both
 ends, plus a traversable-only view of each (the very same tuples when no edge
-is closed) and the set of closed pairs. :meth:`Datagraph.edges`,
-:meth:`Datagraph.edge_between` and :meth:`Datagraph.adjacency` build ``Edge``
-records from these on each call, so two calls return equal records, not the
-same objects; saving writes the same fields straight from the tuples.
+is closed) and the set of closed pairs. Callers read edges from these tuples
+through :attr:`Datagraph.edge_count` and :meth:`Datagraph.edge_length`, and
+saving writes each edge's fields straight from them. :meth:`Datagraph.edges`
+builds ``Edge`` records on each call (equal records, not the same objects),
+and :meth:`Datagraph.validate` re-runs the constructor over the stored
+tuples. ``Edge``, ``edges()`` and ``validate()`` remain because the benchmark
+reads them; deleting them waits for a change to the benchmark.
 
 Every distance comes from one frontier kernel per metric over the
 adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
@@ -388,18 +391,6 @@ class Violation:
         return f"{self.invariant}: {self.detail}"
 
 
-def _edge_faults(a: NodeId, b: NodeId, length_m: float, n: int) -> list[Violation]:
-    """One edge's self-loop, missing-endpoint and (if both ends exist) length violations."""
-    out = []
-    if a == b:
-        out.append(Violation("self-loop", f"edge on node {a}"))
-    if not (0 <= a < n and 0 <= b < n):
-        out.append(Violation("edge-endpoint", f"edge {{{a}, {b}}} endpoint missing"))
-    elif not 0.0 < length_m < math.inf:  # also false for NaN
-        out.append(Violation("edge-length", f"edge {{{a}, {b}}} has length {length_m!r}"))
-    return out
-
-
 def _edge_fields(i: int, a, b, traversable, length_m) -> tuple[NodeId, NodeId, bool, float]:
     """The fields of ``edges[i]`` checked for kind: two int ids, a bool and a float length."""
     try:
@@ -483,8 +474,7 @@ class Datagraph:
     (``_pairs``), both sorted ascending by neighbor id, which anchors the
     deterministic tie-breaking of traversals; ``_open_ids`` and
     ``_open_pairs`` keep only the traversable edges, and ``_closed`` holds
-    the ``(a, b)``, ``a < b``, of the others. ``Edge`` records are built from
-    these on demand.
+    the ``(a, b)``, ``a < b``, of the others.
     """
 
     def __init__(self, nodes, edges) -> None:
@@ -496,8 +486,8 @@ class Datagraph:
         ``traversable`` that is not a bool, a length that is not a real
         number) is a ``ValueError`` naming its ``edges[i]``. Any other fault
         raises :class:`GraphValidationError` listing the violations: nodes out
-        of id order, then repeated pairs, then each new edge's
-        :func:`_edge_faults`, in input order.
+        of id order, then repeated pairs, then each new edge's self-loop,
+        missing endpoint and (if both ends exist) length, in input order.
         """
         nodes = tuple(nodes)
         n = len(nodes)
@@ -516,7 +506,13 @@ class Datagraph:
             if key in kept:
                 violations.append(Violation("duplicate-edge", f"edges[{i}] repeats pair {key}"))
                 continue
-            faults += _edge_faults(key[0], key[1], length_m, n)
+            a, b = key
+            if a == b:
+                faults.append(Violation("self-loop", f"edge on node {a}"))
+            if not (0 <= a < n and 0 <= b < n):
+                faults.append(Violation("edge-endpoint", f"edge {{{a}, {b}}} endpoint missing"))
+            elif not 0.0 < length_m < math.inf:  # also false for NaN
+                faults.append(Violation("edge-length", f"edge {{{a}, {b}}} has length {length_m!r}"))
             kept[key] = length_m
             if not traversable:
                 closed.add(key)
@@ -537,11 +533,11 @@ class Datagraph:
         self._closed = frozenset(closed)
         self._open_pairs, self._open_ids = self._pairs, self._ids
         if closed:
-            self._open_pairs = tuple(self._open_entries(v, entries) for v, entries in enumerate(self._pairs))
-            self._open_ids = tuple(
-                ids if open_entries is entries else tuple([w for w, _ in open_entries])
-                for ids, entries, open_entries in zip(self._ids, self._pairs, self._open_pairs)
+            self._open_pairs = tuple(
+                tuple([(w, length_m) for w, length_m in entries if ((v, w) if v < w else (w, v)) not in closed])
+                for v, entries in enumerate(self._pairs)
             )
+            self._open_ids = tuple(tuple([w for w, _ in entries]) for entries in self._open_pairs)
 
     # -- access ---------------------------------------------------------------
 
@@ -554,7 +550,7 @@ class Datagraph:
         return (self._nodes, self._pairs, self._closed) == (other._nodes, other._pairs, other._closed)
 
     def __repr__(self) -> str:
-        return f"Datagraph(nodes={len(self._nodes)}, edges={sum(map(len, self._ids)) // 2})"
+        return f"Datagraph(nodes={len(self._nodes)}, edges={self.edge_count})"
 
     def node(self, v: NodeId) -> Node:
         self._check_node(v)
@@ -563,30 +559,23 @@ class Datagraph:
     def nodes(self) -> tuple[Node, ...]:
         return self._nodes
 
-    def edges(self) -> tuple[Edge, ...]:
-        """All edges, sorted by (a, b), as records built on each call: two
-        calls return equal records, not the same objects."""
-        return tuple([Edge(a, b, traversable, length_m) for a, b, traversable, length_m in self._edge_rows()])
+    @property
+    def edge_count(self) -> int:
+        return sum(map(len, self._ids)) // 2
 
-    def neighbors(self, v: NodeId, traversable_only: bool = False) -> list[NodeId]:
-        """Adjacent node ids in ascending order."""
-        self._check_node(v)
-        return list((self._open_ids if traversable_only else self._ids)[v])
-
-    def adjacency(self, v: NodeId, traversable_only: bool = False) -> list[tuple[NodeId, Edge]]:
-        """(neighbor id, edge) pairs in ascending neighbor order; each edge is
-        built on the call, as in :meth:`edges`."""
-        self._check_node(v)
-        entries = (self._open_pairs if traversable_only else self._pairs)[v]
-        return [(w, self._edge(v, w, length_m)) for w, length_m in entries]
-
-    def edge_between(self, a: NodeId, b: NodeId) -> Edge | None:
-        """The edge joining ``a`` and ``b``, built on the call, or None."""
+    def edge_length(self, a: NodeId, b: NodeId) -> float | None:
+        """The length in meters of the edge joining ``a`` and ``b``, or None
+        if they are not adjacent."""
         self._check_node(a)
         self._check_node(b)
         ids = self._ids[a]
         i = bisect_left(ids, b)
-        return self._edge(a, b, self._pairs[a][i][1]) if i < len(ids) and ids[i] == b else None
+        return self._pairs[a][i][1] if i < len(ids) and ids[i] == b else None
+
+    def edges(self) -> tuple[Edge, ...]:
+        """All edges, sorted by (a, b), as records built on each call: two
+        calls return equal records, not the same objects."""
+        return tuple([Edge(a, b, traversable, length_m) for a, b, traversable, length_m in self._edge_rows()])
 
     # -- distances & paths ------------------------------------------------------
 
@@ -732,63 +721,23 @@ class Datagraph:
     # -- validation -----------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """Re-check every structural invariant; empty list means well-formed.
+        """The violations of the stored graph; an empty list means well-formed.
 
         Violations are data, not errors. The constructor refuses every
-        violation, so a graph passes unless something reached past it into
-        its records or its adjacency; this re-checks what is stored. Each
-        node's neighbor ids must ascend without repeats, name existing
-        nodes and line up with its ``(neighbor, length_m)`` pairs
-        (``adjacency-pairs``), and each edge's length is checked once, at
-        its lower end. ``v`` lists ``w`` only if ``w`` lists ``v`` at the
-        same length, and in the same open or closed state: each node's
-        traversable view must list exactly its neighbors whose pair is not
-        in the closed set (``adjacency-open``), and every closed pair must
-        be an edge (``closed-pair``).
+        violation, so a graph passes unless something wrote into its private
+        tuples. This rebuilds the graph through the constructor from the
+        stored edge rows and returns the constructor's violations, or else
+        one ``adjacency`` violation if the rebuilt adjacency, traversable
+        views or closed set differ from the stored ones.
         """
-        out: list[Violation] = []
-        for index, node in enumerate(self._nodes):
-            if node.id != index:
-                out.append(Violation("node-id-density", f"node at index {index} has id {node.id}"))
-            if not all(math.isfinite(c) for c in node.pose.position):
-                out.append(Violation("pose-finite", f"node {node.id} position {node.pose.position}"))
-            if node.pose.orientation is not None:
-                norm = math.sqrt(sum(c * c for c in node.pose.orientation))
-                if abs(norm - 1.0) > _QUAT_NORM_TOL:
-                    out.append(Violation("orientation-norm", f"node {node.id} norm {norm!r}"))
-            for obj in node.snapshot.objects:
-                if not obj.label:
-                    out.append(Violation("object-label", f"node {node.id} has an unlabeled object"))
-                if obj.world_position is not None and not all(map(math.isfinite, obj.world_position)):
-                    detail = f"node {node.id} object {obj.instance_id} at {obj.world_position}"
-                    out.append(Violation("object-position", detail))
-        n, pairs = len(self._nodes), self._pairs
-        for v, entries in enumerate(pairs):
-            ids = list(self._ids[v])
-            if ids != sorted(ids):
-                out.append(Violation("adjacency-order", f"node {v} adjacency {ids} not ascending"))
-            if len(ids) != len(set(ids)):
-                out.append(Violation("duplicate-edge", f"node {v} adjacency {ids} repeats a neighbor"))
-            listed = [w for w, _ in entries]
-            if listed != ids:
-                out.append(Violation("adjacency-pairs", f"node {v} lists ids {ids} but pairs for {listed}"))
-            open_entries, open_ids = self._open_pairs[v], list(self._open_ids[v])
-            if open_entries != self._open_entries(v, entries) or open_ids != [w for w, _ in open_entries]:
-                detail = f"node {v} traversable view {open_ids} is not its open neighbors"
-                out.append(Violation("adjacency-open", detail))
-            for w, length_m in entries:
-                if not 0 <= w < n:
-                    out.append(Violation("edge-endpoint", f"node {v} adjacent to missing node {w}"))
-                    continue
-                if v <= w:  # each edge once, at its lower end
-                    out.extend(_edge_faults(v, w, length_m, n))
-                if (v, length_m) not in pairs[w]:
-                    detail = f"{v} lists {w} at {length_m!r} m but {w} does not list {v} at that length"
-                    out.append(Violation("adjacency-symmetry", detail))
-        for a, b in sorted(self._closed):
-            if not (0 <= a < b < n and b in self._ids[a]):
-                out.append(Violation("closed-pair", f"closed pair ({a}, {b}) is not an edge"))
-        return out
+        try:
+            rebuilt = Datagraph(self._nodes, self._edge_rows())
+        except GraphValidationError as exc:
+            return exc.violations
+        for name in ("_pairs", "_ids", "_open_pairs", "_open_ids", "_closed"):
+            if getattr(rebuilt, name) != getattr(self, name):
+                return [Violation("adjacency", f"{name} differs from the graph its edge rows build")]
+        return []
 
     # -- serialization -----------------------------------------------------------
 
@@ -897,22 +846,6 @@ class Datagraph:
             (a, b, (a, b) not in closed, length_m)
             for a, entries in enumerate(self._pairs) for b, length_m in entries if a < b
         )
-
-    def _edge(self, v: NodeId, w: NodeId, length_m: float) -> Edge:
-        """The record of the edge that joins ``v`` and ``w``."""
-        a, b = (v, w) if v < w else (w, v)
-        return Edge(a, b, (a, b) not in self._closed, length_m)
-
-    def _open_entries(self, v: NodeId, entries: tuple) -> tuple:
-        """``v``'s ``(neighbor, length_m)`` entries whose edge is open:
-        ``entries`` itself when none is closed."""
-        closed = self._closed
-        if not closed:
-            return entries
-        kept = tuple([
-            entry for entry in entries if ((v, entry[0]) if v < entry[0] else (entry[0], v)) not in closed
-        ])
-        return entries if len(kept) == len(entries) else kept
 
     def _check_node(self, v: NodeId) -> None:
         if type(v) is int and 0 <= v < len(self._nodes):

@@ -719,9 +719,7 @@ def run_route_scan(
         for response in result.responses:
             if response.satisfied and response.node not in hazard_nodes:
                 hazard_nodes.append(response.node)
-        length_m = sum(
-            graph.edge_between(u, v).length_m for u, v in zip(route, route[1:])
-        )
+        length_m = sum(graph.edge_length(u, v) for u, v in zip(route, route[1:]))
         entries.append(
             RouteReportEntry(
                 route=tuple(route),

@@ -225,7 +225,7 @@ def path_query(
     for v in path:
         graph.node(v)
     for u, v in zip(path, path[1:]):
-        if graph.edge_between(u, v) is None:
+        if graph.edge_length(u, v) is None:
             raise InvalidPathError(u, v)
     return _run(graph, backend, query, path, path[0], stop_on_first=False)
 

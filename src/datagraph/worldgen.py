@@ -52,6 +52,10 @@ BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be dupl
 # the most rooms a spec may name: generating 10**5 rooms peaks near 270 MB,
 # so 10**7 already needs some 27 GB
 MAX_ROOMS = 10**7
+# the most objects a spec may expect, its rooms times objects_per_room_mean:
+# the default mean over MAX_ROOMS rooms. A larger mean draws objects for ever,
+# or passes numpy's Poisson limit (about 9.2e18) and fails there
+MAX_OBJECTS = 2 * MAX_ROOMS
 
 _ATTR_KINDS = ("const", "choice", "number_pool", "number_of")
 
@@ -196,6 +200,11 @@ class WorldSpec:
                 raise WorldSpecError(f"{name} must be in [0, 1], got {value!r}")
         if not (math.isfinite(self.objects_per_room_mean) and self.objects_per_room_mean >= 0):
             raise WorldSpecError("objects_per_room_mean must be non-negative")
+        if self.grid_w * self.grid_h * self.objects_per_room_mean > MAX_OBJECTS:
+            raise WorldSpecError(
+                f"a world holds at most {MAX_OBJECTS} objects, but objects_per_room_mean "
+                f"{self.objects_per_room_mean!r} over {self.grid_w * self.grid_h} rooms expects more"
+            )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
             raise WorldSpecError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not (math.isfinite(self.min_label_separation_m) and self.min_label_separation_m >= 0):

@@ -84,15 +84,29 @@ def bfs_visit_order(n: int, edges: dict[tuple[int, int], float], source: int) ->
     return [v for _, v in sorted((d, v) for v, d in hops.items())]
 
 
+def edge_lists(graph: Datagraph, traversable_only: bool = False) -> list[list[tuple[int, float]]]:
+    """Each node's ``(neighbor, length_m)`` pairs in ascending neighbor order,
+    built from ``graph.edges()``, not from the tuples the kernels read."""
+    adjacency: list[list[tuple[int, float]]] = [[] for _ in range(len(graph))]
+    for e in graph.edges():
+        if e.traversable or not traversable_only:
+            adjacency[e.a].append((e.b, e.length_m))
+            adjacency[e.b].append((e.a, e.length_m))
+    for entries in adjacency:
+        entries.sort()
+    return adjacency
+
+
 def eager_hop_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, int]:
     """The full hop map as a level-synchronous BFS built it before the
     kernels could stop early: keys by hops, then by ascending id."""
+    adjacency = edge_lists(graph, traversable_only)
     dist = {source: 0}
     level = [source]
     hops = 0
     while level:
         hops += 1
-        frontier = sorted({w for v in level for w in graph.neighbors(v, traversable_only) if w not in dist})
+        frontier = sorted({w for v in level for w, _ in adjacency[v] if w not in dist})
         dist.update(dict.fromkeys(frontier, hops))
         level = frontier
     return dist
@@ -101,6 +115,7 @@ def eager_hop_distances(graph: Datagraph, source: int, traversable_only: bool = 
 def eager_geodesic_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, float]:
     """The full meter map as Dijkstra built it before the kernels could stop
     early: keys in the heap's ``(meters, id)`` pop order."""
+    adjacency = edge_lists(graph, traversable_only)
     dist: dict[int, float] = {}
     best = {source: 0.0}
     heap = [(0.0, source)]
@@ -109,8 +124,8 @@ def eager_geodesic_distances(graph: Datagraph, source: int, traversable_only: bo
         if v in dist:
             continue
         dist[v] = d
-        for w, e in graph.adjacency(v, traversable_only):
-            nd = d + e.length_m
+        for w, length in adjacency[v]:
+            nd = d + length
             if w not in dist and (w not in best or nd < best[w]):
                 best[w] = nd
                 heappush(heap, (nd, w))
@@ -128,13 +143,14 @@ def eager_shortest_path(graph: Datagraph, a: int, b: int, metric: str, traversab
     dist_to_goal = full(graph, b, traversable_only)
     if a not in dist_to_goal:
         return None
+    adjacency = edge_lists(graph, traversable_only)
     path = [a]
     while path[-1] != b:
         current = path[-1]
         step = next(
-            w for w, e in graph.adjacency(current, traversable_only)
+            w for w, length in adjacency[current]
             if w in dist_to_goal
-            and dist_to_goal[w] + (1 if metric == "hops" else e.length_m) == dist_to_goal[current]
+            and dist_to_goal[w] + (1 if metric == "hops" else length) == dist_to_goal[current]
         )
         if step in path:
             return LOOPS

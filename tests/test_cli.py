@@ -230,6 +230,7 @@ def input_files(tmp_path, world_dir):
         ("spec_list_attributes", "catalog", [{"label": "crate", "attributes": ["a"]}]),
         ("spec_int_attribute", "catalog", [{"label": "chair", "attributes": {"color": 5}}]),
         ("spec_huge_grid", "grid_w", 2**70),
+        ("spec_huge_objects_mean", "objects_per_room_mean", 2**70),
     ]:
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**spec, key: value}))
@@ -273,6 +274,8 @@ def input_files(tmp_path, world_dir):
         ("config_int_store_path", "backend", {"kind": "replay", "store_path": 5}),
         ("config_list_record_path", "backend", {"kind": "oracle", "record_path": ["r.json"]}),
         ("config_int_remote", "backend", {"kind": "remote", "remote": 5}),
+        ("config_int_base_url", "backend", {"kind": "remote", "base_url": 5}),
+        ("config_schemeless_base_url", "backend", {"kind": "remote", "base_url": "x"}),
         ("config_string_cache", "cache_enabled", "false"),
         ("config_string_shared_cache", "shared_cache", "false"),
         ("config_string_stop_on_first", "brute_force_stop_on_first", "false"),
@@ -429,6 +432,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("spec_int_attribute", "error: attribute 'color' of 'chair' must be an object, got 5"),
                 ("spec_huge_grid",
                  f"error: a world holds at most 10000000 rooms, got {2**70} x 2 = {2**71}"),
+                ("spec_huge_objects_mean",
+                 f"error: a world holds at most 20000000 objects, but objects_per_room_mean {2**70} "
+                 f"over 4 rooms expects more"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--grid-h", "1", "--room-size", "5e-324", "{directory}/out"], 2,
@@ -470,6 +476,10 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("config_list_record_path",
                  "error: config.backend.record_path must be a string, got ['r.json']"),
                 ("config_int_remote", "error: config.backend.remote must be an object, got 5"),
+                ("config_int_base_url",
+                 "error: config.backend: base_url must be an http:// or https:// URL, got 5"),
+                ("config_schemeless_base_url",
+                 "error: config.backend: base_url must be an http:// or https:// URL, got 'x'"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,
@@ -512,6 +522,12 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      id="replay-no-store"),
         pytest.param(ROUTE + ["--backend", "remote"], 2, "error: remote backend needs endpoint settings",
                      id="remote-no-url"),
+        pytest.param(ROUTE + ["--backend", "remote", "--base-url", "x"], 2,
+                     "error: base_url must be an http:// or https:// URL, got 'x'",
+                     id="route-remote-schemeless-url"),
+        pytest.param(AGGREGATE + ["--backend", "remote", "--base-url", "x"], 2,
+                     "error: base_url must be an http:// or https:// URL, got 'x'",
+                     id="aggregate-remote-schemeless-url"),
         pytest.param(ROUTE + ["--backend", "replay", "--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="route-replay-miss"),

@@ -39,6 +39,7 @@ from helpers import (
     eager_hop_distances,
     eager_shortest_path,
     edge_dict,
+    edge_lists,
     frontier_edges,
     frontier_graphs,
     heap_dijkstra,
@@ -177,33 +178,37 @@ def test_constructor_stores_real_lengths_and_integral_ids_as_floats_and_ints(tmp
     assert Datagraph.load(tmp_path / "world.json") == g
 
 
-# --- neighbors ---------------------------------------------------------------
+# --- neighbors: the edge reads ---------------------------------------------------
 
 
 def test_neighbors_on_path(path_graph):
-    assert path_graph.neighbors(1) == [0, 2]
+    assert [w for w in range(3) if path_graph.edge_length(1, w) is not None] == [0, 2]
+    assert path_graph.edge_length(0, 2) is None and path_graph.edge_count == 2
 
 
 def test_neighbors_isolated_node():
     g = build_graph(1, [])
-    assert g.neighbors(0) == []
+    assert g.edge_length(0, 0) is None and g.edge_count == 0
 
 
 def test_neighbors_sorted_regardless_of_insertion_order():
     # star: center 0, leaves wired 3, 1, 2 in that order
     g = build_graph(4, [(0, 3), (0, 1), (0, 2)])
-    assert g.neighbors(0) == [1, 2, 3]
+    assert [g.edge_length(0, w) for w in (1, 2, 3)] == [1.0, 2.0, 3.0]
+    assert list(g.hop_distances(0)) == [0, 1, 2, 3]
 
 
 def test_neighbors_unknown_id(path_graph):
-    with pytest.raises(MissingNodeError):
-        path_graph.neighbors(9)
+    for a, b in ((9, 0), (0, 9), (-1, 0), (True, 1)):
+        with pytest.raises(MissingNodeError):
+            path_graph.edge_length(a, b)
 
 
 def test_neighbors_traversable_filter():
     g = build_graph(3, [(0, 1, None, True), (0, 2, None, False)])
-    assert g.neighbors(0) == [1, 2]
-    assert g.neighbors(0, traversable_only=True) == [1]
+    assert g.hop_distances(0) == {0: 0, 1: 1, 2: 1}
+    assert g.hop_distances(0, traversable_only=True) == {0: 0, 1: 1}
+    assert g.edge_length(0, 2) == 2.0  # a closed edge still has its length
 
 
 # --- distances -----------------------------------------------------------------
@@ -304,44 +309,48 @@ def _relist(graph, v, entries):
     graph._ids = graph._open_ids = tuple(ids)
 
 
+def _found(graph):
+    """``graph.validate()`` as (invariant, detail) pairs."""
+    return [(v.invariant, v.detail) for v in graph.validate()]
+
+
+def _adjacency_fault(name):
+    return [("adjacency", f"{name} differs from the graph its edge rows build")]
+
+
+# validate() rebuilds the graph from its edge rows, each read at its lower
+# end: a fault the constructor refuses comes back as the constructor's
+# violation, and any other tampering as one adjacency violation
+
+
 def test_validate_reports_asymmetric_adjacency(path_graph):
     _relist(path_graph, 0, [])  # drop 0 -> 1 while 1 -> 0 survives
-    violations = path_graph.validate()
-    assert [v.invariant for v in violations] == ["adjacency-symmetry"]
-    assert violations[0].detail.startswith("1 lists 0")
+    assert _found(path_graph) == _adjacency_fault("_pairs")
 
 
 def test_validate_reports_ends_listing_unequal_lengths(path_graph):
     _relist(path_graph, 0, [(1, 2.5)])  # 1 still lists 0 at 1.0 m
-    violations = path_graph.validate()
-    assert [v.invariant for v in violations] == ["adjacency-symmetry", "adjacency-symmetry"]
-    assert all("0" in v.detail and "1" in v.detail for v in violations)
+    assert _found(path_graph) == _adjacency_fault("_pairs")
 
 
 def test_validate_reports_neighbor_ids_out_of_order(path_graph):
     _relist(path_graph, 1, path_graph._pairs[1][::-1])
-    violations = path_graph.validate()
-    assert [v.invariant for v in violations] == ["adjacency-order"]
-    assert "[2, 0]" in violations[0].detail
+    assert _found(path_graph) == _adjacency_fault("_pairs")
 
 
 def test_validate_reports_repeated_neighbor_ids(path_graph):
     _relist(path_graph, 0, path_graph._pairs[0] * 2)
-    assert [v.invariant for v in path_graph.validate()] == ["duplicate-edge"]
+    assert _found(path_graph) == [("duplicate-edge", "edges[1] repeats pair (0, 1)")]
 
 
 def test_validate_reports_an_out_of_range_neighbor(path_graph):
     _relist(path_graph, 2, path_graph._pairs[2] + ((3, 1.0),))
-    violations = path_graph.validate()
-    assert [v.invariant for v in violations] == ["edge-endpoint"]
-    assert "missing node 3" in violations[0].detail
+    assert _found(path_graph) == [("edge-endpoint", "edge {2, 3} endpoint missing")]
 
 
 def test_validate_reports_pairs_that_do_not_line_up_with_the_ids(path_graph):
     path_graph._ids = path_graph._open_ids = ((2,), (0, 2), (1,))
-    violations = path_graph.validate()
-    assert "adjacency-pairs" in {v.invariant for v in violations}
-    assert any(v.detail == "node 0 lists ids [2] but pairs for [1]" for v in violations)
+    assert _found(path_graph) == _adjacency_fault("_ids")
 
 
 def test_validate_reports_a_traversable_view_that_disagrees_with_the_closed_set():
@@ -349,22 +358,19 @@ def test_validate_reports_a_traversable_view_that_disagrees_with_the_closed_set(
     assert graph.validate() == [] and graph._open_ids == ((), (2,), (1,))
     graph._open_ids = (graph._ids[0],) + graph._open_ids[1:]  # 0 -> 1 open at 0, closed at 1
     graph._open_pairs = (graph._pairs[0],) + graph._open_pairs[1:]
-    assert [(v.invariant, v.detail) for v in graph.validate()] == [
-        ("adjacency-open", "node 0 traversable view [1] is not its open neighbors"),
-    ]
+    assert _found(graph) == _adjacency_fault("_open_pairs")
 
 
 def test_validate_reports_a_closed_pair_that_is_no_edge(path_graph):
     path_graph._closed = frozenset({(0, 2)})
-    violations = path_graph.validate()
-    assert ("closed-pair", "closed pair (0, 2) is not an edge") in [(v.invariant, v.detail) for v in violations]
+    assert _found(path_graph) == _adjacency_fault("_closed")
 
 
 def test_validate_reports_bad_length_injected_past_construction():
     g = build_graph(2, [(0, 1)])
     _relist(g, 0, [(1, 0.0)])
     _relist(g, 1, [(0, 0.0)])
-    assert [v.invariant for v in g.validate()] == ["edge-length"]
+    assert _found(g) == [("edge-length", "edge {0, 1} has length 0.0")]
 
 
 # --- serialization -----------------------------------------------------------------
@@ -754,17 +760,11 @@ def test_property_adjacency_symmetric_and_sorted(script):
     g = build_graph(n, [(a, b, length, traversable) for a, b, traversable, length in edges])
     assert g.validate() == []
     stored = sorted((Edge(min(a, b), max(a, b), t, length) for a, b, t, length in edges), key=lambda e: (e.a, e.b))
-    assert g.edges() == tuple(stored)
-    expected = {v: [] for v in range(n)}
-    for edge in stored:
-        expected[edge.a].append((edge.b, edge))
-        expected[edge.b].append((edge.a, edge))
+    assert g.edges() == tuple(stored) and g.edge_count == len(stored)
+    lengths = {(e.a, e.b): e.length_m for e in stored}
     for v in range(n):
-        assert g.adjacency(v) == sorted(expected[v], key=lambda item: item[0])
-        ids = g.neighbors(v)
-        assert ids == sorted(ids)
-        for w in ids:
-            assert v in g.neighbors(w)
+        for w in range(n):  # edge_length bisects the ids, so it finds each only if they ascend
+            assert g.edge_length(v, w) == g.edge_length(w, v) == lengths.get((min(v, w), max(v, w)))
 
 
 @given(build_scripts())
@@ -842,11 +842,11 @@ def test_property_shortest_path_consistent_with_distances(script):
                 continue
             assert path is not None and path[0] == 0 and path[-1] == target
             for u, v in zip(path, path[1:]):
-                assert g.edge_between(u, v) is not None
+                assert g.edge_length(u, v) is not None
             if metric == "hops":
                 assert len(path) - 1 == dist[target]
             else:
-                total = sum(g.edge_between(u, v).length_m for u, v in zip(path, path[1:]))
+                total = sum(g.edge_length(u, v) for u, v in zip(path, path[1:]))
                 assert total == pytest.approx(dist[target], rel=1e-12, abs=1e-12)
 
 
@@ -1047,9 +1047,8 @@ def test_property_shortest_path_equals_the_eager_descent(graph):
                     # a simple path down the map, each step an edge whose length closes the gap
                     assert found[0] == a and found[-1] == b and len(set(found)) == len(found)
                     for u, w in zip(found, found[1:]):
-                        edge = graph.edge_between(u, w)
-                        assert edge is not None and (edge.traversable or not traversable_only)
-                        assert dist[w] + (1 if metric == "hops" else edge.length_m) == dist[u]
+                        lengths = dict(edge_lists(graph, traversable_only)[u])
+                        assert w in lengths and dist[w] + (1 if metric == "hops" else lengths[w]) == dist[u]
 
 
 def test_shortest_path_backs_out_of_a_tie_that_an_absorbed_edge_makes():
@@ -1110,10 +1109,11 @@ def test_property_the_store_answers_as_the_drawn_edges_do(case):
     n, edges = case
     graph = build_graph(n, edges)
     records = {(min(a, b), max(a, b)): Edge(min(a, b), max(a, b), t, length) for a, b, length, t in edges}
-    assert graph.edges() == tuple(records[key] for key in sorted(records))
+    assert graph.edges() == tuple(records[key] for key in sorted(records)) and graph.edge_count == len(records)
     for a in range(n):
         for b in range(n):
-            assert graph.edge_between(a, b) == records.get((min(a, b), max(a, b)))
+            record = records.get((min(a, b), max(a, b)))
+            assert graph.edge_length(a, b) == (record.length_m if record else None)
     for traversable_only in (False, True):
         kept = {key: e.length_m for key, e in records.items() if e.traversable or not traversable_only}
         adjacency = {v: [] for v in range(n)}
@@ -1122,10 +1122,6 @@ def test_property_the_store_answers_as_the_drawn_edges_do(case):
             adjacency[b].append((a, length))
         for v in range(n):
             adjacency[v].sort()
-            assert graph.neighbors(v, traversable_only) == [w for w, _ in adjacency[v]]
-            assert graph.adjacency(v, traversable_only) == [
-                (w, records[min(v, w), max(v, w)]) for w, _ in adjacency[v]
-            ]
         for source in range(n):
             hops, meters = queue_bfs_levels(n, kept, source), heap_dijkstra(n, kept, source)
             hop_map = graph.hop_distances(source, traversable_only)
@@ -1141,7 +1137,7 @@ def test_a_saved_world_with_closed_doors_loads_and_saves_to_the_same_bytes(tmp_p
     generated, _ = generate_world(WorldSpec(grid_w=6, grid_h=6, seed=4))
     edges = [(e.a, e.b, i % 3 != 0, e.length_m) for i, e in enumerate(generated.edges())]
     graph = Datagraph(generated.nodes(), edges)
-    assert any(graph.neighbors(v, True) != graph.neighbors(v) for v in range(len(graph)))
+    assert edge_lists(graph, traversable_only=True) != edge_lists(graph)
     path = tmp_path / "world.json"
     graph.save(path)
     loaded = Datagraph.load(path)

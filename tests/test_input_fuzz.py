@@ -2,7 +2,8 @@
 
 Each case sets one field of a valid document (at any depth) to one of about
 twenty JSON values, or deletes it, writes the document to a file and reads
-it the way the CLI does. Only a ``DatagraphError``, which the CLI prints as
+it the way the CLI does; a config's reader also builds the run's backend,
+which opens no connection. Only a ``DatagraphError``, which the CLI prints as
 one ``error:`` line, may escape.
 """
 
@@ -29,7 +30,7 @@ from datagraph import (
     run_route_scan,
 )
 from datagraph.cli import _read_routes
-from datagraph.harness import WorldFiles, load_world_files
+from datagraph.harness import WorldFiles, build_base_backend, load_world_files
 
 # JSON texts, written into the document as they stand: 1e400 parses as an
 # infinite float and NaN as a NaN, neither of which json.dumps would write
@@ -75,6 +76,7 @@ def readers(tmp_path_factory):
     query = Query("find the door", Predicate("door"))
     for node in graph.nodes():
         store.record(node, query, oracle_answer(node.snapshot, query, node.id))
+    store.save(directory / "store.json")
     path = graph.shortest_path(0, len(graph) - 1)
     start, goal = path[0], path[-1]
 
@@ -111,7 +113,10 @@ def readers(tmp_path_factory):
             lambda path: load_world_files(WorldFiles(world.path, path)),
         ),
         "world-spec": ([spec.to_json_dict()], WorldSpec.load),
-        "config": ([saved_config, inline_config], ExperimentConfig.load),
+        "config": (
+            [saved_config, inline_config],
+            lambda path: build_base_backend(ExperimentConfig.load(path).backend),
+        ),
         "replay-store": ([store.to_json_dict()], ReplayStore.load),
         "routes": ([[path, [start, path[1], *path]]], scan),
     }

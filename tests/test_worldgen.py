@@ -34,7 +34,7 @@ from datagraph import (
     make_nearest_search_task,
     proximity_search_first,
 )
-from datagraph.worldgen import BOUNDARY_BAND_M, MAX_ROOMS, _SeparationGrid
+from datagraph.worldgen import BOUNDARY_BAND_M, MAX_OBJECTS, MAX_ROOMS, _SeparationGrid
 from helpers import all_pairs_admits, build_graph, eager_geodesic_distances, eager_hop_distances, frontier_graphs
 
 
@@ -123,6 +123,26 @@ def test_spec_accepts_up_to_the_room_limit():
     assert MAX_ROOMS == 10**7
     WorldSpec(3162, 3162)  # 9,998,244 rooms; only constructed, never generated
     WorldSpec(MAX_ROOMS, 1, objects_per_room_mean=0.0)
+
+
+@pytest.mark.parametrize("grid_w, grid_h, objects_per_room_mean", [
+    (2, 2, 2.0**70),
+    (2, 2, 2**70),  # an int too large for numpy's Poisson draw
+    (1, 1, 1e12),  # numpy accepts it, and would draw objects for ever
+    (MAX_ROOMS, 1, 2.0000001),
+])
+def test_spec_refuses_more_objects_than_can_be_built(grid_w, grid_h, objects_per_room_mean):
+    # construction alone refuses it; it is never generated
+    with pytest.raises(WorldSpecError) as excinfo:
+        WorldSpec(grid_w, grid_h, objects_per_room_mean=objects_per_room_mean)
+    assert str(excinfo.value) == (f"a world holds at most {MAX_OBJECTS} objects, but objects_per_room_mean "
+                                  f"{objects_per_room_mean!r} over {grid_w * grid_h} rooms expects more")
+
+
+def test_spec_accepts_up_to_the_object_limit():
+    assert MAX_OBJECTS == 2 * MAX_ROOMS
+    WorldSpec(MAX_ROOMS, 1)  # the default mean over the most rooms; only constructed
+    WorldSpec(1, 1, objects_per_room_mean=float(MAX_OBJECTS))
 
 
 @pytest.mark.parametrize("field", [
@@ -429,7 +449,7 @@ def test_boundary_duplicates_structure():
         assert dup.label == source.label
         assert dup.attributes == source.attributes
         assert dup.world_position == source.world_position
-        assert graph.edge_between(dup.home_node, source.home_node) is not None
+        assert graph.edge_length(dup.home_node, source.home_node) is not None
         # the recorded position hugs the wall shared with the neighbor room
         x_lo, x_hi, y_lo, y_hi = room_bounds(source.home_node, spec)
         x, y, _ = source.world_position
