@@ -155,11 +155,14 @@ class QueryResponse:
         satisfied, text = _check_bool(doc["satisfied"], "satisfied"), doc.get("text", "")
         if not isinstance(text, str):
             raise _KindError(f"text must be a string, got {text!r}")
+        count = _check_id(doc.get("count", 0), "count")
+        if count < 0:
+            raise ValueError(f"count must be non-negative, got {count}")
         return cls(
             node=_check_id(doc["node"], "node"),
             satisfied=satisfied,
             matches=tuple(SceneObject.from_json_dict(o) for o in doc.get("matches", [])),
-            count=_check_id(doc.get("count", 0), "count"),
+            count=count,
             text=text,
             backend_calls=_check_id(doc.get("backend_calls", 1), "backend_calls"),
         )
@@ -176,6 +179,8 @@ class RemoteEndpointConfig:
     auth_token: str | None = None
 
     def __post_init__(self):
+        for name in ("timeout_ms", "max_in_flight"):
+            _check_id(getattr(self, name), name)
         url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")

@@ -49,7 +49,6 @@ from .graph import (
 )
 from .traversal import (
     AggregateReport,
-    TraversalResult,
     aggregate_count,
     brute_force_query,
     path_query,
@@ -242,8 +241,8 @@ class ExperimentConfig:
             try:
                 remote = RemoteEndpointConfig(
                     base_url=remote_doc["base_url"],
-                    timeout_ms=_check_id(remote_doc.get("timeout_ms", 10_000), "timeout_ms"),
-                    max_in_flight=_check_id(remote_doc.get("max_in_flight", 4), "max_in_flight"),
+                    timeout_ms=remote_doc.get("timeout_ms", 10_000),
+                    max_in_flight=remote_doc.get("max_in_flight", 4),
                     auth_token=remote_doc.get("auth_token"),
                 )
             except KeyError as exc:
@@ -327,9 +326,6 @@ class MetricsReport:
     def error_count(self) -> int:
         return sum(1 for row in self.per_trial if row.error is not None)
 
-    def rows_for(self, strategy: str) -> list[TrialRecord]:
-        return [r for r in self.per_trial if r.strategy == strategy]
-
     def to_json_dict(self) -> dict:
         return {
             "format_version": 1,
@@ -388,12 +384,6 @@ def load_world_files(files: WorldFiles) -> tuple[Datagraph, GroundTruth | None]:
     return graph, ground_truth
 
 
-def _make_task(kind: str, graph: Datagraph, ground_truth: GroundTruth, seed: int) -> TaskSpec:
-    if kind == "nearest_search":
-        return make_nearest_search_task(graph, ground_truth, seed)
-    return make_keyfob_task(graph, ground_truth, seed)  # TaskConfig admits no other kind
-
-
 def _trial_setup(
     config: ExperimentConfig, trial: int, saved: tuple[Datagraph, GroundTruth | None] | None
 ) -> tuple[Datagraph, GroundTruth, TaskSpec]:
@@ -404,18 +394,18 @@ def _trial_setup(
     no keyfob got placed) are skipped by bumping a derived attempt seed;
     everything stays a pure function of the config.
     """
+    kind = config.tasks.kind  # TaskConfig admits only the two kinds
+    make_task = make_nearest_search_task if kind == "nearest_search" else make_keyfob_task
     if saved is not None:
         graph, ground_truth = saved
         if ground_truth is None:
             raise ConfigError("task generation against a saved world needs its ground truth file")
-        task_seed = derive_seed(config.tasks.seed, trial)
-        return graph, ground_truth, _make_task(config.tasks.kind, graph, ground_truth, task_seed)
+        return graph, ground_truth, make_task(graph, ground_truth, derive_seed(config.tasks.seed, trial))
     for attempt in range(_TASK_RETRY_ATTEMPTS):
         world_spec = replace(config.world, seed=derive_seed(config.world.seed, trial, attempt))
         graph, ground_truth = generate_world(world_spec)
-        task_seed = derive_seed(config.tasks.seed, trial, attempt)
         try:
-            task = _make_task(config.tasks.kind, graph, ground_truth, task_seed)
+            task = make_task(graph, ground_truth, derive_seed(config.tasks.seed, trial, attempt))
         except TaskUnavailableError:
             continue
         return graph, ground_truth, task
@@ -449,8 +439,9 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     their scene, so neither a cache nor a replay crosses generated worlds; a
     recording saves the recorder's store. A saved world is loaded and checked
     once per run. Failures to load the world, set up a trial or answer a
-    query mark the trial errored and the run continues. Each trial runs with
-    the collector paused (:func:`_run_trial`).
+    query mark the trial errored and the run continues. Rows come in trial
+    order, then in sorted strategy order. Each trial runs with the collector
+    paused (:func:`_run_trial`).
     """
     base_backend = build_base_backend(config.backend)
     saved = world_error = None
@@ -470,7 +461,7 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
         else:
             rows.extend(_errored_trial(config, trial, world_error))
     report = MetricsReport(
-        per_trial=tuple(sorted(rows, key=lambda r: (r.task_id, r.strategy))),
+        per_trial=tuple(rows),
         summary=_summarize(rows, config.strategies),
         config=config.to_json_dict(),
     )
@@ -520,7 +511,15 @@ def _run_trial(
         hits_before = cache.hits if cache else 0
         started = time.perf_counter()
         try:
-            result = _run_strategy(config, strategy, graph, backend, task)
+            if strategy == "proximity":
+                result = proximity_search_first(
+                    graph, backend, task.query, task.agent_node, metric=config.metric
+                )
+            else:
+                result = brute_force_query(
+                    graph, backend, task.query, task.agent_node,
+                    stop_on_first=config.brute_force_stop_on_first,
+                )
         except DatagraphError as exc:
             rows.append(
                 TrialRecord(
@@ -532,69 +531,25 @@ def _run_trial(
             )
             continue
         wall_ms = (time.perf_counter() - started) * 1000.0
+        hops_found = meters_found = None
+        if result.first_satisfied is not None:
+            _, hops_found, meters_found = result.first_satisfied
+        optimal = optima[config.metric]
+        found = hops_found if config.metric == "hops" else meters_found
         rows.append(
-            _score_trial(
-                trial,
-                strategy,
-                result,
-                optima[config.metric],
-                optima["hops"],
-                config.metric,
-                wall_ms,
-                (cache.hits - hits_before) if cache else 0,
+            TrialRecord(
+                task_id=trial,
+                strategy=strategy,
+                backend_calls=result.total_backend_calls,
+                hops_of_found=hops_found,
+                meters_of_found=meters_found,
+                optimal_hops=optima["hops"],
+                found_is_closest=result.first_satisfied is None if optimal is None else found == optimal,
+                wall_time_ms=wall_ms,
+                cache_hits=(cache.hits - hits_before) if cache else 0,
             )
         )
     return rows
-
-
-def _run_strategy(
-    config: ExperimentConfig,
-    strategy: str,
-    graph: Datagraph,
-    backend: QueryBackend,
-    task: TaskSpec,
-) -> TraversalResult:
-    if strategy == "proximity":
-        return proximity_search_first(
-            graph, backend, task.query, task.agent_node, metric=config.metric
-        )
-    return brute_force_query(
-        graph,
-        backend,
-        task.query,
-        task.agent_node,
-        stop_on_first=config.brute_force_stop_on_first,
-    )
-
-
-def _score_trial(
-    trial: int,
-    strategy: str,
-    result: TraversalResult,
-    optimal: float | None,
-    optimal_hops: int | None,
-    metric: str,
-    wall_ms: float,
-    cache_hits: int,
-) -> TrialRecord:
-    hops_found = meters_found = None
-    if result.first_satisfied is not None:
-        _, hops_found, meters_found = result.first_satisfied
-    if optimal is None:
-        closest = result.first_satisfied is None
-    else:
-        closest = (hops_found if metric == "hops" else meters_found) == optimal
-    return TrialRecord(
-        task_id=trial,
-        strategy=strategy,
-        backend_calls=result.total_backend_calls,
-        hops_of_found=hops_found,
-        meters_of_found=meters_found,
-        optimal_hops=optimal_hops,
-        found_is_closest=closest,
-        wall_time_ms=wall_ms,
-        cache_hits=cache_hits,
-    )
 
 
 def _summarize(rows: list[TrialRecord], strategies) -> dict[str, dict]:

@@ -26,11 +26,13 @@ distance reads :meth:`Datagraph.hop_distances` or
 
 Backend failures never skip a node silently: the traversal aborts with
 :class:`TraversalAbortedError` carrying the partial result.
+
+A result is a plain value with no JSON form of its own: the harness turns
+results into the reports that are written.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -62,22 +64,6 @@ class TraversalResult:
     stopped_early: bool
     first_satisfied: tuple[NodeId, int | None, float | None] | None
 
-    def to_json_dict(self) -> dict:
-        first = None
-        if self.first_satisfied is not None:
-            node, hops, meters = self.first_satisfied
-            first = {"node": node, "hops": hops, "meters": meters}
-        return {
-            "responses": [r.to_json_dict() for r in self.responses],
-            "visit_order": list(self.visit_order),
-            "total_backend_calls": self.total_backend_calls,
-            "stopped_early": self.stopped_early,
-            "first_satisfied": first,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
-
 
 @dataclass(frozen=True)
 class AggregateReport:
@@ -87,20 +73,6 @@ class AggregateReport:
     raw_total: int
     deduped_total: int
     merged_groups: tuple[tuple[tuple[NodeId, SceneObject], ...], ...]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "per_node_counts": {str(v): c for v, c in self.per_node_counts.items()},
-            "raw_total": self.raw_total,
-            "deduped_total": self.deduped_total,
-            "merged_groups": [
-                [{"node": v, "object": obj.to_json_dict()} for v, obj in group]
-                for group in self.merged_groups
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 # --- shared runner ----------------------------------------------------------------

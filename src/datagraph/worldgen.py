@@ -242,8 +242,8 @@ class WorldSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> WorldSpec:
         output.check_version(doc, 1, "world spec", WorldSpecError)
-        catalog = doc.get("catalog", [])
-        if not isinstance(catalog, list):
+        catalog = doc.get("catalog")
+        if "catalog" in doc and not isinstance(catalog, list):
             raise WorldSpecError(f"catalog must be an array of entries, got {catalog!r}")
         try:
             return cls(
@@ -251,7 +251,9 @@ class WorldSpec:
                 grid_h=doc["grid_h"],
                 room_size_m=doc.get("room_size_m", 6.0),
                 door_prob=doc.get("door_prob", 0.35),
-                catalog=tuple(CatalogEntry.from_json_dict(e) for e in catalog) or default_catalog(),
+                catalog=(
+                    default_catalog() if catalog is None else tuple(map(CatalogEntry.from_json_dict, catalog))
+                ),
                 objects_per_room_mean=doc.get("objects_per_room_mean", 2.0),
                 boundary_duplicate_prob=doc.get("boundary_duplicate_prob", 0.0),
                 seed=doc.get("seed", 0),

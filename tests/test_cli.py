@@ -202,13 +202,14 @@ def input_files(tmp_path, world_dir):
     build_graph(2, []).save(files["island"])
     files["empty_store"] = tmp_path / "store.json"
     ReplayStore().save(files["empty_store"])
-    files["mistyped_store"] = tmp_path / "mistyped_store.json"
     store = ReplayStore()
     store.record(Datagraph.load(files["world"]).node(0), Query("q", Predicate("chair")), QueryResponse(0, False))
-    doc = store.to_json_dict()
-    (files["mistyped_key"], response), = doc["responses"].items()
-    response["satisfied"] = "no"
-    files["mistyped_store"].write_text(json.dumps(doc))
+    for name, key, value in [("mistyped", "satisfied", "no"), ("negative_count", "count", -5)]:
+        doc = store.to_json_dict()
+        (files[f"{name}_key"], response), = doc["responses"].items()
+        response[key] = value
+        files[f"{name}_store"] = tmp_path / f"{name}_store.json"
+        files[f"{name}_store"].write_text(json.dumps(doc))
     files["int_label_spec"] = tmp_path / "int_label_spec.json"
     files["int_label_spec"].write_text(json.dumps(
         {"format_version": 1, "grid_w": 2, "grid_h": 2, "catalog": [{"label": 5}]}
@@ -550,6 +551,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="aggregate-replay-miss"),
+        pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{negative_count_store}"], 2,
+                     "error: replay store entry '{negative_count_key}': count must be non-negative, got -5",
+                     id="aggregate-replay-negative-count"),
         pytest.param(["validate", "{huge_length}"], 2, "error: edges[0]: length_m is too large for a float",
                      id="validate-huge-length"),
         pytest.param(["validate", "{huge_coordinate}"], 2,

@@ -220,9 +220,9 @@ def test_compare_scans_ground_truth_once_per_trial_and_metric(monkeypatch, metri
     expected = ["hops", "meters"] if metric == "meters" else ["hops"]
     assert [m for m, _ in scans] == expected * 4
     hop_optima = [result[1] for m, result in scans if m == "hops"]
-    assert [row.optimal_hops for row in report.rows_for("proximity")] == hop_optima
-    assert [row.optimal_hops for row in report.rows_for("brute_force")] == hop_optima
-    assert all(row.found_is_closest for row in report.rows_for("proximity"))
+    assert [row.optimal_hops for row in [r for r in report.per_trial if r.strategy == "proximity"]] == hop_optima
+    assert [row.optimal_hops for row in [r for r in report.per_trial if r.strategy == "brute_force"]] == hop_optima
+    assert all(row.found_is_closest for row in [r for r in report.per_trial if r.strategy == "proximity"])
 
 
 def test_keyfob_trials_find_the_unique_fob():
@@ -232,7 +232,7 @@ def test_keyfob_trials_find_the_unique_fob():
     )
     report = run_compare(config)
     assert report.error_count == 0
-    proximity = report.rows_for("proximity")
+    proximity = [r for r in report.per_trial if r.strategy == "proximity"]
     assert len(proximity) == 8
     assert all(row.found_is_closest for row in proximity)
     assert report.summary["proximity"]["closest_rate"] == 1.0
@@ -244,14 +244,14 @@ def test_brute_force_full_scan_reflects_world_size():
         tasks=TaskConfig("nearest_search", 3, 5),
     )
     report = run_compare(config)
-    for row in report.rows_for("brute_force"):
+    for row in [r for r in report.per_trial if r.strategy == "brute_force"]:
         assert row.backend_calls == 9  # ingests every frame
 
 
 def test_brute_force_stop_on_first_flag():
     config = compare_config(brute_force_stop_on_first=True)
     report = run_compare(config)
-    for row in report.rows_for("brute_force"):
+    for row in [r for r in report.per_trial if r.strategy == "brute_force"]:
         assert row.backend_calls <= 16
 
 

@@ -357,3 +357,8 @@ def test_config_validation():
         RemoteEndpointConfig(base_url="http://x", timeout_ms=0)
     with pytest.raises(ValueError):
         RemoteEndpointConfig(base_url="http://x", max_in_flight=0)
+    # a fractional max_in_flight would leave the semaphore uncapped
+    for name in ("timeout_ms", "max_in_flight"):
+        for value in (2.5, True):
+            with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+                RemoteEndpointConfig(base_url="http://x", **{name: value})

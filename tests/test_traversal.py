@@ -486,14 +486,9 @@ def test_traversals_are_byte_deterministic():
     spec = WorldSpec(grid_w=6, grid_h=6, seed=11, objects_per_room_mean=1.5)
     graph, _ = generate_world(spec)
     query = FIND_KEYFOB
-    runs = [
-        proximity_query_all(graph, OracleBackend(), query, agent=8).to_json()
-        for _ in range(2)
-    ]
+    runs = [proximity_query_all(graph, OracleBackend(), query, agent=8) for _ in range(2)]
     assert runs[0] == runs[1]
-    runs = [
-        brute_force_query(graph, OracleBackend(), query, agent=8).to_json() for _ in range(2)
-    ]
+    runs = [brute_force_query(graph, OracleBackend(), query, agent=8) for _ in range(2)]
     assert runs[0] == runs[1]
 
 

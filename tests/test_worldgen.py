@@ -62,6 +62,19 @@ def test_spec_rejects_objects_without_catalog():
         WorldSpec(grid_w=2, grid_h=2, catalog=(), objects_per_room_mean=1.0)
 
 
+def test_an_empty_catalog_round_trips():
+    spec = WorldSpec(grid_w=3, grid_h=3, objects_per_room_mean=0.0, catalog=())
+    assert WorldSpec.from_json_dict(spec.to_json_dict()) == spec
+
+
+def test_a_spec_document_uses_its_catalog_array_as_given():
+    doc = {"format_version": 1, "grid_w": 3, "grid_h": 3, "catalog": []}
+    with pytest.raises(WorldSpecError, match="objects_per_room_mean > 0 needs a catalog with a positive weight"):
+        WorldSpec.from_json_dict(doc)
+    del doc["catalog"]  # only a missing catalog takes the default
+    assert WorldSpec.from_json_dict(doc).catalog == default_catalog()
+
+
 def test_spec_rejects_oversized_seed():
     with pytest.raises(WorldSpecError):
         WorldSpec(grid_w=2, grid_h=2, seed=2**64)
