@@ -170,6 +170,11 @@ class QueryResponse:
 
 _RESPONSE_SETTERS = _slot_setters(QueryResponse)
 
+# The longest remote timeout: one day. A socket timeout becomes a deadline in
+# the platform's time_t, and a larger one (about 10**13 ms on 64-bit Linux)
+# overflows it, so the first call would end in an OverflowError.
+MAX_TIMEOUT_MS = 86_400_000
+
 
 @dataclass(frozen=True)
 class RemoteEndpointConfig:
@@ -184,8 +189,10 @@ class RemoteEndpointConfig:
         url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
-        if self.timeout_ms < 1:
-            raise ValueError("timeout_ms must be >= 1")
+        if not 1 <= self.timeout_ms <= MAX_TIMEOUT_MS:
+            raise ValueError(
+                f"timeout_ms must be from 1 to {MAX_TIMEOUT_MS} (one day), got {self.timeout_ms}"
+            )
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
 

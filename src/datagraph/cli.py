@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import replace
 
 import click
 
@@ -72,30 +73,21 @@ def main():
 
 
 @main.command()
-@click.option("--spec", "spec_path", type=click.Path(exists=True), help="World spec JSON file.")
-@click.option("--grid-w", type=int, default=6, show_default=True)
-@click.option("--grid-h", type=int, default=6, show_default=True)
-@click.option("--room-size", type=float, default=6.0, show_default=True)
-@click.option("--door-prob", type=float, default=0.35, show_default=True)
-@click.option("--objects-mean", type=float, default=2.0, show_default=True)
-@click.option("--dup-prob", type=float, default=0.0, show_default=True,
+@click.option("--spec", "spec_path", type=click.Path(exists=True),
+              help="World spec JSON file, else a 6x6 spec's defaults; the flags below override its fields.")
+@click.option("--grid-w", type=int, default=None)
+@click.option("--grid-h", type=int, default=None)
+@click.option("--room-size", "room_size_m", type=float, default=None)
+@click.option("--door-prob", type=float, default=None)
+@click.option("--objects-mean", "objects_per_room_mean", type=float, default=None)
+@click.option("--dup-prob", "boundary_duplicate_prob", type=float, default=None,
               help="Probability of duplicating a near-wall object into the neighbor scene.")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=int, default=None)
 @click.argument("out_dir", type=click.Path())
-def gen(spec_path, grid_w, grid_h, room_size, door_prob, objects_mean, dup_prob, seed, out_dir):
+def gen(spec_path, out_dir, **flags):
     """Generate a seeded world into OUT_DIR (world, ground truth, spec)."""
-    if spec_path:
-        spec = WorldSpec.load(spec_path)
-    else:
-        spec = WorldSpec(
-            grid_w=grid_w,
-            grid_h=grid_h,
-            room_size_m=room_size,
-            door_prob=door_prob,
-            objects_per_room_mean=objects_mean,
-            boundary_duplicate_prob=dup_prob,
-            seed=seed,
-        )
+    spec = WorldSpec.load(spec_path) if spec_path else WorldSpec(6, 6)
+    spec = replace(spec, **{name: value for name, value in flags.items() if value is not None})
     graph, ground_truth = generate_world(spec)
     out = output.make_output_dir(out_dir)
     graph.save(out / "world.json")
@@ -107,8 +99,8 @@ def gen(spec_path, grid_w, grid_h, room_size, door_prob, objects_mean, dup_prob,
     )
 
 
-def _load_config(config_path, output_dir, count, seed, kind, backend, strategies,
-                 cache, formats, store_path=None, record_path=None) -> ExperimentConfig:
+def _load_config(config_path, output_dir, count, seed, kind, strategies, cache, formats,
+                 backend=None, store_path=None, record_path=None) -> ExperimentConfig:
     """The config file with the ``_compare_options`` flags that were given applied."""
     if config_path is None:
         raise ConfigError("no experiment config; pass --config FILE")
@@ -134,11 +126,11 @@ _compare_options = [
     click.option("--count", type=int, default=None, help="Number of seeded tasks."),
     click.option("--seed", type=int, default=None, help="Master task seed."),
     click.option("--kind", type=click.Choice(TASK_KINDS), default=None),
-    click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default=None),
     click.option("--strategies", default=None, help="Comma list: proximity,brute_force."),
     click.option("--cache/--no-cache", "cache", default=None),
     click.option("--formats", default=None, help="Comma list: json,csv."),
 ]
+_backend_kind = click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default=None)
 
 
 def _apply_options(options):
@@ -166,6 +158,7 @@ def _run_and_summarize(config: ExperimentConfig) -> None:
 
 @main.command()
 @_apply_options(_compare_options)
+@_backend_kind
 def compare(**flags):
     """Compare brute-force vs proximity search over seeded tasks."""
     _run_and_summarize(_load_config(**flags))
@@ -175,6 +168,7 @@ def compare(**flags):
 @click.option("--store", "store_path", type=click.Path(), required=True,
               help="Where to write the recorded session.")
 @_apply_options(_compare_options)
+@_backend_kind
 def replay_record(store_path, **flags):
     """Run an experiment while recording every backend answer."""
     _run_and_summarize(_load_config(**flags, record_path=store_path))
@@ -184,29 +178,32 @@ def replay_record(store_path, **flags):
 @click.option("--store", "store_path", type=click.Path(exists=True), required=True,
               help="Recorded session to replay.")
 @_apply_options(_compare_options)
-def replay_run(store_path, backend, **flags):
+def replay_run(store_path, **flags):
     """Re-run an experiment hermetically from a recorded session."""
     _run_and_summarize(_load_config(**flags, backend="replay", store_path=store_path))
 
 
 _backend_options = [
-    click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default="oracle"),
-    click.option("--store", type=click.Path(exists=True), default=None),
-    click.option("--base-url", default=None),
-    click.option("--timeout-ms", type=click.IntRange(min=1), default=10_000),
+    click.option("--store", type=click.Path(exists=True), default=None, help="Replay this recorded session."),
+    click.option("--base-url", default=None, help="Query the remote endpoint at this URL."),
+    click.option("--timeout-ms", type=click.IntRange(min=1), default=None),
     click.option("--auth-token", default=None),
 ]
 
 
-def _backend_config(backend, store, base_url, timeout_ms, auth_token) -> BackendConfig:
-    """The ``_backend_options`` flags as a checked BackendConfig."""
-    remote = None
-    if base_url:
-        try:
-            remote = RemoteEndpointConfig(base_url=base_url, timeout_ms=timeout_ms, auth_token=auth_token)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return BackendConfig(kind=backend, store_path=store, remote=remote)
+def _backend_config(store, base_url, **remote) -> BackendConfig:
+    """A replay of --store, the endpoint at --base-url, or else the oracle."""
+    remote = {name: value for name, value in remote.items() if value is not None}
+    if base_url is None:
+        if remote:
+            raise click.UsageError("--timeout-ms and --auth-token need --base-url")
+        return BackendConfig("replay", store) if store else BackendConfig()
+    if store is not None:
+        raise click.UsageError("--store and --base-url name two backends; pass one")
+    try:
+        return BackendConfig("remote", remote=RemoteEndpointConfig(base_url, **remote))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _read_routes(path) -> list[list[int]]:

@@ -37,12 +37,14 @@ Every distance comes from one frontier kernel per metric over the
 adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
 which settles one hop level at a time, sorted by id, and Dijkstra for
 meters, which settles one node at a time in ``(meters, id)`` pop order. A
-kernel is a generator, and each caller advances it only as far as it reads
-(:func:`_settle`). The full maps, :meth:`Datagraph.hop_distances` and
+kernel is a generator that only this class drives, each method advancing it
+only as far as it reads. The full maps, :meth:`Datagraph.hop_distances` and
 :meth:`Datagraph.geodesic_distances`, drain it, so their keys come out in
 visit order. :meth:`Datagraph.shortest_path` stops once every node no
-farther than its start has settled, and the ground-truth oracle once it
-passes its first hit. :func:`by_metric` is the one check of a metric name.
+farther than its start has settled, and :meth:`Datagraph.nearest` once it
+passes its first target; the ground-truth oracle and a traversal's hit
+distances read the latter. :func:`by_metric` is the one check of a metric
+name.
 """
 
 from __future__ import annotations
@@ -447,16 +449,6 @@ def _edge_text(row: tuple[NodeId, NodeId, bool, float]) -> str:
     )
 
 
-def _settle(dist: dict, frontier, v: NodeId):
-    """``v``'s distance in a kernel's ``dist``, advancing its ``frontier``
-    (see :meth:`Datagraph._frontier`) until ``v`` settles; None if it never does."""
-    if v not in dist:
-        for _ in frontier:
-            if v in dist:
-                break
-    return dist.get(v)
-
-
 def by_metric(metric: str, hops, meters):
     """``hops`` or ``meters``, as ``metric`` names; any other metric is a ``ValueError``."""
     if metric == "hops":
@@ -617,9 +609,13 @@ class Datagraph:
         """
         self._check_node(a)
         dist_to_goal, frontier = self._frontier(metric, b, traversable_only)
-        limit = _settle(dist_to_goal, frontier, a)
-        if limit is None:
-            return None
+        if a not in dist_to_goal:
+            for _ in frontier:
+                if a in dist_to_goal:
+                    break
+            else:
+                return None
+        limit = dist_to_goal[a]
         if metric == "meters":
             # A node that ties a can settle after it (a larger id, or reached
             # through another tie), and is a step down from a when their edge
@@ -656,6 +652,30 @@ class Datagraph:
                 options.append(steps(w))
         return path
 
+    def nearest(
+        self, source: NodeId, targets, metric: str = "hops"
+    ) -> tuple[NodeId, int | float] | None:
+        """The target nearest ``source`` under ``metric`` as ``(node, distance)``,
+        ties going to the smallest id, or None if no target is reachable.
+
+        ``targets`` is any container of node ids; a set keeps each test O(1).
+        The search settles nodes nearest first and stops once it passes the
+        first target's distance, since by meters a target that ties it can
+        settle after it. An unknown ``source`` or ``metric`` is refused even
+        when ``targets`` is empty.
+        """
+        _, frontier = self._frontier(metric, source)
+        hops = metric == "hops"
+        best = None
+        if targets:
+            for d, settled in frontier:  # (hops, level) or (meters, node)
+                if best is not None and d > best[0]:
+                    break
+                for v in settled if hops else (settled,):
+                    if v in targets and (best is None or (d, v) < best):
+                        best = (d, v)
+        return None if best is None else (best[1], best[0])
+
     # -- the frontier kernels ---------------------------------------------------
 
     def _frontier(self, metric: str, source: NodeId, traversable_only: bool = False):
@@ -663,7 +683,7 @@ class Datagraph:
 
         ``dist`` gains each node's distance under ``metric`` when the kernel,
         a generator, settles it, nearest first. Advance the kernel only as
-        far as the caller reads (:func:`_settle`), or drain it for the full map.
+        far as the caller reads, or drain it for the full map.
         """
         self._check_node(source)
         kernel = by_metric(metric, self._hop_kernel, self._meter_kernel)

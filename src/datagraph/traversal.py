@@ -19,13 +19,15 @@ in order, modeling a search over every captured frame.
 
 A traversal reports the distances of its first hit only, as (node, hops,
 meters). The metric that orders the visits gives its distance from the map
-the search drained; the other metric's comes from one frontier kernel
-cursor advanced until the hit settles. A caller that wants every node's
-distance reads :meth:`Datagraph.hop_distances` or
-:meth:`Datagraph.geodesic_distances` itself.
+the search drained; the other metric's comes from :meth:`Datagraph.nearest`
+with the hit as its one target. A caller that wants every node's distance
+reads :meth:`Datagraph.hop_distances` or :meth:`Datagraph.geodesic_distances`
+itself.
 
-Backend failures never skip a node silently: the traversal aborts with
-:class:`TraversalAbortedError` carrying the partial result.
+Backend failures never skip a node silently: every traversal, the count
+aggregation included, aborts with :class:`TraversalAbortedError` carrying the
+partial result of the nodes before the failing one and the backend error as
+its ``__cause__``.
 
 A result is a plain value with no JSON form of its own: the harness turns
 results into the reports that are written.
@@ -44,7 +46,7 @@ from .errors import (
     InvalidPathError,
     TraversalAbortedError,
 )
-from .graph import Datagraph, NodeId, SceneObject, _settle, by_metric
+from .graph import Datagraph, NodeId, SceneObject, by_metric
 
 
 @dataclass(frozen=True)
@@ -93,9 +95,8 @@ def _run(
     ``order`` is ``range(len(graph))``, a distance map's keys, or a path
     whose nodes :func:`path_query` has checked. ``metric`` is set when
     ``order`` is the agent's drained distance map under that metric; the
-    hit's distance under it is then read from the map. Any other distance
-    comes from a kernel cursor (:meth:`Datagraph._frontier`) advanced only
-    until the hit settles.
+    hit's distance under it is then read from the map, and any other from
+    :meth:`Datagraph.nearest`.
     """
     responses: list[QueryResponse] = []
     hit: NodeId | None = None
@@ -104,11 +105,11 @@ def _run(
     def result() -> TraversalResult:
         first_satisfied = None
         if hit is not None:
-            hops, meters = (
-                order.get(hit) if name == metric else _settle(*graph._frontier(name, agent), hit)
+            found = [
+                (hit, order[hit]) if name == metric else graph.nearest(agent, (hit,), name)
                 for name in ("hops", "meters")
-            )
-            first_satisfied = (hit, hops, meters)
+            ]
+            first_satisfied = (hit, *(None if f is None else f[1] for f in found))
         return TraversalResult(
             responses=tuple(responses),
             visit_order=tuple(r.node for r in responses),
@@ -236,8 +237,18 @@ def aggregate_count(
         raise ValueError(f"dedup_radius_m must be finite and non-negative, got {dedup_radius_m!r}")
     per_node_counts: dict[NodeId, int] = {}
     matches: list[tuple[NodeId, SceneObject]] = []
+    responses: list[QueryResponse] = []
     for v, node in enumerate(graph.nodes()):
-        response = backend.answer(node, query)
+        try:
+            response = backend.answer(node, query)
+        except BackendError as exc:
+            partial = TraversalResult(
+                responses=tuple(responses), visit_order=tuple(range(v)),
+                total_backend_calls=sum(r.backend_calls for r in responses),
+                stopped_early=False, first_satisfied=None,
+            )
+            raise TraversalAbortedError(v, partial) from exc
+        responses.append(response)
         per_node_counts[v] = response.count
         matches.extend((v, obj) for obj in response.matches)
         if dedup_radius_m > 0 and response.count != len(response.matches):

@@ -653,24 +653,12 @@ def ground_truth_nearest(
     """Closest node holding a matching instance, as ``(node, distance)``.
 
     Independent of the traversal module: ground truth names the candidate
-    nodes (duplicates count for every node whose snapshot holds them) and a
-    single-source search under ``metric`` settles nodes nearest first until
-    it passes the first candidate's distance. Ties go to the smallest node
-    id. Returns None when no match is reachable.
+    nodes (duplicates count for every node whose snapshot holds them) and
+    :meth:`Datagraph.nearest` finds the closest of them under ``metric``.
+    Ties go to the smallest node id. Returns None when no match is reachable.
     """
-    _, frontier = graph._frontier(metric, agent)
     candidates = {inst.home_node for inst in _matching(predicate, ground_truth.instances)}
-    nearest = None
-    if candidates:
-        for d, settled in frontier:  # (hops, level) or (meters, node)
-            if nearest is not None and d > nearest[0]:
-                break
-            for v in settled if metric == "hops" else (settled,):
-                if v in candidates and (nearest is None or (d, v) < nearest):
-                    nearest = (d, v)
-    if nearest is None:
-        return None
-    return nearest[1], nearest[0]
+    return graph.nearest(agent, candidates, metric)
 
 
 def make_nearest_search_task(

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 from click.testing import CliRunner
 
 from datagraph import Datagraph, Predicate, Query, QueryResponse, ReplayStore, WorldSpec, generate_world
 from datagraph.cli import main
+from datagraph.mock_remote import MockRemoteServer
 from helpers import build_graph
 
 
@@ -45,6 +47,18 @@ def test_gen_from_spec_file(tmp_path, runner):
     assert result.exit_code == 0, result.output
     graph, _ = generate_world(spec)
     assert Datagraph.load(out / "world.json") == graph
+
+
+def test_gen_flags_override_the_spec_file(tmp_path, runner):
+    spec = WorldSpec(grid_w=2, grid_h=2, door_prob=0.5, seed=3)
+    spec_path = tmp_path / "spec.json"
+    spec.save(spec_path)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["gen", "--spec", str(spec_path), "--grid-w", "9", "--seed", "77", str(out)])
+    assert result.exit_code == 0, result.output
+    expected = replace(spec, grid_w=9, seed=77)
+    assert WorldSpec.load(out / "worldspec.json") == expected
+    assert Datagraph.load(out / "world.json") == generate_world(expected)[0]
 
 
 def test_validate_ok(world_dir, runner):
@@ -285,6 +299,8 @@ def input_files(tmp_path, world_dir):
         ("config_bool_count", "tasks", {"kind": "nearest_search", "count": True}),
         ("config_fractional_timeout", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "timeout_ms": 2.5}),
+        ("config_huge_timeout", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "timeout_ms": 10**20}),
         ("config_fractional_in_flight", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "max_in_flight": 1.5}),
         ("config_string_strategies", "strategies", "proximity"),
@@ -330,6 +346,16 @@ def input_files(tmp_path, world_dir):
 BAD_JSON = "error: cannot read {bad}: invalid JSON at line 1, column 2: Expecting property name"
 ROUTE = ["route", "--world", "{world}", "--start", "0", "--goal", "11"]
 AGGREGATE = ["aggregate", "--world", "{world}", "--label", "extinguisher"]
+
+
+@pytest.mark.parametrize("args", [ROUTE, AGGREGATE + ["--radius", "0"]], ids=["route", "aggregate"])
+def test_base_url_alone_queries_that_endpoint(world_dir, runner, args):
+    args = [arg.format(world=world_dir / "world.json") for arg in args]
+    with MockRemoteServer() as server:
+        result = runner.invoke(main, args + ["--base-url", server.base_url, "--auth-token", "sesame"])
+        seen = server.requests
+    assert result.exit_code == 0, result.output
+    assert seen and all(request.headers.get("Authorization") == "Bearer sesame" for request in seen)
 
 
 def test_shared_cache_runs_on_an_inline_world(runner, input_files):
@@ -481,6 +507,8 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                  "error: config.backend: base_url must be an http:// or https:// URL, got 5"),
                 ("config_schemeless_base_url",
                  "error: config.backend: base_url must be an http:// or https:// URL, got 'x'"),
+                ("config_huge_timeout",
+                 f"error: config.backend: timeout_ms must be from 1 to 86400000 (one day), got {10**20}"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,
@@ -519,22 +547,41 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      id="compare-repeated-strategy"),
         pytest.param(ROUTE + ["--timeout-ms", "0"], 2, "error: Invalid value for '--timeout-ms'",
                      id="timeout-zero"),
-        pytest.param(ROUTE + ["--backend", "replay"], 2, "error: replay backend needs a store_path",
-                     id="replay-no-store"),
-        pytest.param(ROUTE + ["--backend", "remote"], 2, "error: remote backend needs endpoint settings",
+        pytest.param(ROUTE + ["--store", "{empty_store}", "--base-url", "http://127.0.0.1:1"], 2,
+                     "error: --store and --base-url name two backends; pass one",
+                     id="store-and-base-url"),
+        pytest.param(ROUTE + ["--timeout-ms", "500"], 2, "error: --timeout-ms and --auth-token need --base-url",
                      id="remote-no-url"),
-        pytest.param(ROUTE + ["--backend", "remote", "--base-url", "x"], 2,
+        pytest.param(AGGREGATE + ["--auth-token", "sesame"], 2,
+                     "error: --timeout-ms and --auth-token need --base-url",
+                     id="auth-token-no-url"),
+        pytest.param(ROUTE + ["--base-url", "x"], 2,
                      "error: base_url must be an http:// or https:// URL, got 'x'",
                      id="route-remote-schemeless-url"),
-        pytest.param(AGGREGATE + ["--backend", "remote", "--base-url", "x"], 2,
+        pytest.param(AGGREGATE + ["--base-url", "x"], 2,
                      "error: base_url must be an http:// or https:// URL, got 'x'",
                      id="aggregate-remote-schemeless-url"),
-        pytest.param(ROUTE + ["--backend", "replay", "--store", "{empty_store}"], 3,
+        pytest.param(ROUTE + ["--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="route-replay-miss"),
-        pytest.param(ROUTE + ["--backend", "remote", "--base-url", "http://127.0.0.1:1", "--timeout-ms", "500"],
+        pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--timeout-ms", "500"],
                      3, "error: remote endpoint returned status 0",
                      id="route-remote-refused"),
+        pytest.param(AGGREGATE + ["--base-url", "http://127.0.0.1:1", "--timeout-ms", "500"],
+                     3, "error: remote endpoint returned status 0",
+                     id="aggregate-remote-refused"),
+        pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--timeout-ms", "100000000000000000000"], 2,
+                     "error: timeout_ms must be from 1 to 86400000 (one day), got 100000000000000000000",
+                     id="route-timeout-too-long"),
+        *[
+            pytest.param([command, *args, "--backend", "oracle"], 2, "error: No such option '--backend'",
+                         id=f"{command}-no-backend-option")
+            for command, args in [
+                ("route", ROUTE[1:]),
+                ("aggregate", AGGREGATE[1:]),
+                ("replay-run", ["--store", "{empty_store}", "--config", "{saved}"]),
+            ]
+        ],
         pytest.param(AGGREGATE + ["--radius", "-1"], 2, "error: Invalid value for '--radius'",
                      id="radius-negative"),
         pytest.param(AGGREGATE + ["--radius", "nan"], 2,
@@ -548,10 +595,10 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      id="label-empty"),
         pytest.param(AGGREGATE + ["--attr", "colour"], 2, "error: --attr needs key=value",
                      id="attr-no-value"),
-        pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{empty_store}"], 3,
+        pytest.param(AGGREGATE + ["--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="aggregate-replay-miss"),
-        pytest.param(AGGREGATE + ["--backend", "replay", "--store", "{negative_count_store}"], 2,
+        pytest.param(AGGREGATE + ["--store", "{negative_count_store}"], 2,
                      "error: replay store entry '{negative_count_key}': count must be non-negative, got -5",
                      id="aggregate-replay-negative-count"),
         pytest.param(["validate", "{huge_length}"], 2, "error: edges[0]: length_m is too large for a float",

@@ -1078,6 +1078,41 @@ def test_shortest_path_settles_only_what_its_descent_reads(monkeypatch):
     assert [sorted(dist) for dist in settled] == [list(range(199, 207)), list(range(194, 201))]
 
 
+def scanned_nearest(graph, source, targets, metric):
+    """The smallest ``(distance, id)`` over the targets in the source's eager map, as ``(id, distance)``."""
+    full = EAGER_MAPS[metric](graph, source)
+    best = min(((full[v], v) for v in targets if v in full), default=None)
+    return None if best is None else (best[1], best[0])
+
+
+@given(frontier_graphs(), st.data())
+@example(build_graph(3, [(0, 2, 1e16), (1, 2, 1.0)]), None)
+@settings(max_examples=150, deadline=None)
+def test_property_nearest_equals_a_scan_of_the_eager_map(graph, data):
+    """Unconnected graphs with closed edges and ties; empty and unreachable
+    target sets. The example: 1e16 + 1.0 rounds to 1e16, so from 0 node 1
+    ties node 2 but settles after it, and still wins the tie by its id."""
+    if data is None:
+        target_sets = [{1, 2}, {2}, {1}, set()]
+    else:
+        target_sets = [data.draw(st.sets(st.integers(0, len(graph) - 1), max_size=4)) for _ in range(3)]
+    for targets in target_sets:
+        for metric in EAGER_MAPS:
+            for source in range(len(graph)):
+                assert graph.nearest(source, targets, metric) == scanned_nearest(graph, source, targets, metric)
+    if data is None:
+        assert graph.nearest(0, {1, 2}, "meters") == (1, 1e16)
+
+
+def test_nearest_refuses_an_unknown_source_or_metric_with_no_targets():
+    graph = build_graph(2, [(0, 1)])
+    for source in (2, -1, True):
+        with pytest.raises(MissingNodeError):
+            graph.nearest(source, set())
+    with pytest.raises(ValueError, match="metric must be 'hops' or 'meters', got 'miles'"):
+        graph.nearest(0, set(), "miles")
+
+
 # --- the adjacency store against the drawn edges ------------------------------------
 
 

@@ -22,6 +22,7 @@ from datagraph import (
     SceneObject,
     Snapshot,
 )
+from datagraph.backends import MAX_TIMEOUT_MS
 from datagraph.mock_remote import MockRemoteServer
 
 QUERY = Query("is there a keyfob with number 42?", Predicate(label_equals="keyfob"))
@@ -362,3 +363,14 @@ def test_config_validation():
         for value in (2.5, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
                 RemoteEndpointConfig(base_url="http://x", **{name: value})
+
+
+def test_timeout_is_at_most_a_day():
+    """A socket turns its timeout into a time_t deadline, which overflows
+    near 10**13 ms; the one-day bound lies far below that and still works."""
+    for value in (MAX_TIMEOUT_MS + 1, 10**13, 10**20):
+        with pytest.raises(ValueError, match=rf"timeout_ms must be from 1 to 86400000 \(one day\), got {value}"):
+            RemoteEndpointConfig(base_url="http://x", timeout_ms=value)
+    with MockRemoteServer() as server:
+        backend = RemoteBackend(RemoteEndpointConfig(base_url=server.base_url, timeout_ms=MAX_TIMEOUT_MS))
+        assert backend.answer(make_node(), QUERY).satisfied is False

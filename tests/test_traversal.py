@@ -466,6 +466,35 @@ def test_aggregate_without_positions_errors_unless_radius_zero():
     assert report.raw_total == report.deduped_total == 2
 
 
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_aggregate_aborts_with_the_counts_before_the_failing_node(k):
+    g, _ = generate_world(WorldSpec(3, 3, seed=5))
+    with pytest.raises(TraversalAbortedError) as excinfo:
+        aggregate_count(g, ExplodingBackend(explode_at=k), COUNT_EXT, dedup_radius_m=0.5)
+    err = excinfo.value
+    assert err.node_id == k
+    assert err.partial.visit_order == tuple(range(k))
+    assert err.partial.responses == tuple(OracleBackend().answer(g.node(v), COUNT_EXT) for v in range(k))
+    assert err.partial.total_backend_calls == k
+    assert isinstance(err.__cause__, BackendError) and str(err.__cause__) == f"backend died at {k}"
+
+
+def test_aggregate_stops_at_the_first_node_that_fails_or_does_not_itemize():
+    g = build_graph(3, [(0, 1), (1, 2)], objects={1: [ext(0, (0, 0, 0))]})
+
+    class CountOnly(ExplodingBackend):
+        def answer(self, node, query):
+            response = super().answer(node, query)
+            return QueryResponse(node.id, response.satisfied, (), response.count, "", 1)
+
+    with pytest.raises(TraversalAbortedError) as excinfo:
+        aggregate_count(g, CountOnly(explode_at=0), COUNT_EXT, dedup_radius_m=0.5)
+    assert excinfo.value.partial.visit_order == ()
+    # node 1 counts a match it does not list, and node 2 is never queried
+    with pytest.raises(DedupUnavailableError, match="node 1 reported 1 matches but itemized 0"):
+        aggregate_count(g, CountOnly(explode_at=2), COUNT_EXT, dedup_radius_m=0.5)
+
+
 def test_aggregate_single_linkage_chains():
     # three detections in a chain, each neighbor within radius: one cluster
     objs = {
