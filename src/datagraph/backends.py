@@ -16,10 +16,18 @@ one scene from its own store.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
+import os
+import select
+import socket
+import ssl
 import threading
+import weakref
+import zlib
+from base64 import b64encode
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
@@ -427,6 +435,49 @@ class _BearerAuth(requests.auth.AuthBase):
         return request
 
 
+# the encodings the prepared Accept-Encoding header ("gzip, deflate") allows
+_COMPRESSED = ("gzip", "x-gzip", "deflate")
+
+
+def _readable(sock: socket.socket) -> bool:
+    """True when an idle keep-alive socket has something to read: the server
+    closed it or sent bytes no request asked for, so it must carry no request."""
+    poller = select.poll()
+    poller.register(sock, select.POLLIN)
+    return bool(poller.poll(0))
+
+
+def _close_all(connections: list[http.client.HTTPConnection]) -> None:
+    for connection in connections:
+        connection.close()
+
+
+def _proxy_auth(proxy: str) -> dict[str, str]:
+    """The ``Proxy-Authorization`` header for credentials in a proxy URL, as requests sends it."""
+    username, password = requests.utils.get_auth_from_url(proxy)
+    if not username:
+        return {}
+    credentials = b64encode(f"{username}:{password}".encode("latin-1")).decode()
+    return {"Proxy-Authorization": f"Basic {credentials}"}
+
+
+def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.SSLContext:
+    """The TLS checks requests makes for its ``verify`` and ``cert`` settings."""
+    if verify is False:
+        context = ssl.create_default_context()
+        context.check_hostname = False
+        context.verify_mode = ssl.CERT_NONE
+    else:
+        bundle = requests.utils.DEFAULT_CA_BUNDLE_PATH if verify is True else verify
+        if os.path.isdir(bundle):
+            context = ssl.create_default_context(capath=bundle)
+        else:
+            context = ssl.create_default_context(cafile=bundle)
+    if cert is not None:
+        context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
+    return context
+
+
 class RemoteBackend:
     """HTTP adapter speaking the wire format to a live model endpoint.
 
@@ -434,14 +485,19 @@ class RemoteBackend:
     :class:`QueryResponse`. Never fabricates a verdict: timeouts, non-2xx
     statuses (redirects included, which are not followed), and malformed
     bodies all raise. At most ``max_in_flight`` requests are in flight at any
-    moment.
+    moment, and the backend holds at most that many keep-alive connections
+    of its own, which it closes when it is garbage-collected.
 
-    The request is prepared once, when the backend is built: the session's
-    headers, cookies, auth and transport adapter, the bearer token, and the
-    proxy, CA bundle and client certificate settings from the environment
-    are read then, not per call, and the session's response hooks are not
+    ``requests`` only prepares the request, once, when the backend is built:
+    the session's headers, cookies and auth (or a ``~/.netrc`` entry), the
+    bearer token, and the proxy, CA bundle and client certificate settings
+    from the session and the environment are read then, not per call. Each
+    call then goes out over :mod:`http.client` with those headers and the
+    body ``session.post(json=...)`` would send. A transport adapter mounted
+    on the session is not used, and the session's response hooks are not
     run. A configured token always wins over ``~/.netrc``; without one,
-    netrc applies as in requests.
+    netrc applies as in requests. Bodies encoded with gzip or deflate, which
+    the prepared ``Accept-Encoding`` header allows, are decoded.
     """
 
     def __init__(
@@ -455,10 +511,60 @@ class RemoteBackend:
         session = session if session is not None else requests.Session()
         self._url = config.base_url.rstrip("/") + "/query"
         auth = _BearerAuth(config.auth_token) if config.auth_token is not None else None
-        self._template = session.prepare_request(requests.Request("POST", self._url, auth=auth))
-        self._adapter = session.get_adapter(self._url)
-        self._settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        prepared = session.prepare_request(requests.Request("POST", self._url, auth=auth))
+        settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        # the body's own Content-Length replaces the empty one prepared here,
+        # and the JSON Content-Type joins unless the session sets its own
+        headers = prepared.headers.copy()
+        headers.pop("Content-Length", None)
+        headers.setdefault("Content-Type", "application/json")
+        self._headers = list(headers.items())
+        self._target = prepared.path_url
+        url = urlsplit(prepared.url)
+        https = url.scheme == "https"
+        host, port = url.hostname, url.port or (443 if https else 80)
+        self._tunnel = None
+        proxy = requests.utils.select_proxy(prepared.url, settings["proxies"])
+        if proxy is not None:
+            proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
+            if proxy_url.scheme != "http":
+                raise RemoteProtocolError(0, f"proxy {proxy} for {self._url}: only http:// proxies are supported")
+            proxy_headers = _proxy_auth(proxy)
+            if https:  # a CONNECT tunnel through the proxy, TLS inside it
+                self._tunnel = (host, port, proxy_headers)
+            else:  # the proxy takes the absolute URL
+                self._target = prepared.url
+                self._headers += proxy_headers.items()
+            host, port = proxy_url.hostname, proxy_url.port or 80
+        timeout_s = config.timeout_ms / 1000.0
+        if https:
+            try:
+                context = _tls_context(settings["verify"], settings["cert"])
+            except OSError as exc:  # a CA bundle or certificate that cannot be read
+                raise RemoteProtocolError(0, f"TLS settings for {self._url}: {exc}") from exc
+            self._new_connection = partial(
+                http.client.HTTPSConnection, host, port, timeout=timeout_s, context=context
+            )
+        else:
+            self._new_connection = partial(http.client.HTTPConnection, host, port, timeout=timeout_s)
+        self._idle: list[http.client.HTTPConnection] = []
+        weakref.finalize(self, _close_all, self._idle)
         self._in_flight = threading.BoundedSemaphore(config.max_in_flight)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        """An idle connection that still reads as open, or a new unconnected one."""
+        while True:
+            try:
+                connection = self._idle.pop()
+            except IndexError:  # none idle
+                break
+            if not _readable(connection.sock):
+                return connection
+            connection.close()  # the server closed it, or sent what no request asked for
+        connection = self._new_connection()
+        if self._tunnel is not None:
+            connection.set_tunnel(*self._tunnel)
+        return connection
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
         body = {
@@ -472,28 +578,42 @@ class RemoteBackend:
                 else None
             ),
         }
-        request = self._template.copy()
+        payload = json.dumps(body, allow_nan=False).encode()  # the bytes requests sends for json=body
         with self._in_flight:
+            connection = self._connection()
             try:
-                request.prepare_body(None, None, json=body)
-                http_response = self._adapter.send(
-                    request, timeout=self.config.timeout_ms / 1000.0, **self._settings
-                )
-                http_response.content  # read the body here, as Session.send does
-            except requests.Timeout as exc:
+                if connection.sock is None:
+                    connection.connect()
+                    # headers and body go out in two sends; without this, Nagle's
+                    # algorithm holds the body until the server's delayed ACK
+                    connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                connection.putrequest("POST", self._target, skip_accept_encoding=True)
+                for name, value in self._headers:
+                    connection.putheader(name, value)
+                connection.putheader("Content-Length", str(len(payload)))
+                connection.endheaders(payload)
+                http_response = connection.getresponse()
+                content = http_response.read()
+                if http_response.getheader("Content-Encoding", "").strip().lower() in _COMPRESSED:
+                    content = zlib.decompress(content, 47)  # wbits 32 + 15: a gzip or a zlib header
+            except TimeoutError as exc:
+                connection.close()  # a late answer must never reach the next call
                 raise RemoteTimeoutError(
                     f"no answer from {self._url} within {self.config.timeout_ms} ms"
                 ) from exc
-            except requests.RequestException as exc:
+            except (OSError, http.client.HTTPException, zlib.error) as exc:
+                connection.close()
                 raise RemoteProtocolError(0, f"request to {self._url} failed: {exc}") from exc
-        if not 200 <= http_response.status_code < 300:
-            raise RemoteProtocolError(http_response.status_code)
-        return self._parse_verdict(node.id, http_response)
+            if not http_response.will_close:  # getresponse already closed one that will
+                self._idle.append(connection)
+        if not 200 <= http_response.status < 300:
+            raise RemoteProtocolError(http_response.status)
+        return self._parse_verdict(node.id, content)
 
     @staticmethod
-    def _parse_verdict(node_id: NodeId, http_response) -> QueryResponse:
+    def _parse_verdict(node_id: NodeId, content: bytes) -> QueryResponse:
         try:
-            doc = http_response.json()
+            doc = json.loads(content)
         except ValueError as exc:
             raise MalformedResponseError(f"response body is not JSON: {exc}") from exc
         if not isinstance(doc, dict):

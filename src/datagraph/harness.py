@@ -239,11 +239,11 @@ class ExperimentConfig:
             if not isinstance(remote_doc, dict):
                 raise ConfigError(f"config.backend.remote must be an object, got {remote_doc!r}")
             try:
+                # only the fields the document names: RemoteEndpointConfig holds the defaults
+                named = ("timeout_ms", "max_in_flight", "auth_token")
                 remote = RemoteEndpointConfig(
                     base_url=remote_doc["base_url"],
-                    timeout_ms=remote_doc.get("timeout_ms", 10_000),
-                    max_in_flight=remote_doc.get("max_in_flight", 4),
-                    auth_token=remote_doc.get("auth_token"),
+                    **{key: remote_doc[key] for key in named if key in remote_doc},
                 )
             except KeyError as exc:
                 raise ConfigError(f"config.backend: missing field {exc}") from exc

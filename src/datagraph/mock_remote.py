@@ -27,10 +27,11 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 class RecordedRequest:
     """One request the server saw: its path, header lines and raw body.
 
-    Only those three are kept, so a long run's log stays small. ``headers``
-    and ``body`` are parsed each time they are read: the first value wins
-    for a repeated header name, and ``body`` is None for an empty body or
-    one that is not JSON.
+    Only those three are kept, and requests with an equal path or equal
+    header lines share one string, so a long run's log stays small.
+    ``headers`` and ``body`` are parsed each time they are read: the first
+    value wins for a repeated header name, and ``body`` is None for an empty
+    body or one that is not JSON.
     """
 
     path: str
@@ -121,6 +122,8 @@ class MockRemoteServer:
         self._stopping = threading.Event()
         self._in_flight = 0
         self.max_concurrent_seen = 0
+        # one copy of each distinct path and header text, which most requests repeat
+        self._texts: dict[str, str] = {}
         outer = self
 
         class Handler(BaseHTTPRequestHandler):
@@ -143,8 +146,11 @@ class MockRemoteServer:
                 try:
                     length = int(self.headers.get("Content-Length", "0"))
                     header_text = "".join([f"{k}: {v}\r\n" for k, v in self.headers.items()])
-                    request = RecordedRequest(self.path, header_text, self.rfile.read(length))
+                    raw_body = self.rfile.read(length)
                     with outer._lock:
+                        texts = outer._texts
+                        path = texts.setdefault(self.path, self.path)
+                        request = RecordedRequest(path, texts.setdefault(header_text, header_text), raw_body)
                         outer.behavior.request_log.append(request)
                     behavior = outer.behavior
                     if behavior.delay_s:

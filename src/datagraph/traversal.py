@@ -229,7 +229,9 @@ def aggregate_count(
 
     Matched objects from different nodes are merged (single-linkage) when
     their world positions lie within ``dedup_radius_m`` of each other and
-    their labels and attributes are equal. Radius 0 disables merging.
+    their labels and attributes are equal. Radius 0 disables merging. Above
+    0, every answer must itemize its matches with world positions; the first
+    answer that does not ends the scan before a later scene is queried.
     """
     if query.mode != "count":
         raise ValueError(f"aggregate_count requires a count query, got mode {query.mode!r}")
@@ -251,20 +253,21 @@ def aggregate_count(
         responses.append(response)
         per_node_counts[v] = response.count
         matches.extend((v, obj) for obj in response.matches)
-        if dedup_radius_m > 0 and response.count != len(response.matches):
-            raise DedupUnavailableError(
-                f"node {v} reported {response.count} matches but itemized "
-                f"{len(response.matches)}; dedup needs every matched object"
-            )
+        if dedup_radius_m > 0:
+            if response.count != len(response.matches):
+                raise DedupUnavailableError(
+                    f"node {v} reported {response.count} matches but itemized "
+                    f"{len(response.matches)}; dedup needs every matched object"
+                )
+            for obj in response.matches:
+                if obj.world_position is None:
+                    raise DedupUnavailableError(
+                        f"object {obj.label!r} from node {v} has no world position; "
+                        "use radius 0 with backends that omit coordinates"
+                    )
     raw_total = sum(per_node_counts.values())
     if dedup_radius_m == 0:
         return AggregateReport(per_node_counts, raw_total, raw_total, ())
-    for v, obj in matches:
-        if obj.world_position is None:
-            raise DedupUnavailableError(
-                f"object {obj.label!r} from node {v} has no world position; "
-                "use radius 0 with backends that omit coordinates"
-            )
     groups = _single_linkage(matches, dedup_radius_m)
     merged = tuple(tuple(g) for g in groups if len(g) > 1)
     deduped_total = raw_total - sum(len(g) - 1 for g in merged)

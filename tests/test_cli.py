@@ -358,6 +358,22 @@ def test_base_url_alone_queries_that_endpoint(world_dir, runner, args):
     assert seen and all(request.headers.get("Authorization") == "Bearer sesame" for request in seen)
 
 
+def test_aggregate_refuses_a_remote_answer_without_positions_at_the_first_scene(world_dir, runner):
+    """With the default radius, dedup needs world positions, which a remote
+    answer never carries: the first answer ends the scan."""
+    args = [arg.format(world=world_dir / "world.json") for arg in AGGREGATE]
+    body = {"satisfied": True, "count": 1, "objects": [{"label": "extinguisher"}]}
+    with MockRemoteServer(body=body) as server:
+        result = runner.invoke(main, args + ["--base-url", server.base_url])
+        seen = len(server.requests)
+    assert result.exit_code == 2, result.output
+    assert seen == 1
+    assert result.stderr.splitlines() == [
+        "error: object 'extinguisher' from node 0 has no world position; "
+        "use radius 0 with backends that omit coordinates"
+    ]
+
+
 def test_shared_cache_runs_on_an_inline_world(runner, input_files):
     result = runner.invoke(main, ["compare", "--config", str(input_files["inline_shared"])])
     assert result.exit_code == 0, result.output

@@ -275,7 +275,7 @@ def test_only_the_output_module_reads_and_parses_files():
         if path.name == "output.py":
             continue
         for call, line in _file_text_parsers(ast.parse(path.read_text(encoding="utf-8"))):
-            if path.name == "mock_remote.py" and call == "json.loads":
-                continue  # an HTTP request body, not a file
+            if path.name in ("mock_remote.py", "backends.py") and call == "json.loads":
+                continue  # an HTTP request or response body, not a file
             found.append(f"{path.name}:{line}: {call}")
     assert found == []
