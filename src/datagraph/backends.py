@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import io
 import json
 import os
-import select
 import socket
 import ssl
 import threading
 import weakref
-import zlib
 from base64 import b64encode
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -32,6 +31,7 @@ from typing import TYPE_CHECKING, Protocol
 from urllib.parse import urlsplit
 
 import requests
+import urllib3
 
 from . import output
 from .errors import (
@@ -435,20 +435,25 @@ class _BearerAuth(requests.auth.AuthBase):
         return request
 
 
-# the encodings the prepared Accept-Encoding header ("gzip, deflate") allows
-_COMPRESSED = ("gzip", "x-gzip", "deflate")
-
-
-def _readable(sock: socket.socket) -> bool:
-    """True when an idle keep-alive socket has something to read: the server
-    closed it or sent bytes no request asked for, so it must carry no request."""
-    poller = select.poll()
-    poller.register(sock, select.POLLIN)
-    return bool(poller.poll(0))
+def _decoded(content: bytes, encoding: str) -> bytes:
+    """A body sent with ``Content-Encoding: encoding``, decoded by urllib3,
+    which decodes every coding the prepared ``Accept-Encoding`` header names."""
+    known = (*urllib3.response.HTTPResponse.CONTENT_DECODERS, "identity")
+    if any(coding.strip() not in known for coding in encoding.lower().split(",")):
+        raise RemoteProtocolError(0, f"unsupported Content-Encoding {encoding!r}")
+    try:
+        return urllib3.response.HTTPResponse(io.BytesIO(content), headers={"Content-Encoding": encoding}).data
+    except urllib3.exceptions.DecodeError as exc:
+        raise RemoteProtocolError(0, f"response body is not valid {encoding}: {exc}") from exc
 
 
 def _close_all(connections: list[http.client.HTTPConnection]) -> None:
-    for connection in connections:
+    """Close every idle connection; one a call is using stays open."""
+    while True:
+        try:
+            connection = connections.pop()
+        except IndexError:
+            return
         connection.close()
 
 
@@ -486,7 +491,8 @@ class RemoteBackend:
     statuses (redirects included, which are not followed), and malformed
     bodies all raise. At most ``max_in_flight`` requests are in flight at any
     moment, and the backend holds at most that many keep-alive connections
-    of its own, which it closes when it is garbage-collected.
+    of its own. :meth:`close` (or leaving a ``with`` block) closes the idle
+    ones; a backend that is garbage-collected closes them too.
 
     ``requests`` only prepares the request, once, when the backend is built:
     the session's headers, cookies and auth (or a ``~/.netrc`` entry), the
@@ -496,8 +502,11 @@ class RemoteBackend:
     body ``session.post(json=...)`` would send. A transport adapter mounted
     on the session is not used, and the session's response hooks are not
     run. A configured token always wins over ``~/.netrc``; without one,
-    netrc applies as in requests. Bodies encoded with gzip or deflate, which
-    the prepared ``Accept-Encoding`` header allows, are decoded.
+    netrc applies as in requests. A body sent with a ``Content-Encoding`` is
+    decoded by urllib3, whose codings (gzip and deflate, and br or zstd where
+    their modules are installed) are the ones the prepared
+    ``Accept-Encoding`` header advertises; any other coding is a
+    :class:`RemoteProtocolError` with status 0.
     """
 
     def __init__(
@@ -558,9 +567,10 @@ class RemoteBackend:
                 connection = self._idle.pop()
             except IndexError:  # none idle
                 break
-            if not _readable(connection.sock):
+            # readable while idle: the server closed it, or sent what no request asked for
+            if not urllib3.util.wait_for_read(connection.sock, timeout=0):
                 return connection
-            connection.close()  # the server closed it, or sent what no request asked for
+            connection.close()
         connection = self._new_connection()
         if self._tunnel is not None:
             connection.set_tunnel(*self._tunnel)
@@ -594,21 +604,33 @@ class RemoteBackend:
                 connection.endheaders(payload)
                 http_response = connection.getresponse()
                 content = http_response.read()
-                if http_response.getheader("Content-Encoding", "").strip().lower() in _COMPRESSED:
-                    content = zlib.decompress(content, 47)  # wbits 32 + 15: a gzip or a zlib header
             except TimeoutError as exc:
                 connection.close()  # a late answer must never reach the next call
                 raise RemoteTimeoutError(
                     f"no answer from {self._url} within {self.config.timeout_ms} ms"
                 ) from exc
-            except (OSError, http.client.HTTPException, zlib.error) as exc:
+            except (OSError, http.client.HTTPException) as exc:
                 connection.close()
                 raise RemoteProtocolError(0, f"request to {self._url} failed: {exc}") from exc
             if not http_response.will_close:  # getresponse already closed one that will
                 self._idle.append(connection)
         if not 200 <= http_response.status < 300:
             raise RemoteProtocolError(http_response.status)
+        encoding = http_response.getheader("Content-Encoding")
+        if encoding is not None:
+            content = _decoded(content, encoding)
         return self._parse_verdict(node.id, content)
+
+    def close(self) -> None:
+        """Close the backend's idle connections now rather than when it is
+        garbage-collected. A later call opens a new one."""
+        _close_all(self._idle)
+
+    def __enter__(self) -> RemoteBackend:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     @staticmethod
     def _parse_verdict(node_id: NodeId, content: bytes) -> QueryResponse:

@@ -17,6 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 import requests
+import urllib3
 
 from datagraph import (
     MalformedResponseError,
@@ -290,7 +291,19 @@ def test_request_log_shares_equal_paths_and_header_lines():
     assert len(header_texts) == 1
 
 
-@pytest.mark.parametrize("encoding, compress", [("gzip", gzip.compress), ("deflate", zlib.compress)])
+def _raw_deflate(data):
+    compressor = zlib.compressobj(wbits=-zlib.MAX_WBITS)
+    return compressor.compress(data) + compressor.flush()
+
+
+@pytest.mark.parametrize("encoding, compress", [
+    ("gzip", gzip.compress),
+    ("x-gzip", gzip.compress),
+    ("deflate", zlib.compress),
+    ("deflate", _raw_deflate),  # no zlib header, as some servers send it
+    ("deflate, gzip", lambda data: gzip.compress(zlib.compress(data))),
+    ("identity", lambda data: data),
+])
 def test_compressed_verdict_is_decoded(encoding, compress):
     body = compress(json.dumps({"satisfied": True, "count": 2, "text": "two"}).encode())
     with MockRemoteServer(raw_body=body, headers={"Content-Encoding": encoding}) as server:
@@ -298,11 +311,43 @@ def test_compressed_verdict_is_decoded(encoding, compress):
     assert (response.satisfied, response.count, response.text) == (True, 2, "two")
 
 
-def test_corrupt_compressed_body_is_a_protocol_error():
-    with MockRemoteServer(raw_body=b"not gzip at all", headers={"Content-Encoding": "gzip"}) as server:
-        with pytest.raises(RemoteProtocolError) as excinfo:
+@pytest.mark.parametrize("encoding, body, reason", [
+    ("gzip", b"not gzip at all", "response body is not valid gzip"),
+    ("compress", b'{"satisfied": true}', "unsupported Content-Encoding 'compress'"),  # not a JSON error
+])
+def test_corrupt_compressed_body_is_a_protocol_error(encoding, body, reason):
+    with MockRemoteServer(raw_body=body, headers={"Content-Encoding": encoding}) as server:
+        with pytest.raises(RemoteProtocolError, match=reason) as excinfo:
             RemoteBackend(config_for(server)).answer(make_node(), QUERY)
     assert excinfo.value.status == 0
+
+
+def test_every_coding_the_request_advertises_is_one_the_backend_decodes():
+    """requests advertises what urllib3 can decode: br and zstd join both
+    lists when their modules are installed."""
+    with MockRemoteServer() as server:
+        RemoteBackend(config_for(server)).answer(make_node(), QUERY)
+        [request] = server.requests
+    advertised = [coding.strip() for coding in request.headers["Accept-Encoding"].split(",")]
+    assert "gzip" in advertised and "deflate" in advertised
+    assert set(advertised) <= set(urllib3.response.HTTPResponse.CONTENT_DECODERS)
+
+
+def test_close_releases_the_idle_connection_and_a_later_call_opens_another():
+    closed = []
+
+    def serve(sock):
+        read_request(sock)
+        sock.sendall(KEEP_ALIVE_OK)
+        closed.append(sock.recv(1) == b"")  # the client closed its end
+
+    with raw_listener(serve) as port:
+        config = RemoteEndpointConfig(f"http://127.0.0.1:{port}", timeout_ms=2000)
+        with RemoteBackend(config) as backend:
+            backend.answer(make_node(), QUERY)
+            backend.close()
+            assert backend.answer(make_node(), QUERY).text == "raw"
+    assert closed == [True, True]
 
 
 def test_each_answer_with_connection_close_gets_a_new_connection():
