@@ -20,6 +20,7 @@ import http.client
 import io
 import json
 import os
+import re
 import socket
 import ssl
 import threading
@@ -197,6 +198,21 @@ class RemoteEndpointConfig:
         url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
+        try:
+            url.port
+        except ValueError as exc:  # not a number, or above 65535
+            raise ValueError(f"base_url {self.base_url!r} has a bad port: {exc}") from None
+        # the token is sent as a header line, which holds Latin-1 text and no line break
+        token = self.auth_token
+        if token is not None:
+            if not isinstance(token, str):
+                raise ValueError(f"auth_token must be a string, got {token!r}")
+            if "\r" in token or "\n" in token:
+                raise ValueError("auth_token must not hold a line break")
+            try:
+                token.encode("latin-1")
+            except UnicodeEncodeError:
+                raise ValueError(f"auth_token must be Latin-1 text, got {token!r}") from None
         if not 1 <= self.timeout_ms <= MAX_TIMEOUT_MS:
             raise ValueError(
                 f"timeout_ms must be from 1 to {MAX_TIMEOUT_MS} (one day), got {self.timeout_ms}"
@@ -483,6 +499,209 @@ def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.
     return context
 
 
+def _without_zone(host: str) -> str:
+    """``host`` without an IPv6 zone, as http.client strips it from the Host header."""
+    host, percent, _ = host.partition("%")
+    return host + "]" if percent else host
+
+
+def _host_header(target: str, host: str, port: int, default_port: int) -> str:
+    """The Host header http.client's ``putrequest`` writes for ``target``
+    sent to ``host:port``: an absolute target's own authority, else the host,
+    bracketed if it is an IPv6 literal, and the port unless it is the default."""
+    if target.startswith("http"):
+        return _without_zone(urlsplit(target).netloc)
+    if ":" in host:
+        host = _without_zone(f"[{host}]")
+    return host if port == default_port else f"{host}:{port}"
+
+
+def _header_line(name: str | bytes, value: str | bytes) -> bytes:
+    """One header line as http.client's ``putheader`` encodes it."""
+    name = name.encode("ascii") if isinstance(name, str) else name
+    value = value.encode("latin-1") if isinstance(value, str) else value
+    return name + b": " + value + b"\r\n"
+
+
+# http.client's limits on a response head: the bytes of one line, and its
+# lines, the blank one that ends the head included
+_MAX_LINE = 65_536
+_MAX_HEAD_LINES = 100
+_HEAD_ENDS = (b"\r\n", b"\n", b"")
+# a header line without its line break: a name of the characters the email
+# parser behind http.client takes for one, then the value, leading blanks left out
+_FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)")
+_RECV_SIZE = 65_536
+
+
+class _ResponseReader:
+    """Reads one HTTP/1.x response off a socket, framed as ``http.client``
+    frames it but without the email parser it runs on every head.
+
+    :meth:`read` skips ``100 Continue`` responses and reads the status line,
+    the header lines (at most 65,536 bytes a line and 100 lines a head, the
+    blank one that ends it included, as in http.client), then the body:
+    chunked, ``Content-Length`` or up to the close, and none for other 1xx,
+    204 and 304. Where http.client lets a malformed head or chunk through,
+    this reader refuses it: a header line that is not ``name: value``, a CR
+    inside a line, a chunk not followed by CRLF or of a negative size. Every
+    framing fault is an :class:`http.client.HTTPException`.
+
+    Each response gets its own reader, so bytes read past its end are never
+    taken as the next response; :attr:`unread` tells whether there were any.
+    """
+
+    def __init__(self, sock: socket.socket):
+        self._sock = sock
+        self._data = b""
+        self._pos = 0
+
+    @property
+    def unread(self) -> bool:
+        return self._pos < len(self._data)
+
+    def read(self) -> tuple[int, bytes, bool, str | None]:
+        """The status, the body, whether the connection closes after it (as
+        ``HTTPResponse.will_close``), and the ``Content-Encoding`` values
+        joined as ``HTTPResponse.getheader`` joins them, or None."""
+        version, status = self._status_line()
+        while status == 100:
+            self._head()
+            version, status = self._status_line()
+        if version in ("HTTP/1.0", "HTTP/0.9"):
+            http11 = False
+        elif version.startswith("HTTP/1."):
+            http11 = True
+        else:
+            raise http.client.UnknownProtocol(version)
+        fields: dict[bytes, bytes] = {}
+        encodings = []
+        for line in self._head():
+            match = _FIELD.fullmatch(line)
+            if match is None:
+                raise http.client.HTTPException(f"malformed header line {line!r}")
+            name, value = match.groups()
+            name = name.lower()
+            fields.setdefault(name, value)  # the first of a repeated name, as http.client reads it
+            if name == b"content-encoding":
+                encodings.append(value.decode("latin-1"))
+        # from here on, http.client's HTTPResponse.begin and _check_close
+        chunked = fields.get(b"transfer-encoding", b"").lower() == b"chunked"
+        connection = fields.get(b"connection", b"").lower()
+        if http11:
+            will_close = b"close" in connection
+        else:
+            will_close = not (
+                fields.get(b"keep-alive")
+                or b"keep-alive" in connection
+                or b"keep-alive" in fields.get(b"proxy-connection", b"").lower()
+            )
+        try:
+            length = int(fields[b"content-length"].decode("latin-1"))
+        except (KeyError, ValueError):
+            length = -1
+        if status in (204, 304) or status < 200:
+            length = 0
+        elif chunked or length < 0:  # chunked, or no usable length: read to the close
+            length = None
+        if not chunked and length is None:
+            will_close = True
+        if chunked:
+            body = self._chunked()
+        elif length is None:
+            body = self._rest()
+        else:
+            body = self._exactly(length)
+        return status, body, will_close, ", ".join(encodings) if encodings else None
+
+    def _line(self, what: str) -> bytes:
+        """The next line with its LF, or what is left before the close."""
+        end = self._data.find(b"\n", self._pos)
+        while end < 0:
+            buffered = len(self._data) - self._pos
+            if buffered > _MAX_LINE:
+                raise http.client.LineTooLong(what)
+            chunk = self._sock.recv(_RECV_SIZE)
+            if not chunk:
+                line, self._pos = self._data[self._pos:], len(self._data)
+                return line
+            self._data, self._pos = self._data[self._pos:] + chunk, 0
+            end = self._data.find(b"\n", buffered)
+        line, self._pos = self._data[self._pos:end + 1], end + 1
+        if len(line) > _MAX_LINE:
+            raise http.client.LineTooLong(what)
+        return line
+
+    def _status_line(self) -> tuple[str, int]:
+        """The version and status of the next status line, checked as http.client checks them."""
+        line = self._line("status line").decode("latin-1")
+        if not line:
+            raise http.client.RemoteDisconnected("Remote end closed connection without response")
+        parts = line.split(None, 2)
+        if len(parts) < 2 or not parts[0].startswith("HTTP/"):
+            raise http.client.BadStatusLine(line)
+        try:
+            status = int(parts[1])
+        except ValueError:
+            raise http.client.BadStatusLine(line) from None
+        if not 100 <= status <= 999:
+            raise http.client.BadStatusLine(line)
+        return parts[0], status
+
+    def _head(self) -> list[bytes]:
+        """The header lines up to the blank line or the close that ends the
+        head, each without its line break."""
+        lines = []
+        while True:
+            line = self._line("header line")
+            if len(lines) == _MAX_HEAD_LINES:  # this is line 101, blank or not
+                raise http.client.HTTPException(f"got more than {_MAX_HEAD_LINES} headers")
+            if line in _HEAD_ENDS:
+                return lines
+            lines.append(line.removesuffix(b"\n").removesuffix(b"\r"))
+
+    def _exactly(self, size: int) -> bytes:
+        """The next ``size`` bytes; the close before them is an IncompleteRead."""
+        data = self._data[self._pos:self._pos + size]
+        self._pos += len(data)
+        parts, missing = [data], size - len(data)
+        while missing:  # receive no byte past them
+            chunk = self._sock.recv(min(missing, _RECV_SIZE))
+            if not chunk:
+                raise http.client.IncompleteRead(b"".join(parts), missing)
+            parts.append(chunk)
+            missing -= len(chunk)
+        return data if len(parts) == 1 else b"".join(parts)
+
+    def _rest(self) -> bytes:
+        """Every byte up to the close."""
+        parts = [self._data[self._pos:]]
+        self._pos = len(self._data)
+        while chunk := self._sock.recv(_RECV_SIZE):
+            parts.append(chunk)
+        return b"".join(parts)
+
+    def _chunked(self) -> bytes:
+        """A chunked body, its chunk extensions and trailer read and dropped."""
+        parts = []
+        while True:
+            line = self._line("chunk size")
+            try:
+                size = int(line.split(b";", 1)[0], 16)
+            except ValueError:
+                size = -1
+            if size < 0:
+                raise http.client.IncompleteRead(b"".join(parts))
+            if size == 0:
+                break
+            parts.append(self._exactly(size))
+            if self._exactly(2) != b"\r\n":
+                raise http.client.HTTPException("chunk data not followed by CRLF")
+        while self._line("trailer line") not in _HEAD_ENDS:
+            pass
+        return b"".join(parts)
+
+
 class RemoteBackend:
     """HTTP adapter speaking the wire format to a live model endpoint.
 
@@ -497,12 +716,23 @@ class RemoteBackend:
     ``requests`` only prepares the request, once, when the backend is built:
     the session's headers, cookies and auth (or a ``~/.netrc`` entry), the
     bearer token, and the proxy, CA bundle and client certificate settings
-    from the session and the environment are read then, not per call. Each
-    call then goes out over :mod:`http.client` with those headers and the
-    body ``session.post(json=...)`` would send. A transport adapter mounted
-    on the session is not used, and the session's response hooks are not
-    run. A configured token always wins over ``~/.netrc``; without one,
-    netrc applies as in requests. A body sent with a ``Content-Encoding`` is
+    from the session and the environment are read then, not per call. The
+    request head is built then too: the request line, the ``Host`` header as
+    :mod:`http.client` writes it, and the prepared headers in their order.
+    Each call sends that head, its ``Content-Length`` and the body
+    ``session.post(json=...)`` would send in one write. :mod:`http.client`
+    only opens each connection: TCP with the timeout, TLS, and the
+    ``CONNECT`` tunnel through an ``https://`` endpoint's proxy. The answer
+    is read by the backend's own HTTP/1.x reader: a ``Content-Length``,
+    chunked or close-delimited body, no body for 1xx, 204 and 304, and a
+    skipped ``100 Continue``, within http.client's limits of 65,536 bytes a
+    line and 99 header lines. A malformed or short answer is a
+    :class:`RemoteProtocolError` with status 0. A connection is kept for the
+    next call unless the answer closes it (as http.client's ``will_close``
+    decides) or bytes follow the answer. A transport adapter mounted on the
+    session is not used, and the session's response hooks are not run. A
+    configured token always wins over ``~/.netrc``; without one, netrc
+    applies as in requests. A body sent with a ``Content-Encoding`` is
     decoded by urllib3, whose codings (gzip and deflate, and br or zstd where
     their modules are installed) are the ones the prepared
     ``Accept-Encoding`` header advertises; any other coding is a
@@ -527,12 +757,11 @@ class RemoteBackend:
         headers = prepared.headers.copy()
         headers.pop("Content-Length", None)
         headers.setdefault("Content-Type", "application/json")
-        self._headers = list(headers.items())
-        self._target = prepared.path_url
+        headers = list(headers.items())
         url = urlsplit(prepared.url)
         https = url.scheme == "https"
         host, port = url.hostname, url.port or (443 if https else 80)
-        self._tunnel = None
+        target, address, self._tunnel = prepared.path_url, (host, port), None
         proxy = requests.utils.select_proxy(prepared.url, settings["proxies"])
         if proxy is not None:
             proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
@@ -542,9 +771,16 @@ class RemoteBackend:
             if https:  # a CONNECT tunnel through the proxy, TLS inside it
                 self._tunnel = (host, port, proxy_headers)
             else:  # the proxy takes the absolute URL
-                self._target = prepared.url
-                self._headers += proxy_headers.items()
-            host, port = proxy_url.hostname, proxy_url.port or 80
+                target = prepared.url
+                headers += proxy_headers.items()
+            address = (proxy_url.hostname, proxy_url.port or 80)
+        # every call sends this, its Content-Length and the body in one write
+        self._head = b"".join([
+            f"POST {target} HTTP/1.1\r\n".encode("ascii"),
+            _header_line("Host", _host_header(target, host, port, 443 if https else 80)),
+            *(_header_line(name, value) for name, value in headers),
+            b"Content-Length: ",
+        ])
         timeout_s = config.timeout_ms / 1000.0
         if https:
             try:
@@ -552,10 +788,10 @@ class RemoteBackend:
             except OSError as exc:  # a CA bundle or certificate that cannot be read
                 raise RemoteProtocolError(0, f"TLS settings for {self._url}: {exc}") from exc
             self._new_connection = partial(
-                http.client.HTTPSConnection, host, port, timeout=timeout_s, context=context
+                http.client.HTTPSConnection, *address, timeout=timeout_s, context=context
             )
         else:
-            self._new_connection = partial(http.client.HTTPConnection, host, port, timeout=timeout_s)
+            self._new_connection = partial(http.client.HTTPConnection, *address, timeout=timeout_s)
         self._idle: list[http.client.HTTPConnection] = []
         weakref.finalize(self, _close_all, self._idle)
         self._in_flight = threading.BoundedSemaphore(config.max_in_flight)
@@ -589,21 +825,18 @@ class RemoteBackend:
             ),
         }
         payload = json.dumps(body, allow_nan=False).encode()  # the bytes requests sends for json=body
+        request = b"%s%d\r\n\r\n%s" % (self._head, len(payload), payload)
         with self._in_flight:
             connection = self._connection()
             try:
                 if connection.sock is None:
                     connection.connect()
-                    # headers and body go out in two sends; without this, Nagle's
-                    # algorithm holds the body until the server's delayed ACK
+                    # without this, Nagle's algorithm holds the tail of a request
+                    # longer than one segment until the server's delayed ACK
                     connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                connection.putrequest("POST", self._target, skip_accept_encoding=True)
-                for name, value in self._headers:
-                    connection.putheader(name, value)
-                connection.putheader("Content-Length", str(len(payload)))
-                connection.endheaders(payload)
-                http_response = connection.getresponse()
-                content = http_response.read()
+                connection.sock.sendall(request)
+                reader = _ResponseReader(connection.sock)
+                status, content, will_close, encoding = reader.read()
             except TimeoutError as exc:
                 connection.close()  # a late answer must never reach the next call
                 raise RemoteTimeoutError(
@@ -612,11 +845,12 @@ class RemoteBackend:
             except (OSError, http.client.HTTPException) as exc:
                 connection.close()
                 raise RemoteProtocolError(0, f"request to {self._url} failed: {exc}") from exc
-            if not http_response.will_close:  # getresponse already closed one that will
+            if will_close or reader.unread:  # bytes past the answer: no request asked for them
+                connection.close()
+            else:
                 self._idle.append(connection)
-        if not 200 <= http_response.status < 300:
-            raise RemoteProtocolError(http_response.status)
-        encoding = http_response.getheader("Content-Encoding")
+        if not 200 <= status < 300:
+            raise RemoteProtocolError(status)
         if encoding is not None:
             content = _decoded(content, encoding)
         return self._parse_verdict(node.id, content)

@@ -303,6 +303,13 @@ def input_files(tmp_path, world_dir):
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "timeout_ms": 10**20}),
         ("config_fractional_in_flight", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "max_in_flight": 1.5}),
+        ("config_bad_port", "backend", {"kind": "remote", "base_url": "http://127.0.0.1:99999"}),
+        ("config_int_auth_token", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "auth_token": 7}),
+        ("config_line_break_auth_token", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "auth_token": "a\nb"}),
+        ("config_non_latin1_auth_token", "backend",
+         {"kind": "remote", "base_url": "http://127.0.0.1:1", "auth_token": "\u20ac"}),
         ("config_string_strategies", "strategies", "proximity"),
         ("config_string_formats", "report_formats", "json"),
         ("config_nested_strategies", "strategies", [["proximity"]]),
@@ -525,6 +532,14 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                  "error: config.backend: base_url must be an http:// or https:// URL, got 'x'"),
                 ("config_huge_timeout",
                  f"error: config.backend: timeout_ms must be from 1 to 86400000 (one day), got {10**20}"),
+                ("config_bad_port",
+                 "error: config.backend: base_url 'http://127.0.0.1:99999' has a bad port: "
+                 "Port out of range 0-65535"),
+                ("config_int_auth_token", "error: config.backend: auth_token must be a string, got 7"),
+                ("config_line_break_auth_token",
+                 "error: config.backend: auth_token must not hold a line break"),
+                ("config_non_latin1_auth_token",
+                 "error: config.backend: auth_token must be Latin-1 text, got '\u20ac'"),
             ]
         ],
         pytest.param(["gen", "--grid-w", "3", "--room-size", "1e308", "{directory}/out"], 2,
@@ -577,6 +592,19 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(AGGREGATE + ["--base-url", "x"], 2,
                      "error: base_url must be an http:// or https:// URL, got 'x'",
                      id="aggregate-remote-schemeless-url"),
+        pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:99999"], 2,
+                     "error: base_url 'http://127.0.0.1:99999' has a bad port: Port out of range 0-65535",
+                     id="route-remote-port-out-of-range"),
+        pytest.param(AGGREGATE + ["--base-url", "http://127.0.0.1:abc"], 2,
+                     "error: base_url 'http://127.0.0.1:abc' has a bad port: "
+                     "Port could not be cast to integer value as 'abc'",
+                     id="aggregate-remote-port-not-a-number"),
+        pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--auth-token", "a\nb"], 2,
+                     "error: auth_token must not hold a line break",
+                     id="route-auth-token-line-break"),
+        pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--auth-token", "\u20ac"], 2,
+                     "error: auth_token must be Latin-1 text, got '\u20ac'",
+                     id="route-auth-token-not-latin-1"),
         pytest.param(ROUTE + ["--store", "{empty_store}"], 3,
                      "error: no recorded response for node 0",
                      id="route-replay-miss"),

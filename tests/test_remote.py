@@ -641,6 +641,23 @@ def test_config_validation():
         for value in (2.5, True):
             with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
                 RemoteEndpointConfig(base_url="http://x", **{name: value})
+    # what the backend could not send: a port urlsplit refuses, a token that is no header value
+    for base_url, reason in [
+        ("http://x:99999", "Port out of range 0-65535"),
+        ("http://x:abc", "Port could not be cast to integer value as 'abc'"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            RemoteEndpointConfig(base_url=base_url)
+        assert str(excinfo.value) == f"base_url '{base_url}' has a bad port: {reason}"
+    for token, message in [
+        (7, "auth_token must be a string, got 7"),
+        ("a\nb", "auth_token must not hold a line break"),
+        ("a\rb", "auth_token must not hold a line break"),
+        ("\u20ac", "auth_token must be Latin-1 text, got '\u20ac'"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            RemoteEndpointConfig(base_url="http://x", auth_token=token)
+    assert RemoteEndpointConfig(base_url="http://x:8080", auth_token="caf\u00e9").auth_token == "caf\u00e9"
 
 
 def test_timeout_is_at_most_a_day():
