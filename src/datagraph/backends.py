@@ -49,6 +49,7 @@ from .graph import (
     Snapshot,
     _check_bool,
     _check_id,
+    _is_integer,
     _KindError,
     _object_text,
     _record,
@@ -767,7 +768,10 @@ class RemoteBackend:
             proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
             if proxy_url.scheme != "http":
                 raise RemoteProtocolError(0, f"proxy {proxy} for {self._url}: only http:// proxies are supported")
-            proxy_headers = _proxy_auth(proxy)
+            try:
+                proxy_headers = _proxy_auth(proxy)
+            except UnicodeEncodeError:  # sent as a header line, which holds Latin-1 text
+                raise RemoteProtocolError(0, f"proxy for {self._url}: credentials must be Latin-1 text") from None
             if https:  # a CONNECT tunnel through the proxy, TLS inside it
                 self._tunnel = (host, port, proxy_headers)
             else:  # the proxy takes the absolute URL
@@ -896,7 +900,7 @@ class RemoteBackend:
             except ValueError as exc:
                 raise MalformedResponseError(f"bad object in response: {exc}") from exc
         count = doc.get("count", len(matches))
-        if not isinstance(count, int) or isinstance(count, bool) or count < 0:
+        if not _is_integer(count) or count < 0:
             raise MalformedResponseError("'count' must be a non-negative integer")
         text = doc.get("text", "")
         if not isinstance(text, str):

@@ -56,7 +56,7 @@ import numbers
 from bisect import bisect_left
 from contextlib import contextmanager
 from collections import deque
-from dataclasses import FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
 from heapq import heappop, heappush
 
 from . import output
@@ -136,6 +136,19 @@ def _check_label(value, what: str) -> str:
     if not value:
         raise ValueError(f"{what} must be non-empty")
     return value
+
+
+def _named_fields(record, doc: dict) -> dict:
+    """The fields of the dataclass ``record`` that ``doc`` names, as keyword
+    arguments: a field the document leaves out takes its default, and a
+    required one it leaves out is a KeyError naming it."""
+    named = {}
+    for f in fields(record):
+        if f.name in doc:
+            named[f.name] = doc[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return named
 
 
 _NO_ATTRIBUTES: dict[str, str] = {}  # a default argument, never stored: the check copies it

@@ -44,7 +44,9 @@ from .graph import (
     _check_id,
     _check_label,
     _collector_paused,
+    _is_integer,
     _KindError,
+    _named_fields,
     by_metric,
 )
 from .traversal import (
@@ -79,16 +81,18 @@ def derive_seed(*parts: int) -> int:
 @dataclass(frozen=True)
 class TaskConfig:
     kind: str
-    count: int
-    seed: int
+    count: int = 1
+    seed: int = 0
 
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ConfigError(f"unknown task kind {self.kind!r}")
-        if not isinstance(self.count, int) or isinstance(self.count, bool) or self.count < 1:
+        if not _is_integer(self.count) or self.count < 1:
             raise ConfigError(f"task count must be a positive integer, got {self.count!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ConfigError(f"task seed must be a non-negative integer, got {self.seed!r}")
+        object.__setattr__(self, "count", int(self.count))
+        object.__setattr__(self, "seed", int(self.seed))
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "count": self.count, "seed": self.seed}
@@ -103,6 +107,9 @@ class BackendConfig:
     forward_annotations: bool = False
 
     def __post_init__(self):
+        for name in ("store_path", "record_path"):
+            _path(getattr(self, name), f"config.backend.{name}")
+        _flag(self.forward_annotations, "config.backend.forward_annotations")
         if self.kind not in ("oracle", "replay", "remote"):
             raise ConfigError(f"unknown backend kind {self.kind!r}")
         if self.kind == "replay" and not self.store_path:
@@ -150,6 +157,9 @@ class ExperimentConfig:
     brute_force_stop_on_first: bool = False
 
     def __post_init__(self):
+        for name in ("cache_enabled", "shared_cache", "brute_force_stop_on_first"):
+            _flag(getattr(self, name), f"config.{name}")
+        _path(self.output_dir, "config.output_dir")
         for name in ("strategies", "report_formats"):
             names = getattr(self, name)
             if not isinstance(names, (list, tuple)) or not all(isinstance(n, str) for n in names):
@@ -207,11 +217,11 @@ class ExperimentConfig:
                 merged[key] = value
         world_doc = merged.get("world")
         if isinstance(world_doc, str):
-            world: WorldSpec | WorldFiles = WorldFiles(_path(merged, "world", "config"))
+            world: WorldSpec | WorldFiles = WorldFiles(_path(world_doc, "config.world"))
         elif isinstance(world_doc, dict) and "path" in world_doc:
             world = WorldFiles(
-                _path(world_doc, "path", "config.world", required=True),
-                _path(world_doc, "ground_truth", "config.world"),
+                _path(world_doc["path"], "config.world.path", required=True),
+                _path(world_doc.get("ground_truth"), "config.world.ground_truth"),
             )
         elif isinstance(world_doc, dict):
             world = WorldSpec.from_json_dict(world_doc)
@@ -221,53 +231,31 @@ class ExperimentConfig:
         if not isinstance(tasks_doc, dict):
             raise ConfigError("config.tasks must be an object")
         try:
-            tasks = TaskConfig(
-                kind=tasks_doc["kind"],
-                count=_check_id(tasks_doc.get("count", 1), "count"),
-                seed=tasks_doc.get("seed", 0),
-            )
+            if "count" in tasks_doc:  # the document's own message for a count that is not an integer
+                _check_id(tasks_doc["count"], "count")
+            tasks = TaskConfig(**_named_fields(TaskConfig, tasks_doc))
         except KeyError as exc:
             raise ConfigError(f"config.tasks: missing field {exc}") from exc
         except ValueError as exc:
             raise ConfigError(f"config.tasks: {exc}") from exc
-        backend_doc = merged.get("backend", {"kind": "oracle"})
+        backend_doc = merged.get("backend", {})
         if not isinstance(backend_doc, dict):
             raise ConfigError("config.backend must be an object or a backend kind")
-        remote = None
-        if backend_doc.get("kind") == "remote":
-            remote_doc = backend_doc.get("remote", backend_doc)
+        backend = _named_fields(BackendConfig, backend_doc)
+        if backend.get("kind") == "remote":
+            remote_doc = backend.get("remote", backend_doc)
             if not isinstance(remote_doc, dict):
                 raise ConfigError(f"config.backend.remote must be an object, got {remote_doc!r}")
             try:
-                # only the fields the document names: RemoteEndpointConfig holds the defaults
-                named = ("timeout_ms", "max_in_flight", "auth_token")
-                remote = RemoteEndpointConfig(
-                    base_url=remote_doc["base_url"],
-                    **{key: remote_doc[key] for key in named if key in remote_doc},
-                )
+                backend["remote"] = RemoteEndpointConfig(**_named_fields(RemoteEndpointConfig, remote_doc))
             except KeyError as exc:
                 raise ConfigError(f"config.backend: missing field {exc}") from exc
             except ValueError as exc:
                 raise ConfigError(f"config.backend: {exc}") from exc
-        backend = BackendConfig(
-            kind=backend_doc.get("kind", "oracle"),
-            store_path=_path(backend_doc, "store_path", "config.backend"),
-            record_path=_path(backend_doc, "record_path", "config.backend"),
-            remote=remote,
-            forward_annotations=_flag(backend_doc, "forward_annotations", False, "config.backend"),
-        )
-        return cls(
-            world=world,
-            tasks=tasks,
-            backend=backend,
-            strategies=merged.get("strategies", STRATEGIES),
-            cache_enabled=_flag(merged, "cache_enabled", True),
-            output_dir=_path(merged, "output_dir", "config"),
-            report_formats=merged.get("report_formats", ("json",)),
-            metric=merged.get("metric", "hops"),
-            shared_cache=_flag(merged, "shared_cache", False),
-            brute_force_stop_on_first=_flag(merged, "brute_force_stop_on_first", False),
-        )
+        else:  # only a remote backend reads endpoint settings
+            backend.pop("remote", None)
+        merged.update(world=world, tasks=tasks, backend=BackendConfig(**backend))
+        return cls(**_named_fields(cls, merged))
 
     @classmethod
     def load(cls, source, overrides: dict | None = None) -> ExperimentConfig:
@@ -276,22 +264,21 @@ class ExperimentConfig:
         return cls.from_json_dict(output.read_document(source, ConfigError), overrides)
 
 
-def _path(doc: dict, name: str, where: str, required: bool = False) -> str | None:
-    """A path config field: a non-empty string, or absent or null unless
-    ``required``; any other value is a ConfigError."""
-    value = doc.get(name)
+def _path(value, what: str, required: bool = False) -> str | None:
+    """A path config field: a non-empty string, or null unless ``required``;
+    any other value is a ConfigError."""
     if value is None and not required:
         return None
     try:
-        return _check_label(value, f"{where}.{name}")
+        return _check_label(value, what)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _flag(doc: dict, name: str, default: bool, where: str = "config") -> bool:
+def _flag(value, what: str) -> bool:
     """A boolean config field; any other kind of value is a ConfigError."""
     try:
-        return _check_bool(doc.get(name, default), f"{where}.{name}")
+        return _check_bool(value, what)
     except _KindError as exc:
         raise ConfigError(str(exc)) from None
 

@@ -43,7 +43,9 @@ from .graph import (
     _check_id,
     _check_label,
     _collector_paused,
+    _is_integer,
     _KindError,
+    _named_fields,
     _record,
     _slot_setters,
 )
@@ -131,11 +133,7 @@ class CatalogEntry:
     def from_json_dict(cls, doc: dict) -> CatalogEntry:
         if not isinstance(doc, dict):
             raise WorldSpecError(f"catalog entry must be an object, got {doc!r}")
-        return cls(
-            label=doc["label"],
-            attributes=doc.get("attributes", {}),
-            weight=doc.get("weight", 1.0),
-        )
+        return cls(**_named_fields(cls, doc))
 
 
 def default_catalog() -> tuple[CatalogEntry, ...]:
@@ -169,8 +167,9 @@ class WorldSpec:
     def __post_init__(self):
         for name in ("grid_w", "grid_h"):
             value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not _is_integer(value) or value < 1:
                 raise WorldSpecError(f"{name} must be a positive integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         for name in ("room_size_m", "door_prob", "objects_per_room_mean",
                      "boundary_duplicate_prob", "min_label_separation_m"):
             _check_number(getattr(self, name), name)
@@ -205,8 +204,9 @@ class WorldSpec:
                 f"a world holds at most {MAX_OBJECTS} objects, but objects_per_room_mean "
                 f"{self.objects_per_room_mean!r} over {self.grid_w * self.grid_h} rooms expects more"
             )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+        if not _is_integer(self.seed) or not 0 <= self.seed < 2**64:
             raise WorldSpecError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "seed", int(self.seed))
         if not (math.isfinite(self.min_label_separation_m) and self.min_label_separation_m >= 0):
             raise WorldSpecError(
                 f"min_label_separation_m must be finite and non-negative, "
@@ -242,23 +242,13 @@ class WorldSpec:
     @classmethod
     def from_json_dict(cls, doc: dict) -> WorldSpec:
         output.check_version(doc, 1, "world spec", WorldSpecError)
-        catalog = doc.get("catalog")
-        if "catalog" in doc and not isinstance(catalog, list):
-            raise WorldSpecError(f"catalog must be an array of entries, got {catalog!r}")
+        if "catalog" in doc and not isinstance(doc["catalog"], list):
+            raise WorldSpecError(f"catalog must be an array of entries, got {doc['catalog']!r}")
         try:
-            return cls(
-                grid_w=doc["grid_w"],
-                grid_h=doc["grid_h"],
-                room_size_m=doc.get("room_size_m", 6.0),
-                door_prob=doc.get("door_prob", 0.35),
-                catalog=(
-                    default_catalog() if catalog is None else tuple(map(CatalogEntry.from_json_dict, catalog))
-                ),
-                objects_per_room_mean=doc.get("objects_per_room_mean", 2.0),
-                boundary_duplicate_prob=doc.get("boundary_duplicate_prob", 0.0),
-                seed=doc.get("seed", 0),
-                min_label_separation_m=doc.get("min_label_separation_m", 1.1),
-            )
+            named = _named_fields(cls, doc)
+            if "catalog" in named:
+                named["catalog"] = tuple(map(CatalogEntry.from_json_dict, named["catalog"]))
+            return cls(**named)
         except KeyError as exc:
             raise WorldSpecError(f"world spec: missing field {exc}") from exc
 
