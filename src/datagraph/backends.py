@@ -195,7 +195,7 @@ class RemoteEndpointConfig:
 
     def __post_init__(self):
         for name in ("timeout_ms", "max_in_flight"):
-            _check_id(getattr(self, name), name)
+            object.__setattr__(self, name, _check_id(getattr(self, name), name))
         url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")

@@ -138,19 +138,6 @@ def _check_label(value, what: str) -> str:
     return value
 
 
-def _named_fields(record, doc: dict) -> dict:
-    """The fields of the dataclass ``record`` that ``doc`` names, as keyword
-    arguments: a field the document leaves out takes its default, and a
-    required one it leaves out is a KeyError naming it."""
-    named = {}
-    for f in fields(record):
-        if f.name in doc:
-            named[f.name] = doc[f.name]
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise KeyError(f.name)
-    return named
-
-
 _NO_ATTRIBUTES: dict[str, str] = {}  # a default argument, never stored: the check copies it
 
 
@@ -198,6 +185,19 @@ def _as_vec3(values, what: str) -> tuple[float, float, float]:
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{what} components must be finite, got {(x, y, z)}")
     return (x, y, z)
+
+
+def _named_fields(record, doc: dict) -> dict:
+    """The fields of the dataclass ``record`` that ``doc`` names, as keyword
+    arguments: a field the document leaves out takes its default, which is
+    written only on the dataclass, and a required one is a KeyError naming it."""
+    named = {}
+    for f in fields(record):
+        if f.name in doc:
+            named[f.name] = doc[f.name]
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise KeyError(f.name)
+    return named
 
 
 # Each record sets each field once, in its own __init__: a generated __init__

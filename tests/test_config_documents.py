@@ -172,8 +172,11 @@ def test_a_saved_world_spec_reads_back_as_its_spec(spec):
 
 def test_integral_counts_and_seeds_are_stored_as_ints():
     # a numpy integer in a config would reach the report's echo, which json.dumps refuses
+    remote = RemoteEndpointConfig(URL, np.int64(500), np.uint8(2))
     config = ExperimentConfig(WorldSpec(np.int64(2), np.uint16(3), seed=np.uint64(2**63)),
-                              TaskConfig("nearest_search", np.int32(4), np.int64(5)))
-    numbers = [config.world.grid_w, config.world.grid_h, config.world.seed, config.tasks.count, config.tasks.seed]
-    assert numbers == [2, 3, 2**63, 4, 5] and {type(n) for n in numbers} == {int}
+                              TaskConfig("nearest_search", np.int32(4), np.int64(5)),
+                              BackendConfig("remote", remote=remote))
+    numbers = [config.world.grid_w, config.world.grid_h, config.world.seed, config.tasks.count, config.tasks.seed,
+               remote.timeout_ms, remote.max_in_flight]
+    assert numbers == [2, 3, 2**63, 4, 5, 500, 2] and {type(n) for n in numbers} == {int}
     json.dumps(config.to_json_dict())
