@@ -767,7 +767,8 @@ class RemoteBackend:
         if proxy is not None:
             proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
             if proxy_url.scheme != "http":
-                raise RemoteProtocolError(0, f"proxy {proxy} for {self._url}: only http:// proxies are supported")
+                shown = proxy_url._replace(netloc=proxy_url.netloc.rpartition("@")[2]).geturl()  # no credentials
+                raise RemoteProtocolError(0, f"proxy {shown} for {self._url}: only http:// proxies are supported")
             try:
                 proxy_headers = _proxy_auth(proxy)
             except UnicodeEncodeError:  # sent as a header line, which holds Latin-1 text

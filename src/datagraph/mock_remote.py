@@ -5,33 +5,52 @@ configurable canned verdict, raw bytes, error status, or per-request
 callback. It records every request it sees and tracks the peak number of
 concurrent requests so client-side in-flight limits can be asserted.
 
-It speaks HTTP/1.1 and keeps each connection open, so a client that pools
-its connections sends all its requests over one; ``connections_seen``
-counts the connections accepted. ``stop()`` closes every connection still
-open, cuts short any ``delay_s`` wait, and returns once each connection's
-handler thread has ended.
+It speaks HTTP/1.1 from one lean request loop per connection: the request
+line and header lines are read under http.server's limits, the body by its
+``Content-Length``, and each reply (status line, headers and body) goes out
+in one write. It keeps each connection open, so a client that pools its
+connections sends all its requests over one, and pipelined requests are
+answered in order; ``connections_seen`` counts the connections accepted. It
+closes a connection after an HTTP/1.0 request, after a ``Connection: close``
+request or reply header, and after each error reply. The error replies have
+an empty body: 400 for a bad request line or ``Content-Length``, 414 for a
+request line over 65,536 bytes, 431 for a header line over that or more
+than 100 header lines, 501 for a method other than POST and 505 for HTTP/2
+or later. ``Expect: 100-continue`` gets ``100 Continue`` first. ``stop()``
+shuts down the listening socket and every connection still open, cuts short
+any ``delay_s`` wait, and returns once each of its threads has ended.
 """
 
 from __future__ import annotations
 
 import email
 import json
+import re
 import socket
 import threading
 from dataclasses import dataclass, field
+from http import HTTPStatus
 from http.client import HTTPMessage
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+# http.server's limits: bytes in a request or header line, and header lines
+# counted with the blank line that ends them
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+_END_OF_HEADERS = (b"\r\n", b"\n", b"")
+# what the email parser takes for a header name; a line without one ends the headers
+_HEADER_NAME = re.compile(r"[!-9;-~]+")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class RecordedRequest:
     """One request the server saw: its path, header lines and raw body.
 
-    Only those three are kept, and requests with an equal path or equal
-    header lines share one string, so a long run's log stays small.
-    ``headers`` and ``body`` are parsed each time they are read: the first
-    value wins for a repeated header name, and ``body`` is None for an empty
-    body or one that is not JSON.
+    Only those three are kept. Equal requests share one record, and records
+    with an equal path or equal header lines share one string, so a long
+    run's log stays small. ``headers`` and ``body`` are parsed each time they
+    are read: the first value wins for a repeated header name, and ``body``
+    is None for an empty body or one that is not JSON.
     """
 
     path: str
@@ -63,54 +82,57 @@ class MockBehavior:
     request_log: list[RecordedRequest] = field(default_factory=list)
 
 
-# how often serve_forever looks for a shutdown request; stop() waits up to this long
-_POLL_INTERVAL_S = 0.05
+def _http_version(word: str) -> tuple[int, int] | None:
+    """``HTTP/<major>.<minor>`` as http.server reads it, or None if it is not one."""
+    numbers = word[5:].split(".") if word.startswith("HTTP/") else ()
+    if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
+        return None
+    return int(numbers[0]), int(numbers[1])
 
 
-class _Server(ThreadingHTTPServer):
-    """Serves each connection on its own thread and keeps the open ones.
+def _read_headers(rfile) -> tuple[str, dict[str, str]] | None:
+    """One request's header lines, read up to the blank line that ends them.
 
-    ``server_close`` shuts down every connection still open, which ends its
-    handler's wait for a next request, and joins every handler thread.
+    Returns them as ``name: value`` lines, as http.server's email parser
+    reads them (blanks after the colon dropped, a line that opens with a
+    blank kept as part of the field before it), and the first value of each
+    lower-cased name. None for a line or a count past http.server's limits.
     """
+    fields: list[list[str]] = []
+    ended = False
+    for _ in range(_MAX_HEADERS):
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return None
+        if line in _END_OF_HEADERS:
+            break
+        if ended:
+            continue
+        text = line.decode("latin-1")
+        if text[0] in " \t":
+            if fields:
+                fields[-1][1] += text
+            continue
+        name, colon, value = text.partition(":")
+        if colon and _HEADER_NAME.fullmatch(name):
+            fields.append([name, value.lstrip(" \t")])
+        else:
+            ended = True
+    else:
+        return None
+    first: dict[str, str] = {}
+    lines = []
+    for name, value in fields:
+        value = value.rstrip("\r\n")
+        first.setdefault(name.lower(), value)
+        lines.append(f"{name}: {value}\r\n")
+    return "".join(lines), first
 
-    def __init__(self, handler_class):
-        super().__init__(("127.0.0.1", 0), handler_class)
-        self._connections_lock = threading.Lock()
-        self._open: set[socket.socket] = set()
-        self._handlers: list[threading.Thread] = []
-        self.connections_seen = 0
 
-    def process_request(self, request, client_address):
-        # a daemon, as in ThreadingHTTPServer: a server never stopped does not hold up exit
-        thread = threading.Thread(
-            target=self.process_request_thread, args=(request, client_address), daemon=True
-        )
-        with self._connections_lock:
-            self.connections_seen += 1
-            self._open.add(request)
-            self._handlers = [t for t in self._handlers if t.is_alive()]
-            self._handlers.append(thread)
-        thread.start()
-
-    def shutdown_request(self, request):
-        # leave the set before the socket is closed, so server_close never
-        # shuts down a closed socket
-        with self._connections_lock:
-            self._open.discard(request)
-        super().shutdown_request(request)
-
-    def server_close(self):
-        super().server_close()
-        with self._connections_lock:
-            for sock in self._open:
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:  # the client already reset it
-                    pass
-            handlers = self._handlers
-        for thread in handlers:
-            thread.join()
+def _refuse(sock: socket.socket, status: int) -> bool:
+    """Send an error reply, which closes the connection; False, to end it."""
+    sock.sendall(f"HTTP/1.1 {status} {_REASONS[status]}\r\nConnection: close\r\nContent-Length: 0\r\n\r\n".encode())
+    return False
 
 
 class MockRemoteServer:
@@ -122,63 +144,120 @@ class MockRemoteServer:
         self._stopping = threading.Event()
         self._in_flight = 0
         self.max_concurrent_seen = 0
-        # one copy of each distinct path and header text, which most requests repeat
-        self._texts: dict[str, str] = {}
-        outer = self
+        self.connections_seen = 0  # TCP connections accepted
+        # one copy of each distinct path, header text and request, which most requests repeat
+        self._shared: dict = {}
+        self._open: set[socket.socket] = set()
+        self._threads: list[threading.Thread] = []
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._thread = threading.Thread(target=self._accept, daemon=True)
 
-        class Handler(BaseHTTPRequestHandler):
-            protocol_version = "HTTP/1.1"  # one handler thread serves a whole connection
-            # headers and body go out in two sends; without this, Nagle's
-            # algorithm holds the body until the client's delayed ACK
-            disable_nagle_algorithm = True
+    def _accept(self):
+        """Serve each accepted connection on its own thread until stop()."""
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                if self._stopping.is_set():  # stop() shut the listener down
+                    return
+                continue  # the client gave up before it was accepted
+            # a daemon, so a server never stopped does not hold up exit
+            thread = threading.Thread(target=self._serve, args=(sock,), daemon=True)
+            with self._lock:
+                self.connections_seen += 1
+                self._open.add(sock)
+                self._threads = [t for t in self._threads if t.is_alive()]
+                self._threads.append(thread)
+            thread.start()
 
-            def log_message(self, *args):  # keep test output clean
-                pass
-
-            def handle(self):
-                try:
-                    super().handle()
-                except ConnectionError:  # the client gave up (timeout tests): end the connection
+    def _serve(self, sock: socket.socket):
+        """Answer one connection's requests in order until one ends it."""
+        try:
+            # a 100 Continue or pipelined replies are several writes; without
+            # this, Nagle's algorithm holds a later one until the client's delayed ACK
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with sock.makefile("rb") as rfile:
+                while self._answer(sock, rfile):
                     pass
+        except OSError:  # the client reset the connection, or stop() shut it down
+            pass
+        finally:
+            # leave the set before the socket is closed, so stop() never shuts down a closed socket
+            with self._lock:
+                self._open.discard(sock)
+            try:
+                sock.shutdown(socket.SHUT_WR)
+            except OSError:  # the client already reset it
+                pass
+            sock.close()
 
-            def do_POST(self):
-                outer._enter()
-                try:
-                    length = int(self.headers.get("Content-Length", "0"))
-                    header_text = "".join([f"{k}: {v}\r\n" for k, v in self.headers.items()])
-                    raw_body = self.rfile.read(length)
-                    with outer._lock:
-                        texts = outer._texts
-                        path = texts.setdefault(self.path, self.path)
-                        request = RecordedRequest(path, texts.setdefault(header_text, header_text), raw_body)
-                        outer.behavior.request_log.append(request)
-                    behavior = outer.behavior
-                    if behavior.delay_s:
-                        outer._stopping.wait(behavior.delay_s)
-                    if behavior.handler is not None:
-                        status, doc = behavior.handler(request.body)
-                        payload = json.dumps(doc).encode("utf-8")
-                    elif behavior.raw_body is not None:
-                        status, payload = behavior.status, behavior.raw_body
-                    else:
-                        doc = behavior.body
-                        if doc is None:
-                            doc = {"satisfied": False, "text": "nothing here"}
-                        status, payload = behavior.status, json.dumps(doc).encode("utf-8")
-                    self.send_response(status)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(payload)))
-                    for name, value in behavior.headers.items():
-                        self.send_header(name, value)
-                    self.end_headers()
-                    self.wfile.write(payload)
-                finally:
-                    outer._exit()
-
-        self._server = _Server(Handler)
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, args=(_POLL_INTERVAL_S,), daemon=True
-        )
+    def _answer(self, sock: socket.socket, rfile) -> bool:
+        """Read one request and answer it; False once the connection should close."""
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            return _refuse(sock, 414)
+        words = line.decode("latin-1").split()
+        if not words:  # the client closed the connection, or sent a blank line
+            return False
+        version = _http_version(words[-1]) if len(words) >= 3 else None
+        if version is not None and version >= (2, 0):
+            return _refuse(sock, 505)
+        if version is None or len(words) > 3:
+            return _refuse(sock, 400)
+        method, path = words[0], words[1]
+        if path.startswith("//"):  # as http.server reads it: a path, not a host
+            path = "/" + path.lstrip("/")
+        headers = _read_headers(rfile)
+        if headers is None:
+            return _refuse(sock, 431)
+        header_text, first = headers
+        keep_open = version >= (1, 1)
+        connection = first.get("connection", "").lower()
+        if connection in ("close", "keep-alive"):
+            keep_open = connection == "keep-alive"
+        if version >= (1, 1) and first.get("expect", "").lower() == "100-continue":
+            sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if method != "POST":
+            return _refuse(sock, 501)
+        length = first.get("content-length", "0").strip()
+        if not length.isdecimal():
+            return _refuse(sock, 400)
+        self._enter()
+        try:
+            raw_body = rfile.read(int(length))
+            with self._lock:
+                shared = self._shared
+                request = RecordedRequest(
+                    shared.setdefault(path, path), shared.setdefault(header_text, header_text), raw_body
+                )
+                request = shared.setdefault(request, request)
+                self.behavior.request_log.append(request)
+            behavior = self.behavior
+            if behavior.delay_s:
+                self._stopping.wait(behavior.delay_s)
+            if behavior.handler is not None:
+                status, doc = behavior.handler(request.body)
+                payload = json.dumps(doc).encode("utf-8")
+            elif behavior.raw_body is not None:
+                status, payload = behavior.status, behavior.raw_body
+            else:
+                doc = behavior.body
+                if doc is None:
+                    doc = {"satisfied": False, "text": "nothing here"}
+                status, payload = behavior.status, json.dumps(doc).encode("utf-8")
+            head = [
+                f"HTTP/1.1 {status} {_REASONS.get(status, '')}\r\n"
+                f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\n"
+            ]
+            for name, value in behavior.headers.items():
+                head.append(f"{name}: {value}\r\n")
+                if name.lower() == "connection" and value.lower() in ("close", "keep-alive"):
+                    keep_open = value.lower() == "keep-alive"
+            head.append("\r\n")
+            sock.sendall("".join(head).encode("latin-1") + payload)
+        finally:
+            self._exit()
+        return keep_open
 
     def _enter(self):
         with self._lock:
@@ -191,28 +270,32 @@ class MockRemoteServer:
 
     @property
     def base_url(self) -> str:
-        host, port = self._server.server_address
+        host, port = self._listener.getsockname()
         return f"http://{host}:{port}"
 
     @property
     def requests(self) -> list[RecordedRequest]:
         return self.behavior.request_log
 
-    @property
-    def connections_seen(self) -> int:
-        """How many TCP connections the server has accepted."""
-        return self._server.connections_seen
-
     def start(self) -> MockRemoteServer:
         self._thread.start()
         return self
 
     def stop(self) -> None:
-        """Stop serving and close every open connection; return once their threads end."""
+        """Stop serving and close every open connection; return once every thread has ended."""
         self._stopping.set()
-        self._server.shutdown()
+        self._listener.shutdown(socket.SHUT_RDWR)  # wakes the accept thread
         self._thread.join()
-        self._server.server_close()
+        self._listener.close()
+        with self._lock:
+            for sock in self._open:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:  # the client already reset it
+                    pass
+            threads = self._threads
+        for thread in threads:
+            thread.join()
 
     def __enter__(self) -> MockRemoteServer:
         return self.start()
