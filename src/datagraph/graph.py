@@ -5,21 +5,25 @@ A :class:`Datagraph` is built whole and never changes: its one constructor,
 ``(a, b, traversable, length_m)`` edge tuples, checks each edge once, and
 raises :class:`GraphValidationError` on any violation. World generation and
 loading both call it, with the cyclic garbage collector paused
-(:func:`_collector_paused`), and each trial of ``run_compare`` runs under
-the same pause. Loading reads the document through
-:func:`output.read_document`, the one reader of every input file, which also
-checks its ``format_version``. Records built by hand or loaded check their
-own fields with one helper per kind of field (ids, booleans, labels,
-attributes, numbers and number vectors), and the constructor, the loaders,
-the experiment config and the world spec use the same helpers, so each check
-is written once. Generated poses and scene objects are built unchecked, each
-once, through their ``_of``: world generation checks its spec once
-(``WorldSpec`` and ``CatalogEntry`` hold those checks), and every field it
-derives from that spec is valid by construction. A graph is safe to share
-across threads without locking. Every query breaks ties deterministically
-(ascending node ids, lexicographically smallest paths) so traversals are
-reproducible. The records are frozen, slotted dataclasses, so they take no
-``__dict__`` and no attribute beyond their fields.
+(:func:`_collector_paused`), and ``run_compare`` runs whole under the same
+pause. Loading reads the document through :func:`output.read_document`, the
+one reader of every input file, which also checks its ``format_version``.
+Records built by hand check their own fields with one helper per kind of
+field (ids, booleans, labels, attributes, numbers and number vectors), and
+the constructor, the experiment config and the world spec use the same
+helpers, so each check is written once. Generated poses and scene objects
+are built unchecked, each once, through their ``_of``: world generation
+checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks),
+and every field it derives from that spec is valid by construction. The
+loaders read a record of the kinds a saved document holds (int ids, a
+non-empty str label, a dict of str to str, which they copy, three finite
+floats, no orientation or payload ref) by testing those kinds inline and
+building it through ``_of``; any other record goes through its checking
+constructor, so every fault reads as the constructor words it. A graph is
+safe to share across threads without locking. Every query breaks ties
+deterministically (ascending node ids, lexicographically smallest paths) so
+traversals are reproducible. The records are frozen, slotted dataclasses,
+so they take no ``__dict__`` and no attribute beyond their fields.
 
 No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
@@ -89,11 +93,12 @@ def _collector_paused():
     this does nothing, so nested builders pause once. The pause is
     process-wide: other threads' cyclic garbage waits until the build ends.
 
-    ``run_compare`` pauses each trial too, so a generated world is freed by
-    reference counting before any collection walks it. It pauses one trial,
-    not the whole run, because a remote call that times out leaves about 64
-    objects in reference cycles, which a run-long pause would keep until
-    the run ended.
+    ``run_compare`` runs whole under the pause, so its worlds, loaded or
+    generated, are freed by reference counting before any collection walks
+    them. That holds back no garbage that grows with the run: a remote call
+    that times out leaves no reference cycles, since the remote backend
+    reads each answer with its own reader, and a run's own cycles (its
+    reports' JSON encoder) are as many for one trial as for many.
     """
     if not gc.isenabled():
         yield
@@ -322,6 +327,27 @@ class SceneObject:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> SceneObject:
+        """The object a document holds, with its own copy of the attributes.
+
+        An object that names each field, with a non-empty str label, a dict
+        of str to str, three finite floats and an int id, is built unchecked;
+        any other is read through ``__init__``, whose messages the loaders give.
+        """
+        try:
+            label, attributes, instance_id = doc["label"], doc["attributes"], doc["instance_id"]
+            x, y, z = doc["world_position"]
+        except (KeyError, TypeError, ValueError):  # a field left out, null or of another kind
+            pass
+        else:
+            # three floats sum to a finite float only if each is finite; a sum
+            # that overflows sends the object to the checks, which accept it
+            if (type(label) is str and label and type(attributes) is dict and type(instance_id) is int
+                    and type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z)):
+                for key in attributes:
+                    if type(key) is not str or type(attributes[key]) is not str:
+                        break
+                else:
+                    return _new_object(label, attributes.copy(), (x, y, z), instance_id)
         if not isinstance(doc, dict):
             raise _KindError(f"object must be a JSON object, got {doc!r}")
         return cls(
@@ -389,7 +415,9 @@ class Edge:
 
 
 _POSE_SETTERS = _slot_setters(Pose)
+_new_pose = Pose._of  # bound once, as the loaders call it per record
 _OBJECT_SETTERS = _slot_setters(SceneObject)
+_new_object = SceneObject._of  # bound once, as the loaders call it per record
 _SNAPSHOT_SETTERS = _slot_setters(Snapshot)
 _NODE_SETTERS = _slot_setters(Node)
 _EDGE_SETTERS = _slot_setters(Edge)
@@ -822,23 +850,39 @@ class Datagraph:
             raise GraphParseError("edges: expected an array")
 
         nodes: list[Node] = []
+        read_object = SceneObject.from_json_dict
         for i, node_doc in enumerate(raw_nodes):
-            if not isinstance(node_doc, dict):
-                raise GraphParseError(f"nodes[{i}]: expected an object")
-            pose_doc = node_doc.get("pose")
-            snap_doc = node_doc.get("snapshot")
-            if not isinstance(pose_doc, dict):
-                raise GraphParseError(f"nodes[{i}].pose: expected an object")
-            if not isinstance(snap_doc, dict):
-                raise GraphParseError(f"nodes[{i}].snapshot: expected an object")
-            raw_objects = snap_doc.get("objects", [])
-            if not isinstance(raw_objects, list):
-                raise GraphParseError(f"nodes[{i}].snapshot.objects: expected an array")
+            pose = None
+            try:  # a node of the common kinds: an int id, three finite floats, objects and nothing else
+                node_id, pose_doc, snap_doc = node_doc["id"], node_doc["pose"], node_doc["snapshot"]
+                x, y, z = pose_doc["position"]
+                raw_objects, payload_ref = snap_doc["objects"], None
+            except (KeyError, TypeError, ValueError):
+                pass
+            else:
+                if (type(node_id) is int and type(x) is float and type(y) is float and type(z) is float
+                        and math.isfinite(x + y + z) and type(raw_objects) is list and len(pose_doc) == 1
+                        and len(snap_doc) == 1):
+                    pose = _new_pose((x, y, z))
+            if pose is None:  # any other node: every check in document order, with its message
+                if not isinstance(node_doc, dict):
+                    raise GraphParseError(f"nodes[{i}]: expected an object")
+                pose_doc = node_doc.get("pose")
+                snap_doc = node_doc.get("snapshot")
+                if not isinstance(pose_doc, dict):
+                    raise GraphParseError(f"nodes[{i}].pose: expected an object")
+                if not isinstance(snap_doc, dict):
+                    raise GraphParseError(f"nodes[{i}].snapshot: expected an object")
+                raw_objects = snap_doc.get("objects", [])
+                if not isinstance(raw_objects, list):
+                    raise GraphParseError(f"nodes[{i}].snapshot.objects: expected an array")
+                payload_ref = snap_doc.get("payload_ref")
             try:
-                node_id = _check_id(node_doc.get("id"), "id")
-                pose = Pose(pose_doc.get("position"), pose_doc.get("orientation"))
-                objects = tuple(map(SceneObject.from_json_dict, raw_objects))
-                snapshot = Snapshot(objects, snap_doc.get("payload_ref"))
+                if pose is None:
+                    node_id = _check_id(node_doc.get("id"), "id")
+                    pose = Pose(pose_doc.get("position"), pose_doc.get("orientation"))
+                objects = tuple(map(read_object, raw_objects))
+                snapshot = Snapshot(objects, payload_ref)
             except KeyError as exc:
                 raise GraphParseError(f"nodes[{i}]: object missing field {exc}") from exc
             except _KindError as exc:

@@ -416,6 +416,7 @@ def build_base_backend(config: BackendConfig) -> QueryBackend:
 # --- compare ---------------------------------------------------------------------
 
 
+@_collector_paused()
 def run_compare(config: ExperimentConfig) -> MetricsReport:
     """Run every seeded task under every selected strategy and score it.
 
@@ -427,8 +428,14 @@ def run_compare(config: ExperimentConfig) -> MetricsReport:
     recording saves the recorder's store. A saved world is loaded and checked
     once per run. Failures to load the world, set up a trial or answer a
     query mark the trial errored and the run continues. Rows come in trial
-    order, then in sorted strategy order. Each trial runs with the collector
-    paused (:func:`_run_trial`).
+    order, then in sorted strategy order.
+
+    The whole run holds the cyclic collector paused (:func:`_collector_paused`),
+    so no collection walks a world it loaded or generated: reference counting
+    frees each, a saved world when this returns, before the collector
+    resumes. The cycles the pause holds back do not grow with the trials: a
+    timed-out remote call leaves none, and writing the reports leaves the
+    same few whatever the count.
     """
     base_backend = build_base_backend(config.backend)
     saved = world_error = None
@@ -465,7 +472,6 @@ def _errored_trial(config: ExperimentConfig, trial: int, error: str) -> list[Tri
     ]
 
 
-@_collector_paused()
 def _run_trial(
     config: ExperimentConfig,
     trial: int,
@@ -475,12 +481,11 @@ def _run_trial(
 ) -> list[TrialRecord]:
     """One trial's rows: its world and task, both strategies, their scores.
 
-    The collector is paused for the trial and no longer. An inline world,
-    its ground truth and the responses are this function's locals, so
-    reference counting frees them when it returns, before the collector
-    resumes, and no collection walks them. A run-long pause would also hold
-    back the reference cycles a failed remote call leaves (about 64 objects
-    per timeout) until the run ended.
+    It runs inside ``run_compare``'s pause of the collector. An inline
+    world, its ground truth and the responses are this function's locals,
+    so reference counting frees them when it returns. No pause of its own
+    is needed to let the collector run between trials: a remote call that
+    times out leaves no reference cycles for a run-long pause to hold back.
     """
     try:
         graph, ground_truth, task = _trial_setup(config, trial, saved)

@@ -13,12 +13,15 @@ connections sends all its requests over one, and pipelined requests are
 answered in order; ``connections_seen`` counts the connections accepted. It
 closes a connection after an HTTP/1.0 request, after a ``Connection: close``
 request or reply header, and after each error reply. The error replies have
-an empty body: 400 for a bad request line or ``Content-Length``, 414 for a
-request line over 65,536 bytes, 431 for a header line over that or more
-than 100 header lines, 501 for a method other than POST and 505 for HTTP/2
-or later. ``Expect: 100-continue`` gets ``100 Continue`` first. ``stop()``
-shuts down the listening socket and every connection still open, cuts short
-any ``delay_s`` wait, and returns once each of its threads has ended.
+an empty body: 400 for a bad request line or a ``Content-Length`` that is
+not ASCII digits, 413 for a ``Content-Length`` over 64 MiB (``_MAX_BODY``,
+far above any request the library sends, and checked before the body is
+read), 414 for a request line over 65,536 bytes, 431 for a header line over
+that or more than 100 header lines, 501 for a method other than POST and 505
+for HTTP/2 or later. ``Expect: 100-continue`` gets ``100 Continue`` first.
+``stop()`` shuts down the listening socket and every connection still open,
+cuts short any ``delay_s`` wait, and returns once each of its threads has
+ended.
 """
 
 from __future__ import annotations
@@ -36,6 +39,8 @@ from http.client import HTTPMessage
 # counted with the blank line that ends them
 _MAX_LINE = 65536
 _MAX_HEADERS = 100
+# the longest request body read; reading allocates the declared length up front
+_MAX_BODY = 64 * 1024 * 1024
 _END_OF_HEADERS = (b"\r\n", b"\n", b"")
 # what the email parser takes for a header name; a line without one ends the headers
 _HEADER_NAME = re.compile(r"[!-9;-~]+")
@@ -220,8 +225,10 @@ class MockRemoteServer:
         if method != "POST":
             return _refuse(sock, 501)
         length = first.get("content-length", "0").strip()
-        if not length.isdecimal():
+        if not (length.isascii() and length.isdecimal()):  # ASCII digits only, as HTTP writes a length
             return _refuse(sock, 400)
+        if int(length) > _MAX_BODY:
+            return _refuse(sock, 413)
         self._enter()
         try:
             raw_body = rfile.read(int(length))

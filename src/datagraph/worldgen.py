@@ -282,15 +282,16 @@ class GroundTruthInstance:
         set_duplicate_of(self, None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"))
 
     @classmethod
-    def _of(cls, obj: SceneObject, home_node: NodeId, duplicate_of: int | None) -> GroundTruthInstance:
-        """The record of a generated scene object, sharing its attributes and
-        position, unchecked (see :meth:`SceneObject._of`)."""
+    def _of(cls, instance_id: int, label: str, attributes: dict[str, str], world_position, home_node: NodeId,
+            duplicate_of: int | None) -> GroundTruthInstance:
+        """The record of fields that ``__init__`` would store unchanged,
+        unchecked; it keeps ``attributes`` itself (see :meth:`SceneObject._of`)."""
         inst = object.__new__(cls)
         set_id, set_label, set_attributes, set_position, set_home, set_duplicate_of = _INSTANCE_SETTERS
-        set_id(inst, obj.instance_id)
-        set_label(inst, obj.label)
-        set_attributes(inst, obj.attributes)
-        set_position(inst, obj.world_position)
+        set_id(inst, instance_id)
+        set_label(inst, label)
+        set_attributes(inst, attributes)
+        set_position(inst, world_position)
         set_home(inst, home_node)
         set_duplicate_of(inst, duplicate_of)
         return inst
@@ -307,6 +308,28 @@ class GroundTruthInstance:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> GroundTruthInstance:
+        """The instance a document holds, with its own copy of the attributes.
+
+        An instance of int ids, a non-empty str label, a dict of str to str,
+        three finite floats and a null or int ``duplicate_of`` is built
+        unchecked; any other is read through ``__init__``, whose messages the
+        loader gives.
+        """
+        try:
+            instance_id, label, attributes = doc["instance_id"], doc["label"], doc["attributes"]
+            x, y, z = doc["world_position"]
+            home_node, duplicate_of = doc["home_node"], doc["duplicate_of"]
+        except (KeyError, TypeError, ValueError):  # a field left out, null or of another kind
+            pass
+        else:
+            if (type(instance_id) is int and type(label) is str and label and type(attributes) is dict
+                    and type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z)
+                    and type(home_node) is int and (duplicate_of is None or type(duplicate_of) is int)):
+                for key in attributes:
+                    if type(key) is not str or type(attributes[key]) is not str:
+                        break
+                else:
+                    return _new_instance(instance_id, label, attributes.copy(), (x, y, z), home_node, duplicate_of)
         if not isinstance(doc, dict):
             raise _KindError(f"instance must be a JSON object, got {doc!r}")
         return cls(doc["instance_id"], doc["label"], doc.get("attributes", {}), doc["world_position"],
@@ -314,6 +337,7 @@ class GroundTruthInstance:
 
 
 _INSTANCE_SETTERS = _slot_setters(GroundTruthInstance)
+_new_instance = GroundTruthInstance._of  # bound once, as the loader calls it per record
 
 
 def _instance_text(inst: GroundTruthInstance) -> str:
@@ -369,9 +393,10 @@ class GroundTruth:
         if not isinstance(raw, list):
             raise GraphParseError("ground truth instances: expected an array")
         instances = []
+        read_instance = GroundTruthInstance.from_json_dict
         for i, inst_doc in enumerate(raw):
             try:
-                instances.append(GroundTruthInstance.from_json_dict(inst_doc))
+                instances.append(read_instance(inst_doc))
             except KeyError as exc:
                 raise GraphParseError(f"ground truth instances[{i}]: missing field {exc}") from exc
             except ValueError as exc:
@@ -429,9 +454,8 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     instances = []
     new_object, new_instance = SceneObject._of, GroundTruthInstance._of
     for instance_id, p in enumerate(placements):
-        obj = new_object(p.label, p.attributes, p.position, instance_id)
-        per_node[p.node].append(obj)
-        instances.append(new_instance(obj, p.node, p.duplicate_of))
+        per_node[p.node].append(new_object(p.label, p.attributes, p.position, instance_id))
+        instances.append(new_instance(instance_id, p.label, p.attributes, p.position, p.node, p.duplicate_of))
     centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
     nodes = [Node(v, Pose._of(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
     del placements, per_node

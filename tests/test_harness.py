@@ -20,6 +20,7 @@ from datagraph import (
     OracleBackend,
     Predicate,
     Query,
+    RemoteEndpointConfig,
     ReplayStore,
     RouteError,
     SceneObject,
@@ -36,6 +37,7 @@ from datagraph import (
     run_route_scan,
 )
 from datagraph.harness import BackendConfig, CSV_HEADER, load_world_files
+from datagraph.mock_remote import MockRemoteServer
 from helpers import build_graph
 
 
@@ -616,8 +618,40 @@ def test_each_compare_trial_runs_with_the_collector_paused(tmp_path, monkeypatch
         gc.enable()
     assert report.error_count == 0
     assert answers and not any(answers)  # every answer, cached or not, runs paused
-    # the collector runs between trials: the pause covers one trial, not the run
-    assert trials == [not caller_disabled] * config.tasks.count
+    # the pause covers the whole run, so every trial starts with the collector off
+    assert trials == [False] * config.tasks.count
+
+
+def run_with_cyclic_garbage(config: ExperimentConfig):
+    """``run_compare(config)``'s report, and the objects in reference cycles the run left behind."""
+    gc.collect()
+    gc.disable()  # so that no automatic collection frees a cycle before the count
+    try:
+        report = run_compare(config)
+        return report, gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("setup", ["saved-world-reports", "remote-timeouts"])
+def test_the_cyclic_garbage_a_compare_run_holds_does_not_grow_with_its_trials(tmp_path, setup):
+    """``run_compare`` keeps the collector off until it returns, so every cycle
+    it makes waits until then: their number must not grow with the trials."""
+    counts = (2, 8)
+    if setup == "saved-world-reports":
+        world = save_world(tmp_path, WorldSpec(6, 6, seed=9, objects_per_room_mean=2.0))
+        config = compare_config(world=world, output_dir=str(tmp_path / "reports"), report_formats=("json", "csv"))
+        runs = [run_with_cyclic_garbage(replace(config, tasks=TaskConfig("nearest_search", n, 2))) for n in counts]
+        errors = [0, 0]
+    else:
+        with MockRemoteServer(delay_s=5.0) as server:  # stop() cuts the delay short
+            remote = RemoteEndpointConfig(server.base_url, timeout_ms=20)
+            config = compare_config(backend=BackendConfig("remote", remote=remote))
+            runs = [run_with_cyclic_garbage(replace(config, tasks=TaskConfig("nearest_search", n, 2))) for n in counts]
+        errors = [2 * n for n in counts]  # each strategy's first scene query timed out
+    assert [report.error_count for report, _ in runs] == errors
+    (_, fewer), (_, more) = runs
+    assert fewer == more
 
 
 # --- run_route_scan -----------------------------------------------------------------

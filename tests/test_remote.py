@@ -369,6 +369,8 @@ LOGGED_POST = ("/query", "Host: x\r\nContent-Length: 14\r\n", WIRE_BODY)
     ),
     pytest.param(POST.replace(b"14", b"abc"), [400], True, [], id="content-length-not-a-number"),
     pytest.param(POST.replace(b"14", b"-1"), [400], True, [], id="content-length-negative"),
+    pytest.param(POST.replace(b"14", "١٤".encode()), [400], True, [], id="content-length-not-ascii-digits"),
+    pytest.param(POST.replace(b"14", b"1" + b"0" * 15), [413], True, [], id="content-length-too-large"),
 ])
 def test_mock_answers_raw_requests_as_http_1_1(raw, statuses, closed, logged):
     """Each raw request gets these status codes, the server closes the
