@@ -371,6 +371,12 @@ LOGGED_POST = ("/query", "Host: x\r\nContent-Length: 14\r\n", WIRE_BODY)
     pytest.param(POST.replace(b"14", b"-1"), [400], True, [], id="content-length-negative"),
     pytest.param(POST.replace(b"14", "١٤".encode()), [400], True, [], id="content-length-not-ascii-digits"),
     pytest.param(POST.replace(b"14", b"1" + b"0" * 15), [413], True, [], id="content-length-too-large"),
+    pytest.param(POST.replace(b"14", b"9" * 5000), [413], True, [], id="content-length-of-5000-digits"),
+    pytest.param(
+        POST.replace(b"14", b"0" * 5000 + b"14"), [200], False,
+        [("/query", "Host: x\r\nContent-Length: " + "0" * 5000 + "14\r\n", WIRE_BODY)],
+        id="content-length-zero-padded",
+    ),
 ])
 def test_mock_answers_raw_requests_as_http_1_1(raw, statuses, closed, logged):
     """Each raw request gets these status codes, the server closes the
