@@ -329,7 +329,7 @@ class GroundTruthInstance:
                     if type(key) is not str or type(attributes[key]) is not str:
                         break
                 else:
-                    return _new_instance(instance_id, label, attributes.copy(), (x, y, z), home_node, duplicate_of)
+                    return cls._of(instance_id, label, attributes.copy(), (x, y, z), home_node, duplicate_of)
         if not isinstance(doc, dict):
             raise _KindError(f"instance must be a JSON object, got {doc!r}")
         return cls(doc["instance_id"], doc["label"], doc.get("attributes", {}), doc["world_position"],
@@ -337,7 +337,6 @@ class GroundTruthInstance:
 
 
 _INSTANCE_SETTERS = _slot_setters(GroundTruthInstance)
-_new_instance = GroundTruthInstance._of  # bound once, as the loader calls it per record
 
 
 def _instance_text(inst: GroundTruthInstance) -> str:
@@ -393,10 +392,9 @@ class GroundTruth:
         if not isinstance(raw, list):
             raise GraphParseError("ground truth instances: expected an array")
         instances = []
-        read_instance = GroundTruthInstance.from_json_dict
         for i, inst_doc in enumerate(raw):
             try:
-                instances.append(read_instance(inst_doc))
+                instances.append(GroundTruthInstance.from_json_dict(inst_doc))
             except KeyError as exc:
                 raise GraphParseError(f"ground truth instances[{i}]: missing field {exc}") from exc
             except ValueError as exc:
