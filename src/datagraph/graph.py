@@ -15,11 +15,11 @@ helpers, so each check is written once. Generated poses and scene objects
 are built unchecked, each once, through their ``_of``: world generation
 checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks),
 and every field it derives from that spec is valid by construction. The
-loaders read a scene object or ground-truth instance of the kinds a saved
-document holds (int ids, a non-empty str label, a dict of str to str, which
-they copy, three finite floats) by testing those kinds inline and building
-it through ``_of``; any other goes through its checking constructor, so
-every fault reads as the constructor words it. A graph is
+loaders read a record of the kinds a saved document holds (int ids, a
+non-empty str label, a dict of str to str, which they copy, three finite
+floats, no orientation or payload ref) by testing those kinds inline and
+building it through ``_of``; any other record goes through its checking
+constructor, so every fault reads as the constructor words it. A graph is
 safe to share across threads without locking. Every query breaks ties
 deterministically (ascending node ids, lexicographically smallest paths) so
 traversals are reproducible. The records are frozen, slotted dataclasses,
@@ -339,10 +339,12 @@ class SceneObject:
         except (KeyError, TypeError, ValueError):  # a field left out, null or of another kind
             pass
         else:
-            # written out here and in GroundTruthInstance.from_json_dict, not in
-            # a shared helper: a call per record costs about what the tests save.
-            # Three floats sum to a finite float only if each is finite; a sum
-            # that overflows sends the object to the checks, which accept it
+            # These tests are written out here, in the node loop of
+            # Datagraph.from_json_dict and in GroundTruthInstance.from_json_dict
+            # rather than shared through a helper: a call per record cost about
+            # what the tests save. Three floats sum to a finite float only if
+            # each is finite; a sum that overflows sends the object to the
+            # checks, which accept it
             if (type(label) is str and label and type(attributes) is dict and type(instance_id) is int
                     and type(x) is float and type(y) is float and type(z) is float and math.isfinite(x + y + z)):
                 for key in attributes:
@@ -851,22 +853,37 @@ class Datagraph:
 
         nodes: list[Node] = []
         for i, node_doc in enumerate(raw_nodes):
-            if not isinstance(node_doc, dict):
-                raise GraphParseError(f"nodes[{i}]: expected an object")
-            pose_doc = node_doc.get("pose")
-            snap_doc = node_doc.get("snapshot")
-            if not isinstance(pose_doc, dict):
-                raise GraphParseError(f"nodes[{i}].pose: expected an object")
-            if not isinstance(snap_doc, dict):
-                raise GraphParseError(f"nodes[{i}].snapshot: expected an object")
-            raw_objects = snap_doc.get("objects", [])
-            if not isinstance(raw_objects, list):
-                raise GraphParseError(f"nodes[{i}].snapshot.objects: expected an array")
+            pose = None
+            try:  # a node of the common kinds: an int id, three finite floats, objects and nothing else
+                node_id, pose_doc, snap_doc = node_doc["id"], node_doc["pose"], node_doc["snapshot"]
+                x, y, z = pose_doc["position"]
+                raw_objects, payload_ref = snap_doc["objects"], None
+            except (KeyError, TypeError, ValueError):
+                pass
+            else:
+                if (type(node_id) is int and type(x) is float and type(y) is float and type(z) is float
+                        and math.isfinite(x + y + z) and type(raw_objects) is list and len(pose_doc) == 1
+                        and len(snap_doc) == 1):
+                    pose = Pose._of((x, y, z))
+            if pose is None:  # any other node: every check in document order, with its message
+                if not isinstance(node_doc, dict):
+                    raise GraphParseError(f"nodes[{i}]: expected an object")
+                pose_doc = node_doc.get("pose")
+                snap_doc = node_doc.get("snapshot")
+                if not isinstance(pose_doc, dict):
+                    raise GraphParseError(f"nodes[{i}].pose: expected an object")
+                if not isinstance(snap_doc, dict):
+                    raise GraphParseError(f"nodes[{i}].snapshot: expected an object")
+                raw_objects = snap_doc.get("objects", [])
+                if not isinstance(raw_objects, list):
+                    raise GraphParseError(f"nodes[{i}].snapshot.objects: expected an array")
+                payload_ref = snap_doc.get("payload_ref")
             try:
-                node_id = _check_id(node_doc.get("id"), "id")
-                pose = Pose(pose_doc.get("position"), pose_doc.get("orientation"))
+                if pose is None:
+                    node_id = _check_id(node_doc.get("id"), "id")
+                    pose = Pose(pose_doc.get("position"), pose_doc.get("orientation"))
                 objects = tuple(map(SceneObject.from_json_dict, raw_objects))
-                snapshot = Snapshot(objects, snap_doc.get("payload_ref"))
+                snapshot = Snapshot(objects, payload_ref)
             except KeyError as exc:
                 raise GraphParseError(f"nodes[{i}]: object missing field {exc}") from exc
             except _KindError as exc:

@@ -71,3 +71,21 @@ def test_no_record_aliases_the_document_it_was_read_from():
     assert loaded == graph
     assert objects == [obj for node in graph.nodes() for obj in node.snapshot.objects]
     assert instances == list(truth.instances)
+
+
+def test_saved_records_are_read_without_their_checking_constructors(monkeypatch):
+    """A saved world's poses, scene objects and ground-truth instances hold
+    only the kinds it writes, so the readers build them unchecked: with the
+    position and attribute checks made to fail, they still read back equal
+    to what was generated."""
+    graph, truth = generate_world(WorldSpec(4, 4, seed=3, objects_per_room_mean=3.0, boundary_duplicate_prob=0.5))
+    world_doc, truth_doc = json.loads(json.dumps(graph.to_json_dict())), json.loads(json.dumps(truth.to_json_dict()))
+
+    def refuse(value, *what):
+        raise AssertionError(f"checked {value!r}")
+
+    for name in ("_as_vec3", "_check_attributes"):
+        monkeypatch.setattr(f"datagraph.graph.{name}", refuse)
+        monkeypatch.setattr(f"datagraph.worldgen.{name}", refuse)
+    assert Datagraph.from_json_dict(world_doc) == graph
+    assert [GroundTruthInstance.from_json_dict(doc) for doc in truth_doc["instances"]] == list(truth.instances)
