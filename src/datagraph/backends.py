@@ -25,7 +25,6 @@ import socket
 import ssl
 import threading
 import weakref
-from base64 import b64encode
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Protocol
@@ -440,18 +439,6 @@ class CachingBackend:
 # --- remote adapter ------------------------------------------------------------
 
 
-class _BearerAuth(requests.auth.AuthBase):
-    """Sets the bearer header. As a request's auth it also stops requests from
-    reading ``~/.netrc``, whose login would otherwise replace the token."""
-
-    def __init__(self, token: str):
-        self.header = f"Bearer {token}"
-
-    def __call__(self, request):
-        request.headers["Authorization"] = self.header
-        return request
-
-
 def _decoded(content: bytes, encoding: str) -> bytes:
     """A body sent with ``Content-Encoding: encoding``, decoded by urllib3,
     which decodes every coding the prepared ``Accept-Encoding`` header names."""
@@ -474,15 +461,6 @@ def _close_all(connections: list[http.client.HTTPConnection]) -> None:
         connection.close()
 
 
-def _proxy_auth(proxy: str) -> dict[str, str]:
-    """The ``Proxy-Authorization`` header for credentials in a proxy URL, as requests sends it."""
-    username, password = requests.utils.get_auth_from_url(proxy)
-    if not username:
-        return {}
-    credentials = b64encode(f"{username}:{password}".encode("latin-1")).decode()
-    return {"Proxy-Authorization": f"Basic {credentials}"}
-
-
 def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.SSLContext:
     """The TLS checks requests makes for its ``verify`` and ``cert`` settings."""
     if verify is False:
@@ -498,30 +476,6 @@ def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.
     if cert is not None:
         context.load_cert_chain(*((cert,) if isinstance(cert, str) else cert))
     return context
-
-
-def _without_zone(host: str) -> str:
-    """``host`` without an IPv6 zone, as http.client strips it from the Host header."""
-    host, percent, _ = host.partition("%")
-    return host + "]" if percent else host
-
-
-def _host_header(target: str, host: str, port: int, default_port: int) -> str:
-    """The Host header http.client's ``putrequest`` writes for ``target``
-    sent to ``host:port``: an absolute target's own authority, else the host,
-    bracketed if it is an IPv6 literal, and the port unless it is the default."""
-    if target.startswith("http"):
-        return _without_zone(urlsplit(target).netloc)
-    if ":" in host:
-        host = _without_zone(f"[{host}]")
-    return host if port == default_port else f"{host}:{port}"
-
-
-def _header_line(name: str | bytes, value: str | bytes) -> bytes:
-    """One header line as http.client's ``putheader`` encodes it."""
-    name = name.encode("ascii") if isinstance(name, str) else name
-    value = value.encode("latin-1") if isinstance(value, str) else value
-    return name + b": " + value + b"\r\n"
 
 
 # http.client's limits on a response head: the bytes of one line, and its
@@ -718,9 +672,12 @@ class RemoteBackend:
     the session's headers, cookies and auth (or a ``~/.netrc`` entry), the
     bearer token, and the proxy, CA bundle and client certificate settings
     from the session and the environment are read then, not per call. The
-    request head is built then too: the request line, the ``Host`` header as
-    :mod:`http.client` writes it, and the prepared headers in their order.
-    Each call sends that head, its ``Content-Length`` and the body
+    request head is built then too, and :mod:`http.client` writes it: the
+    request line, the ``Host`` header and the prepared headers in their
+    order. The session's transport adapter for the URL gives the request
+    target and the proxy's credentials header, as ``session.post`` takes
+    them; that adapter sends nothing. Each call sends that head, its
+    ``Content-Length`` and the body
     ``session.post(json=...)`` would send in one write. :mod:`http.client`
     only opens each connection: TCP with the timeout, TLS, and the
     ``CONNECT`` tunnel through an ``https://`` endpoint's proxy. The answer
@@ -730,8 +687,8 @@ class RemoteBackend:
     line and 99 header lines. A malformed or short answer is a
     :class:`RemoteProtocolError` with status 0. A connection is kept for the
     next call unless the answer closes it (as http.client's ``will_close``
-    decides) or bytes follow the answer. A transport adapter mounted on the
-    session is not used, and the session's response hooks are not run. A
+    decides) or bytes follow the answer. The session's response hooks are
+    not run. A
     configured token always wins over ``~/.netrc``; without one, netrc
     applies as in requests. A body sent with a ``Content-Encoding`` is
     decoded by urllib3, whose codings (gzip and deflate, and br or zstd where
@@ -750,19 +707,23 @@ class RemoteBackend:
         self.forward_annotations = forward_annotations
         session = session if session is not None else requests.Session()
         self._url = config.base_url.rstrip("/") + "/query"
-        auth = _BearerAuth(config.auth_token) if config.auth_token is not None else None
+
+        def bearer(request):  # any auth, this one too, keeps requests from reading ~/.netrc
+            request.headers["Authorization"] = f"Bearer {config.auth_token}"
+            return request
+
+        auth = bearer if config.auth_token is not None else None
         prepared = session.prepare_request(requests.Request("POST", self._url, auth=auth))
         settings = session.merge_environment_settings(self._url, {}, None, None, None)
+        adapter = session.get_adapter(self._url)  # names the target and proxy headers; it sends nothing
         # the body's own Content-Length replaces the empty one prepared here,
         # and the JSON Content-Type joins unless the session sets its own
         headers = prepared.headers.copy()
         headers.pop("Content-Length", None)
         headers.setdefault("Content-Type", "application/json")
-        headers = list(headers.items())
         url = urlsplit(prepared.url)
         https = url.scheme == "https"
-        host, port = url.hostname, url.port or (443 if https else 80)
-        target, address, self._tunnel = prepared.path_url, (host, port), None
+        address, self._tunnel = (url.hostname, url.port or (443 if https else 80)), None
         proxy = requests.utils.select_proxy(prepared.url, settings["proxies"])
         if proxy is not None:
             proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
@@ -770,22 +731,14 @@ class RemoteBackend:
                 shown = proxy_url._replace(netloc=proxy_url.netloc.rpartition("@")[2]).geturl()  # no credentials
                 raise RemoteProtocolError(0, f"proxy {shown} for {self._url}: only http:// proxies are supported")
             try:
-                proxy_headers = _proxy_auth(proxy)
+                proxy_headers = adapter.proxy_headers(proxy)
             except UnicodeEncodeError:  # sent as a header line, which holds Latin-1 text
                 raise RemoteProtocolError(0, f"proxy for {self._url}: credentials must be Latin-1 text") from None
             if https:  # a CONNECT tunnel through the proxy, TLS inside it
-                self._tunnel = (host, port, proxy_headers)
-            else:  # the proxy takes the absolute URL
-                target = prepared.url
-                headers += proxy_headers.items()
+                self._tunnel = (*address, proxy_headers)
+            else:  # the proxy takes the absolute URL, which request_url gives
+                headers.update(proxy_headers)
             address = (proxy_url.hostname, proxy_url.port or 80)
-        # every call sends this, its Content-Length and the body in one write
-        self._head = b"".join([
-            f"POST {target} HTTP/1.1\r\n".encode("ascii"),
-            _header_line("Host", _host_header(target, host, port, 443 if https else 80)),
-            *(_header_line(name, value) for name, value in headers),
-            b"Content-Length: ",
-        ])
         timeout_s = config.timeout_ms / 1000.0
         if https:
             try:
@@ -800,6 +753,15 @@ class RemoteBackend:
         self._idle: list[http.client.HTTPConnection] = []
         weakref.finalize(self, _close_all, self._idle)
         self._in_flight = threading.BoundedSemaphore(config.max_in_flight)
+        # every call sends this head, its Content-Length and the body in one
+        # write; http.client writes the head to a connection that never opens
+        connection, sent = self._connection(), []
+        connection.send = sent.append
+        connection.putrequest("POST", adapter.request_url(prepared, settings["proxies"]), skip_accept_encoding=True)
+        for name, value in headers.items():
+            connection.putheader(name, value)
+        connection.endheaders()
+        self._head = b"".join(sent).removesuffix(b"\r\n") + b"Content-Length: "
 
     def _connection(self) -> http.client.HTTPConnection:
         """An idle connection that still reads as open, or a new unconnected one."""

@@ -420,15 +420,6 @@ class TaskSpec:
 # --- generation -----------------------------------------------------------------
 
 
-@dataclass(slots=True)
-class _Placement:
-    node: NodeId
-    label: str
-    position: tuple[float, float, float]
-    attributes: dict[str, str]
-    duplicate_of: int | None = None
-
-
 @_collector_paused()
 def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     """Build a connected room-grid world; deterministic in the spec."""
@@ -441,22 +432,22 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     walls = _interior_walls(gw, gh)
     edge_pairs = _choose_doors(walls, n, spec.door_prob, rng)
 
-    placements = _place_objects(spec, size, rng)
-    _assign_number_pools(spec, placements, rng)
-    _assign_number_refs(spec, placements, rng)
-    _inject_boundary_duplicates(spec, size, placements, set(edge_pairs), rng)
+    # every field of the records below is right by construction from the
+    # checked spec, so the ground-truth instances, scene objects and poses
+    # skip their checks; each scene object shares its instance's attributes
+    instances = _place_objects(spec, size, rng)
+    _assign_number_pools(spec, instances, rng)
+    _assign_number_refs(spec, instances, rng)
+    _inject_boundary_duplicates(spec, size, instances, set(edge_pairs), rng)
 
-    # every field below is right by construction from the checked spec, so
-    # the scene objects, ground-truth instances and poses skip their checks
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
-    instances = []
-    new_object, new_instance = SceneObject._of, GroundTruthInstance._of
-    for instance_id, p in enumerate(placements):
-        per_node[p.node].append(new_object(p.label, p.attributes, p.position, instance_id))
-        instances.append(new_instance(instance_id, p.label, p.attributes, p.position, p.node, p.duplicate_of))
+    new_object = SceneObject._of
+    for inst in instances:
+        obj = new_object(inst.label, inst.attributes, inst.world_position, inst.instance_id)
+        per_node[inst.home_node].append(obj)
     centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
     nodes = [Node(v, Pose._of(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
-    del placements, per_node
+    del per_node
     edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
     return Datagraph(nodes, edges), GroundTruth(instances)
 
@@ -542,10 +533,11 @@ class _SeparationGrid:
         return True
 
 
-def _place_objects(spec: WorldSpec, size: float, rng) -> list[_Placement]:
-    placements: list[_Placement] = []
+def _place_objects(spec: WorldSpec, size: float, rng) -> list[GroundTruthInstance]:
+    """The physical instances, numbered in the order they are placed, without their number attributes."""
+    instances: list[GroundTruthInstance] = []
     if spec.objects_per_room_mean == 0 or not spec.catalog:
-        return placements
+        return instances
     weights = np.array([entry.weight for entry in spec.catalog], dtype=float)
     # the inverse CDF that rng.choice(len(catalog), p=weights / weights.sum())
     # builds on every call; one rng.random() per pick gives the same picks
@@ -567,7 +559,7 @@ def _place_objects(spec: WorldSpec, size: float, rng) -> list[_Placement]:
         ))
         for entry in spec.catalog
     ]
-    random, integers, poisson = rng.random, rng.integers, rng.poisson
+    random, integers, poisson, new_instance = rng.random, rng.integers, rng.poisson, GroundTruthInstance._of
     pick, mean = bisect.bisect_right, spec.objects_per_room_mean
     for v in range(spec.grid_w * spec.grid_h):
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, size)
@@ -584,45 +576,45 @@ def _place_objects(spec: WorldSpec, size: float, rng) -> list[_Placement]:
             attributes: dict[str, str] = {}
             for name, value, values in plan:
                 attributes[name] = value if values is None else values[int(integers(len(values)))]
-            placements.append(_Placement(v, label, position, attributes))
-    return placements
+            instances.append(new_instance(len(instances), label, attributes, position, v, None))
+    return instances
 
 
-def _assign_number_pools(spec: WorldSpec, placements: list[_Placement], rng) -> None:
+def _assign_number_pools(spec: WorldSpec, instances: list[GroundTruthInstance], rng) -> None:
     for entry in spec.catalog:
         for name in sorted(entry.attributes):
             if entry.attributes[name]["kind"] != "number_pool":
                 continue
-            mine = [p for p in placements if p.label == entry.label]
+            mine = [inst for inst in instances if inst.label == entry.label]
             if not mine:
                 continue
             numbers = rng.choice(np.arange(1, 10 * len(mine) + 1), size=len(mine), replace=False)
-            for p, number in zip(mine, numbers):
-                p.attributes[name] = str(int(number))
+            for inst, number in zip(mine, numbers):
+                inst.attributes[name] = str(int(number))
 
 
-def _assign_number_refs(spec: WorldSpec, placements: list[_Placement], rng) -> None:
+def _assign_number_refs(spec: WorldSpec, instances: list[GroundTruthInstance], rng) -> None:
     for entry in spec.catalog:
         for name in sorted(entry.attributes):
             desc = entry.attributes[name]
             if desc["kind"] != "number_of":
                 continue
             source_values = [
-                p.attributes[name]
-                for p in placements
-                if p.label == desc["label"] and name in p.attributes
+                inst.attributes[name]
+                for inst in instances
+                if inst.label == desc["label"] and name in inst.attributes
             ]
             if not source_values:
                 continue  # nothing to key against; attribute omitted
-            for p in placements:
-                if p.label == entry.label:
-                    p.attributes[name] = source_values[int(rng.integers(len(source_values)))]
+            for inst in instances:
+                if inst.label == entry.label:
+                    inst.attributes[name] = source_values[int(rng.integers(len(source_values)))]
 
 
 def _inject_boundary_duplicates(
     spec: WorldSpec,
     size: float,
-    placements: list[_Placement],
+    instances: list[GroundTruthInstance],
     doors: set[tuple[NodeId, NodeId]],
     rng,
 ) -> None:
@@ -634,9 +626,9 @@ def _inject_boundary_duplicates(
     if spec.boundary_duplicate_prob == 0:
         return
     gw = spec.grid_w
-    duplicates: list[_Placement] = []
-    for original_id, p in enumerate(placements):
-        v, (x, y, _) = p.node, p.position
+    duplicates: list[GroundTruthInstance] = []
+    for inst in instances:
+        v, (x, y, _) = inst.home_node, inst.world_position
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, gw, size)
         # (gap to a wall, the room behind it); v - 1 and v + 1 are behind a wall only within the row
         sides = [(y_hi - y, v + gw), (y - y_lo, v - gw)]
@@ -648,8 +640,10 @@ def _inject_boundary_duplicates(
         if eligible and rng.random() < spec.boundary_duplicate_prob:
             _, target = min(eligible)
             # a copy of the attributes: each scene object owns its dict
-            duplicates.append(_Placement(target, p.label, p.position, dict(p.attributes), duplicate_of=original_id))
-    placements.extend(duplicates)
+            duplicates.append(GroundTruthInstance._of(len(instances) + len(duplicates), inst.label,
+                                                      dict(inst.attributes), inst.world_position, target,
+                                                      inst.instance_id))
+    instances.extend(duplicates)
 
 
 # --- tasks & oracle -----------------------------------------------------------------

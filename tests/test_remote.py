@@ -214,6 +214,27 @@ def test_http_proxy_from_the_environment_is_read_when_the_backend_is_built(monke
         assert [r.path for r in proxy.requests] == [server.base_url + "/query"]
 
 
+def test_an_http_proxy_gets_the_request_line_and_host_that_session_post_sends(monkeypatch, tmp_path):
+    for name in ("http_proxy", "NO_PROXY", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("NETRC", str(tmp_path / "no-netrc"))
+    base_url = "http://user:pw@endpoint.example:8080"
+    node = make_node()
+    body = {"query_text": QUERY.text, "mode": "find", "node_id": node.id,
+            "payload_ref": node.snapshot.payload_ref, "objects_hint": None}
+    with MockRemoteServer() as proxy:
+        monkeypatch.setenv("HTTP_PROXY", proxy.base_url)
+        RemoteBackend(RemoteEndpointConfig(base_url, timeout_ms=2000)).answer(node, QUERY)
+        with requests.Session() as session:
+            session.post(base_url + "/query", json=body).close()
+        ours, reference = proxy.requests
+    # the URL's credentials go only into the Authorization header
+    assert ours.path == reference.path == "http://endpoint.example:8080/query"
+    assert ours.headers == reference.headers
+    assert reference.headers["Host"] == "endpoint.example:8080"
+    assert reference.headers["Authorization"] == "Basic dXNlcjpwdw=="  # user:pw
+
+
 def test_proxy_credentials_that_are_not_latin_1_are_refused_when_the_backend_is_built(monkeypatch):
     for name in ("http_proxy", "NO_PROXY", "no_proxy", "REQUEST_METHOD"):
         monkeypatch.delenv(name, raising=False)

@@ -17,6 +17,8 @@ backend-call accounting, which a cache hit and a replay set to zero.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,8 +43,18 @@ from datagraph import (
     proximity_search_first,
 )
 from datagraph.backends import oracle_answer
-from datagraph.harness import WorldFiles, load_world_files
+from datagraph.harness import (
+    HAZARD_QUERY,
+    BackendConfig,
+    ExperimentConfig,
+    TaskConfig,
+    WorldFiles,
+    load_world_files,
+    run_compare,
+    run_route_scan,
+)
 from datagraph.mock_remote import MockRemoteServer
+from datagraph.worldgen import default_catalog
 
 
 @pytest.fixture(scope="module")
@@ -174,3 +186,91 @@ def test_cached_and_replayed_traversals_match_the_oracle(tmp_path_factory, data)
             # a cache hit and a replayed answer cost no call
             assert calls == (sum(len(result.responses) for result in results) - cache.hits if backend is cache else 0)
             assert count_outcome(aggregate_count(world, backend, count, 1.0)) == expected_counts
+
+
+# Two labels, so the compare tasks repeat a query: on a saved world a shared
+# cache then hits, and across inline worlds, which share node ids, a replay
+# key must tell their scenes apart. The gas canisters are the route hazards.
+REPORT_SPEC = WorldSpec(
+    grid_w=8,
+    grid_h=8,
+    catalog=tuple(entry for entry in default_catalog() if entry.label in ("chair", "gas_canister")),
+    seed=11,
+)
+REPORT_QUERIES = [
+    HAZARD_QUERY,
+    *(Query(f"find the nearest {label}", Predicate(label_equals=label)) for label in ("chair", "gas_canister")),
+]
+
+
+def untimed_rows(report):
+    """The report's rows with the wall clock nulled and the call accounting
+    left out, and that accounting as ``(backend_calls, cache_hits)`` a row."""
+    rows = [replace(row, wall_time_ms=None, backend_calls=None, cache_hits=None) for row in report.per_trial]
+    return rows, [(row.backend_calls, row.cache_hits) for row in report.per_trial]
+
+
+@pytest.mark.parametrize("saved", [True, False], ids=["saved-world", "inline-worlds"])
+def test_compare_reports_match_the_oracle(endpoint, tmp_path, saved):
+    base_url, queries = endpoint
+    queries.update((query.text, query) for query in REPORT_QUERIES)
+    world = REPORT_SPEC
+    if saved:
+        graph, truth = generate_world(REPORT_SPEC)
+        world = WorldFiles(str(tmp_path / "world.json"), str(tmp_path / "truth.json"))
+        graph.save(world.path)
+        truth.save(world.ground_truth_path)
+
+    def compare(backend, **options):
+        return run_compare(ExperimentConfig(world, TaskConfig("nearest_search", count=4, seed=5), backend, **options))
+
+    store_path = str(tmp_path / "store.json")
+    oracle = compare(BackendConfig(record_path=store_path), cache_enabled=False)
+    assert oracle.error_count == 0
+    expected_rows, expected_calls = untimed_rows(oracle)
+    remote = RemoteEndpointConfig(base_url, timeout_ms=5000)
+    reports = {
+        "remote": compare(BackendConfig("remote", remote=remote, forward_annotations=True), cache_enabled=False),
+        "cache": compare(BackendConfig(), shared_cache=True),
+        "replay": compare(BackendConfig("replay", store_path=store_path), cache_enabled=False),
+    }
+    calls = {}
+    for name, report in reports.items():
+        rows, calls[name] = untimed_rows(report)
+        assert rows == expected_rows, name
+    assert calls["remote"] == expected_calls
+    assert [backend_calls + hits for backend_calls, hits in calls["cache"]] == [c for c, _ in expected_calls]
+    assert calls["replay"] == [(0, 0)] * len(expected_calls)
+    assert sum(hits for _, hits in calls["cache"]) > 0  # hits to account for
+
+
+def test_route_scans_match_the_oracle(endpoint, tmp_path):
+    base_url, queries = endpoint
+    queries[HAZARD_QUERY.text] = HAZARD_QUERY
+    graph, _ = generate_world(REPORT_SPEC)
+    w, start, goal = REPORT_SPEC.grid_w, 0, len(graph) - 1
+    # the shortest route between two corners, and one through each other corner
+    routes = [graph.shortest_path(start, goal, "meters")] + [
+        graph.shortest_path(start, corner)[:-1] + graph.shortest_path(corner, goal) for corner in (w - 1, goal - w + 1)
+    ]
+
+    def scan(backend):
+        return run_route_scan(graph, backend, start, goal, "meters", routes)
+
+    recorder = RecordingBackend(OracleBackend())
+    oracle = scan(recorder)
+    recorder.store.save(tmp_path / "store.json")
+    with RemoteBackend(RemoteEndpointConfig(base_url, timeout_ms=5000), forward_annotations=True) as remote:
+        reports = {
+            "remote": scan(remote),
+            "cache": scan(CachingBackend(OracleBackend())),
+            "replay": scan(ReplayStore.load(tmp_path / "store.json")),
+        }
+    assert any(entry.hazard_count for entry in oracle.entries)
+    for name, report in reports.items():
+        assert (report.entries, report.selected_index) == (oracle.entries, oracle.selected_index), name
+    assert reports["remote"].total_backend_calls == oracle.total_backend_calls
+    cache = reports["cache"]
+    assert cache.cache_hits > 0  # every route starts at the same scene
+    assert cache.total_backend_calls + cache.cache_hits == oracle.total_backend_calls
+    assert reports["replay"].total_backend_calls == 0
