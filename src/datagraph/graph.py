@@ -29,13 +29,14 @@ No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
 an aligned tuple of ``(neighbor, length_m)`` pairs, each edge listed at both
 ends, plus a traversable-only view of each (the very same tuples when no edge
-is closed) and the set of closed pairs. Callers read edges from these tuples
-through :attr:`Datagraph.edge_count` and :meth:`Datagraph.edge_length`, and
-saving writes each edge's fields straight from them. :meth:`Datagraph.edges`
-builds ``Edge`` records on each call (equal records, not the same objects),
-and :meth:`Datagraph.validate` re-runs the constructor over the stored
-tuples. ``Edge``, ``edges()`` and ``validate()`` remain because the benchmark
-reads them; deleting them waits for a change to the benchmark.
+is closed) and the set of closed pairs. Callers read edges from these through
+:attr:`Datagraph.edge_count`, :meth:`Datagraph.edge_length` and
+:attr:`Datagraph.closed_pairs`, and saving writes each edge's fields straight
+from them. :meth:`Datagraph.edges` builds ``Edge`` records on each call (equal
+records, not the same objects), and :meth:`Datagraph.validate` re-runs the
+constructor over the stored tuples. ``Edge``, ``edges()`` and ``validate()``
+remain because the benchmark reads them; deleting them waits for a change to
+the benchmark.
 
 Every distance comes from one frontier kernel per metric over the
 adjacency (:meth:`Datagraph._frontier`): a level-synchronous BFS for hops,
@@ -501,6 +502,15 @@ def by_metric(metric: str, hops, meters):
     raise ValueError(f"metric must be 'hops' or 'meters', got {metric!r}")
 
 
+def _root(parent: list[int], x: int) -> int:
+    """The root of ``x`` in the union-find forest ``parent``, halving the path
+    on the way; each caller links roots by its own rule."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class Datagraph:
     """An immutable graph of (pose, snapshot) nodes, built whole.
 
@@ -597,6 +607,11 @@ class Datagraph:
     @property
     def edge_count(self) -> int:
         return sum(map(len, self._ids)) // 2
+
+    @property
+    def closed_pairs(self) -> frozenset[tuple[NodeId, NodeId]]:
+        """The ``(a, b)``, ``a < b``, of every edge that is not traversable."""
+        return self._closed
 
     def edge_length(self, a: NodeId, b: NodeId) -> float | None:
         """The length in meters of the edge joining ``a`` and ``b``, or None

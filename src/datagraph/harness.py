@@ -639,8 +639,9 @@ def run_route_scan(
     exactly those routes are scanned and the one with the fewest
     hazard-positive nodes wins; ties go to the shorter route under the
     metric, then to the lexicographically smallest node sequence. An empty
-    set, or a candidate that does not run from ``start`` to ``goal``, is a
-    :class:`RouteError`.
+    set, or a candidate that does not run from ``start`` to ``goal`` or that
+    crosses a closed edge, is a :class:`RouteError`, before any scene is
+    queried.
     """
     # checked here, so an unknown metric fails before any scene is queried
     length_of = by_metric(metric, lambda entry: entry.length_hops, lambda entry: entry.length_m)
@@ -648,9 +649,13 @@ def run_route_scan(
         routes = [list(route) for route in candidate_routes]
         if not routes:
             raise RouteError(f"no candidate routes from {start} to {goal} to scan")
+        closed = graph.closed_pairs
         for route in routes:
             if not route or route[0] != start or route[-1] != goal:
                 raise RouteError(f"candidate route {route} does not join {start} to {goal}")
+            for u, v in zip(route, route[1:]) if closed else ():
+                if (u, v) in closed or (v, u) in closed:
+                    raise RouteError(f"candidate route {route} crosses the closed edge {u}-{v}")
     else:
         shortest = graph.shortest_path(start, goal, metric=metric, traversable_only=True)
         if shortest is None:

@@ -24,10 +24,11 @@ with the hit as its one target. A caller that wants every node's distance
 reads :meth:`Datagraph.hop_distances` or :meth:`Datagraph.geodesic_distances`
 itself.
 
-Backend failures never skip a node silently: every traversal, the count
-aggregation included, aborts with :class:`TraversalAbortedError` carrying the
-partial result of the nodes before the failing one and the backend error as
-its ``__cause__``.
+Every scan, the count aggregation included, asks for its answers in one
+loop, :func:`_run`, which labels each answer with the node it visited.
+Backend failures never skip a node silently: that loop aborts with
+:class:`TraversalAbortedError` carrying the partial result of the nodes
+before the failing one and the backend error as its ``__cause__``.
 
 A result is a plain value with no JSON form of its own: the harness turns
 results into the reports that are written.
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .backends import Query, QueryBackend, QueryResponse
 from .errors import (
@@ -46,7 +47,7 @@ from .errors import (
     InvalidPathError,
     TraversalAbortedError,
 )
-from .graph import Datagraph, NodeId, SceneObject, by_metric
+from .graph import Datagraph, Node, NodeId, SceneObject, _root, by_metric
 
 
 @dataclass(frozen=True)
@@ -82,21 +83,23 @@ class AggregateReport:
 
 def _run(
     graph: Datagraph,
-    backend: QueryBackend,
+    answer: Callable[[Node, Query], QueryResponse],
     query: Query,
     order: Iterable[NodeId],
-    agent: NodeId,
+    agent: NodeId | None,
     stop_on_first: bool,
     metric: str | None = None,
 ) -> TraversalResult:
-    """Query the nodes of ``order``, reporting the first hit's distances from ``agent``.
+    """Answer the nodes of ``order`` through ``answer``, the library's one
+    scan loop, reporting the first hit's distances from ``agent``.
 
     Every id in ``order`` is a node of ``graph``, so it is not checked again:
     ``order`` is ``range(len(graph))``, a distance map's keys, or a path
     whose nodes :func:`path_query` has checked. ``metric`` is set when
     ``order`` is the agent's drained distance map under that metric; the
     hit's distance under it is then read from the map, and any other from
-    :meth:`Datagraph.nearest`.
+    :meth:`Datagraph.nearest`. With ``agent`` None no distance is computed
+    and ``first_satisfied`` is None.
     """
     responses: list[QueryResponse] = []
     hit: NodeId | None = None
@@ -104,7 +107,7 @@ def _run(
 
     def result() -> TraversalResult:
         first_satisfied = None
-        if hit is not None:
+        if hit is not None and agent is not None:
             found = [
                 (hit, order[hit]) if name == metric else graph.nearest(agent, (hit,), name)
                 for name in ("hops", "meters")
@@ -121,7 +124,7 @@ def _run(
     nodes = graph.nodes()
     for v in order:
         try:
-            response = backend.answer(nodes[v], query)
+            response = answer(nodes[v], query)
         except BackendError as exc:
             raise TraversalAbortedError(v, result()) from exc
         if response.node != v:
@@ -140,7 +143,7 @@ def _by_proximity(graph: Datagraph, backend: QueryBackend, query: Query, agent: 
     """Visit in the key order of the agent's full distance map under ``metric``."""
     graph.node(agent)  # an unknown agent is reported before an unknown metric
     order = by_metric(metric, graph.hop_distances, graph.geodesic_distances)(agent)
-    return _run(graph, backend, query, order, agent, stop_on_first, metric)
+    return _run(graph, backend.answer, query, order, agent, stop_on_first, metric)
 
 
 # --- public operations ----------------------------------------------------------------
@@ -200,7 +203,7 @@ def path_query(
     for u, v in zip(path, path[1:]):
         if graph.edge_length(u, v) is None:
             raise InvalidPathError(u, v)
-    return _run(graph, backend, query, path, path[0], stop_on_first=False)
+    return _run(graph, backend.answer, query, path, path[0], stop_on_first=False)
 
 
 def brute_force_query(
@@ -216,7 +219,7 @@ def brute_force_query(
     report the hit's distances for comparison with proximity traversals.
     """
     graph.node(agent)
-    return _run(graph, backend, query, range(len(graph)), agent, stop_on_first)
+    return _run(graph, backend.answer, query, range(len(graph)), agent, stop_on_first)
 
 
 def aggregate_count(
@@ -237,37 +240,29 @@ def aggregate_count(
         raise ValueError(f"aggregate_count requires a count query, got mode {query.mode!r}")
     if not (math.isfinite(dedup_radius_m) and dedup_radius_m >= 0):
         raise ValueError(f"dedup_radius_m must be finite and non-negative, got {dedup_radius_m!r}")
-    per_node_counts: dict[NodeId, int] = {}
-    matches: list[tuple[NodeId, SceneObject]] = []
-    responses: list[QueryResponse] = []
-    for v, node in enumerate(graph.nodes()):
-        try:
-            response = backend.answer(node, query)
-        except BackendError as exc:
-            partial = TraversalResult(
-                responses=tuple(responses), visit_order=tuple(range(v)),
-                total_backend_calls=sum(r.backend_calls for r in responses),
-                stopped_early=False, first_satisfied=None,
+
+    def itemized(node: Node, query: Query) -> QueryResponse:
+        response = backend.answer(node, query)
+        if response.count != len(response.matches):
+            raise DedupUnavailableError(
+                f"node {node.id} reported {response.count} matches but itemized "
+                f"{len(response.matches)}; dedup needs every matched object"
             )
-            raise TraversalAbortedError(v, partial) from exc
-        responses.append(response)
-        per_node_counts[v] = response.count
-        matches.extend((v, obj) for obj in response.matches)
-        if dedup_radius_m > 0:
-            if response.count != len(response.matches):
+        for obj in response.matches:
+            if obj.world_position is None:
                 raise DedupUnavailableError(
-                    f"node {v} reported {response.count} matches but itemized "
-                    f"{len(response.matches)}; dedup needs every matched object"
+                    f"object {obj.label!r} from node {node.id} has no world position; "
+                    "use radius 0 with backends that omit coordinates"
                 )
-            for obj in response.matches:
-                if obj.world_position is None:
-                    raise DedupUnavailableError(
-                        f"object {obj.label!r} from node {v} has no world position; "
-                        "use radius 0 with backends that omit coordinates"
-                    )
+        return response
+
+    answer = itemized if dedup_radius_m > 0 else backend.answer
+    responses = _run(graph, answer, query, range(len(graph)), None, False).responses
+    per_node_counts = {r.node: r.count for r in responses}
     raw_total = sum(per_node_counts.values())
     if dedup_radius_m == 0:
         return AggregateReport(per_node_counts, raw_total, raw_total, ())
+    matches = [(r.node, obj) for r in responses for obj in r.matches]
     groups = _single_linkage(matches, dedup_radius_m)
     merged = tuple(tuple(g) for g in groups if len(g) > 1)
     deduped_total = raw_total - sum(len(g) - 1 for g in merged)
@@ -286,28 +281,17 @@ def _single_linkage(
         by_signature.setdefault(sig, []).append(idx)
 
     parent = list(range(len(matches)))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     for indices in by_signature.values():
         for i, idx_a in enumerate(indices):
             pos_a = matches[idx_a][1].world_position
             for idx_b in indices[i + 1 :]:
                 pos_b = matches[idx_b][1].world_position
-                if math.dist(pos_a, pos_b) <= radius:
-                    union(idx_a, idx_b)
+                if math.dist(pos_a, pos_b) <= radius:  # the lower root becomes the parent
+                    ra, rb = _root(parent, idx_a), _root(parent, idx_b)
+                    parent[max(ra, rb)] = min(ra, rb)
 
     clusters: dict[int, list[tuple[NodeId, SceneObject]]] = {}
     for idx, item in enumerate(matches):
-        clusters.setdefault(find(idx), []).append(item)
+        clusters.setdefault(_root(parent, idx), []).append(item)
     return [clusters[root] for root in sorted(clusters)]
 

@@ -47,6 +47,7 @@ from .graph import (
     _KindError,
     _named_fields,
     _record,
+    _root,
     _slot_setters,
 )
 
@@ -467,17 +468,10 @@ def _interior_walls(gw: int, gh: int) -> list[tuple[NodeId, NodeId]]:
 def _choose_doors(walls, n_cells: int, door_prob: float, rng) -> list[tuple[NodeId, NodeId]]:
     """Random spanning tree over ``n_cells`` rooms first (connectivity repair), extra doors after."""
     parent = list(range(n_cells))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     tree: set[tuple[NodeId, NodeId]] = set()
     for index in rng.permutation(len(walls)):
         a, b = walls[int(index)]
-        ra, rb = find(a), find(b)
+        ra, rb = _root(parent, a), _root(parent, b)
         if ra != rb:
             parent[ra] = rb
             tree.add((a, b))

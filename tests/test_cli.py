@@ -214,6 +214,8 @@ def input_files(tmp_path, world_dir):
     files["bad"].write_text("{")
     files["island"] = tmp_path / "island.json"
     build_graph(2, []).save(files["island"])
+    files["closed_edge"] = tmp_path / "closed_edge.json"
+    build_graph(4, [(0, 1, None, False), (0, 2), (1, 3), (2, 3)]).save(files["closed_edge"])
     files["empty_store"] = tmp_path / "store.json"
     ReplayStore().save(files["empty_store"])
     store = ReplayStore()
@@ -323,6 +325,8 @@ def input_files(tmp_path, world_dir):
     files["short_route"].write_text("[[0, 1]]")
     files["no_routes"] = tmp_path / "no_routes.json"
     files["no_routes"].write_text("[]")
+    files["closed_route"] = tmp_path / "closed_route.json"
+    files["closed_route"].write_text("[[0, 2, 3], [0, 1, 3]]")
     # world and ground-truth files with one field overwritten
     world = json.loads(files["world"].read_text())
     node = next(n for n in world["nodes"] if n["snapshot"]["objects"])
@@ -587,6 +591,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      id="routes-not-joining-start-to-goal"),
         pytest.param(ROUTE + ["--routes", "{no_routes}"], 2, "error: no candidate routes from 0 to 11 to scan",
                      id="routes-empty"),
+        pytest.param(["route", "--world", "{closed_edge}", "--start", "0", "--goal", "3", "--routes", "{closed_route}"],
+                     2, "error: candidate route [0, 1, 3] crosses the closed edge 0-1",
+                     id="routes-across-a-closed-edge"),
         pytest.param(["compare", "--config", "{saved}", "--strategies", "proximity,proximity"], 2,
                      "error: strategies names one entry twice: ['proximity', 'proximity']",
                      id="compare-repeated-strategy"),

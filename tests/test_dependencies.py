@@ -1,0 +1,36 @@
+"""The runtime dependencies are named alike in the code, pyproject.toml and README."""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3.11
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_third_party() -> set[str]:
+    """Top-level names of every module imported under ``src/datagraph`` that
+    is neither the standard library nor the package itself."""
+    names = set()
+    for path in (ROOT / "src" / "datagraph").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"__future__", "datagraph"}
+
+
+def test_every_third_party_import_is_a_declared_dependency_and_readme_names_them():
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        dependencies = tomllib.load(f)["project"]["dependencies"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", spec).group().lower().replace("-", "_") for spec in dependencies}
+    assert imported_third_party() == declared
+    (line,) = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
+               if "Runtime deps:" in line]
+    assert set(re.findall(r"`([^`]+)`", line)) == declared

@@ -17,9 +17,11 @@ from datagraph import (
     GraphParseError,
     GraphValidationError,
     GroundTruth,
+    InvalidPathError,
     OracleBackend,
     Predicate,
     Query,
+    RemoteBackend,
     RemoteEndpointConfig,
     ReplayStore,
     RouteError,
@@ -715,6 +717,23 @@ def test_candidate_route_must_join_start_to_goal(route):
     with pytest.raises(RouteError, match="does not join 0 to 5"):
         run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
     assert backend.hits == len(backend.store) == 0  # checked before any scene is queried
+
+
+@pytest.mark.parametrize(
+    "start, goal, candidates",
+    [(0, 3, [[0, 1, 3], [0, 2, 3]]), (0, 3, [[0, 2, 3], [0, 1, 3]]), (0, 3, [[0, 1, 3]]), (1, 2, [[1, 0, 2]])],
+)
+def test_candidate_route_across_a_closed_edge_is_route_error(start, goal, candidates):
+    graph = build_graph(4, [(0, 1, None, False), (0, 2), (1, 3), (2, 3)])
+    with MockRemoteServer() as server:
+        backend = RemoteBackend(RemoteEndpointConfig(server.base_url, timeout_ms=2000))
+        with pytest.raises(RouteError, match=r"crosses the closed edge (0-1|1-0)$"):
+            run_route_scan(graph, backend, start, goal, candidate_routes=candidates)
+        backend.close()
+        assert server.requests == []  # checked before any scene is queried
+    # a pair that no edge joins is still the path's own error
+    with pytest.raises(InvalidPathError):
+        run_route_scan(graph, OracleBackend(), 0, 3, candidate_routes=[[0, 3]])
 
 
 @pytest.mark.parametrize("candidates", [None, [[0, 1, 3, 5]]])

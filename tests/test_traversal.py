@@ -476,7 +476,30 @@ def test_aggregate_aborts_with_the_counts_before_the_failing_node(k):
     assert err.partial.visit_order == tuple(range(k))
     assert err.partial.responses == tuple(OracleBackend().answer(g.node(v), COUNT_EXT) for v in range(k))
     assert err.partial.total_backend_calls == k
+    assert err.partial.first_satisfied is None
+    assert err.partial.stopped_early is False
     assert isinstance(err.__cause__, BackendError) and str(err.__cause__) == f"backend died at {k}"
+
+
+class StaleIdBackend(ExplodingBackend):
+    """Answers every scene under node id 99, as a backend with stale ids would."""
+
+    def answer(self, node, query):
+        response = super().answer(node, query)
+        return QueryResponse(99, response.satisfied, response.matches, response.count, response.text, 1)
+
+
+def test_aggregate_keys_each_answer_by_the_node_it_visited():
+    shared = (0.5, 0.0, 0.0)
+    g = build_graph(3, [(0, 1), (1, 2)], objects={0: [ext(0, shared)], 1: [ext(1, shared)], 2: [ext(2, (9, 0, 0))]})
+    report = aggregate_count(g, StaleIdBackend(explode_at=None), COUNT_EXT, dedup_radius_m=0.5)
+    assert report.per_node_counts == {0: 1, 1: 1, 2: 1}
+    assert [[node for node, _ in group] for group in report.merged_groups] == [[0, 1]]
+    with pytest.raises(TraversalAbortedError) as excinfo:
+        aggregate_count(g, StaleIdBackend(explode_at=2), COUNT_EXT, dedup_radius_m=0.5)
+    partial = excinfo.value.partial
+    assert partial.visit_order == (0, 1)
+    assert [r.node for r in partial.responses] == [0, 1]
 
 
 def test_aggregate_stops_at_the_first_node_that_fails_or_does_not_itemize():
