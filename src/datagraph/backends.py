@@ -52,7 +52,6 @@ from .graph import (
     _KindError,
     _object_text,
     _record,
-    _slot_setters,
 )
 
 if TYPE_CHECKING:
@@ -134,13 +133,8 @@ class QueryResponse:
     backend_calls: int
 
     def __init__(self, node, satisfied, matches=(), count=0, text="", backend_calls=1):
-        set_node, set_satisfied, set_matches, set_count, set_text, set_calls = _RESPONSE_SETTERS
-        set_node(self, node)
-        set_satisfied(self, satisfied)
-        set_matches(self, matches if type(matches) is tuple else tuple(matches))
-        set_count(self, count)
-        set_text(self, text)
-        set_calls(self, backend_calls)
+        matches = matches if type(matches) is tuple else tuple(matches)
+        QueryResponse._init(self, node, satisfied, matches, count, text, backend_calls)
 
     def _with(self, node: NodeId, backend_calls: int) -> QueryResponse:
         """This answer with ``node`` and ``backend_calls`` replaced, as
@@ -176,8 +170,6 @@ class QueryResponse:
             backend_calls=_check_id(doc.get("backend_calls", 1), "backend_calls"),
         )
 
-
-_RESPONSE_SETTERS = _slot_setters(QueryResponse)
 
 # The longest remote timeout: one day. A socket timeout becomes a deadline in
 # the platform's time_t, and a larger one (about 10**13 ms on 64-bit Linux)

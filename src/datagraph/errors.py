@@ -113,4 +113,6 @@ class ConfigError(DatagraphError):
 
 
 class RouteError(DatagraphError):
-    """No route exists between the requested endpoints."""
+    """No route exists between the requested endpoints, or a route scan refuses
+    its candidates: none given, or one that does not join the endpoints or
+    crosses a closed edge."""

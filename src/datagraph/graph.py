@@ -11,19 +11,21 @@ one reader of every input file, which also checks its ``format_version``.
 Records built by hand check their own fields with one helper per kind of
 field (ids, booleans, labels, attributes, numbers and number vectors), and
 the constructor, the experiment config and the world spec use the same
-helpers, so each check is written once. Generated poses and scene objects
-are built unchecked, each once, through their ``_of``: world generation
-checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold those checks),
-and every field it derives from that spec is valid by construction. The
-loaders read a record of the kinds a saved document holds (int ids, a
-non-empty str label, a dict of str to str, which they copy, three finite
-floats, no orientation or payload ref) by testing those kinds inline and
-building it through ``_of``; any other record goes through its checking
-constructor, so every fault reads as the constructor words it. A graph is
-safe to share across threads without locking. Every query breaks ties
-deterministically (ascending node ids, lexicographically smallest paths) so
-traversals are reproducible. The records are frozen, slotted dataclasses,
-so they take no ``__dict__`` and no attribute beyond their fields.
+helpers, so each check is written once; the code that then sets the fields
+is generated from each record's field list (:func:`_record`), as is every
+record's unchecked ``_of``. World generation builds its records through
+``_of``: it checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold
+those checks), and every field it derives from that spec is valid by
+construction. The loaders read a record of the kinds a saved document holds
+(int ids, a non-empty str label, a dict of str to str, which they copy,
+three finite floats, no orientation or payload ref) by testing those kinds
+inline and building it through ``_of``; any other record goes through its
+checking constructor, so every fault reads as the constructor words it. A
+graph is safe to share across threads without locking. Every query breaks
+ties deterministically (ascending node ids, lexicographically smallest
+paths) so traversals are reproducible. The records are frozen, slotted
+dataclasses, so they take no ``__dict__`` and no attribute beyond their
+fields.
 
 No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
@@ -206,13 +208,13 @@ def _named_fields(record, doc: dict) -> dict:
     return named
 
 
-# Each record sets each field once, in its own __init__: a generated __init__
-# plus a __post_init__ would set checked or converted fields twice, and
-# loading or generating a world builds thousands of records. World
-# generation computes fields that are right by construction from a spec
-# checked once, so it builds scene objects, ground-truth instances and poses
-# through their unchecked ``_of``, which sets each field once and checks none.
-# Both set the fields through the records' slot setters (:func:`_slot_setters`).
+# Each record sets each field once: a generated __init__ plus a __post_init__
+# would set checked or converted fields twice, and loading or generating a
+# world builds thousands of records. :func:`_record` generates the functions
+# that set the fields: every record's unchecked ``_of``, and the ``__init__``
+# of a record that checks nothing. A record that checks or converts its
+# fields writes its own ``__init__``, which hands the checked values to the
+# generated ``_init``.
 
 
 def _refuse_setattr(self, name, value):
@@ -224,28 +226,56 @@ def _refuse_delattr(self, name):
 
 
 def _record(cls):
-    """``cls`` as a frozen, slotted dataclass with its own ``__init__``, on
-    which every attribute set or delete raises ``FrozenInstanceError``.
+    """``cls`` as a frozen, slotted dataclass, on which every attribute set or
+    delete raises ``FrozenInstanceError``, with generated ``_of`` and ``_init``.
+
+    ``cls._of(*fields)`` builds a record and ``cls._init(self, *fields)``
+    fills ``self``; a class that writes no ``__init__`` gets ``_init`` as its
+    ``__init__``. Both take the fields of ``__init__`` in field order, with
+    their defaults, check nothing and keep the objects they are given; a
+    field outside ``__init__`` gets its declared default. As ``dataclasses``
+    writes its ``__init__``, both are compiled from one source text, with the
+    ``__set__`` of each field's slot bound as a closure variable. A slot's
+    ``__set__`` writes past the frozen ``__setattr__`` at about 60 ns a field
+    against ``object.__setattr__``'s 100 ns (CPython 3.11), and generating a
+    32x32 world sets about 32,000 fields.
 
     The ``__setattr__`` and ``__delattr__`` that ``dataclass(frozen=True,
     slots=True)`` writes call ``super()`` with the class that the slotted one
     replaced, so on CPython 3.11 setting a name that is not a field raised
     ``TypeError``; these two are assigned once the class exists.
     """
+    init_name = "_init" if "__init__" in cls.__dict__ else "__init__"
     cls = dataclass(frozen=True, slots=True, init=False)(cls)
     cls.__setattr__ = _refuse_setattr
     cls.__delattr__ = _refuse_delattr
+    cells = {"_cls": cls, "_new": object.__new__}
+    params, body = [], ""
+    for i, f in enumerate(fields(cls)):
+        cells[f"_set{i}"] = getattr(cls, f.name).__set__
+        default = f"_default{i}"
+        if f.default is not MISSING:
+            cells[default] = f.default
+        elif not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name} is outside __init__, so it needs a default")
+        if f.init:
+            params.append(f.name if f.default is MISSING else f"{f.name}={default}")
+        body += f"\n  _set{i}(self, {f.name if f.init else default})"
+    source = (
+        f"def _make({', '.join(cells)}):\n"
+        f" def _of({', '.join(params)}):\n  self = _new(_cls){body}\n  return self\n"
+        f" def {init_name}(self, {', '.join(params)}):{body}\n"
+        f" return _of, {init_name}\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, f"<record {cls.__qualname__}>", "exec"), namespace)
+    of, init = namespace["_make"](**cells)
+    for function in (of, init):
+        function.__qualname__ = f"{cls.__qualname__}.{function.__name__}"
+        function.__module__ = cls.__module__
+    cls._of = staticmethod(of)
+    setattr(cls, init_name, init)
     return cls
-
-
-def _slot_setters(cls) -> tuple:
-    """The ``__set__`` of each field's slot on a frozen, slotted record, in field order.
-
-    They write past the frozen ``__setattr__`` as ``object.__setattr__`` does,
-    at about 60 ns a field against its 100 ns (CPython 3.11), and generating
-    a 32x32 world sets about 32,000 fields.
-    """
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @_record
@@ -260,23 +290,13 @@ class Pose:
     orientation: tuple[float, float, float, float] | None
 
     def __init__(self, position, orientation=None):
-        set_position, set_orientation = _POSE_SETTERS
-        set_position(self, _as_vec3(position, "position"))
+        position = _as_vec3(position, "position")
         if orientation is not None:
             orientation = _as_floats(orientation, 4, "orientation")
             norm = math.sqrt(sum(c * c for c in orientation))
             if not math.isfinite(norm) or abs(norm - 1.0) > _QUAT_NORM_TOL:
                 raise ValueError(f"quaternion norm {norm!r} is not within {_QUAT_NORM_TOL} of 1")
-        set_orientation(self, orientation)
-
-    @classmethod
-    def _of(cls, position: tuple[float, float, float]) -> Pose:
-        """The unoriented pose at ``position``, three finite floats, unchecked."""
-        pose = object.__new__(cls)
-        set_position, set_orientation = _POSE_SETTERS
-        set_position(pose, position)
-        set_orientation(pose, None)
-        return pose
+        Pose._init(self, position, orientation)
 
 
 @_record
@@ -295,28 +315,11 @@ class SceneObject:
     instance_id: int
 
     def __init__(self, label, attributes=_NO_ATTRIBUTES, world_position=None, instance_id=-1):
-        set_label, set_attributes, set_position, set_id = _OBJECT_SETTERS
-        set_label(self, _check_label(label, "object label"))
-        set_attributes(self, _check_attributes(attributes))
-        if world_position is not None:
-            world_position = _as_vec3(world_position, "world_position")
-        set_position(self, world_position)
-        set_id(self, _check_id(instance_id, "instance_id"))
-
-    @classmethod
-    def _of(cls, label: str, attributes: dict[str, str], world_position, instance_id: int) -> SceneObject:
-        """The object of fields that ``__init__`` would store unchanged, unchecked.
-
-        It keeps ``attributes`` itself, not a copy, so the caller hands over a
-        dict that no other object holds.
-        """
-        obj = object.__new__(cls)
-        set_label, set_attributes, set_position, set_id = _OBJECT_SETTERS
-        set_label(obj, label)
-        set_attributes(obj, attributes)
-        set_position(obj, world_position)
-        set_id(obj, instance_id)
-        return obj
+        SceneObject._init(
+            self, _check_label(label, "object label"), _check_attributes(attributes),
+            None if world_position is None else _as_vec3(world_position, "world_position"),
+            _check_id(instance_id, "instance_id"),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -371,21 +374,18 @@ class Snapshot:
 
     objects: tuple[SceneObject, ...]
     payload_ref: str | None
-    _digest: str | None = field(init=False, repr=False, compare=False)
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     def __init__(self, objects=(), payload_ref=None):
         if payload_ref is not None and not isinstance(payload_ref, str):
             raise _KindError(f"payload_ref must be a string, got {payload_ref!r}")
-        set_objects, set_payload_ref, set_digest = _SNAPSHOT_SETTERS
-        set_objects(self, tuple(objects))
-        set_payload_ref(self, payload_ref)
-        set_digest(self, None)
+        Snapshot._init(self, tuple(objects), payload_ref)
 
     @property
     def digest(self) -> str:
         """16 hex digits of SHA-256 over the saved text, computed on first use."""
         if self._digest is None:
-            _SNAPSHOT_SETTERS[2](self, hashlib.sha256(_snapshot_text(self).encode()).hexdigest()[:16])
+            Snapshot._digest.__set__(self, hashlib.sha256(_snapshot_text(self).encode()).hexdigest()[:16])
         return self._digest
 
 
@@ -395,12 +395,6 @@ class Node:
     pose: Pose
     snapshot: Snapshot
 
-    def __init__(self, id, pose, snapshot):
-        set_id, set_pose, set_snapshot = _NODE_SETTERS
-        set_id(self, id)
-        set_pose(self, pose)
-        set_snapshot(self, snapshot)
-
 
 @_record
 class Edge:
@@ -408,22 +402,8 @@ class Edge:
 
     a: NodeId
     b: NodeId
-    traversable: bool
-    length_m: float
-
-    def __init__(self, a, b, traversable=True, length_m=1.0):
-        set_a, set_b, set_traversable, set_length = _EDGE_SETTERS
-        set_a(self, a)
-        set_b(self, b)
-        set_traversable(self, traversable)
-        set_length(self, length_m)
-
-
-_POSE_SETTERS = _slot_setters(Pose)
-_OBJECT_SETTERS = _slot_setters(SceneObject)
-_SNAPSHOT_SETTERS = _slot_setters(Snapshot)
-_NODE_SETTERS = _slot_setters(Node)
-_EDGE_SETTERS = _slot_setters(Edge)
+    traversable: bool = True
+    length_m: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -625,7 +605,7 @@ class Datagraph:
     def edges(self) -> tuple[Edge, ...]:
         """All edges, sorted by (a, b), as records built on each call: two
         calls return equal records, not the same objects."""
-        return tuple([Edge(a, b, traversable, length_m) for a, b, traversable, length_m in self._edge_rows()])
+        return tuple([Edge._of(*row) for row in self._edge_rows()])
 
     # -- distances & paths ------------------------------------------------------
 
@@ -879,7 +859,7 @@ class Datagraph:
                 if (type(node_id) is int and type(x) is float and type(y) is float and type(z) is float
                         and math.isfinite(x + y + z) and type(raw_objects) is list and len(pose_doc) == 1
                         and len(snap_doc) == 1):
-                    pose = Pose._of((x, y, z))
+                    pose = Pose._of((x, y, z), None)
             if pose is None:  # any other node: every check in document order, with its message
                 if not isinstance(node_doc, dict):
                     raise GraphParseError(f"nodes[{i}]: expected an object")

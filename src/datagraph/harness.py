@@ -51,6 +51,7 @@ from .graph import (
 )
 from .traversal import (
     AggregateReport,
+    _path_meters,
     aggregate_count,
     brute_force_query,
     path_query,
@@ -640,8 +641,9 @@ def run_route_scan(
     hazard-positive nodes wins; ties go to the shorter route under the
     metric, then to the lexicographically smallest node sequence. An empty
     set, or a candidate that does not run from ``start`` to ``goal`` or that
-    crosses a closed edge, is a :class:`RouteError`, before any scene is
-    queried.
+    crosses a closed edge, is a :class:`RouteError`, and one that is not a
+    path of the graph raises what :func:`path_query` would, each before any
+    scene is queried.
     """
     # checked here, so an unknown metric fails before any scene is queried
     length_of = by_metric(metric, lambda entry: entry.length_hops, lambda entry: entry.length_m)
@@ -661,17 +663,17 @@ def run_route_scan(
         if shortest is None:
             raise RouteError(f"goal {goal} is unreachable from {start}")
         routes = [shortest]
+    lengths_m = [_path_meters(graph, route) for route in routes]
     entries = []
     total_calls = 0
     cache_hits_before = backend.hits if isinstance(backend, CachingBackend) else None
-    for route in routes:
+    for route, length_m in zip(routes, lengths_m):
         result = path_query(graph, backend, HAZARD_QUERY, route)
         total_calls += result.total_backend_calls
         hazard_nodes = []
         for response in result.responses:
             if response.satisfied and response.node not in hazard_nodes:
                 hazard_nodes.append(response.node)
-        length_m = sum(graph.edge_length(u, v) for u, v in zip(route, route[1:]))
         entries.append(
             RouteReportEntry(
                 route=tuple(route),

@@ -198,12 +198,22 @@ def path_query(
     path = list(path)
     if not path:
         raise ValueError("path must be non-empty")
+    _path_meters(graph, path)
+    return _run(graph, backend.answer, query, path, path[0], stop_on_first=False)
+
+
+def _path_meters(graph: Datagraph, path: list[NodeId]) -> float:
+    """The length in meters of ``path``, checked as :func:`path_query` checks
+    it: each node id first, then each pair of consecutive nodes."""
     for v in path:
         graph.node(v)
+    meters = 0.0
     for u, v in zip(path, path[1:]):
-        if graph.edge_length(u, v) is None:
+        length_m = graph.edge_length(u, v)
+        if length_m is None:
             raise InvalidPathError(u, v)
-    return _run(graph, backend.answer, query, path, path[0], stop_on_first=False)
+        meters += length_m
+    return meters
 
 
 def brute_force_query(

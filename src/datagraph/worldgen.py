@@ -48,7 +48,6 @@ from .graph import (
     _named_fields,
     _record,
     _root,
-    _slot_setters,
 )
 
 BOUNDARY_BAND_M = 0.5  # how close to a shared wall an object must be to be duplicated
@@ -274,28 +273,11 @@ class GroundTruthInstance:
     duplicate_of: int | None
 
     def __init__(self, instance_id, label, attributes, world_position, home_node, duplicate_of=None):
-        set_id, set_label, set_attributes, set_position, set_home, set_duplicate_of = _INSTANCE_SETTERS
-        set_id(self, _check_id(instance_id, "instance_id"))
-        set_label(self, _check_label(label, "label"))
-        set_attributes(self, _check_attributes(attributes))
-        set_position(self, _as_vec3(world_position, "world_position"))
-        set_home(self, _check_id(home_node, "home_node"))
-        set_duplicate_of(self, None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"))
-
-    @classmethod
-    def _of(cls, instance_id: int, label: str, attributes: dict[str, str], world_position, home_node: NodeId,
-            duplicate_of: int | None) -> GroundTruthInstance:
-        """The record of fields that ``__init__`` would store unchanged,
-        unchecked; it keeps ``attributes`` itself (see :meth:`SceneObject._of`)."""
-        inst = object.__new__(cls)
-        set_id, set_label, set_attributes, set_position, set_home, set_duplicate_of = _INSTANCE_SETTERS
-        set_id(inst, instance_id)
-        set_label(inst, label)
-        set_attributes(inst, attributes)
-        set_position(inst, world_position)
-        set_home(inst, home_node)
-        set_duplicate_of(inst, duplicate_of)
-        return inst
+        GroundTruthInstance._init(
+            self, _check_id(instance_id, "instance_id"), _check_label(label, "label"), _check_attributes(attributes),
+            _as_vec3(world_position, "world_position"), _check_id(home_node, "home_node"),
+            None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -335,9 +317,6 @@ class GroundTruthInstance:
             raise _KindError(f"instance must be a JSON object, got {doc!r}")
         return cls(doc["instance_id"], doc["label"], doc.get("attributes", {}), doc["world_position"],
                    doc["home_node"], doc.get("duplicate_of"))
-
-
-_INSTANCE_SETTERS = _slot_setters(GroundTruthInstance)
 
 
 def _instance_text(inst: GroundTruthInstance) -> str:
@@ -434,8 +413,8 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     edge_pairs = _choose_doors(walls, n, spec.door_prob, rng)
 
     # every field of the records below is right by construction from the
-    # checked spec, so the ground-truth instances, scene objects and poses
-    # skip their checks; each scene object shares its instance's attributes
+    # checked spec, so each record skips its checks (see graph._record);
+    # each scene object shares its instance's attributes
     instances = _place_objects(spec, size, rng)
     _assign_number_pools(spec, instances, rng)
     _assign_number_refs(spec, instances, rng)
@@ -447,7 +426,8 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
         obj = new_object(inst.label, inst.attributes, inst.world_position, inst.instance_id)
         per_node[inst.home_node].append(obj)
     centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
-    nodes = [Node(v, Pose._of(centers[v]), Snapshot(objs)) for v, objs in enumerate(per_node)]
+    nodes = [Node._of(v, Pose._of(centers[v], None), Snapshot._of(tuple(objs), None))
+             for v, objs in enumerate(per_node)]
     del per_node
     edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
     return Datagraph(nodes, edges), GroundTruth(instances)

@@ -6,7 +6,9 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
-from datagraph import Datagraph, Predicate, Query, QueryResponse, ReplayStore, WorldSpec, generate_world
+from datagraph import (
+    Datagraph, OracleBackend, Predicate, Query, QueryResponse, ReplayStore, WorldSpec, generate_world, run_aggregate,
+)
 from datagraph.cli import main
 from datagraph.mock_remote import MockRemoteServer
 from helpers import build_graph
@@ -155,6 +157,23 @@ def test_aggregate_command_reports_truth(world_dir, runner, tmp_path):
     doc = json.loads(output.read_text())
     assert doc["count_error"] == 0
     assert "raw_total" in result.output
+
+
+def test_aggregate_attr_clause_narrows_the_count(world_dir, runner):
+    graph = Datagraph.load(world_dir / "world.json")
+    totals = {}
+    for attrs in [(), (("color", "blue"),)]:
+        query = Query("how many chair are there?", Predicate("chair", attrs), mode="count")
+        report = run_aggregate(graph, OracleBackend(), query, 0.0).aggregate
+        totals[attrs] = f"raw_total={report.raw_total} deduped_total={report.deduped_total}"
+    result = runner.invoke(
+        main,
+        ["aggregate", "--world", str(world_dir / "world.json"), "--label", "chair", "--attr", "color=blue",
+         "--radius", "0"],
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines() == [totals[(("color", "blue"),)]]
+    assert totals[(("color", "blue"),)] != totals[()]  # the clause narrows the count
 
 
 @pytest.mark.parametrize("flags", [["--radius", "nan"], ["--radius", "inf"], ["--label", ""]],
@@ -327,6 +346,10 @@ def input_files(tmp_path, world_dir):
     files["no_routes"].write_text("[]")
     files["closed_route"] = tmp_path / "closed_route.json"
     files["closed_route"].write_text("[[0, 2, 3], [0, 1, 3]]")
+    shortest = Datagraph.load(files["world"]).shortest_path(0, 11)
+    for name, later in [("unknown_node_route", [0, 99, 11]), ("non_adjacent_route", [0, 11])]:
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(json.dumps([shortest, later]))
     # world and ground-truth files with one field overwritten
     world = json.loads(files["world"].read_text())
     node = next(n for n in world["nodes"] if n["snapshot"]["objects"])
@@ -383,6 +406,29 @@ def test_aggregate_refuses_a_remote_answer_without_positions_at_the_first_scene(
         "error: object 'extinguisher' from node 0 has no world position; "
         "use radius 0 with backends that omit coordinates"
     ]
+
+
+@pytest.mark.parametrize(
+    "routes, body, exit_code, message, requests",
+    [
+        (None, {"satisfied": True, "text": 5}, 3, "error: 'text' must be a string", 1),
+        ("non_adjacent_route", None, 2, "error: path nodes 0 and 11 are not adjacent", 0),
+    ],
+    ids=["malformed-verdict", "non-adjacent-candidate"],
+)
+def test_remote_route_scan_failures_end_in_one_error_line(
+    runner, input_files, routes, body, exit_code, message, requests
+):
+    args = [arg.format(**input_files) for arg in ROUTE]
+    if routes is not None:
+        args += ["--routes", str(input_files[routes])]
+    with MockRemoteServer(body=body) as server:
+        result = runner.invoke(main, args + ["--base-url", server.base_url])
+        seen = len(server.requests)
+    assert result.exit_code == exit_code, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.splitlines() == [message]
+    assert seen == requests
 
 
 def test_proxy_credentials_that_are_not_latin_1_end_in_one_error_line(world_dir, runner, monkeypatch):
@@ -594,6 +640,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(["route", "--world", "{closed_edge}", "--start", "0", "--goal", "3", "--routes", "{closed_route}"],
                      2, "error: candidate route [0, 1, 3] crosses the closed edge 0-1",
                      id="routes-across-a-closed-edge"),
+        # a query to the closed port would exit 3: the bad candidate is refused before any query
+        pytest.param(ROUTE + ["--routes", "{unknown_node_route}", "--base-url", "http://127.0.0.1:1"], 2,
+                     "error: unknown node id: 99", id="routes-unknown-node-before-any-query"),
         pytest.param(["compare", "--config", "{saved}", "--strategies", "proximity,proximity"], 2,
                      "error: strategies names one entry twice: ['proximity', 'proximity']",
                      id="compare-repeated-strategy"),

@@ -11,6 +11,7 @@ import datagraph.harness
 import datagraph.worldgen
 from datagraph import (
     CachingBackend,
+    CatalogEntry,
     ConfigError,
     Datagraph,
     ExperimentConfig,
@@ -18,6 +19,7 @@ from datagraph import (
     GraphValidationError,
     GroundTruth,
     InvalidPathError,
+    MissingNodeError,
     OracleBackend,
     Predicate,
     Query,
@@ -27,11 +29,13 @@ from datagraph import (
     RouteError,
     SceneObject,
     TaskConfig,
+    TaskUnavailableError,
     WorldFiles,
     WorldSpec,
     derive_seed,
     generate_world,
     ground_truth_nearest,
+    make_keyfob_task,
     proximity_query_all,
     proximity_search_first,
     run_aggregate,
@@ -343,6 +347,23 @@ def test_ground_truth_home_node_outside_the_world_is_rejected(tmp_path, home_nod
     assert str(excinfo.value) == message
     report = run_compare(compare_config(world=world, tasks=TaskConfig("nearest_search", 2, 1)))
     assert [row.error for row in report.per_trial] == [message] * 4
+
+
+def test_trial_gives_up_after_the_last_attempt_without_a_task():
+    """A world whose catalog holds no keyfob never hosts a keyfob task."""
+    world = WorldSpec(2, 2, seed=3, catalog=(CatalogEntry("chair"),))
+    report = run_compare(ExperimentConfig(world, TaskConfig("keyfob_match", 1, 0)))
+    message = "no world supporting task kind 'keyfob_match' within 20 attempts for trial 0"
+    assert [row.error for row in report.per_trial] == [message] * 2
+
+
+def test_trial_retries_a_world_without_a_task():
+    world, tasks = WorldSpec(2, 2, seed=0), TaskConfig("keyfob_match", 1, 0)
+    graph, ground_truth = generate_world(replace(world, seed=derive_seed(world.seed, 0, 0)))
+    with pytest.raises(TaskUnavailableError):  # the first attempt's world hosts no keyfob task
+        make_keyfob_task(graph, ground_truth, derive_seed(tasks.seed, 0, 0))
+    report = run_compare(ExperimentConfig(world, tasks))
+    assert len(report.per_trial) == 2 and report.error_count == 0
 
 
 def test_route_kind_is_rejected_by_compare():
@@ -717,6 +738,36 @@ def test_candidate_route_must_join_start_to_goal(route):
     with pytest.raises(RouteError, match="does not join 0 to 5"):
         run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
     assert backend.hits == len(backend.store) == 0  # checked before any scene is queried
+
+
+@pytest.mark.parametrize(
+    "route, error, message",
+    [
+        ([0, 5], InvalidPathError, "path nodes 0 and 5 are not adjacent"),
+        ([0, 1, 2, 4, 5], InvalidPathError, "path nodes 1 and 2 are not adjacent"),
+        ([0, 99, 5], MissingNodeError, "unknown node id: 99"),
+        ([0, 1, -1, 5], MissingNodeError, "unknown node id: -1"),
+        ([0, 2, 5, 99, 5], MissingNodeError, "unknown node id: 99"),  # every id before any pair
+    ],
+)
+def test_candidate_route_must_be_a_path_of_the_world(route, error, message):
+    backend = CachingBackend(OracleBackend())
+    with pytest.raises(error, match=f"^{message}$"):
+        run_route_scan(grid2x3(), backend, 0, 5, candidate_routes=[[0, 1, 3, 5], route])
+    assert backend.hits == len(backend.store) == 0  # checked before any scene is queried
+
+
+@pytest.mark.parametrize(
+    "later, error",
+    [([0, 15], InvalidPathError), ([0, 99, 15], MissingNodeError)],
+)
+def test_remote_route_scan_refuses_a_bad_candidate_before_any_request(later, error):
+    graph, _ = generate_world(WorldSpec(4, 4, seed=1))
+    with MockRemoteServer() as server:
+        with RemoteBackend(RemoteEndpointConfig(server.base_url, timeout_ms=2000)) as backend:
+            with pytest.raises(error):
+                run_route_scan(graph, backend, 0, 15, candidate_routes=[graph.shortest_path(0, 15), later])
+        assert server.requests == []
 
 
 @pytest.mark.parametrize(

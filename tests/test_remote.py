@@ -628,6 +628,23 @@ def test_bad_object_fields_are_malformed(obj):
             RemoteBackend(config_for(server)).answer(make_node(), QUERY)
 
 
+@pytest.mark.parametrize(
+    "behavior, message",
+    [
+        ({"raw_body": b"[1]"}, "response body must be a JSON object"),
+        ({"body": {"satisfied": True, "objects": {"label": "keyfob"}}}, "'objects' must be an array when present"),
+        ({"body": {"satisfied": True, "objects": [{"attributes": {}}]}}, "each object needs at least a 'label'"),
+        ({"body": {"satisfied": True, "objects": ["keyfob"]}}, "each object needs at least a 'label'"),
+        ({"body": {"satisfied": True, "text": 5}}, "'text' must be a string"),
+    ],
+    ids=["body-array", "objects-object", "object-without-label", "object-string", "text-int"],
+)
+def test_verdicts_of_the_wrong_shape_are_malformed(behavior, message):
+    with MockRemoteServer(**behavior) as server:
+        with pytest.raises(MalformedResponseError, match=f"^{message}$"):
+            RemoteBackend(config_for(server)).answer(make_node(), QUERY)
+
+
 def test_connection_refused_is_protocol_error():
     config = RemoteEndpointConfig(base_url="http://127.0.0.1:1", timeout_ms=500)
     with pytest.raises(RemoteProtocolError):
