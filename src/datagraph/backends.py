@@ -48,6 +48,7 @@ from .graph import (
     Snapshot,
     _check_bool,
     _check_id,
+    _document,
     _is_integer,
     _KindError,
     _object_text,
@@ -141,15 +142,7 @@ class QueryResponse:
         ``dataclasses.replace`` would make it, without its per-call field walk."""
         return QueryResponse(node, self.satisfied, self.matches, self.count, self.text, backend_calls)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "node": self.node,
-            "satisfied": self.satisfied,
-            "matches": [obj.to_json_dict() for obj in self.matches],
-            "count": self.count,
-            "text": self.text,
-            "backend_calls": self.backend_calls,
-        }
+    to_json_dict = _document
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> QueryResponse:
@@ -194,6 +187,12 @@ class RemoteEndpointConfig:
             url.port
         except ValueError as exc:  # not a number, or above 65535
             raise ValueError(f"base_url {self.base_url!r} has a bad port: {exc}") from None
+        if "?" in self.base_url or "#" in self.base_url:  # either would move the /query appended to the path
+            raise ValueError(f"base_url {self.base_url!r} must not hold a query or a fragment")
+        try:  # the host as requests prepares it, then as the socket layer encodes it to look it up
+            urlsplit(requests.Request("POST", self.base_url).prepare().url).hostname.encode("idna")
+        except (requests.exceptions.InvalidURL, UnicodeError) as exc:
+            raise ValueError(f"base_url {self.base_url!r} has a bad host: {exc}") from None
         # the token is sent as a header line, which holds Latin-1 text and no line break
         token = self.auth_token
         if token is not None:
@@ -718,7 +717,11 @@ class RemoteBackend:
         address, self._tunnel = (url.hostname, url.port or (443 if https else 80)), None
         proxy = requests.utils.select_proxy(prepared.url, settings["proxies"])
         if proxy is not None:
-            proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
+            try:  # a host the socket layer can encode to look it up (None has no encode), and a port
+                proxy_url = urlsplit(requests.utils.prepend_scheme_if_needed(proxy, "http"))
+                proxy_url.hostname.encode("idna"), proxy_url.port
+            except (ValueError, AttributeError):  # urllib3's LocationParseError and UnicodeError are ValueErrors
+                raise RemoteProtocolError(0, f"proxy for {self._url}: not a URL with a valid host and port") from None
             if proxy_url.scheme != "http":
                 shown = proxy_url._replace(netloc=proxy_url.netloc.rpartition("@")[2]).geturl()  # no credentials
                 raise RemoteProtocolError(0, f"proxy {shown} for {self._url}: only http:// proxies are supported")

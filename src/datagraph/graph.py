@@ -13,19 +13,21 @@ field (ids, booleans, labels, attributes, numbers and number vectors), and
 the constructor, the experiment config and the world spec use the same
 helpers, so each check is written once; the code that then sets the fields
 is generated from each record's field list (:func:`_record`), as is every
-record's unchecked ``_of``. World generation builds its records through
-``_of``: it checks its spec once (``WorldSpec`` and ``CatalogEntry`` hold
-those checks), and every field it derives from that spec is valid by
-construction. The loaders read a record of the kinds a saved document holds
-(int ids, a non-empty str label, a dict of str to str, which they copy,
-three finite floats, no orientation or payload ref) by testing those kinds
-inline and building it through ``_of``; any other record goes through its
-checking constructor, so every fault reads as the constructor words it. A
-graph is safe to share across threads without locking. Every query breaks
-ties deterministically (ascending node ids, lexicographically smallest
-paths) so traversals are reproducible. The records are frozen, slotted
-dataclasses, so they take no ``__dict__`` and no attribute beyond their
-fields.
+record's unchecked ``_of``. The same list gives the readers of configs and
+specs a record's fields (:func:`_named_fields`) and writes the document of a
+record that is its field list (:func:`_document`). World generation builds
+its records through ``_of``: it checks its spec once (``WorldSpec`` and
+``CatalogEntry`` hold those checks), and every field it derives from that
+spec is valid by construction. The loaders read a record of the kinds a
+saved document holds (int ids, a non-empty str label, a dict of str to str,
+which they copy, three finite floats, no orientation or payload ref) by
+testing those kinds inline and building it through ``_of``; any other record
+goes through its checking constructor, so every fault reads as the
+constructor words it. A graph is safe to share across threads without
+locking. Every query breaks ties deterministically (ascending node ids,
+lexicographically smallest paths) so traversals are reproducible. The
+records are frozen, slotted dataclasses, so they take no ``__dict__`` and no
+attribute beyond their fields.
 
 No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
@@ -63,7 +65,7 @@ import numbers
 from bisect import bisect_left
 from contextlib import contextmanager
 from collections import deque
-from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from heapq import heappop, heappush
 
 from . import output
@@ -208,6 +210,25 @@ def _named_fields(record, doc: dict) -> dict:
     return named
 
 
+def _document(record) -> dict:
+    """The JSON document of the dataclass ``record``, as :func:`_named_fields`
+    reads it back: its ``__init__`` fields in field order. A tuple or list
+    becomes a new list and a dict a new dict, their items written alike, and
+    a nested record its ``to_json_dict()`` (or, lacking one, its ``_document``),
+    so the document shares no dict or list with the record."""
+    return {f.name: _json_value(getattr(record, f.name)) for f in fields(record) if f.init}
+
+
+def _json_value(value):
+    if isinstance(value, (tuple, list)):
+        return [_json_value(item) for item in value]
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if is_dataclass(value):
+        return value.to_json_dict() if hasattr(value, "to_json_dict") else _document(value)
+    return value
+
+
 # Each record sets each field once: a generated __init__ plus a __post_init__
 # would set checked or converted fields twice, and loading or generating a
 # world builds thousands of records. :func:`_record` generates the functions
@@ -282,8 +303,9 @@ def _record(cls):
 class Pose:
     """A position in meters with an optional unit-quaternion orientation.
 
-    Orientation is stored for payload forwarding but never affects distance
-    computations; when absent it is treated as identity.
+    Orientation is stored and saved with its node, but no backend reads it
+    and it never affects distance computations; when absent it is treated
+    as identity.
     """
 
     position: tuple[float, float, float]

@@ -19,7 +19,7 @@ import io
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +44,7 @@ from .graph import (
     _check_id,
     _check_label,
     _collector_paused,
+    _document,
     _is_integer,
     _KindError,
     _named_fields,
@@ -95,8 +96,7 @@ class TaskConfig:
         object.__setattr__(self, "count", int(self.count))
         object.__setattr__(self, "seed", int(self.seed))
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "count": self.count, "seed": self.seed}
+    to_json_dict = _document
 
 
 @dataclass(frozen=True)
@@ -119,19 +119,11 @@ class BackendConfig:
             raise ConfigError("remote backend needs endpoint settings")
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"kind": self.kind}
-        if self.store_path:
-            doc["store_path"] = self.store_path
-        if self.record_path:
-            doc["record_path"] = self.record_path
-        if self.remote is not None:
-            doc["remote"] = {  # auth token deliberately not echoed into reports
-                "base_url": self.remote.base_url,
-                "timeout_ms": self.remote.timeout_ms,
-                "max_in_flight": self.remote.max_in_flight,
-            }
-        if self.forward_annotations:
-            doc["forward_annotations"] = True
+        """The kind, which is never empty, and every other field that is set;
+        the endpoint's auth token is never echoed into a report."""
+        doc = {name: value for name, value in _document(self).items() if value}
+        if "remote" in doc:
+            del doc["remote"]["auth_token"]
         return doc
 
 
@@ -141,6 +133,9 @@ class WorldFiles:
 
     path: str
     ground_truth_path: str | None = None
+
+    def to_json_dict(self) -> dict:
+        return {"path": self.path, "ground_truth": self.ground_truth_path}
 
 
 @dataclass(frozen=True)
@@ -182,22 +177,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def to_json_dict(self) -> dict:
-        world_doc = (
-            self.world.to_json_dict()
-            if isinstance(self.world, WorldSpec)
-            else {"path": self.world.path, "ground_truth": self.world.ground_truth_path}
-        )
-        return {
-            "world": world_doc,
-            "tasks": self.tasks.to_json_dict(),
-            "backend": self.backend.to_json_dict(),
-            "strategies": list(self.strategies),
-            "cache_enabled": self.cache_enabled,
-            "report_formats": list(self.report_formats),
-            "metric": self.metric,
-            "shared_cache": self.shared_cache,
-            "brute_force_stop_on_first": self.brute_force_stop_on_first,
-        }
+        """The config as its report echoes it: every field but ``output_dir``."""
+        doc = _document(self)
+        del doc["output_dir"]
+        return doc
 
     @classmethod
     def from_json_dict(cls, doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -297,8 +280,7 @@ class TrialRecord:
     cache_hits: int = 0
     error: str | None = None
 
-    def to_json_dict(self) -> dict:
-        return asdict(self)
+    to_json_dict = _document
 
 
 CSV_HEADER = [f.name for f in fields(TrialRecord)]
@@ -329,9 +311,8 @@ class MetricsReport:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(CSV_HEADER)
-        for row in self.per_trial:
-            doc = row.to_json_dict()
-            writer.writerow(["" if doc[k] is None else doc[k] for k in CSV_HEADER])
+        for row in self.per_trial:  # a row's document holds its fields in CSV_HEADER's order
+            writer.writerow(["" if value is None else value for value in row.to_json_dict().values()])
         return buffer.getvalue()
 
     def write(self, output_dir, formats=("json",)) -> list[Path]:

@@ -43,6 +43,7 @@ from .graph import (
     _check_id,
     _check_label,
     _collector_paused,
+    _document,
     _is_integer,
     _KindError,
     _named_fields,
@@ -126,8 +127,7 @@ class CatalogEntry:
                 )
         object.__setattr__(self, "attributes", attrs)
 
-    def to_json_dict(self) -> dict:
-        return {"label": self.label, "attributes": self.attributes, "weight": self.weight}
+    to_json_dict = _document
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> CatalogEntry:
@@ -223,18 +223,7 @@ class WorldSpec:
                 raise WorldSpecError("catalog weights must have a finite sum")
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "grid_w": self.grid_w,
-            "grid_h": self.grid_h,
-            "room_size_m": self.room_size_m,
-            "door_prob": self.door_prob,
-            "catalog": [entry.to_json_dict() for entry in self.catalog],
-            "objects_per_room_mean": self.objects_per_room_mean,
-            "boundary_duplicate_prob": self.boundary_duplicate_prob,
-            "seed": self.seed,
-            "min_label_separation_m": self.min_label_separation_m,
-        }
+        return {"format_version": 1, **_document(self)}
 
     def save(self, destination) -> None:
         output.write_output(destination, [json.dumps(self.to_json_dict(), indent=2) + "\n"])
@@ -279,15 +268,7 @@ class GroundTruthInstance:
             None if duplicate_of is None else _check_id(duplicate_of, "duplicate_of"),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "label": self.label,
-            "attributes": dict(self.attributes),
-            "world_position": list(self.world_position),
-            "home_node": self.home_node,
-            "duplicate_of": self.duplicate_of,
-        }
+    to_json_dict = _document
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> GroundTruthInstance:
@@ -349,10 +330,7 @@ class GroundTruth:
         return len(_matching(predicate, self.physical_instances()))
 
     def to_json_dict(self) -> dict:
-        return {
-            "format_version": 1,
-            "instances": [inst.to_json_dict() for inst in self.instances],
-        }
+        return {"format_version": 1, **_document(self)}
 
     def save(self, destination) -> None:
         """Write the ground-truth document to a path.

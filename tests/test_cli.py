@@ -11,7 +11,7 @@ from datagraph import (
 )
 from datagraph.cli import main
 from datagraph.mock_remote import MockRemoteServer
-from helpers import build_graph
+from helpers import MALFORMED_PROXIES, build_graph
 
 
 @pytest.fixture
@@ -325,6 +325,9 @@ def input_files(tmp_path, world_dir):
         ("config_fractional_in_flight", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "max_in_flight": 1.5}),
         ("config_bad_port", "backend", {"kind": "remote", "base_url": "http://127.0.0.1:99999"}),
+        ("config_query_base_url", "backend", {"kind": "remote", "base_url": "http://127.0.0.1:1/?x=1"}),
+        ("config_wildcard_base_url", "backend", {"kind": "remote", "base_url": "http://*.example.com"}),
+        ("config_empty_label_base_url", "backend", {"kind": "remote", "base_url": "http://a..b"}),
         ("config_int_auth_token", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "auth_token": 7}),
         ("config_line_break_auth_token", "backend",
@@ -443,6 +446,25 @@ def test_proxy_credentials_that_are_not_latin_1_end_in_one_error_line(world_dir,
         "error: remote endpoint returned status 0: proxy for http://example.test:8080/query: "
         "credentials must be Latin-1 text"
     ]
+
+
+@pytest.mark.parametrize("proxy", MALFORMED_PROXIES)
+def test_a_malformed_proxy_ends_in_one_error_line_before_any_query(world_dir, runner, monkeypatch, proxy):
+    for name in ("http_proxy", "NO_PROXY", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    args = [arg.format(world=world_dir / "world.json") for arg in ROUTE]
+    with MockRemoteServer() as server:
+        base_url = server.base_url
+        result = runner.invoke(main, args + ["--base-url", base_url])
+        seen = len(server.requests)
+    assert result.exit_code == 3, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.splitlines() == [
+        f"error: remote endpoint returned status 0: proxy for {base_url}/query: "
+        "not a URL with a valid host and port"
+    ]
+    assert seen == 0
 
 
 def test_shared_cache_runs_on_an_inline_world(runner, input_files):
@@ -599,6 +621,12 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                 ("config_bad_port",
                  "error: config.backend: base_url 'http://127.0.0.1:99999' has a bad port: "
                  "Port out of range 0-65535"),
+                ("config_query_base_url",
+                 "error: config.backend: base_url 'http://127.0.0.1:1/?x=1' must not hold a query or a fragment"),
+                ("config_wildcard_base_url",
+                 "error: config.backend: base_url 'http://*.example.com' has a bad host: URL has an invalid label."),
+                ("config_empty_label_base_url",
+                 "error: config.backend: base_url 'http://a..b' has a bad host: encoding with 'idna' codec failed"),
                 ("config_int_auth_token", "error: config.backend: auth_token must be a string, got 7"),
                 ("config_line_break_auth_token",
                  "error: config.backend: auth_token must not hold a line break"),
@@ -669,6 +697,20 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                      "error: base_url 'http://127.0.0.1:abc' has a bad port: "
                      "Port could not be cast to integer value as 'abc'",
                      id="aggregate-remote-port-not-a-number"),
+        # each would send no request to /query, or fail at the first scene query
+        *[
+            pytest.param(ROUTE + ["--base-url", base_url], 2, f"error: base_url {base_url!r} {reason}",
+                         id=f"route-remote-{name}")
+            for name, base_url, reason in [
+                ("query", "http://127.0.0.1:1/?x=1", "must not hold a query or a fragment"),
+                ("empty-query", "http://127.0.0.1:1/?", "must not hold a query or a fragment"),
+                ("fragment", "http://127.0.0.1:1/#f", "must not hold a query or a fragment"),
+                ("leading-dot-host", "http://..com", "has a bad host: URL has an invalid label."),
+                ("wildcard-host", "http://*.example.com", "has a bad host: URL has an invalid label."),
+                ("empty-label", "http://a..b", "has a bad host: encoding with 'idna' codec failed"),
+                ("long-label", f"http://{'a' * 64}.test", "has a bad host: encoding with 'idna' codec failed"),
+            ]
+        ],
         pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--auth-token", "a\nb"], 2,
                      "error: auth_token must not hold a line break",
                      id="route-auth-token-line-break"),

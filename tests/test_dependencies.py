@@ -1,4 +1,5 @@
-"""The runtime dependencies are named alike in the code, pyproject.toml and README."""
+"""The runtime dependencies are named alike in the code, pyproject.toml and
+README, and no module under ``src/datagraph`` imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -34,3 +35,26 @@ def test_every_third_party_import_is_a_declared_dependency_and_readme_names_them
     (line,) = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
                if "Runtime deps:" in line]
     assert set(re.findall(r"`([^`]+)`", line)) == declared
+
+
+def unused_imports(path: Path) -> set[str]:
+    """The names that the imports of the module at ``path`` bind and that its
+    code never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.update(alias.asname or alias.name for alias in node.names)
+    return bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    # __init__.py's imports are the package's exports
+    unused = {
+        path.name: names
+        for path in sorted((ROOT / "src" / "datagraph").rglob("*.py"))
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert unused == {}

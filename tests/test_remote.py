@@ -35,6 +35,7 @@ from datagraph import (
 from datagraph.backends import MAX_TIMEOUT_MS
 from datagraph import mock_remote
 from datagraph.mock_remote import MockRemoteServer
+from helpers import MALFORMED_PROXIES
 
 QUERY = Query("is there a keyfob with number 42?", Predicate(label_equals="keyfob"))
 
@@ -256,6 +257,23 @@ def test_a_refused_proxy_is_named_without_its_credentials(monkeypatch):
         "http://example.test:8080/query: only http:// proxies are supported"
     )
     assert "secret" not in repr(excinfo.value.args)
+
+
+@pytest.mark.parametrize("proxy", MALFORMED_PROXIES)
+def test_a_malformed_proxy_is_refused_when_the_backend_is_built(monkeypatch, proxy):
+    for name in ("http_proxy", "NO_PROXY", "no_proxy", "REQUEST_METHOD"):
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    with MockRemoteServer() as server:
+        base_url = server.base_url
+        with pytest.raises(RemoteProtocolError) as excinfo:
+            RemoteBackend(RemoteEndpointConfig(base_url))
+        assert not server.requests
+    assert str(excinfo.value) == (
+        f"remote endpoint returned status 0: proxy for {base_url}/query: "
+        "not a URL with a valid host and port"
+    )
+    assert excinfo.value.status == 0 and "secret" not in repr(excinfo.value.args)
 
 
 def test_redirect_is_a_protocol_error_and_not_followed():
@@ -806,6 +824,23 @@ def test_config_validation():
         with pytest.raises(ValueError, match=message):
             RemoteEndpointConfig(base_url="http://x", auth_token=token)
     assert RemoteEndpointConfig(base_url="http://x:8080", auth_token="caf\u00e9").auth_token == "caf\u00e9"
+    # a query or fragment would move the /query appended to the path; requests
+    # refuses the next two hosts, and the socket layer cannot encode the last two
+    for base_url, reason in [
+        ("http://h:8/?x=1", "must not hold a query or a fragment"),
+        ("http://h:8/?", "must not hold a query or a fragment"),
+        ("http://h:8/#f", "must not hold a query or a fragment"),
+        ("http://..com", "has a bad host: URL has an invalid label."),
+        ("http://*.example.com", "has a bad host: URL has an invalid label."),
+        ("http://a..b", "has a bad host: encoding with 'idna' codec failed (UnicodeError: label empty or too long)"),
+        (f"http://{'a' * 64}.test", "has a bad host: encoding with 'idna' codec failed"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            RemoteEndpointConfig(base_url=base_url)
+        assert str(excinfo.value).startswith(f"base_url {base_url!r} {reason}")
+    for base_url in ["http://[::1]:8080", "http://example.test.", "http://b\u00fccher.test",
+                     "https://example.test:8443/api", "http://user:pw@host"]:
+        assert RemoteEndpointConfig(base_url=base_url).base_url == base_url
 
 
 def test_timeout_is_at_most_a_day():
