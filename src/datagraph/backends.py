@@ -180,7 +180,10 @@ class RemoteEndpointConfig:
     def __post_init__(self):
         for name in ("timeout_ms", "max_in_flight"):
             object.__setattr__(self, name, _check_id(getattr(self, name), name))
-        url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        try:
+            url = urlsplit(self.base_url) if isinstance(self.base_url, str) else None
+        except ValueError:  # an unclosed IPv6 bracket
+            url = None
         if url is None or url.scheme not in ("http", "https") or not url.hostname:
             raise ValueError(f"base_url must be an http:// or https:// URL, got {self.base_url!r}")
         try:

@@ -127,7 +127,8 @@ _compare_options = [
     click.option("--seed", type=int, default=None, help="Master task seed."),
     click.option("--kind", type=click.Choice(TASK_KINDS), default=None),
     click.option("--strategies", default=None, help="Comma list: proximity,brute_force."),
-    click.option("--cache/--no-cache", "cache", default=None),
+    click.option("--cache/--no-cache", "cache", default=None,
+                 help="Set cache_enabled; a cache is built only if the config also sets shared_cache."),
     click.option("--formats", default=None, help="Comma list: json,csv."),
 ]
 _backend_kind = click.option("--backend", type=click.Choice(["oracle", "replay", "remote"]), default=None)

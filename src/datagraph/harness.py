@@ -53,9 +53,9 @@ from .graph import (
 from .traversal import (
     AggregateReport,
     _path_meters,
+    _run,
     aggregate_count,
     brute_force_query,
-    path_query,
     proximity_search_first,
 )
 from .worldgen import (
@@ -624,7 +624,8 @@ def run_route_scan(
     set, or a candidate that does not run from ``start`` to ``goal`` or that
     crosses a closed edge, is a :class:`RouteError`, and one that is not a
     path of the graph raises what :func:`path_query` would, each before any
-    scene is queried.
+    scene is queried. Each candidate is checked once, here, and the scan
+    loop is asked for its verdicts only, so no hit distance is computed.
     """
     # checked here, so an unknown metric fails before any scene is queried
     length_of = by_metric(metric, lambda entry: entry.length_hops, lambda entry: entry.length_m)
@@ -649,31 +650,14 @@ def run_route_scan(
     total_calls = 0
     cache_hits_before = backend.hits if isinstance(backend, CachingBackend) else None
     for route, length_m in zip(routes, lengths_m):
-        result = path_query(graph, backend, HAZARD_QUERY, route)
+        result = _run(graph, backend.answer, HAZARD_QUERY, route, None, False)
         total_calls += result.total_backend_calls
-        hazard_nodes = []
-        for response in result.responses:
-            if response.satisfied and response.node not in hazard_nodes:
-                hazard_nodes.append(response.node)
-        entries.append(
-            RouteReportEntry(
-                route=tuple(route),
-                verdicts=tuple((r.node, r.satisfied) for r in result.responses),
-                hazard_nodes=tuple(hazard_nodes),
-                hazard_count=len(hazard_nodes),
-                length_hops=len(route) - 1,
-                length_m=length_m,
-            )
-        )
-
-    def rank(indexed: tuple[int, RouteReportEntry]):
-        _, entry = indexed
-        return (entry.hazard_count, length_of(entry), entry.route)
-
-    selected_index = min(enumerate(entries), key=rank)[0]
-    cache_hits = None
-    if cache_hits_before is not None:
-        cache_hits = backend.hits - cache_hits_before
+        verdicts = tuple((r.node, r.satisfied) for r in result.responses)
+        hazard_nodes = tuple(dict.fromkeys(v for v, satisfied in verdicts if satisfied))
+        entries.append(RouteReportEntry(tuple(route), verdicts, hazard_nodes, len(hazard_nodes),
+                                        len(route) - 1, length_m))
+    ranks = [(entry.hazard_count, length_of(entry), entry.route) for entry in entries]
+    selected_index = ranks.index(min(ranks))
     return RouteScanReport(
         start=start,
         goal=goal,
@@ -681,7 +665,7 @@ def run_route_scan(
         entries=tuple(entries),
         selected_index=selected_index,
         total_backend_calls=total_calls,
-        cache_hits=cache_hits,
+        cache_hits=None if cache_hits_before is None else backend.hits - cache_hits_before,
     )
 
 

@@ -271,6 +271,7 @@ def input_files(tmp_path, world_dir):
         files[name] = tmp_path / f"{name}.json"
         files[name].write_text(json.dumps({**spec, key: value}))
     files["directory"] = tmp_path
+    files["missing_ca_bundle"] = tmp_path / "missing-ca.pem"
     files["not_utf8"] = tmp_path / "not_utf8.json"
     files["not_utf8"].write_bytes(b"\xff\xfe")
     missing = str(tmp_path / "missing.json")
@@ -328,6 +329,7 @@ def input_files(tmp_path, world_dir):
         ("config_query_base_url", "backend", {"kind": "remote", "base_url": "http://127.0.0.1:1/?x=1"}),
         ("config_wildcard_base_url", "backend", {"kind": "remote", "base_url": "http://*.example.com"}),
         ("config_empty_label_base_url", "backend", {"kind": "remote", "base_url": "http://a..b"}),
+        ("config_unclosed_ipv6_base_url", "backend", {"kind": "remote", "base_url": "http://[::1"}),
         ("config_int_auth_token", "backend",
          {"kind": "remote", "base_url": "http://127.0.0.1:1", "auth_token": 7}),
         ("config_line_break_auth_token", "backend",
@@ -627,6 +629,8 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
                  "error: config.backend: base_url 'http://*.example.com' has a bad host: URL has an invalid label."),
                 ("config_empty_label_base_url",
                  "error: config.backend: base_url 'http://a..b' has a bad host: encoding with 'idna' codec failed"),
+                ("config_unclosed_ipv6_base_url",
+                 "error: config.backend: base_url must be an http:// or https:// URL, got 'http://[::1'"),
                 ("config_int_auth_token", "error: config.backend: auth_token must be a string, got 7"),
                 ("config_line_break_auth_token",
                  "error: config.backend: auth_token must not hold a line break"),
@@ -690,6 +694,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(AGGREGATE + ["--base-url", "x"], 2,
                      "error: base_url must be an http:// or https:// URL, got 'x'",
                      id="aggregate-remote-schemeless-url"),
+        pytest.param(ROUTE + ["--base-url", "http://[::1"], 2,
+                     "error: base_url must be an http:// or https:// URL, got 'http://[::1'",
+                     id="route-remote-unclosed-ipv6-bracket"),
         pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:99999"], 2,
                      "error: base_url 'http://127.0.0.1:99999' has a bad port: Port out of range 0-65535",
                      id="route-remote-port-out-of-range"),
@@ -726,6 +733,11 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
         pytest.param(AGGREGATE + ["--base-url", "http://127.0.0.1:1", "--timeout-ms", "500"],
                      3, "error: remote endpoint returned status 0",
                      id="aggregate-remote-refused"),
+        # an unreadable CA bundle is refused when the backend is built
+        pytest.param(ROUTE + ["--base-url", "https://127.0.0.1:9"], 3,
+                     "error: remote endpoint returned status 0: TLS settings for https://127.0.0.1:9/query: "
+                     "[Errno 2] No such file or directory",
+                     id="route-remote-missing-ca-bundle"),
         pytest.param(ROUTE + ["--base-url", "http://127.0.0.1:1", "--timeout-ms", "100000000000000000000"], 2,
                      "error: timeout_ms must be from 1 to 86400000 (one day), got 100000000000000000000",
                      id="route-timeout-too-long"),
@@ -788,7 +800,9 @@ def test_shared_cache_runs_on_an_inline_world(runner, input_files):
 def test_failures_exit_with_code_and_one_stderr_line(runner, input_files, args, exit_code, message):
     args = [arg.format(**input_files) for arg in args]
     message = message.format(**input_files)
-    result = runner.invoke(main, args)
+    # every case runs with no proxy and a CA bundle that does not exist, which only an https endpoint reads
+    env = {name: None for lower in ("http_proxy", "https_proxy", "all_proxy") for name in (lower, lower.upper())}
+    result = runner.invoke(main, args, env={**env, "REQUESTS_CA_BUNDLE": str(input_files["missing_ca_bundle"])})
     assert result.exit_code == exit_code, result.output
     assert result.exception is None or isinstance(result.exception, SystemExit)  # no traceback
     lines = result.stderr.splitlines()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -815,11 +816,67 @@ def test_unknown_metric_gets_one_message_everywhere():
     assert str(excinfo.value) == message
 
 
-def test_route_scan_report_json_is_stable():
+def pinned_route_scans(tmp_path):
+    """(graph, start, goal, metric, candidates) of each pinned route scan."""
+    generated, _ = generate_world(WorldSpec(8, 8, seed=11))
+    generated.save(tmp_path / "world.json")
+    world = Datagraph.load(tmp_path / "world.json")
+
+    def detour(start, goal, waypoint):
+        head = world.shortest_path(start, waypoint, traversable_only=True)
+        return head + world.shortest_path(waypoint, goal, traversable_only=True)[1:]
+
+    shortest = world.shortest_path(0, 63, traversable_only=True)
+    # hops picks 0-1-5 (2 hops, 20 m) and meters 0-2-3-5 (3 hops, 3 m); 0-6-5
+    # is shortest by both but holds a hazard, and 0-4 is closed
+    edges = [(0, 1, 10.0), (1, 5, 10.0), (0, 2, 1.0), (2, 3, 1.0), (3, 5, 1.0),
+             (0, 4, 1.0, False), (4, 5, 1.0), (0, 6, 1.0), (6, 5, 1.0)]
+    built = build_graph(7, edges, objects={6: [hazard(0, (6.0, 0.0, 0.0))]})
+    built_routes = [[0, 6, 5], [0, 2, 3, 5], [0, 1, 5]]
+    scans = []
+    for metric in ("hops", "meters"):
+        scans += [
+            (world, 0, 63, metric, None),
+            (world, 5, 58, metric, None),
+            (world, 0, 63, metric, [shortest, detour(0, 63, 7), detour(0, 63, 56)]),
+            (built, 0, 5, metric, None),
+            (built, 0, 5, metric, built_routes),
+        ]
+    return scans
+
+
+# from the parent of the change that made route scans call the scan loop directly
+ROUTE_SCANS_DIGEST = "9d45e1f5fdaec4d5d1431827914aca74d6b6a65243f75810527db5579478cb67"
+
+
+def test_route_scan_report_json_is_stable(tmp_path):
     graph = grid2x3(objects={3: [hazard(0, (1.0, 1.0, 0.0))]})
     a = run_route_scan(graph, OracleBackend(), 0, 5).to_json()
     b = run_route_scan(graph, OracleBackend(), 0, 5).to_json()
     assert a == b
+    # every scan through the oracle (cache_hits null), then through one shared cache
+    texts = []
+    for backend in (OracleBackend(), CachingBackend(OracleBackend())):
+        for graph, start, goal, metric, candidates in pinned_route_scans(tmp_path):
+            texts.append(run_route_scan(graph, backend, start, goal, metric, candidates).to_json())
+    assert hashlib.sha256("".join(texts).encode()).hexdigest() == ROUTE_SCANS_DIGEST
+
+
+def test_route_scan_checks_each_pair_once_and_computes_no_hit_distance(monkeypatch):
+    graph = grid2x3(objects={3: [hazard(0, (1.0, 1.0, 0.0))], 4: [hazard(1, (0.0, 2.0, 0.0))]})
+    calls = {"nearest": 0, "edge_length": 0}
+    for name in calls:
+        real = getattr(Datagraph, name)
+
+        def counting(self, *args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Datagraph, name, counting)
+    routes = [[0, 1, 3, 5], [0, 2, 4, 5], [0, 2, 3, 5], [0, 1, 3, 2, 4, 5]]
+    report = run_route_scan(graph, OracleBackend(), 0, 5, candidate_routes=routes)
+    assert [entry.hazard_nodes for entry in report.entries] == [(3,), (4,), (3,), (3, 4)]
+    assert calls == {"nearest": 0, "edge_length": sum(len(route) - 1 for route in routes)}
 
 
 # --- run_aggregate -----------------------------------------------------------------

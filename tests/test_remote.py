@@ -583,6 +583,78 @@ def test_tls_endpoint_is_verified_against_the_ca_bundle_from_the_environment(mon
     assert seen == ["POST /query HTTP/1.1"]
 
 
+def tls_serving(cert_path, key_path, seen, client_ca=None):
+    """A ``raw_listener`` server that answers one request over TLS with
+    ``KEEP_ALIVE_OK``, asking for a client certificate signed by ``client_ca``
+    if given. Appends each request line and the client certificate's subject."""
+    context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    context.load_cert_chain(cert_path, key_path)
+    if client_ca is not None:
+        context.verify_mode = ssl.CERT_REQUIRED
+        context.load_verify_locations(client_ca)
+
+    def serve(sock):
+        with context.wrap_socket(sock, server_side=True) as tls:
+            seen.append((read_request(tls)[0], (tls.getpeercert() or {}).get("subject")))
+            tls.sendall(KEEP_ALIVE_OK)
+
+    return serve
+
+
+@pytest.fixture
+def no_tls_environment(monkeypatch):
+    """No proxy and no CA bundle from the environment, which would override a session's ``verify``."""
+    for name in ("HTTPS_PROXY", "https_proxy", "ALL_PROXY", "all_proxy", "REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+        monkeypatch.delenv(name, raising=False)
+
+
+def test_a_session_that_does_not_verify_gets_an_answer_from_a_self_signed_server(tmp_path, no_tls_environment):
+    seen = []
+    with raw_listener(tls_serving(*_self_signed_certificate(tmp_path), seen)) as port:
+        session = requests.Session()
+        session.verify = False
+        backend = RemoteBackend(RemoteEndpointConfig(f"https://127.0.0.1:{port}", timeout_ms=2000), session=session)
+        with backend:
+            assert backend.answer(make_node(), QUERY).text == "raw"
+    assert seen == [("POST /query HTTP/1.1", None)]
+
+
+def test_a_server_that_requires_a_client_certificate_gets_the_sessions(tmp_path, no_tls_environment):
+    (tmp_path / "server").mkdir()
+    (tmp_path / "client").mkdir()
+    server_cert, server_key = _self_signed_certificate(tmp_path / "server")
+    client_cert, client_key = _self_signed_certificate(tmp_path / "client")
+    seen = []
+    with raw_listener(tls_serving(server_cert, server_key, seen, client_ca=client_cert)) as port:
+        session = requests.Session()
+        session.verify, session.cert = str(server_cert), (str(client_cert), str(client_key))
+        backend = RemoteBackend(RemoteEndpointConfig(f"https://127.0.0.1:{port}", timeout_ms=2000), session=session)
+        with backend:
+            assert backend.answer(make_node(), QUERY).text == "raw"
+    assert seen == [("POST /query HTTP/1.1", ((("commonName", "127.0.0.1"),),))]
+
+
+def test_an_empty_ca_directory_builds_a_backend_whose_first_query_fails(tmp_path, no_tls_environment):
+    (tmp_path / "ca").mkdir()
+    seen = []
+    with raw_listener(tls_serving(*_self_signed_certificate(tmp_path), seen)) as port:
+        session = requests.Session()
+        session.verify = str(tmp_path / "ca")
+        backend = RemoteBackend(RemoteEndpointConfig(f"https://127.0.0.1:{port}", timeout_ms=2000), session=session)
+        with backend, pytest.raises(RemoteProtocolError) as excinfo:  # no CA in it signed the server's certificate
+            backend.answer(make_node(), QUERY)
+    assert excinfo.value.status == 0
+    assert seen == []
+
+
+def test_a_missing_ca_bundle_is_refused_when_the_backend_is_built(monkeypatch, tmp_path, no_tls_environment):
+    monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(tmp_path / "missing.pem"))
+    with pytest.raises(RemoteProtocolError) as excinfo:
+        RemoteBackend(RemoteEndpointConfig("https://127.0.0.1:9", timeout_ms=2000))
+    assert excinfo.value.status == 0
+    assert str(excinfo.value).endswith("TLS settings for https://127.0.0.1:9/query: [Errno 2] No such file or directory")
+
+
 def test_https_proxy_from_the_environment_gets_a_connect_for_the_endpoint(monkeypatch):
     seen = []
 
@@ -601,6 +673,25 @@ def test_https_proxy_from_the_environment_gets_a_connect_for_the_endpoint(monkey
     [(line, headers)] = seen
     assert line.split()[:2] == ["CONNECT", "127.0.0.1:9"]
     assert headers["Proxy-Authorization"] == "Basic YWxpY2U6c2VjcmV0"  # alice:secret
+
+
+def test_a_status_line_longer_than_http_client_reads_is_a_protocol_error():
+    """70,000 bytes with no LF, in pieces far smaller than one read: the
+    reader refuses the line once it holds more than 65,536 bytes of it."""
+
+    def serve(sock):
+        read_request(sock)
+        line = b"HTTP/1.1 200 " + b"x" * (70_000 - 13)
+        for i in range(0, len(line), 1000):
+            sock.sendall(line[i:i + 1000])
+        sock.recv(1)  # the client closes first
+
+    with raw_listener(serve) as port:
+        with RemoteBackend(RemoteEndpointConfig(f"http://127.0.0.1:{port}", timeout_ms=2000)) as backend:
+            with pytest.raises(RemoteProtocolError) as excinfo:
+                backend.answer(make_node(), QUERY)
+    assert excinfo.value.status == 0
+    assert "got more than 65536 bytes when reading status line" in str(excinfo.value)
 
 
 def test_timeout_raises_timeout_error():
@@ -838,6 +929,10 @@ def test_config_validation():
         with pytest.raises(ValueError) as excinfo:
             RemoteEndpointConfig(base_url=base_url)
         assert str(excinfo.value).startswith(f"base_url {base_url!r} {reason}")
+    for base_url in ["http://[::1", "http://::1]", "https://[", "ftp://[::1"]:  # brackets urlsplit refuses
+        with pytest.raises(ValueError) as excinfo:
+            RemoteEndpointConfig(base_url=base_url)
+        assert str(excinfo.value) == f"base_url must be an http:// or https:// URL, got {base_url!r}"
     for base_url in ["http://[::1]:8080", "http://example.test.", "http://b\u00fccher.test",
                      "https://example.test:8443/api", "http://user:pw@host"]:
         assert RemoteEndpointConfig(base_url=base_url).base_url == base_url

@@ -750,6 +750,18 @@ def test_keyfob_task_unavailable_without_keyfobs():
         make_keyfob_task(graph, ground_truth, seed=0)
 
 
+def test_keyfob_task_unavailable_when_every_door_number_is_on_two_keyfobs():
+    graph = build_graph(3, [(0, 1), (1, 2)])
+    placed = [("door", "4", 0), ("door", "7", 2), ("keyfob", "4", 1), ("keyfob", "4", 2),
+              ("keyfob", "7", 0), ("keyfob", "7", 1), ("keyfob", "9", 1)]  # no door takes the one 9
+    ground_truth = GroundTruth(tuple(
+        GroundTruthInstance(i, label, {"number": number}, (float(node), 0.0, 0.0), node)
+        for i, (label, number, node) in enumerate(placed)
+    ))
+    with pytest.raises(TaskUnavailableError, match="^no door is keyed to exactly one keyfob$"):
+        make_keyfob_task(graph, ground_truth, seed=0)
+
+
 def test_many_seeded_keyfob_tasks_have_unique_match():
     made = 0
     for seed in range(40):
