@@ -304,7 +304,7 @@ def test_property_grid_hash_decides_like_all_pairs_scan(case):
 @st.composite
 def generation_cases(draw):
     """A spec with every attribute generator, separation 0 or crowded rooms,
-    boundary duplicates, room sizes from 1e-3 to 1e300 (some of them ints or
+    Poisson means on both sides of 10, boundary duplicates, room sizes from 1e-3 to 1e300 (some of them ints or
     numpy scalars), and catalog labels that are not always non-empty strings."""
     name = st.sampled_from(["number", "color", "hazard"]) | st.text(max_size=3)
     text = st.text(max_size=4)
@@ -330,7 +330,8 @@ def generation_cases(draw):
         room_size_m=draw(st.sampled_from([1e-3, 1.0, 6.0, 1e300, 6, 1, np.float32(6), np.float32(0.3), np.float64(2.5)])
                          | st.floats(1e-3, 8.0) | st.floats(1e-3, 1e300)),
         door_prob=draw(st.floats(0.0, 1.0)),
-        objects_per_room_mean=draw(st.sampled_from([0.0, 2.0, 6.0]) | st.floats(0.5, 5.0)),
+        objects_per_room_mean=draw(st.sampled_from([0.0, 2.0, 6.0, 10.0]) | st.floats(0.5, 5.0)
+                                   | st.floats(10.0, 30.0)),
         boundary_duplicate_prob=draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2**64 - 1)),
         min_label_separation_m=draw(st.sampled_from([0.0, 1.1, 4.0]) | st.floats(0.0, 5.0)),
@@ -407,6 +408,25 @@ PINNED_WORLDS = [
     (
         WorldSpec(grid_w=12, grid_h=1, seed=5, boundary_duplicate_prob=0.6, objects_per_room_mean=4.0),
         "2eaaa516fe873bed22f287d98c7b9f7725e1e6d66729cae8d0fadf3b0afc0ccf",
+    ),
+    (  # Poisson means of 10 and up take numpy's PTRS path, not the multiplication method
+        WorldSpec(grid_w=5, grid_h=5, seed=31, objects_per_room_mean=12.0),
+        "99f3cedd958d3108ae49c05585864c605cd9d1757d6166da7c4bd894d206febf",
+    ),
+    (
+        WorldSpec(grid_w=3, grid_h=3, seed=8, objects_per_room_mean=10.0),
+        "84368a2b8583e02d0d8d62709f7668abab3f7a5fe780f9afd1ff9dc89d40a276",
+    ),
+    (  # a one-value choice draws no word, a 7-value one can reject; number_of on its own labels
+        WorldSpec(grid_w=6, grid_h=5, seed=17, boundary_duplicate_prob=0.4, objects_per_room_mean=3.0, catalog=(
+            CatalogEntry("tag", {"code": {"kind": "number_pool"}}, 1.0),
+            CatalogEntry("lamp", {
+                "shade": {"kind": "choice", "values": ["white"]},
+                "tint": {"kind": "choice", "values": ["red", "orange", "yellow", "green", "blue", "indigo", "violet"]},
+            }, 1.2),
+            CatalogEntry("box", {"code": {"kind": "number_of", "label": "tag"}, "lid": {"kind": "const", "value": "shut"}}, 0.9),
+        )),
+        "141d61c4167ab91fbb92f7d5a517c1aff51c2438e43cd5416ea2a0feec85e06b",
     ),
 ]
 
