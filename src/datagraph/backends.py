@@ -665,7 +665,10 @@ class RemoteBackend:
     ``requests`` only prepares the request, once, when the backend is built:
     the session's headers, cookies and auth (or a ``~/.netrc`` entry), the
     bearer token, and the proxy, CA bundle and client certificate settings
-    from the session and the environment are read then, not per call. The
+    from the session and the environment are read then, not per call. As in
+    ``session.post``, a ``REQUESTS_CA_BUNDLE`` (or ``CURL_CA_BUNDLE``) in the
+    environment overrides a session's ``verify = False`` unless the session's
+    ``trust_env`` is off. The
     request head is built then too, and :mod:`http.client` writes it: the
     request line, the ``Host`` header and the prepared headers in their
     order. The session's transport adapter for the URL gives the request

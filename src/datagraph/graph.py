@@ -3,10 +3,10 @@
 A :class:`Datagraph` is built whole and never changes: its one constructor,
 ``Datagraph(nodes, edges)``, takes :class:`Node` records in id order and
 ``(a, b, traversable, length_m)`` edge tuples, checks each edge once, and
-raises :class:`GraphValidationError` on any violation. World generation and
-loading both call it, with the cyclic garbage collector paused
-(:func:`_collector_paused`), and ``run_compare`` runs whole under the same
-pause. Loading reads the document through :func:`output.read_document`, the
+raises :class:`GraphValidationError` on any violation. It runs with the
+cyclic garbage collector paused (:func:`_collector_paused`), as do world
+generation and loading, which both call it, and ``run_compare`` runs whole
+under the same pause. Loading reads the document through :func:`output.read_document`, the
 one reader of every input file, which also checks its ``format_version``.
 Records built by hand check their own fields with one helper per kind of
 field (ids, booleans, labels, attributes, numbers and number vectors), and
@@ -524,6 +524,7 @@ class Datagraph:
     the ``(a, b)``, ``a < b``, of the others.
     """
 
+    @_collector_paused()
     def __init__(self, nodes, edges) -> None:
         """The graph of ``nodes``, :class:`Node` records in id order, joined by
         ``edges``, ``(a, b, traversable, length_m)`` tuples in any order and
@@ -566,25 +567,32 @@ class Datagraph:
         violations += faults
         if violations:
             raise GraphValidationError(violations)
+        # each node's (neighbor, length_m) pairs and neighbor ids, of all edges
+        # and of the traversable ones, filled in one pass over the sorted pairs
         pairs: list = [[] for _ in range(n)]
+        ids: list = [[] for _ in range(n)]
+        open_pairs: list = [[] for _ in range(n)] if closed else pairs
+        open_ids: list = [[] for _ in range(n)] if closed else ids
         for key in sorted(kept):  # appended in (a, b) order, every list comes out ascending
             a, b = key
-            length_m = kept[key]
-            pairs[a].append((b, length_m))
-            pairs[b].append((a, length_m))
+            entry_a, entry_b = (b, kept[key]), (a, kept[key])
+            pairs[a].append(entry_a)
+            pairs[b].append(entry_b)
+            ids[a].append(b)
+            ids[b].append(a)
+            if closed and key not in closed:
+                open_pairs[a].append(entry_a)
+                open_pairs[b].append(entry_b)
+                open_ids[a].append(b)
+                open_ids[b].append(a)
         del kept  # before the tuples below exist, which lowers the peak
         # tuples hold their entries inline, so the kernels sweep them faster
         self._nodes = nodes
-        self._pairs = tuple(map(tuple, pairs))
-        self._ids = tuple(tuple([w for w, _ in entries]) for entries in self._pairs)
+        self._pairs, self._ids = tuple(map(tuple, pairs)), tuple(map(tuple, ids))
         self._closed = frozenset(closed)
         self._open_pairs, self._open_ids = self._pairs, self._ids
         if closed:
-            self._open_pairs = tuple(
-                tuple([(w, length_m) for w, length_m in entries if ((v, w) if v < w else (w, v)) not in closed])
-                for v, entries in enumerate(self._pairs)
-            )
-            self._open_ids = tuple(tuple([w for w, _ in entries]) for entries in self._open_pairs)
+            self._open_pairs, self._open_ids = tuple(map(tuple, open_pairs)), tuple(map(tuple, open_ids))
 
     # -- access ---------------------------------------------------------------
 

@@ -6,7 +6,11 @@ walls get a door (an edge) with ``door_prob``. Objects are sprinkled
 uniformly inside rooms with Poisson counts, and objects near a shared wall
 can be duplicated into the neighboring room's snapshot to reproduce the
 boundary double-detection problem. Everything is a pure function of the
-spec (seed included): regenerating yields byte-identical worlds.
+spec (seed included): regenerating yields byte-identical worlds. The saved
+bytes follow numpy's PCG64 words and its ``Generator`` algorithms: the
+scalar draws are derived from raw words exactly as numpy computes them
+(:class:`_Draws`), and the permutation, vector and sampling draws are numpy
+calls.
 
 The task makers (nearest-object search, door-number/keyfob matching) turn a
 world and a seed into a :class:`TaskSpec`: where the agent stands and what
@@ -21,9 +25,12 @@ import bisect
 import json
 import math
 import sys
-from collections import Counter
+from collections import Counter, deque
 from collections.abc import Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import chain
+from operator import length_hint
 
 import numpy as np
 
@@ -393,10 +400,12 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     # every field of the records below is right by construction from the
     # checked spec, so each record skips its checks (see graph._record);
     # each scene object shares its instance's attributes
-    instances = _place_objects(spec, size, rng)
-    _assign_number_pools(spec, instances, rng)
-    _assign_number_refs(spec, instances, rng)
-    _inject_boundary_duplicates(spec, size, instances, set(edge_pairs), rng)
+    draws = _Draws(rng)
+    instances = _place_objects(spec, size, draws)
+    with draws.generator() as synced:
+        _assign_number_pools(spec, instances, synced)
+    _assign_number_refs(spec, instances, draws)
+    _inject_boundary_duplicates(spec, size, instances, set(edge_pairs), draws)
 
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     new_object = SceneObject._of
@@ -427,8 +436,8 @@ def _choose_doors(walls, n_cells: int, door_prob: float, rng) -> list[tuple[Node
     """Random spanning tree over ``n_cells`` rooms first (connectivity repair), extra doors after."""
     parent = list(range(n_cells))
     tree: set[tuple[NodeId, NodeId]] = set()
-    for index in rng.permutation(len(walls)):
-        a, b = walls[int(index)]
+    for index in rng.permutation(len(walls)).tolist():
+        a, b = walls[index]
         ra, rb = _root(parent, a), _root(parent, b)
         if ra != rb:
             parent[ra] = rb
@@ -445,6 +454,153 @@ def _room_bounds(v: NodeId, gw: int, size: float) -> tuple[float, float, float, 
 
 
 _MAX_PLACE_TRIES = 64
+_BLOCK_WORDS = 1024  # raw words fetched from numpy at a time
+_UNIT = 2.0**-53  # numpy's next_double: a word's top 53 bits, scaled into [0, 1)
+# numpy's random_loggam: the coefficients of its Stirling series, a[0] first
+_LOGGAM_COEFFICIENTS = (
+    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04, -5.952380952380952e-04,
+    8.417508417508418e-04, -1.917526917526918e-03, 6.410256410256410e-03, -2.955065359477124e-02,
+    1.796443723688307e-01, -1.39243221690590e+00,
+)
+_LOG_2PI = 1.8378770664093453
+
+
+def _loggam(x: float) -> float:
+    """numpy's ``random_loggam``: log Gamma(x) for x >= 1, step for step."""
+    if x == 1.0 or x == 2.0:
+        return 0.0
+    n = int(7 - x) if x < 7.0 else 0
+    x0 = x + n
+    x2 = (1.0 / x0) * (1.0 / x0)
+    gl0 = _LOGGAM_COEFFICIENTS[9]
+    for coefficient in _LOGGAM_COEFFICIENTS[8::-1]:
+        gl0 *= x2
+        gl0 += coefficient
+    gl = gl0 / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * math.log(x0) - x0
+    for _ in range(n):
+        gl -= math.log(x0 - 1.0)
+        x0 -= 1.0
+    return gl
+
+
+class _Draws:
+    """numpy's scalar draws, derived in Python from blocks of a generator's raw words.
+
+    :meth:`random`, :meth:`integers` and :meth:`poisson` return what the same
+    calls on the ``Generator`` would, from the same PCG64 words in the same
+    order: numpy's ``next_double``, its buffered 32-bit Lemire rejection,
+    which shares the generator's half-word buffer (``has_uint32`` and
+    ``uinteger``), and its Poisson samplers. Words come from
+    ``bit_generator.random_raw`` a block at a time, so a draw is a list step,
+    not a call into numpy. ``floats`` iterates the ``random()`` values of the
+    words in order, for loops that inline that draw; it stays the same
+    iterator for the source's life.
+
+    A numpy method that the source does not derive runs inside
+    :meth:`generator`, which first moves the generator to where numpy's own
+    scalar calls would have left it.
+    """
+
+    __slots__ = ("_rng", "_bits", "_start", "_raw", "_left", "floats", "has_uint32", "uinteger")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self._bits = rng, rng.bit_generator
+        self._left = iter(())  # the block ``floats`` is in, as the iterator it steps
+        self.floats = chain.from_iterable(self._blocks())
+        self._resume()
+
+    def _blocks(self):
+        bits = self._bits
+        while True:
+            self._start = bits.state  # the generator before the block's first word
+            self._raw = raw = bits.random_raw(_BLOCK_WORDS)
+            self._left = iter(((raw >> np.uint64(11)) * _UNIT).tolist())
+            yield self._left
+
+    def _resume(self) -> None:
+        """Draw on from the generator's state, its half-word buffer included."""
+        self._start = state = self._bits.state
+        self.has_uint32, self.uinteger = state["has_uint32"], state["uinteger"]
+        self._raw = ()
+        deque(self._left, 0)  # so the next draw starts a block
+
+    @contextmanager
+    def generator(self):
+        """The generator, moved to where numpy's own calls for the draws made
+        so far would have left it: words and half-word buffer. The draws go
+        on from where the ``with`` block leaves it."""
+        bits = self._bits
+        bits.state = self._start
+        bits.advance(len(self._raw) - length_hint(self._left))
+        state = bits.state  # advance empties the half-word buffer
+        state["has_uint32"], state["uinteger"] = self.has_uint32, self.uinteger
+        bits.state = state
+        yield self._rng
+        self._resume()
+
+    def random(self) -> float:
+        """``rng.random()``."""
+        return next(self.floats)
+
+    def _next32(self) -> int:
+        """numpy's ``next_uint32``: a word's low half, then its high half."""
+        if self.has_uint32:
+            self.has_uint32 = 0
+            return self.uinteger
+        next(self.floats)
+        word = int(self._raw[-1 - length_hint(self._left)])
+        self.has_uint32, self.uinteger = 1, word >> 32
+        return word & 0xFFFFFFFF
+
+    def integers(self, n: int) -> int:
+        """``rng.integers(n)``, for 1 <= n <= 2**32."""
+        if n == 1:
+            return 0  # numpy draws nothing for a single value
+        if n == 1 << 32:
+            return self._next32()
+        m = self._next32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (1 << 32) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._next32() * n
+        return m >> 32
+
+    def poisson(self, lam: float) -> int:
+        """``rng.poisson(lam)``: the multiplication method below 10, PTRS from 10 up."""
+        if lam >= 10:
+            return self._ptrs(lam)
+        if lam == 0:
+            return 0
+        floats, enlam, count, prod = self.floats, math.exp(-lam), 0, 1.0
+        while True:
+            prod *= next(floats)
+            if prod <= enlam:
+                return count
+            count += 1
+
+    def _ptrs(self, lam: float) -> int:
+        """numpy's ``random_poisson_ptrs`` (Hormann's transformed rejection)."""
+        floats = self.floats
+        slam, loglam = math.sqrt(lam), math.log(lam)
+        b = 0.931 + 2.53 * slam
+        a = -0.059 + 0.02483 * b
+        invalpha = 1.1239 + 1.1328 / (b - 3.4)
+        vr = 0.9277 - 3.6224 / (b - 2)
+        while True:
+            u = next(floats) - 0.5
+            v = next(floats)
+            us = 0.5 - abs(u)
+            if us == 0:
+                continue  # numpy's k is then -inf cast to an int, negative, and it draws again
+            k = math.floor((2 * a / us + b) * u + lam + 0.43)
+            if us >= 0.07 and v <= vr:
+                return k
+            if k < 0 or (us < 0.013 and v > us):
+                continue
+            # numpy's log(0.0) is -inf, which accepts
+            if v == 0 or (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
+                          <= -lam + k * loglam - _loggam(float(k + 1))):
+                return k
 
 
 class _SeparationGrid:
@@ -485,15 +641,13 @@ class _SeparationGrid:
         return True
 
 
-def _place_objects(spec: WorldSpec, size: float, rng) -> list[GroundTruthInstance]:
+def _place_objects(spec: WorldSpec, size: float, draws: _Draws) -> list[GroundTruthInstance]:
     """The physical instances, numbered in the order they are placed, without their number attributes."""
     instances: list[GroundTruthInstance] = []
     if spec.objects_per_room_mean == 0 or not spec.catalog:
         return instances
     weights = np.array([entry.weight for entry in spec.catalog], dtype=float)
-    # the inverse CDF that rng.choice(len(catalog), p=weights / weights.sum())
-    # builds on every call; one rng.random() per pick gives the same picks
-    # from the same draws, without the per-call argument checks
+    # the catalog's inverse CDF: one uniform draw per object picks its entry
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     cdf = cdf.tolist()
@@ -511,23 +665,23 @@ def _place_objects(spec: WorldSpec, size: float, rng) -> list[GroundTruthInstanc
         ))
         for entry in spec.catalog
     ]
-    random, integers, poisson, new_instance = rng.random, rng.integers, rng.poisson, GroundTruthInstance._of
-    pick, mean = bisect.bisect_right, spec.objects_per_room_mean
+    # the uniform draws are inlined as steps of draws.floats
+    floats, integers, poisson, new_instance = draws.floats, draws.integers, draws.poisson, GroundTruthInstance._of
+    pick, mean = bisect.bisect_right, float(spec.objects_per_room_mean)
     for v in range(spec.grid_w * spec.grid_h):
         x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, size)
-        # lo + (hi - lo) * rng.random() is what rng.uniform(lo, hi) computes
         x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        for _ in range(int(poisson(mean))):
-            label, admit, plan = kinds[pick(cdf, random())]
+        for _ in range(poisson(mean)):
+            label, admit, plan = kinds[pick(cdf, next(floats))]
             for _try in range(_MAX_PLACE_TRIES):
-                position = (x_lo + x_span * random(), y_lo + y_span * random(), 0.0)
+                position = (x_lo + x_span * next(floats), y_lo + y_span * next(floats), 0.0)
                 if admit(position):
                     break
             else:
                 continue  # room too crowded for this label; skip the object
             attributes: dict[str, str] = {}
             for name, value, values in plan:
-                attributes[name] = value if values is None else values[int(integers(len(values)))]
+                attributes[name] = value if values is None else values[integers(len(values))]
             instances.append(new_instance(len(instances), label, attributes, position, v, None))
     return instances
 
@@ -545,7 +699,7 @@ def _assign_number_pools(spec: WorldSpec, instances: list[GroundTruthInstance], 
                 inst.attributes[name] = str(int(number))
 
 
-def _assign_number_refs(spec: WorldSpec, instances: list[GroundTruthInstance], rng) -> None:
+def _assign_number_refs(spec: WorldSpec, instances: list[GroundTruthInstance], draws: _Draws) -> None:
     for entry in spec.catalog:
         for name in sorted(entry.attributes):
             desc = entry.attributes[name]
@@ -560,7 +714,7 @@ def _assign_number_refs(spec: WorldSpec, instances: list[GroundTruthInstance], r
                 continue  # nothing to key against; attribute omitted
             for inst in instances:
                 if inst.label == entry.label:
-                    inst.attributes[name] = source_values[int(rng.integers(len(source_values)))]
+                    inst.attributes[name] = source_values[draws.integers(len(source_values))]
 
 
 def _inject_boundary_duplicates(
@@ -568,7 +722,7 @@ def _inject_boundary_duplicates(
     size: float,
     instances: list[GroundTruthInstance],
     doors: set[tuple[NodeId, NodeId]],
-    rng,
+    draws: _Draws,
 ) -> None:
     """Copy near-wall objects into the adjacent room's snapshot.
 
@@ -589,7 +743,7 @@ def _inject_boundary_duplicates(
         if v % gw > 0:
             sides.append((x - x_lo, v - 1))
         eligible = [(gap, w) for gap, w in sides if gap <= BOUNDARY_BAND_M and (min(v, w), max(v, w)) in doors]
-        if eligible and rng.random() < spec.boundary_duplicate_prob:
+        if eligible and draws.random() < spec.boundary_duplicate_prob:
             _, target = min(eligible)
             # a copy of the attributes: each scene object owns its dict
             duplicates.append(GroundTruthInstance._of(len(instances) + len(duplicates), inst.label,

@@ -579,6 +579,30 @@ def test_builders_pause_the_collector_and_restore_it(tmp_path, collector_seen, n
     assert gc.isenabled() is not caller_disabled
 
 
+@pytest.mark.parametrize("caller_disabled", [False, True])
+@pytest.mark.parametrize("edges, error", [([(0, 1, True, 1.0)], None), ([(0, 0, True, 1.0)], GraphValidationError)])
+def test_the_graph_constructor_pauses_the_collector_and_restores_it(caller_disabled, edges, error):
+    seen = []
+
+    def edge_rows():  # read inside the constructor
+        seen.append(gc.isenabled())
+        yield from edges
+
+    nodes = build_graph(2, []).nodes()
+    if caller_disabled:
+        gc.disable()
+    try:
+        if error is None:
+            Datagraph(nodes, edge_rows())
+        else:
+            with pytest.raises(error):
+                Datagraph(nodes, edge_rows())
+        assert seen == [False]
+        assert gc.isenabled() is not caller_disabled
+    finally:
+        gc.enable()
+
+
 def test_builders_make_no_cyclic_garbage(tmp_path):
     """Pausing the collector delays no frees: nothing the builders make is in a cycle."""
     spec = WorldSpec(12, 12, seed=5, boundary_duplicate_prob=0.3)

@@ -655,6 +655,21 @@ def test_a_missing_ca_bundle_is_refused_when_the_backend_is_built(monkeypatch, t
     assert str(excinfo.value).endswith("TLS settings for https://127.0.0.1:9/query: [Errno 2] No such file or directory")
 
 
+@pytest.mark.parametrize("variable", ["REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"])
+def test_a_ca_bundle_in_the_environment_overrides_a_session_that_does_not_verify(
+    monkeypatch, tmp_path, no_tls_environment, variable
+):
+    """As in ``session.post``: the bundle wins over ``verify = False`` unless
+    the session does not trust the environment."""
+    monkeypatch.setenv(variable, str(tmp_path / "missing.pem"))
+    session = requests.Session()
+    session.verify = False
+    with pytest.raises(RemoteProtocolError, match=r"TLS settings for https://127.0.0.1:9/query: \[Errno 2\]"):
+        RemoteBackend(RemoteEndpointConfig("https://127.0.0.1:9", timeout_ms=2000), session=session)
+    session.trust_env = False
+    RemoteBackend(RemoteEndpointConfig("https://127.0.0.1:9", timeout_ms=2000), session=session).close()
+
+
 def test_https_proxy_from_the_environment_gets_a_connect_for_the_endpoint(monkeypatch):
     seen = []
 

@@ -34,7 +34,7 @@ from datagraph import (
     make_nearest_search_task,
     proximity_search_first,
 )
-from datagraph.worldgen import BOUNDARY_BAND_M, MAX_OBJECTS, MAX_ROOMS, _SeparationGrid
+from datagraph.worldgen import BOUNDARY_BAND_M, MAX_OBJECTS, MAX_ROOMS, _Draws, _SeparationGrid
 from helpers import all_pairs_admits, build_graph, eager_geodesic_distances, eager_hop_distances, frontier_graphs
 
 
@@ -299,6 +299,52 @@ def test_property_grid_hash_decides_like_all_pairs_scan(case):
         assert grid.admit(candidate) == admitted
         if admitted:
             placed.append(candidate)
+
+
+# one call made on the draw source and on a live Generator alike: a scalar
+# draw, a run of uniform draws long enough to cross blocks of raw words, or a
+# vector method that the source hands to numpy after moving the generator
+DRAW_CALLS = st.one_of(
+    st.just(("random",)),
+    st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32)),
+    st.tuples(st.just("poisson"), st.sampled_from([0.0, 2.0, math.nextafter(10.0, 0.0), 10.0, 12.0, 1e4])
+              | st.floats(0.0, 10.0) | st.floats(10.0, 1e4)),
+    st.tuples(st.just("run"), st.integers(1, 2500)),
+    st.tuples(st.sampled_from(["permutation", "vector", "choice"]), st.integers(0, 40)),
+)
+
+
+def numpy_vector_call(rng, name, m):
+    if name == "permutation":
+        return rng.permutation(m).tolist()
+    if name == "vector":
+        return rng.random(m).tolist()
+    return rng.choice(np.arange(1, 10 * m + 1), size=m, replace=False).tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.lists(DRAW_CALLS, max_size=40))
+def test_property_draw_source_matches_a_live_generator(seed, calls):
+    """Generation draws through a source that derives numpy's values from raw
+    PCG64 words: each value, and the generator's state after the sequence
+    (half-word buffer included), must equal a live Generator's."""
+    live, draws = np.random.default_rng(seed), _Draws(np.random.default_rng(seed))
+    for name, *args in calls:
+        if name == "random":
+            assert draws.random() == live.random()
+        elif name == "integers":
+            value = draws.integers(*args)
+            assert type(value) is int and value == live.integers(*args)
+        elif name == "poisson":
+            value = draws.poisson(*args)
+            assert type(value) is int and value == live.poisson(*args)
+        elif name == "run":
+            assert [draws.random() for _ in range(*args)] == [live.random() for _ in range(*args)]
+        else:
+            with draws.generator() as synced:
+                assert numpy_vector_call(synced, name, *args) == numpy_vector_call(live, name, *args)
+    with draws.generator() as synced:
+        assert synced.bit_generator.state == live.bit_generator.state
 
 
 @st.composite
