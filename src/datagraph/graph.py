@@ -575,7 +575,8 @@ class Datagraph:
         open_ids: list = [[] for _ in range(n)] if closed else ids
         for key in sorted(kept):  # appended in (a, b) order, every list comes out ascending
             a, b = key
-            entry_a, entry_b = (b, kept[key]), (a, kept[key])
+            length_m = kept[key]
+            entry_a, entry_b = (b, length_m), (a, length_m)
             pairs[a].append(entry_a)
             pairs[b].append(entry_b)
             ids[a].append(b)

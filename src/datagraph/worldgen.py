@@ -394,8 +394,7 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     gw, gh, size = spec.grid_w, spec.grid_h, float(spec.room_size_m)
     n = gw * gh
 
-    walls = _interior_walls(gw, gh)
-    edge_pairs = _choose_doors(walls, n, spec.door_prob, rng)
+    edge_pairs = _choose_doors(_interior_walls(gw, gh), n, spec.door_prob, rng)
 
     # every field of the records below is right by construction from the
     # checked spec, so each record skips its checks (see graph._record);
@@ -416,7 +415,8 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     nodes = [Node._of(v, Pose._of(centers[v], None), Snapshot._of(tuple(objs), None))
              for v, objs in enumerate(per_node)]
     del per_node
-    edges = [(a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs]
+    # the graph reads each edge once, so no edge tuple outlives its reading
+    edges = ((a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs)
     return Datagraph(nodes, edges), GroundTruth(instances)
 
 
