@@ -6,8 +6,9 @@ A :class:`Datagraph` is built whole and never changes: its one constructor,
 raises :class:`GraphValidationError` on any violation. It runs with the
 cyclic garbage collector paused (:func:`_collector_paused`), as do world
 generation and loading, which both call it, and ``run_compare`` runs whole
-under the same pause. Loading reads the document through :func:`output.read_document`, the
-one reader of every input file, which also checks its ``format_version``.
+under the same pause. Loading reads the document through
+:func:`output.read_document`, the one reader of every input file, which also
+checks its ``format_version``.
 Records built by hand check their own fields with one helper per kind of
 field (ids, booleans, labels, attributes, numbers and number vectors), and
 the constructor, the experiment config and the world spec use the same

@@ -547,7 +547,7 @@ class _Draws:
         if self.has_uint32:
             self.has_uint32 = 0
             return self.uinteger
-        next(self.floats)
+        next(self.floats)  # the word behind the float just taken is the next one
         word = int(self._raw[-1 - length_hint(self._left)])
         self.has_uint32, self.uinteger = 1, word >> 32
         return word & 0xFFFFFFFF

@@ -424,8 +424,9 @@ def test_property_generated_records_equal_their_checked_rebuilds(case):
 
 
 # SHA-256 of each saved world followed by its saved ground truth, as the
-# all-pairs separation scan and rng.choice catalog picks generated them; the
-# grid hash and the inverse-CDF picks must reproduce them byte for byte
+# all-pairs separation scan, rng.choice catalog picks and numpy's scalar draws
+# generated them; the grid hash, the inverse-CDF picks and the draws derived
+# from raw words must reproduce them byte for byte
 PINNED_WORLDS = [
     (
         WorldSpec(grid_w=5, grid_h=4, seed=7),
