@@ -1,14 +1,14 @@
 """Spatial datagraph core: pose+snapshot nodes joined by neighboring-area edges.
 
-A :class:`Datagraph` is built whole and never changes: its one constructor,
+A :class:`Datagraph` is built whole and never changes: its constructor,
 ``Datagraph(nodes, edges)``, takes :class:`Node` records in id order and
 ``(a, b, traversable, length_m)`` edge tuples, checks each edge once, and
 raises :class:`GraphValidationError` on any violation. It runs with the
 cyclic garbage collector paused (:func:`_collector_paused`), as do world
-generation and loading, which both call it, and ``run_compare`` runs whole
-under the same pause. Loading reads the document through
-:func:`output.read_document`, the one reader of every input file, which also
-checks its ``format_version``.
+generation and loading, and ``run_compare`` runs whole under the same
+pause. World generation alone builds through the unchecked ``_of`` instead.
+Loading reads the document through :func:`output.read_document`, the one
+reader of every input file, which also checks its ``format_version``.
 Records built by hand check their own fields with one helper per kind of
 field (ids, booleans, labels, attributes, numbers and number vectors), and
 the constructor, the experiment config and the world spec use the same
@@ -17,14 +17,14 @@ is generated from each record's field list (:func:`_record`), as is every
 record's unchecked ``_of``. The same list gives the readers of configs and
 specs a record's fields (:func:`_named_fields`) and writes the document of a
 record that is its field list (:func:`_document`). World generation builds
-its records through ``_of``: it checks its spec once (``WorldSpec`` and
-``CatalogEntry`` hold those checks), and every field it derives from that
-spec is valid by construction. The loaders read a record of the kinds a
-saved document holds (int ids, a non-empty str label, a dict of str to str,
-which they copy, three finite floats, no orientation or payload ref) by
-testing those kinds inline and building it through ``_of``; any other record
-goes through its checking constructor, so every fault reads as the
-constructor words it. A graph is safe to share across threads without
+its records and its graph through ``_of``: it checks its spec once
+(``WorldSpec`` and ``CatalogEntry`` hold those checks), and every field and
+edge it derives from that spec is valid by construction. The loaders read a
+record of the kinds a saved document holds (int ids, a non-empty str label, a
+dict of str to str, which they copy, three finite floats, no orientation or
+payload ref) by testing those kinds inline and building it through ``_of``;
+any other record goes through its checking constructor, so every fault reads
+as the constructor words it. A graph is safe to share across threads without
 locking. Every query breaks ties deterministically (ascending node ids,
 lexicographically smallest paths) so traversals are reproducible. The
 records are frozen, slotted dataclasses, so they take no ``__dict__`` and no
@@ -545,8 +545,7 @@ class Datagraph:
             for i, node in enumerate(nodes) if node.id != i
         ]
         faults: list[Violation] = []
-        kept: dict[tuple[NodeId, NodeId], float] = {}
-        closed: set[tuple[NodeId, NodeId]] = set()
+        kept: dict[tuple[NodeId, NodeId], tuple[NodeId, NodeId, bool, float]] = {}
         for i, (a, b, traversable, length_m) in enumerate(edges):
             if not (type(a) is int and type(b) is int and type(traversable) is bool
                     and type(length_m) is float):  # the common kinds skip the checks
@@ -562,32 +561,46 @@ class Datagraph:
                 faults.append(Violation("edge-endpoint", f"edge {{{a}, {b}}} endpoint missing"))
             elif not 0.0 < length_m < math.inf:  # also false for NaN
                 faults.append(Violation("edge-length", f"edge {{{a}, {b}}} has length {length_m!r}"))
-            kept[key] = length_m
-            if not traversable:
-                closed.add(key)
+            kept[key] = (a, b, traversable, length_m)
         violations += faults
         if violations:
             raise GraphValidationError(violations)
-        # each node's (neighbor, length_m) pairs and neighbor ids, of all edges
-        # and of the traversable ones, filled in one pass over the sorted pairs
+        rows = iter(sorted(kept.values()))  # _init drains it, which frees the rows before its tuples exist
+        del kept
+        Datagraph._init(self, nodes, rows)
+
+    @classmethod
+    def _of(cls, nodes: tuple[Node, ...], rows) -> Datagraph:
+        """The graph of ``nodes``, a tuple of nodes in id order, and ``rows``, the
+        :meth:`_edge_rows` of a graph that would pass the constructor's checks;
+        unchecked, and with the collector left as it is."""
+        graph = object.__new__(cls)
+        graph._init(nodes, rows)
+        return graph
+
+    def _init(self, nodes: tuple[Node, ...], rows) -> None:
+        """Fill the adjacency from the rows that :meth:`_of` takes; appended in
+        ``(a, b)`` order, every list of neighbors comes out ascending."""
+        n = len(nodes)
         pairs: list = [[] for _ in range(n)]
         ids: list = [[] for _ in range(n)]
-        open_pairs: list = [[] for _ in range(n)] if closed else pairs
-        open_ids: list = [[] for _ in range(n)] if closed else ids
-        for key in sorted(kept):  # appended in (a, b) order, every list comes out ascending
-            a, b = key
-            length_m = kept[key]
+        open_pairs, open_ids = pairs, ids  # the same lists until an edge is closed
+        closed: set[tuple[NodeId, NodeId]] = set()
+        for a, b, traversable, length_m in rows:
+            if not traversable:
+                if not closed:  # the traversable views part from here
+                    open_pairs, open_ids = [p.copy() for p in pairs], [i.copy() for i in ids]
+                closed.add((a, b))
             entry_a, entry_b = (b, length_m), (a, length_m)
             pairs[a].append(entry_a)
             pairs[b].append(entry_b)
             ids[a].append(b)
             ids[b].append(a)
-            if closed and key not in closed:
+            if traversable and closed:
                 open_pairs[a].append(entry_a)
                 open_pairs[b].append(entry_b)
                 open_ids[a].append(b)
                 open_ids[b].append(a)
-        del kept  # before the tuples below exist, which lowers the peak
         # tuples hold their entries inline, so the kernels sweep them faster
         self._nodes = nodes
         self._pairs, self._ids = tuple(map(tuple, pairs)), tuple(map(tuple, ids))

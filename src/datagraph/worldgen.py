@@ -404,20 +404,22 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     with draws.generator() as synced:
         _assign_number_pools(spec, instances, synced)
     _assign_number_refs(spec, instances, draws)
-    _inject_boundary_duplicates(spec, size, instances, set(edge_pairs), draws)
+    _inject_boundary_duplicates(spec, size, instances, edge_pairs, draws)
 
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     new_object = SceneObject._of
     for inst in instances:
         obj = new_object(inst.label, inst.attributes, inst.world_position, inst.instance_id)
         per_node[inst.home_node].append(obj)
-    centers = [((v % gw + 0.5) * size, (v // gw + 0.5) * size, 0.0) for v in range(n)]
-    nodes = [Node._of(v, Pose._of(centers[v], None), Snapshot._of(tuple(objs), None))
-             for v, objs in enumerate(per_node)]
+    xs, ys = [(i + 0.5) * size for i in range(gw)], [(j + 0.5) * size for j in range(gh)]
+    nodes = tuple([Node._of(v, Pose._of((xs[v % gw], ys[v // gw], 0.0), None), Snapshot._of(tuple(objs), None))
+                   for v, objs in enumerate(per_node)])
     del per_node
-    # the graph reads each edge once, so no edge tuple outlives its reading
-    edges = ((a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs)
-    return Datagraph(nodes, edges), GroundTruth(instances)
+    # the doors come valid and in (a, b) order, as _interior_walls lists the walls, so the graph takes them
+    # unchecked; a door's room centers differ in y (b - a == gw) or x alone, so their math.dist is that difference
+    rows = ((a, b, True, ys[a // gw + 1] - ys[a // gw] if b - a == gw else xs[a % gw + 1] - xs[a % gw])
+            for a, b in edge_pairs)
+    return Datagraph._of(nodes, rows), GroundTruth(instances)
 
 
 def _interior_walls(gw: int, gh: int) -> list[tuple[NodeId, NodeId]]:
@@ -433,19 +435,19 @@ def _interior_walls(gw: int, gh: int) -> list[tuple[NodeId, NodeId]]:
 
 
 def _choose_doors(walls, n_cells: int, door_prob: float, rng) -> list[tuple[NodeId, NodeId]]:
-    """Random spanning tree over ``n_cells`` rooms first (connectivity repair), extra doors after."""
+    """The walls with a door, in wall order: a random spanning tree over ``n_cells`` rooms
+    (connectivity repair), then each other wall with ``door_prob``."""
     parent = list(range(n_cells))
-    tree: set[tuple[NodeId, NodeId]] = set()
+    in_tree = [False] * len(walls)
     for index in rng.permutation(len(walls)).tolist():
         a, b = walls[index]
         ra, rb = _root(parent, a), _root(parent, b)
         if ra != rb:
             parent[ra] = rb
-            tree.add((a, b))
-    extra = [wall for wall in walls if wall not in tree]
-    # one array draw gives the values of that many scalar rng.random() calls
-    flips = rng.random(len(extra)).tolist()
-    return sorted(tree.union(wall for wall, flip in zip(extra, flips) if flip < door_prob))
+            in_tree[index] = True
+    # one array draw gives the values of that many scalar rng.random() calls, one a wall outside the tree
+    flips = iter(rng.random(len(walls) - sum(in_tree)).tolist())
+    return [wall for wall, tree in zip(walls, in_tree) if tree or next(flips) < door_prob]
 
 
 def _room_bounds(v: NodeId, gw: int, size: float) -> tuple[float, float, float, float]:
@@ -609,15 +611,16 @@ class _SeparationGrid:
 
     :meth:`admit` places a candidate iff every placed position is at least
     ``separation`` away by ``math.dist``, exactly as a scan over all of them
-    would, but it only looks at the 3x3 block of cells around the candidate.
-    That suffices because the side is at least twice the separation, which
-    leaves a wide margin for rounding in ``x / side``; the ``room_size_m / 4``
+    would, but it only looks at the 2x2 block of cells nearest the candidate,
+    from ``floor(x / side - 1/2)`` on each axis, which holds every point within
+    ``side / 2`` of it. The side is at least three times the separation, which
+    leaves a margin of ``side / 6`` for rounding in ``x / side``; the ``room_size_m / 4``
     floor keeps ``x / side`` small and finite when the separation is tiny.
     """
 
     def __init__(self, separation: float, room_size_m: float):
         self.separation = separation
-        self.side = max(2.0 * separation, room_size_m / 4)
+        self.side = max(3.0 * separation, room_size_m / 4)
         self._rows: dict[int, dict[int, list[tuple[float, float, float]]]] = {}
 
     def admit(self, candidate: tuple[float, float, float]) -> bool:
@@ -629,15 +632,15 @@ class _SeparationGrid:
         if separation == 0:
             return True
         side, rows = self.side, self._rows
-        ci, cj = math.floor(candidate[0] / side), math.floor(candidate[1] / side)
-        for i in (ci - 1, ci, ci + 1):
-            row = rows.get(i)
+        x, y = candidate[0] / side, candidate[1] / side
+        i, j = math.floor(x - 0.5), math.floor(y - 0.5)
+        for row in (rows.get(i), rows.get(i + 1)):
             if row is not None:
-                for j in (cj - 1, cj, cj + 1):
-                    for other in row.get(j, ()):
+                for cell in (row.get(j, ()), row.get(j + 1, ())):
+                    for other in cell:
                         if not math.dist(candidate, other) >= separation:
                             return False
-        rows.setdefault(ci, {}).setdefault(cj, []).append(candidate)
+        rows.setdefault(math.floor(x), {}).setdefault(math.floor(y), []).append(candidate)
         return True
 
 
@@ -665,13 +668,22 @@ def _place_objects(spec: WorldSpec, size: float, draws: _Draws) -> list[GroundTr
         ))
         for entry in spec.catalog
     ]
-    # the uniform draws are inlined as steps of draws.floats
+    # the uniform draws, and the Poisson draw below a mean of 10, are inlined as steps of draws.floats
     floats, integers, poisson, new_instance = draws.floats, draws.integers, draws.poisson, GroundTruthInstance._of
     pick, mean = bisect.bisect_right, float(spec.objects_per_room_mean)
-    for v in range(spec.grid_w * spec.grid_h):
-        x_lo, x_hi, y_lo, y_hi = _room_bounds(v, spec.grid_w, size)
-        x_span, y_span = x_hi - x_lo, y_hi - y_lo
-        for _ in range(poisson(mean)):
+    enlam, gw = math.exp(-mean), spec.grid_w
+    # the low edge and span of each column, and of each row, as _room_bounds gives them
+    spans = [(i * size, (i + 1) * size - i * size) for i in range(max(gw, spec.grid_h))]
+    for v in range(gw * spec.grid_h):
+        (x_lo, x_span), (y_lo, y_span) = spans[v % gw], spans[v // gw]
+        if mean < 10:
+            count, prod = 0, next(floats)
+            while prod > enlam:
+                count += 1
+                prod *= next(floats)
+        else:
+            count = poisson(mean)
+        for _ in range(count):
             label, admit, plan = kinds[pick(cdf, next(floats))]
             for _try in range(_MAX_PLACE_TRIES):
                 position = (x_lo + x_span * next(floats), y_lo + y_span * next(floats), 0.0)
@@ -721,7 +733,7 @@ def _inject_boundary_duplicates(
     spec: WorldSpec,
     size: float,
     instances: list[GroundTruthInstance],
-    doors: set[tuple[NodeId, NodeId]],
+    edge_pairs: list[tuple[NodeId, NodeId]],
     draws: _Draws,
 ) -> None:
     """Copy near-wall objects into the adjacent room's snapshot.
@@ -731,7 +743,7 @@ def _inject_boundary_duplicates(
     leak detections."""
     if spec.boundary_duplicate_prob == 0:
         return
-    gw = spec.grid_w
+    doors, gw = set(edge_pairs), spec.grid_w
     duplicates: list[GroundTruthInstance] = []
     for inst in instances:
         v, (x, y, _) = inst.home_node, inst.world_position

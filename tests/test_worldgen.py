@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from datagraph import (
     CatalogEntry,
+    Datagraph,
     GraphParseError,
     GroundTruth,
     GroundTruthInstance,
@@ -263,13 +264,19 @@ def test_same_label_instances_keep_min_separation():
 
 @st.composite
 def separation_cases(draw):
-    """Candidate positions for one label, many of them on cell edges or
-    exactly one separation away from an earlier candidate."""
-    separation = draw(st.sampled_from([0.0, 1e-300, 0.25, 1.1, 7.5, 1e6]) | st.floats(0.0, 20.0))
-    room = draw(st.sampled_from([1.0, 4.0, 6.0]))
+    """Candidate positions for one label, many of them on cell edges, on
+    cell midpoints (where the probed block shifts) or exactly one separation
+    away from an earlier candidate. The separations include those where both
+    terms of the cell side tie (3 x separation == room / 4) or nearly tie,
+    and the smallest room gives a subnormal side."""
+    room = draw(st.sampled_from([1.0, 4.0, 6.0, sys.float_info.min]))
+    tie = room / 12  # 3 * tie == room / 4 for each normal room above
+    separation = draw(st.sampled_from([0.0, 1e-300, 0.25, 1.1, 7.5, 1e6, tie, math.nextafter(tie, 0.0),
+                                       math.nextafter(tie, math.inf)]) | st.floats(0.0, 20.0))
     side = _SeparationGrid(separation, room).side
     extent = 3 * room
-    edges = [k * side for k in range(int(min(extent / side, 40)) + 1)]
+    count = int(min(extent / side, 40)) + 1
+    edges = [k * side for k in range(count)] + [(k + 0.5) * side for k in range(count)]
     near_edge = st.sampled_from(edges).flatmap(
         lambda e: st.sampled_from([e, math.nextafter(e, -math.inf), math.nextafter(e, math.inf)])
     )
@@ -420,7 +427,13 @@ def test_property_generated_records_equal_their_checked_rebuilds(case):
         assert_rebuilt_alike(inst, rebuilt)
     objects = [obj for node in graph.nodes() for obj in node.snapshot.objects]
     assert len({id(obj.attributes) for obj in objects}) == len(objects)  # one attributes dict each
-    assert graph.validate() == []
+    # the graph is built unchecked too: the checking constructor, given its
+    # nodes and edge rows, must build the same adjacency in every view
+    rebuilt = Datagraph(graph.nodes(), graph._edge_rows())
+    for name in ("_pairs", "_ids", "_open_pairs", "_open_ids", "_closed"):
+        assert getattr(rebuilt, name) == getattr(graph, name), name
+    for a, b, _, length_m in graph._edge_rows():  # each door as long as its rooms' centers are apart
+        assert length_m == math.dist(graph.node(a).pose.position, graph.node(b).pose.position)
 
 
 # SHA-256 of each saved world followed by its saved ground truth, as the
