@@ -29,7 +29,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import length_hint
 
 import numpy as np
@@ -400,25 +400,25 @@ def generate_world(spec: WorldSpec) -> tuple[Datagraph, GroundTruth]:
     # checked spec, so each record skips its checks (see graph._record);
     # each scene object shares its instance's attributes
     draws = _Draws(rng)
-    instances = _place_objects(spec, size, draws)
+    xs, ys = _room_lines(gw, size), _room_lines(gh, size)
+    instances = _place_objects(spec, size, xs, ys, draws)
     with draws.generator() as synced:
         _assign_number_pools(spec, instances, synced)
     _assign_number_refs(spec, instances, draws)
-    _inject_boundary_duplicates(spec, size, instances, edge_pairs, draws)
+    _inject_boundary_duplicates(spec, xs, ys, instances, edge_pairs, draws)
 
     per_node: list[list[SceneObject]] = [[] for _ in range(n)]
     new_object = SceneObject._of
     for inst in instances:
         obj = new_object(inst.label, inst.attributes, inst.world_position, inst.instance_id)
         per_node[inst.home_node].append(obj)
-    xs, ys = [(i + 0.5) * size for i in range(gw)], [(j + 0.5) * size for j in range(gh)]
-    nodes = tuple([Node._of(v, Pose._of((xs[v % gw], ys[v // gw], 0.0), None), Snapshot._of(tuple(objs), None))
+    centers = [(xs[v % gw][1], ys[v // gw][1], 0.0) for v in range(n)]
+    nodes = tuple([Node._of(v, Pose._of(centers[v], None), Snapshot._of(tuple(objs), None))
                    for v, objs in enumerate(per_node)])
     del per_node
     # the doors come valid and in (a, b) order, as _interior_walls lists the walls, so the graph takes them
-    # unchecked; a door's room centers differ in y (b - a == gw) or x alone, so their math.dist is that difference
-    rows = ((a, b, True, ys[a // gw + 1] - ys[a // gw] if b - a == gw else xs[a % gw + 1] - xs[a % gw])
-            for a, b in edge_pairs)
+    # unchecked; it reads each row once, so no row tuple outlives its reading
+    rows = ((a, b, True, math.dist(centers[a], centers[b])) for a, b in edge_pairs)
     return Datagraph._of(nodes, rows), GroundTruth(instances)
 
 
@@ -450,9 +450,12 @@ def _choose_doors(walls, n_cells: int, door_prob: float, rng) -> list[tuple[Node
     return [wall for wall, tree in zip(walls, in_tree) if tree or next(flips) < door_prob]
 
 
-def _room_bounds(v: NodeId, gw: int, size: float) -> tuple[float, float, float, float]:
-    i, j = v % gw, v // gw
-    return i * size, (i + 1) * size, j * size, (j + 1) * size
+_Lines = list[tuple[float, float, float]]
+
+
+def _room_lines(count: int, size: float) -> _Lines:
+    """Each of ``count`` columns (or rows) of rooms ``size`` wide: its low wall, center and high wall."""
+    return [(i * size, (i + 0.5) * size, (i + 1) * size) for i in range(count)]
 
 
 _MAX_PLACE_TRIES = 64
@@ -488,9 +491,9 @@ def _loggam(x: float) -> float:
 class _Draws:
     """numpy's scalar draws, derived in Python from blocks of a generator's raw words.
 
-    :meth:`random`, :meth:`integers` and :meth:`poisson` return what the same
-    calls on the ``Generator`` would, from the same PCG64 words in the same
-    order: numpy's ``next_double``, its buffered 32-bit Lemire rejection,
+    :meth:`random`, :meth:`integers` and each value that :meth:`poissons`
+    yields are what the same calls on the ``Generator`` would return, from the
+    same PCG64 words in the same order: numpy's ``next_double``, its buffered 32-bit Lemire rejection,
     which shares the generator's half-word buffer (``has_uint32`` and
     ``uinteger``), and its Poisson samplers. Words come from
     ``bit_generator.random_raw`` a block at a time, so a draw is a list step,
@@ -567,18 +570,20 @@ class _Draws:
                 m = self._next32() * n
         return m >> 32
 
-    def poisson(self, lam: float) -> int:
-        """``rng.poisson(lam)``: the multiplication method below 10, PTRS from 10 up."""
+    def poissons(self, lam: float):
+        """Endless ``rng.poisson(lam)`` values, each drawn when it is taken:
+        the multiplication method below 10, PTRS from 10 up."""
         if lam >= 10:
-            return self._ptrs(lam)
+            yield from map(self._ptrs, repeat(lam))
         if lam == 0:
-            return 0
-        floats, enlam, count, prod = self.floats, math.exp(-lam), 0, 1.0
+            yield from repeat(0)  # numpy draws nothing
+        floats, enlam = self.floats, math.exp(-lam)
         while True:
-            prod *= next(floats)
-            if prod <= enlam:
-                return count
-            count += 1
+            count, prod = 0, next(floats)  # numpy's running product starts at 1.0
+            while prod > enlam:
+                count += 1
+                prod *= next(floats)
+            yield count
 
     def _ptrs(self, lam: float) -> int:
         """numpy's ``random_poisson_ptrs`` (Hormann's transformed rejection)."""
@@ -644,8 +649,9 @@ class _SeparationGrid:
         return True
 
 
-def _place_objects(spec: WorldSpec, size: float, draws: _Draws) -> list[GroundTruthInstance]:
-    """The physical instances, numbered in the order they are placed, without their number attributes."""
+def _place_objects(spec: WorldSpec, size: float, xs: _Lines, ys: _Lines, draws: _Draws) -> list[GroundTruthInstance]:
+    """The physical instances, numbered in the order they are placed, without their number attributes;
+    ``xs`` and ``ys`` are the room columns and rows from :func:`_room_lines`."""
     instances: list[GroundTruthInstance] = []
     if spec.objects_per_room_mean == 0 or not spec.catalog:
         return instances
@@ -668,22 +674,13 @@ def _place_objects(spec: WorldSpec, size: float, draws: _Draws) -> list[GroundTr
         ))
         for entry in spec.catalog
     ]
-    # the uniform draws, and the Poisson draw below a mean of 10, are inlined as steps of draws.floats
-    floats, integers, poisson, new_instance = draws.floats, draws.integers, draws.poisson, GroundTruthInstance._of
-    pick, mean = bisect.bisect_right, float(spec.objects_per_room_mean)
-    enlam, gw = math.exp(-mean), spec.grid_w
-    # the low edge and span of each column, and of each row, as _room_bounds gives them
-    spans = [(i * size, (i + 1) * size - i * size) for i in range(max(gw, spec.grid_h))]
-    for v in range(gw * spec.grid_h):
-        (x_lo, x_span), (y_lo, y_span) = spans[v % gw], spans[v // gw]
-        if mean < 10:
-            count, prod = 0, next(floats)
-            while prod > enlam:
-                count += 1
-                prod *= next(floats)
-        else:
-            count = poisson(mean)
-        for _ in range(count):
+    # the uniform draws are inlined as steps of draws.floats
+    floats, integers, new_instance = draws.floats, draws.integers, GroundTruthInstance._of
+    pick, counts, gw = bisect.bisect_right, draws.poissons(float(spec.objects_per_room_mean)), len(xs)
+    for v in range(gw * len(ys)):
+        (x_lo, _, x_hi), (y_lo, _, y_hi) = xs[v % gw], ys[v // gw]
+        x_span, y_span = x_hi - x_lo, y_hi - y_lo
+        for _ in range(next(counts)):
             label, admit, plan = kinds[pick(cdf, next(floats))]
             for _try in range(_MAX_PLACE_TRIES):
                 position = (x_lo + x_span * next(floats), y_lo + y_span * next(floats), 0.0)
@@ -731,7 +728,8 @@ def _assign_number_refs(spec: WorldSpec, instances: list[GroundTruthInstance], d
 
 def _inject_boundary_duplicates(
     spec: WorldSpec,
-    size: float,
+    xs: _Lines,
+    ys: _Lines,
     instances: list[GroundTruthInstance],
     edge_pairs: list[tuple[NodeId, NodeId]],
     draws: _Draws,
@@ -747,7 +745,7 @@ def _inject_boundary_duplicates(
     duplicates: list[GroundTruthInstance] = []
     for inst in instances:
         v, (x, y, _) = inst.home_node, inst.world_position
-        x_lo, x_hi, y_lo, y_hi = _room_bounds(v, gw, size)
+        (x_lo, _, x_hi), (y_lo, _, y_hi) = xs[v % gw], ys[v // gw]
         # (gap to a wall, the room behind it); v - 1 and v + 1 are behind a wall only within the row
         sides = [(y_hi - y, v + gw), (y - y_lo, v - gw)]
         if v % gw + 1 < gw:

@@ -310,12 +310,14 @@ def test_property_grid_hash_decides_like_all_pairs_scan(case):
 
 # one call made on the draw source and on a live Generator alike: a scalar
 # draw, a run of uniform draws long enough to cross blocks of raw words, or a
-# vector method that the source hands to numpy after moving the generator
+# vector method that the source hands to numpy after moving the generator; a
+# Poisson draw comes from a fresh call or from the stream kept for its mean,
+# as the placement loop keeps one across the other draws
 DRAW_CALLS = st.one_of(
     st.just(("random",)),
     st.tuples(st.just("integers"), st.sampled_from([1, 2, 3, 7, 2**31 + 1, 2**32 - 1, 2**32]) | st.integers(1, 2**32)),
     st.tuples(st.just("poisson"), st.sampled_from([0.0, 2.0, math.nextafter(10.0, 0.0), 10.0, 12.0, 1e4])
-              | st.floats(0.0, 10.0) | st.floats(10.0, 1e4)),
+              | st.floats(0.0, 10.0) | st.floats(10.0, 1e4), st.booleans()),
     st.tuples(st.just("run"), st.integers(1, 2500)),
     st.tuples(st.sampled_from(["permutation", "vector", "choice"]), st.integers(0, 40)),
 )
@@ -336,6 +338,7 @@ def test_property_draw_source_matches_a_live_generator(seed, calls):
     PCG64 words: each value, and the generator's state after the sequence
     (half-word buffer included), must equal a live Generator's."""
     live, draws = np.random.default_rng(seed), _Draws(np.random.default_rng(seed))
+    streams = {}
     for name, *args in calls:
         if name == "random":
             assert draws.random() == live.random()
@@ -343,8 +346,9 @@ def test_property_draw_source_matches_a_live_generator(seed, calls):
             value = draws.integers(*args)
             assert type(value) is int and value == live.integers(*args)
         elif name == "poisson":
-            value = draws.poisson(*args)
-            assert type(value) is int and value == live.poisson(*args)
+            lam, kept = args
+            value = next(streams.setdefault(lam, draws.poissons(lam)) if kept else draws.poissons(lam))
+            assert type(value) is int and value == live.poisson(lam)
         elif name == "run":
             assert [draws.random() for _ in range(*args)] == [live.random() for _ in range(*args)]
         else:
