@@ -55,7 +55,6 @@ from .harness import (
     TrialRecord,
     WorldFiles,
     build_base_backend,
-    derive_seed,
     load_world_files,
     run_aggregate,
     run_compare,
@@ -78,6 +77,7 @@ from .worldgen import (
     TaskSpec,
     WorldSpec,
     default_catalog,
+    derive_seed,
     generate_world,
     ground_truth_nearest,
     make_keyfob_task,

@@ -9,8 +9,8 @@ multimodal models stay pluggable:
   loaded store replays them, and :class:`RecordingBackend` captures one.
 * :class:`RemoteBackend` speaks the HTTP wire format to an external endpoint.
 
-:class:`CachingBackend` wraps any of them and answers repeat queries about
-one scene from its own store.
+:class:`CachingBackend`, a recorder, wraps any of them and answers repeat
+queries about one scene from its own store.
 """
 
 from __future__ import annotations
@@ -391,14 +391,14 @@ class ReplayStore:
 
 
 class RecordingBackend:
-    """Delegates to an inner backend and puts every answer into ``store``."""
+    """Delegates to an inner backend and puts every answer into its own ``store``."""
 
-    def __init__(self, inner: QueryBackend, store: ReplayStore | None = None):
+    def __init__(self, inner: QueryBackend):
         self.inner = inner
-        self.store = store if store is not None else ReplayStore()
+        self.store = ReplayStore()
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
-        response = self.inner.answer(node, query)
+        response = self.inner.answer(node, query)  # errors propagate, unrecorded
         self.store.record(node, query, response)
         return response
 
@@ -406,8 +406,8 @@ class RecordingBackend:
 # --- caching ---------------------------------------------------------------------
 
 
-class CachingBackend:
-    """Per-session unbounded cache: a :class:`ReplayStore` in front of ``inner``.
+class CachingBackend(RecordingBackend):
+    """Per-session unbounded cache: a recorder that answers repeats from its store.
 
     Never changes response content, only the backend_calls accounting.
     Concurrent identical requests may both reach the inner backend (one or
@@ -416,17 +416,14 @@ class CachingBackend:
     """
 
     def __init__(self, inner: QueryBackend):
-        self.inner = inner
-        self.store = ReplayStore()
+        super().__init__(inner)
         self.hits = 0
 
     def answer(self, node: Node, query: Query) -> QueryResponse:
         response = self.store.get(node, query)
-        if response is not None:
-            self.hits += 1
-            return response
-        response = self.inner.answer(node, query)  # errors propagate, uncached
-        self.store.record(node, query, response)
+        if response is None:
+            return RecordingBackend.answer(self, node, query)
+        self.hits += 1
         return response
 
 

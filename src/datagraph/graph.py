@@ -344,13 +344,7 @@ class SceneObject:
             _check_id(instance_id, "instance_id"),
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "attributes": dict(self.attributes),
-            "world_position": list(self.world_position) if self.world_position else None,
-            "instance_id": self.instance_id,
-        }
+    to_json_dict = _document
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> SceneObject:

@@ -22,8 +22,6 @@ import time
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import output
 from .backends import (
     CachingBackend,
@@ -62,6 +60,7 @@ from .worldgen import (
     GroundTruth,
     TaskSpec,
     WorldSpec,
+    derive_seed,
     generate_world,
     ground_truth_nearest,
     make_keyfob_task,
@@ -73,11 +72,6 @@ REPORT_FORMATS = ("json", "csv")
 TASK_KINDS = ("nearest_search", "keyfob_match")
 
 _TASK_RETRY_ATTEMPTS = 20
-
-
-def derive_seed(*parts: int) -> int:
-    """Deterministic 64-bit child seed from integer parts."""
-    return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
 @dataclass(frozen=True)

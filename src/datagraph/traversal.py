@@ -57,8 +57,8 @@ class TraversalResult:
     ``first_satisfied`` is the first satisfied response in visit order as
     (node, hops, meters) from the agent node, with None for both distances
     when the agent cannot reach that node, or None when no response is
-    satisfied. ``stopped_early`` is set only when the traversal was
-    actually truncated by a satisfied response.
+    satisfied. ``stopped_early`` is set when a traversal that stops on its
+    first hit got one, even on the last node of the order, where nothing is cut.
     """
 
     responses: tuple[QueryResponse, ...]

@@ -9,8 +9,8 @@ boundary double-detection problem. Everything is a pure function of the
 spec (seed included): regenerating yields byte-identical worlds. The saved
 bytes follow numpy's PCG64 words and its ``Generator`` algorithms: the
 scalar draws are derived from raw words exactly as numpy computes them
-(:class:`_Draws`), and the permutation, vector and sampling draws are numpy
-calls.
+(:class:`_Draws`), the permutation, vector and sampling draws are numpy
+calls, and so is :func:`derive_seed`, which mixes the harness's trial seeds.
 
 The task makers (nearest-object search, door-number/keyfob matching) turn a
 world and a seed into a :class:`TaskSpec`: where the agent stands and what
@@ -456,6 +456,11 @@ _Lines = list[tuple[float, float, float]]
 def _room_lines(count: int, size: float) -> _Lines:
     """Each of ``count`` columns (or rows) of rooms ``size`` wide: its low wall, center and high wall."""
     return [(i * size, (i + 0.5) * size, (i + 1) * size) for i in range(count)]
+
+
+def derive_seed(*parts: int) -> int:
+    """Deterministic 64-bit child seed from integer parts."""
+    return int(np.random.SeedSequence(list(parts)).generate_state(1, dtype=np.uint64)[0])
 
 
 _MAX_PLACE_TRIES = 64

@@ -94,7 +94,9 @@ def bfs_visit_order(n: int, edges: dict[tuple[int, int], float], source: int) ->
 
 def edge_lists(graph: Datagraph, traversable_only: bool = False) -> list[list[tuple[int, float]]]:
     """Each node's ``(neighbor, length_m)`` pairs in ascending neighbor order,
-    built from ``graph.edges()``, not from the tuples the kernels read."""
+    built from ``graph.edges()``. Those are read from ``_pairs``, the tuples the
+    meter kernel reads too, so a fault in ``_pairs`` shows here as well; the
+    hop kernel reads ``_ids`` and the traversable-only kernels ``_open_*``."""
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(len(graph))]
     for e in graph.edges():
         if e.traversable or not traversable_only:

@@ -159,6 +159,17 @@ def test_aggregate_command_reports_truth(world_dir, runner, tmp_path):
     assert "raw_total" in result.output
 
 
+def test_aggregate_without_ground_truth_writes_no_count_error(world_dir, runner, tmp_path):
+    output = tmp_path / "agg.json"
+    result = runner.invoke(
+        main, ["aggregate", "--world", str(world_dir / "world.json"), "--label", "chair", "--output", str(output)],
+    )
+    assert result.exit_code == 0, result.output
+    doc = json.loads(output.read_text())
+    assert (doc["true_count"], doc["count_error"]) == (None, None)
+    assert "true_count=" not in result.output
+
+
 def test_aggregate_attr_clause_narrows_the_count(world_dir, runner):
     graph = Datagraph.load(world_dir / "world.json")
     totals = {}

@@ -1,5 +1,6 @@
 """The runtime dependencies are named alike in the code, pyproject.toml and
-README, and no module under ``src/datagraph`` imports a name it never reads."""
+README, each is imported by the one module that owns it, and no module
+under ``src/datagraph`` imports a name it never reads."""
 
 from __future__ import annotations
 
@@ -14,17 +15,21 @@ tomllib = pytest.importorskip("tomllib")  # the standard library's from Python 3
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def imported_third_party() -> set[str]:
-    """Top-level names of every module imported under ``src/datagraph`` that
-    is neither the standard library nor the package itself."""
+def third_party_imports(path: Path) -> set[str]:
+    """Top-level names of every module that the module at ``path`` imports
+    and that is neither the standard library nor the package itself."""
     names = set()
-    for path in (ROOT / "src" / "datagraph").rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names.update(alias.name.split(".")[0] for alias in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.level == 0:
-                names.add(node.module.split(".")[0])
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
     return names - set(sys.stdlib_module_names) - {"__future__", "datagraph"}
+
+
+def imported_third_party() -> set[str]:
+    """:func:`third_party_imports` over every module under ``src/datagraph``."""
+    return set().union(*map(third_party_imports, (ROOT / "src" / "datagraph").rglob("*.py")))
 
 
 def test_every_third_party_import_is_a_declared_dependency_and_readme_names_them():
@@ -35,6 +40,18 @@ def test_every_third_party_import_is_a_declared_dependency_and_readme_names_them
     (line,) = [line for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines()
                if "Runtime deps:" in line]
     assert set(re.findall(r"`([^`]+)`", line)) == declared
+
+
+# the one module that may import each runtime dependency
+OWNERS = {"numpy": "worldgen.py", "requests": "backends.py", "urllib3": "backends.py", "click": "cli.py"}
+
+
+def test_each_runtime_dependency_is_imported_only_by_the_module_that_owns_it():
+    importers: dict[str, set[str]] = {}
+    for path in (ROOT / "src" / "datagraph").rglob("*.py"):
+        for name in third_party_imports(path):
+            importers.setdefault(name, set()).add(path.name)
+    assert importers == {name: {owner} for name, owner in OWNERS.items()}
 
 
 def unused_imports(path: Path) -> set[str]:

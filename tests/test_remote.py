@@ -401,6 +401,21 @@ LOGGED_POST = ("/query", "Host: x\r\nContent-Length: 14\r\n", WIRE_BODY)
         b"POST /query HTTP/1.1\r\nHost: x\r\n\r\n", [200], False, [("/query", "Host: x\r\n", b"")],
         id="no-content-length",
     ),
+    pytest.param(
+        b"POST /" + b"a" * 65_536 + b" HTTP/1.1\r\nContent-Length: 0\r\n\r\n", [414], True, [],
+        id="request-line-too-long",
+    ),
+    pytest.param(
+        b"POST /query HTTP/1.1\r\n" + b"X: v\r\n" * 99 + b"\r\n", [200], False,
+        [("/query", "X: v\r\n" * 99, b"")], id="99-header-lines",
+    ),
+    pytest.param(b"POST /query HTTP/1.1\r\n" + b"X: v\r\n" * 100 + b"\r\n", [431], True, [], id="100-header-lines"),
+    pytest.param(  # as the email parser reads a head: a line with no name ends it
+        b"POST /query HTTP/1.1\r\nHost: x\r\nnot a header\r\nContent-Length: 14\r\n\r\n", [200], False,
+        [("/query", "Host: x\r\n", b"")], id="header-line-with-no-name",
+    ),
+    pytest.param(POST.replace(b"/query", b"//query"), [200], False, [LOGGED_POST], id="double-slash-path"),
+    pytest.param(POST.replace(b"HTTP/1.1", b"HTTP/1.x"), [400], True, [], id="http-version-not-a-number"),
     pytest.param(POST + POST, [200, 200], False, [LOGGED_POST, LOGGED_POST], id="pipelined"),
     pytest.param(
         POST.replace(b"/query", b"http://example.test/query"), [200], False,

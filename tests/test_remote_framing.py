@@ -179,6 +179,7 @@ def test_reader_reads_what_http_client_reads(response):
     (b"HTTP/1.1 200 OK\r\nContent-Length: 5\r\n\r\nok", REFUSED),
     (b"", REFUSED),
     (b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 100 + b"\r\n", REFUSED),
+    (b"HTTP/2.0 200 OK\r\nContent-Length: 2\r\n\r\nok", REFUSED),  # an unknown protocol
 ])
 def test_reader_on_known_responses(raw, expected):
     assert via_http_client(raw) == expected

@@ -220,6 +220,17 @@ def test_truncates_immediately_after_hit():
     assert result.visit_order[-1] == result.first_satisfied[0]
 
 
+def test_a_hit_on_the_last_node_of_the_order_still_counts_as_stopping_early():
+    # nothing is left to cut, yet the flag reports the stop on the first hit
+    g = build_graph(2, [(0, 1)], objects={1: [keyfob(1)]})
+    for result in (
+        proximity_search_first(g, OracleBackend(), FIND_KEYFOB, 0),
+        brute_force_query(g, OracleBackend(), FIND_KEYFOB, 0, stop_on_first=True),
+    ):
+        assert result.visit_order == (0, 1)
+        assert result.stopped_early is True
+
+
 def test_seeded_world_hit_is_nearest_by_hops():
     spec = WorldSpec(grid_w=8, grid_h=5, seed=424242, objects_per_room_mean=1.0)
     graph, ground_truth = generate_world(spec)
