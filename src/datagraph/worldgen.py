@@ -8,9 +8,10 @@ can be duplicated into the neighboring room's snapshot to reproduce the
 boundary double-detection problem. Everything is a pure function of the
 spec (seed included): regenerating yields byte-identical worlds. The saved
 bytes follow numpy's PCG64 words and its ``Generator`` algorithms: the
-scalar draws are derived from raw words exactly as numpy computes them
-(:class:`_Draws`), the permutation, vector and sampling draws are numpy
-calls, and so is :func:`derive_seed`, which mixes the harness's trial seeds.
+scalar draws of the placement loop are derived from raw words exactly as
+numpy computes them (:class:`_Draws`); the permutation, vector and sampling
+draws, Poisson counts with a mean of 0 or of 10 and up, and
+:func:`derive_seed`, which mixes the harness's trial seeds, are numpy calls.
 
 The task makers (nearest-object search, door-number/keyfob matching) turn a
 world and a seed into a :class:`TaskSpec`: where the agent stands and what
@@ -29,7 +30,7 @@ from collections import Counter, deque
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from operator import length_hint
 
 import numpy as np
@@ -466,31 +467,6 @@ def derive_seed(*parts: int) -> int:
 _MAX_PLACE_TRIES = 64
 _BLOCK_WORDS = 1024  # raw words fetched from numpy at a time
 _UNIT = 2.0**-53  # numpy's next_double: a word's top 53 bits, scaled into [0, 1)
-# numpy's random_loggam: the coefficients of its Stirling series, a[0] first
-_LOGGAM_COEFFICIENTS = (
-    8.333333333333333e-02, -2.777777777777778e-03, 7.936507936507937e-04, -5.952380952380952e-04,
-    8.417508417508418e-04, -1.917526917526918e-03, 6.410256410256410e-03, -2.955065359477124e-02,
-    1.796443723688307e-01, -1.39243221690590e+00,
-)
-_LOG_2PI = 1.8378770664093453
-
-
-def _loggam(x: float) -> float:
-    """numpy's ``random_loggam``: log Gamma(x) for x >= 1, step for step."""
-    if x == 1.0 or x == 2.0:
-        return 0.0
-    n = int(7 - x) if x < 7.0 else 0
-    x0 = x + n
-    x2 = (1.0 / x0) * (1.0 / x0)
-    gl0 = _LOGGAM_COEFFICIENTS[9]
-    for coefficient in _LOGGAM_COEFFICIENTS[8::-1]:
-        gl0 *= x2
-        gl0 += coefficient
-    gl = gl0 / x0 + 0.5 * _LOG_2PI + (x0 - 0.5) * math.log(x0) - x0
-    for _ in range(n):
-        gl -= math.log(x0 - 1.0)
-        x0 -= 1.0
-    return gl
 
 
 class _Draws:
@@ -500,13 +476,13 @@ class _Draws:
     yields are what the same calls on the ``Generator`` would return, from the
     same PCG64 words in the same order: numpy's ``next_double``, its buffered 32-bit Lemire rejection,
     which shares the generator's half-word buffer (``has_uint32`` and
-    ``uinteger``), and its Poisson samplers. Words come from
+    ``uinteger``), and its Poisson multiplication method (means below 10). Words come from
     ``bit_generator.random_raw`` a block at a time, so a draw is a list step,
     not a call into numpy. ``floats`` iterates the ``random()`` values of the
     words in order, for loops that inline that draw; it stays the same
     iterator for the source's life.
 
-    A numpy method that the source does not derive runs inside
+    Every other draw, a Poisson mean of 0 or of 10 and up included, runs inside
     :meth:`generator`, which first moves the generator to where numpy's own
     scalar calls would have left it.
     """
@@ -538,7 +514,7 @@ class _Draws:
     def generator(self):
         """The generator, moved to where numpy's own calls for the draws made
         so far would have left it: words and half-word buffer. The draws go
-        on from where the ``with`` block leaves it."""
+        on from where the ``with`` block leaves it, in a fresh block of words."""
         bits = self._bits
         bits.state = self._start
         bits.advance(len(self._raw) - length_hint(self._left))
@@ -566,8 +542,6 @@ class _Draws:
         """``rng.integers(n)``, for 1 <= n <= 2**32."""
         if n == 1:
             return 0  # numpy draws nothing for a single value
-        if n == 1 << 32:
-            return self._next32()
         m = self._next32() * n
         if m & 0xFFFFFFFF < n:
             threshold = (1 << 32) % n
@@ -577,11 +551,13 @@ class _Draws:
 
     def poissons(self, lam: float):
         """Endless ``rng.poisson(lam)`` values, each drawn when it is taken:
-        the multiplication method below 10, PTRS from 10 up."""
-        if lam >= 10:
-            yield from map(self._ptrs, repeat(lam))
-        if lam == 0:
-            yield from repeat(0)  # numpy draws nothing
+        by the multiplication method for a mean strictly between 0 and 10, and
+        by numpy itself, inside :meth:`generator`, for a mean of 0 or of 10 and up."""
+        if lam == 0 or lam >= 10:
+            while True:
+                with self.generator() as rng:
+                    value = int(rng.poisson(lam))
+                yield value
         floats, enlam = self.floats, math.exp(-lam)
         while True:
             count, prod = 0, next(floats)  # numpy's running product starts at 1.0
@@ -589,30 +565,6 @@ class _Draws:
                 count += 1
                 prod *= next(floats)
             yield count
-
-    def _ptrs(self, lam: float) -> int:
-        """numpy's ``random_poisson_ptrs`` (Hormann's transformed rejection)."""
-        floats = self.floats
-        slam, loglam = math.sqrt(lam), math.log(lam)
-        b = 0.931 + 2.53 * slam
-        a = -0.059 + 0.02483 * b
-        invalpha = 1.1239 + 1.1328 / (b - 3.4)
-        vr = 0.9277 - 3.6224 / (b - 2)
-        while True:
-            u = next(floats) - 0.5
-            v = next(floats)
-            us = 0.5 - abs(u)
-            if us == 0:
-                continue  # numpy's k is then -inf cast to an int, negative, and it draws again
-            k = math.floor((2 * a / us + b) * u + lam + 0.43)
-            if us >= 0.07 and v <= vr:
-                return k
-            if k < 0 or (us < 0.013 and v > us):
-                continue
-            # numpy's log(0.0) is -inf, which accepts
-            if v == 0 or (math.log(v) + math.log(invalpha) - math.log(a / (us * us) + b)
-                          <= -lam + k * loglam - _loggam(float(k + 1))):
-                return k
 
 
 class _SeparationGrid:

@@ -300,6 +300,7 @@ def test_record_then_replay_round_trip(tmp_path):
     path = tmp_path / "store.json"
     recorder.store.save(path)
     assert ReplayStore.load(path) == recorder.store
+    assert ReplayStore() != {}  # another type is not equal, nor an error
 
 
 def test_replay_miss_names_node_and_hash():

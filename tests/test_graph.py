@@ -99,6 +99,7 @@ def test_saved_and_loaded_worlds_keep_their_scene_digests(tmp_path):
     saved = path.read_bytes()
     graph.save(path)
     assert path.read_bytes() == saved and loaded == graph
+    assert graph != object()  # another type is not equal, nor an error
 
 
 # --- construction ---------------------------------------------------------------

@@ -4,7 +4,7 @@ and its generated ``_init``, which is the ``__init__`` of a class that writes no
 from __future__ import annotations
 
 import inspect
-from dataclasses import FrozenInstanceError, MISSING, fields
+from dataclasses import FrozenInstanceError, MISSING, field, fields
 
 import pytest
 
@@ -12,7 +12,7 @@ import datagraph.backends
 import datagraph.graph
 import datagraph.worldgen
 from datagraph import Edge, GroundTruthInstance, Node, Pose, QueryResponse, SceneObject, Snapshot
-from datagraph.graph import _refuse_setattr
+from datagraph.graph import _record, _refuse_setattr
 
 
 def record_classes():
@@ -88,6 +88,15 @@ def test_generated_functions_check_nothing_and_name_their_record(cls):
         cls._of()
     record = cls._of(*(None for _ in VALUES[cls]))  # no field is checked
     assert all(getattr(record, f.name) is None for f in fields(cls) if f.init)
+
+
+def test_a_field_outside_init_needs_a_default():
+    class Broken:
+        kept: int
+        derived: int = field(init=False)
+
+    with pytest.raises(TypeError, match=r"^Broken\.derived is outside __init__, so it needs a default$"):
+        _record(Broken)
 
 
 def test_snapshot_of_has_a_digest():

@@ -180,6 +180,8 @@ def test_reader_reads_what_http_client_reads(response):
     (b"", REFUSED),
     (b"HTTP/1.1 200 OK\r\n" + b"X: 1\r\n" * 100 + b"\r\n", REFUSED),
     (b"HTTP/2.0 200 OK\r\nContent-Length: 2\r\n\r\nok", REFUSED),  # an unknown protocol
+    (b"HTTP/1.1 abc OK\r\nContent-Length: 0\r\n\r\n", REFUSED),  # a status that is not a number
+    (b"HTTP/1.1 2x0 OK\r\nContent-Length: 0\r\n\r\n", REFUSED),
 ])
 def test_reader_on_known_responses(raw, expected):
     assert via_http_client(raw) == expected

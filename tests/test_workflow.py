@@ -1,6 +1,7 @@
 """The CI workflow tests what the repository declares: its test step runs
-ROADMAP.md's tier-1 command, and its oldest-numpy row installs exactly the
-numpy floor that pyproject.toml admits. Text checks, so they run offline."""
+ROADMAP.md's tier-1 command, its matrix runs the oldest Python that
+pyproject.toml admits, and its oldest-numpy row installs exactly the numpy
+floor that pyproject.toml admits. Text checks, so they run offline."""
 
 from __future__ import annotations
 
@@ -19,6 +20,12 @@ def test_the_oldest_numpy_row_installs_the_declared_floor():
     rows = re.findall(r'numpy: \[?"([^"]+)"', read(".github/workflows/tests.yml"))
     assert f"numpy=={floor}.*" in rows
     assert set(rows) <= {f"numpy=={floor}.*", f"numpy>={floor}"}
+
+
+def test_the_matrix_runs_the_declared_python_floor():
+    (floor,) = re.findall(r'requires-python = ">=([0-9.]+)"', read("pyproject.toml"))
+    (matrix,) = re.findall(r"python-version: \[([^\]]*)\]", read(".github/workflows/tests.yml"))
+    assert floor in re.findall(r'"([^"]+)"', matrix)
 
 
 def test_the_test_step_runs_the_tier_1_command():

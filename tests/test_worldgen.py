@@ -331,6 +331,10 @@ def numpy_vector_call(rng, name, m):
     return rng.choice(np.arange(1, 10 * m + 1), size=m, replace=False).tolist()
 
 
+# kept streams whose values numpy draws, each taken while a half-word is buffered
+@example(0, [("integers", 3), ("poisson", 12.0, True), ("integers", 7), ("integers", 3), ("poisson", 0.0, True),
+             ("random",), ("integers", 7), ("integers", 3), ("poisson", 12.0, True), ("random",),
+             ("poisson", 0.0, True), ("integers", 7)])
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**64 - 1), st.lists(DRAW_CALLS, max_size=40))
 def test_property_draw_source_matches_a_live_generator(seed, calls):
