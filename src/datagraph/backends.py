@@ -27,7 +27,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING, Iterator, Protocol
 from urllib.parse import urlsplit
 
 import requests
@@ -73,10 +73,15 @@ class Predicate:
     attribute_equals: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.label_equals, (str, type(None))):
+            raise ValueError(f"predicate label_equals must be a string or None, got {self.label_equals!r}")
         clauses = self.attribute_equals
         if isinstance(clauses, dict):
             clauses = tuple(clauses.items())
-        clauses = tuple((str(k), str(v)) for k, v in clauses or ())
+        clauses = tuple(clauses or ())
+        if not all(isinstance(clause, (tuple, list)) and len(clause) == 2 for clause in clauses):
+            raise ValueError(f"predicate attribute_equals must be (key, value) pairs, got {self.attribute_equals!r}")
+        clauses = tuple((str(k), str(v)) for k, v in clauses)
         object.__setattr__(self, "attribute_equals", clauses)
         if self.label_equals is None and not clauses:
             raise ValueError("predicate needs at least one clause")
@@ -105,6 +110,8 @@ class Query:
     mode: str = "find"
 
     def __post_init__(self):
+        if not isinstance(self.text, str):
+            raise ValueError(f"query text must be a string, got {self.text!r}")
         if not self.text:
             raise ValueError("query text must be non-empty")
         if self.mode not in QUERY_MODES:
@@ -469,8 +476,8 @@ def _tls_context(verify: bool | str, cert: str | tuple[str, str] | None) -> ssl.
     return context
 
 
-# http.client's limits on a response head: the bytes of one line, and its
-# lines, the blank one that ends the head included
+# http.client's limits on a response head, and http.server's on a request's:
+# the bytes of one line, and its lines, the blank one that ends the head included
 _MAX_LINE = 65_536
 _MAX_HEAD_LINES = 100
 _HEAD_ENDS = (b"\r\n", b"\n", b"")
@@ -480,21 +487,24 @@ _FIELD = re.compile(rb"([!-9;-~]+):[ \t]*([^\r\n]*)")
 _RECV_SIZE = 65_536
 
 
-class _ResponseReader:
-    """Reads one HTTP/1.x response off a socket, framed as ``http.client``
-    frames it but without the email parser it runs on every head.
+class _HTTPReader:
+    """Reads HTTP/1.x messages off a socket, framed as ``http.client`` and
+    ``http.server`` frame them but without the email parser they run on each
+    head: the backend's answers with :meth:`read`, the mock endpoint's requests.
 
     :meth:`read` skips ``100 Continue`` responses and reads the status line,
     the header lines (at most 65,536 bytes a line and 100 lines a head, the
     blank one that ends it included, as in http.client), then the body:
     chunked, ``Content-Length`` or up to the close, and none for other 1xx,
     204 and 304. Where http.client lets a malformed head or chunk through,
-    this reader refuses it: a header line that is not ``name: value``, a CR
-    inside a line, a chunk not followed by CRLF or of a negative size. Every
-    framing fault is an :class:`http.client.HTTPException`.
+    this reader refuses it: a header line that is not ``name: value`` (a
+    folded one included), a CR inside a line, a chunk not followed by CRLF or
+    of a negative size. Every framing fault is an :class:`http.client.HTTPException`.
 
-    Each response gets its own reader, so bytes read past its end are never
-    taken as the next response; :attr:`unread` tells whether there were any.
+    Bytes read past a message stay buffered. The backend gives each response
+    its own reader, so they are never taken as the next response, and
+    :attr:`unread` tells whether there were any; the mock keeps one reader a
+    connection and reads pipelined requests off it.
     """
 
     def __init__(self, sock: socket.socket):
@@ -512,7 +522,7 @@ class _ResponseReader:
         joined as ``HTTPResponse.getheader`` joins them, or None."""
         version, status = self._status_line()
         while status == 100:
-            self._head()
+            self.head()
             version, status = self._status_line()
         if version in ("HTTP/1.0", "HTTP/0.9"):
             http11 = False
@@ -522,11 +532,7 @@ class _ResponseReader:
             raise http.client.UnknownProtocol(version)
         fields: dict[bytes, bytes] = {}
         encodings = []
-        for line in self._head():
-            match = _FIELD.fullmatch(line)
-            if match is None:
-                raise http.client.HTTPException(f"malformed header line {line!r}")
-            name, value = match.groups()
+        for name, value in self.fields(self.head()):
             name = name.lower()
             fields.setdefault(name, value)  # the first of a repeated name, as http.client reads it
             if name == b"content-encoding":
@@ -557,10 +563,10 @@ class _ResponseReader:
         elif length is None:
             body = self._rest()
         else:
-            body = self._exactly(length)
+            body = self.exactly(length)
         return status, body, will_close, ", ".join(encodings) if encodings else None
 
-    def _line(self, what: str) -> bytes:
+    def line(self, what: str) -> bytes:
         """The next line with its LF, or what is left before the close."""
         end = self._data.find(b"\n", self._pos)
         while end < 0:
@@ -580,7 +586,7 @@ class _ResponseReader:
 
     def _status_line(self) -> tuple[str, int]:
         """The version and status of the next status line, checked as http.client checks them."""
-        line = self._line("status line").decode("latin-1")
+        line = self.line("status line").decode("latin-1")
         if not line:
             raise http.client.RemoteDisconnected("Remote end closed connection without response")
         parts = line.split(None, 2)
@@ -594,19 +600,29 @@ class _ResponseReader:
             raise http.client.BadStatusLine(line)
         return parts[0], status
 
-    def _head(self) -> list[bytes]:
+    def head(self) -> list[bytes]:
         """The header lines up to the blank line or the close that ends the
         head, each without its line break."""
         lines = []
         while True:
-            line = self._line("header line")
+            line = self.line("header line")
             if len(lines) == _MAX_HEAD_LINES:  # this is line 101, blank or not
                 raise http.client.HTTPException(f"got more than {_MAX_HEAD_LINES} headers")
             if line in _HEAD_ENDS:
                 return lines
             lines.append(line.removesuffix(b"\n").removesuffix(b"\r"))
 
-    def _exactly(self, size: int) -> bytes:
+    @staticmethod
+    def fields(lines: list[bytes]) -> Iterator[tuple[bytes, bytes]]:
+        """The name and value of each header line, in turn; a line that is
+        not ``name: value`` is an HTTPException."""
+        for line in lines:
+            match = _FIELD.fullmatch(line)
+            if match is None:
+                raise http.client.HTTPException(f"malformed header line {line!r}")
+            yield match.groups()
+
+    def exactly(self, size: int) -> bytes:
         """The next ``size`` bytes; the close before them is an IncompleteRead."""
         data = self._data[self._pos:self._pos + size]
         self._pos += len(data)
@@ -631,7 +647,7 @@ class _ResponseReader:
         """A chunked body, its chunk extensions and trailer read and dropped."""
         parts = []
         while True:
-            line = self._line("chunk size")
+            line = self.line("chunk size")
             try:
                 size = int(line.split(b";", 1)[0], 16)
             except ValueError:
@@ -640,10 +656,10 @@ class _ResponseReader:
                 raise http.client.IncompleteRead(b"".join(parts))
             if size == 0:
                 break
-            parts.append(self._exactly(size))
-            if self._exactly(2) != b"\r\n":
+            parts.append(self.exactly(size))
+            if self.exactly(2) != b"\r\n":
                 raise http.client.HTTPException("chunk data not followed by CRLF")
-        while self._line("trailer line") not in _HEAD_ENDS:
+        while self.line("trailer line") not in _HEAD_ENDS:
             pass
         return b"".join(parts)
 
@@ -800,7 +816,7 @@ class RemoteBackend:
                     # longer than one segment until the server's delayed ACK
                     connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 connection.sock.sendall(request)
-                reader = _ResponseReader(connection.sock)
+                reader = _HTTPReader(connection.sock)
                 status, content, will_close, encoding = reader.read()
             except TimeoutError as exc:
                 connection.close()  # a late answer must never reach the next call

@@ -5,46 +5,39 @@ configurable canned verdict, raw bytes, error status, or per-request
 callback. It records every request it sees and tracks the peak number of
 concurrent requests so client-side in-flight limits can be asserted.
 
-It speaks HTTP/1.1 from one lean request loop per connection: the request
-line and header lines are read under http.server's limits, the body by its
-``Content-Length``, and each reply (status line, headers and body) goes out
-in one write. It keeps each connection open, so a client that pools its
-connections sends all its requests over one, and pipelined requests are
-answered in order; ``connections_seen`` counts the connections accepted. It
-closes a connection after an HTTP/1.0 request, after a ``Connection: close``
-request or reply header, and after each error reply. The error replies have
-an empty body: 400 for a bad request line or a ``Content-Length`` that is
-not ASCII digits, 413 for a ``Content-Length`` over 64 MiB (``_MAX_BODY``,
-far above any request the library sends, and checked before the body is
-read), 414 for a request line over 65,536 bytes, 431 for a header line over
-that or more than 100 header lines, 501 for a method other than POST and 505
-for HTTP/2 or later. ``Expect: 100-continue`` gets ``100 Continue`` first.
-``stop()`` shuts down the listening socket and every connection still open,
-cuts short any ``delay_s`` wait, and returns once each of its threads has
-ended.
+One lean loop a connection reads each request with the backend's HTTP/1.x
+reader, so the mock refuses what that reader refuses, and sends each reply
+(status line, headers and body) in one write. It keeps each connection
+open, so a client that pools its connections sends all its requests over
+one, and pipelined requests are answered in order; ``connections_seen``
+counts the connections accepted. It closes a connection after an HTTP/1.0
+request, after a ``Connection: close`` request or reply header, after each
+error reply, and with no reply or log entry when the client's close cuts a
+body short. The error replies have an empty body: 400 for a bad request
+line, a header line that is not ``name: value`` (a folded one included) or
+a ``Content-Length`` that is not ASCII digits, 413 for a ``Content-Length``
+over 64 MiB (``_MAX_BODY``, far above any request the library sends, and
+checked before the body is read), 414 for a request line over 65,536 bytes,
+431 for a header line over that or more than 100 header lines, 501 for a
+method other than POST and 505 for HTTP/2 or later. ``Expect:
+100-continue`` gets ``100 Continue`` first. ``stop()`` shuts down the
+listening socket and every connection still open, cuts short any
+``delay_s`` wait, and returns once each of its threads has ended.
 """
 
 from __future__ import annotations
 
-import email
+import http.client
 import json
-import re
 import socket
 import threading
 from dataclasses import dataclass, field
-from http import HTTPStatus
-from http.client import HTTPMessage
 
-# http.server's limits: bytes in a request or header line, and header lines
-# counted with the blank line that ends them
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
+from .backends import _HTTPReader
+
 # the longest request body read; reading allocates the declared length up front
 _MAX_BODY = 64 * 1024 * 1024
-_END_OF_HEADERS = (b"\r\n", b"\n", b"")
-# what the email parser takes for a header name; a line without one ends the headers
-_HEADER_NAME = re.compile(r"[!-9;-~]+")
-_REASONS = {status.value: status.phrase for status in HTTPStatus}
+_REASONS = {status.value: status.phrase for status in http.HTTPStatus}
 
 
 @dataclass(frozen=True, slots=True)
@@ -64,7 +57,9 @@ class RecordedRequest:
 
     @property
     def headers(self) -> dict[str, str]:
-        return dict(email.message_from_string(self.header_text, _class=HTTPMessage))
+        fields = [line.split(": ", 1) for line in self.header_text.split("\r\n")[:-1]]
+        first = {name.lower(): value for name, value in reversed(fields)}
+        return {name: first[name.lower()] for name, _ in fields}
 
     @property
     def body(self) -> dict | None:
@@ -93,45 +88,6 @@ def _http_version(word: str) -> tuple[int, int] | None:
     if len(numbers) != 2 or not all(n.isdecimal() and len(n) <= 10 for n in numbers):
         return None
     return int(numbers[0]), int(numbers[1])
-
-
-def _read_headers(rfile) -> tuple[str, dict[str, str]] | None:
-    """One request's header lines, read up to the blank line that ends them.
-
-    Returns them as ``name: value`` lines, as http.server's email parser
-    reads them (blanks after the colon dropped, a line that opens with a
-    blank kept as part of the field before it), and the first value of each
-    lower-cased name. None for a line or a count past http.server's limits.
-    """
-    fields: list[list[str]] = []
-    ended = False
-    for _ in range(_MAX_HEADERS):
-        line = rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            return None
-        if line in _END_OF_HEADERS:
-            break
-        if ended:
-            continue
-        text = line.decode("latin-1")
-        if text[0] in " \t":
-            if fields:
-                fields[-1][1] += text
-            continue
-        name, colon, value = text.partition(":")
-        if colon and _HEADER_NAME.fullmatch(name):
-            fields.append([name, value.lstrip(" \t")])
-        else:
-            ended = True
-    else:
-        return None
-    first: dict[str, str] = {}
-    lines = []
-    for name, value in fields:
-        value = value.rstrip("\r\n")
-        first.setdefault(name.lower(), value)
-        lines.append(f"{name}: {value}\r\n")
-    return "".join(lines), first
 
 
 def _refuse(sock: socket.socket, status: int) -> bool:
@@ -181,10 +137,10 @@ class MockRemoteServer:
             # a 100 Continue or pipelined replies are several writes; without
             # this, Nagle's algorithm holds a later one until the client's delayed ACK
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with sock.makefile("rb") as rfile:
-                while self._answer(sock, rfile):
-                    pass
-        except OSError:  # the client reset the connection, or stop() shut it down
+            reader = _HTTPReader(sock)
+            while self._answer(sock, reader):
+                pass
+        except (OSError, http.client.IncompleteRead):  # a reset, a close mid-body, or stop()
             pass
         finally:
             # leave the set before the socket is closed, so stop() never shuts down a closed socket
@@ -196,10 +152,11 @@ class MockRemoteServer:
                 pass
             sock.close()
 
-    def _answer(self, sock: socket.socket, rfile) -> bool:
+    def _answer(self, sock: socket.socket, reader: _HTTPReader) -> bool:
         """Read one request and answer it; False once the connection should close."""
-        line = rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
+        try:
+            line = reader.line("request line")
+        except http.client.LineTooLong:
             return _refuse(sock, 414)
         words = line.decode("latin-1").split()
         if not words:  # the client closed the connection, or sent a blank line
@@ -212,19 +169,28 @@ class MockRemoteServer:
         method, path = words[0], words[1]
         if path.startswith("//"):  # as http.server reads it: a path, not a host
             path = "/" + path.lstrip("/")
-        headers = _read_headers(rfile)
-        if headers is None:
+        try:
+            lines = reader.head()
+        except http.client.HTTPException:  # a line over 65,536 bytes, or over 100 lines
             return _refuse(sock, 431)
-        header_text, first = headers
+        first: dict[bytes, bytes] = {}  # the first value of each lower-cased name
+        logged = []
+        try:
+            for name, value in reader.fields(lines):
+                first.setdefault(name.lower(), value)
+                logged += name, b": ", value, b"\r\n"
+        except http.client.HTTPException:
+            return _refuse(sock, 400)
+        header_text = b"".join(logged).decode("latin-1")
         keep_open = version >= (1, 1)
-        connection = first.get("connection", "").lower()
-        if connection in ("close", "keep-alive"):
-            keep_open = connection == "keep-alive"
-        if version >= (1, 1) and first.get("expect", "").lower() == "100-continue":
+        connection = first.get(b"connection", b"").lower()
+        if connection in (b"close", b"keep-alive"):
+            keep_open = connection == b"keep-alive"
+        if version >= (1, 1) and first.get(b"expect", b"").lower() == b"100-continue":
             sock.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
         if method != "POST":
             return _refuse(sock, 501)
-        length = first.get("content-length", "0").strip()
+        length = first.get(b"content-length", b"0").decode("latin-1").strip()
         if not (length.isascii() and length.isdecimal()):  # ASCII digits only, as HTTP writes a length
             return _refuse(sock, 400)
         digits = length.lstrip("0") or "0"
@@ -234,7 +200,7 @@ class MockRemoteServer:
             return _refuse(sock, 413)
         self._enter()
         try:
-            raw_body = rfile.read(size)
+            raw_body = reader.exactly(size)
             with self._lock:
                 shared = self._shared
                 request = RecordedRequest(

@@ -56,8 +56,6 @@ def array(items: Sequence[str], pad: str) -> str:
 
 def floats(values: Sequence[float], pad: str) -> str:
     """A list of floats, opened on a line indented by ``pad``."""
-    if not values:
-        return "[]"
     inner = "\n" + pad + "  "
     return "[" + inner + ("," + inner).join(map(_float, values)) + "\n" + pad + "]"
 

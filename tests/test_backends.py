@@ -59,6 +59,19 @@ def test_predicate_refuses_an_empty_label_that_no_object_can_match():
         Predicate(label_equals="", attribute_equals=(("number", "42"),))
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    pytest.param({"label_equals": 5}, "label_equals", id="int-label"),
+    pytest.param({"label_equals": b"keyfob"}, "label_equals", id="bytes-label"),
+    pytest.param({"attribute_equals": ["ab"]}, "attribute_equals", id="string-clause"),  # not ("a", "b")
+    pytest.param({"attribute_equals": "ab"}, "attribute_equals", id="string-of-clauses"),
+    pytest.param({"attribute_equals": [("number", "42", "x")]}, "attribute_equals", id="clause-of-three"),
+    pytest.param({"attribute_equals": [5]}, "attribute_equals", id="int-clause"),
+])
+def test_predicate_refuses_values_of_the_wrong_kind(kwargs, field):
+    with pytest.raises(ValueError, match=f"predicate {field} must"):
+        Predicate(**kwargs)
+
+
 def test_predicate_label_match():
     assert predicate_eval(Predicate(label_equals="keyfob"), KEYFOB_42)
 
@@ -144,6 +157,8 @@ def test_query_requires_text_and_known_mode():
         Query("", Predicate(label_equals="x"))
     with pytest.raises(ValueError):
         Query("q", Predicate(label_equals="x"), mode="guess")
+    with pytest.raises(ValueError, match="query text must be a string, got 5"):
+        Query(5, Predicate(label_equals="x"))
 
 
 def test_response_json_round_trip():

@@ -1,7 +1,7 @@
 """``RemoteBackend``'s own HTTP framing, checked against ``http.client``.
 
 The backend writes each request from a head it builds once and reads each
-answer with its own reader (``backends._ResponseReader``). These tests hold
+answer with its own reader (``backends._HTTPReader``). These tests hold
 both to what ``http.client`` sends and reads: generated raw responses go to
 the reader and to ``http.client.HTTPResponse``, and the built head goes out
 beside what ``putrequest``/``putheader`` send.
@@ -30,7 +30,7 @@ from datagraph import (
     SceneObject,
     Snapshot,
 )
-from datagraph.backends import _ResponseReader
+from datagraph.backends import _HTTPReader
 from datagraph.mock_remote import MockRemoteServer
 
 QUERY = Query("is there a keyfob with number 42?", Predicate(label_equals="keyfob"))
@@ -54,7 +54,7 @@ class FakeSocket:
 
 def via_reader(raw: bytes, step: int):
     try:
-        return _ResponseReader(FakeSocket(raw, step)).read()
+        return _HTTPReader(FakeSocket(raw, step)).read()
     except http.client.HTTPException:
         return REFUSED
 

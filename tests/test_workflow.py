@@ -1,7 +1,8 @@
 """The CI workflow tests what the repository declares: its test step runs
 ROADMAP.md's tier-1 command, its matrix runs the oldest Python that
-pyproject.toml admits, and its oldest-numpy row installs exactly the numpy
-floor that pyproject.toml admits. Text checks, so they run offline."""
+pyproject.toml admits, its oldest-numpy row installs exactly the numpy
+floor that pyproject.toml admits, and its tier-1 job has a timeout. Text
+checks, so they run offline."""
 
 from __future__ import annotations
 
@@ -32,3 +33,9 @@ def test_the_test_step_runs_the_tier_1_command():
     (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md"))
     steps = re.findall(r"- name: (.+)\n\s+run: (.+)", read(".github/workflows/tests.yml"))
     assert ("Tier-1 tests", command) in steps
+
+
+def test_the_tier_1_job_sets_a_timeout():
+    """A hung socket or thread test must not hold a runner for GitHub's 360-minute default."""
+    (job,) = re.findall(r"\n  tier-1:\n((?:    .*\n|\n)+)", read(".github/workflows/tests.yml"))
+    assert re.search(r"^    timeout-minutes: \d+$", job, re.MULTILINE)
