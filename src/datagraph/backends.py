@@ -25,6 +25,7 @@ import socket
 import ssl
 import threading
 import weakref
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Iterator, Protocol
@@ -77,9 +78,12 @@ class Predicate:
             raise ValueError(f"predicate label_equals must be a string or None, got {self.label_equals!r}")
         clauses = self.attribute_equals
         if isinstance(clauses, dict):
-            clauses = tuple(clauses.items())
-        clauses = tuple(clauses or ())
-        if not all(isinstance(clause, (tuple, list)) and len(clause) == 2 for clause in clauses):
+            clauses = clauses.items()
+        # None means no clause; a string holds no pairs, even an empty one
+        pairs = isinstance(clauses, Iterable) and not isinstance(clauses, (str, bytes, bytearray))
+        clauses = tuple(clauses) if pairs else ()
+        if not (pairs or self.attribute_equals is None) or not all(
+                isinstance(clause, (tuple, list)) and len(clause) == 2 for clause in clauses):
             raise ValueError(f"predicate attribute_equals must be (key, value) pairs, got {self.attribute_equals!r}")
         clauses = tuple((str(k), str(v)) for k, v in clauses)
         object.__setattr__(self, "attribute_equals", clauses)
@@ -114,6 +118,8 @@ class Query:
             raise ValueError(f"query text must be a string, got {self.text!r}")
         if not self.text:
             raise ValueError("query text must be non-empty")
+        if not isinstance(self.predicate, Predicate):
+            raise ValueError(f"query predicate must be a Predicate, got {self.predicate!r}")
         if self.mode not in QUERY_MODES:
             raise ValueError(f"mode must be one of {QUERY_MODES}, got {self.mode!r}")
 

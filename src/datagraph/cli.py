@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import click
 
-from . import output
+from . import __version__, output
 from .backends import CachingBackend, Predicate, Query, RemoteEndpointConfig
 from .errors import (
     BackendError,
@@ -57,7 +57,7 @@ def _fail(message: str, code: int):
 
 
 @click.group(cls=_Main)
-@click.version_option(package_name="datagraph")
+@click.version_option(version=__version__, prog_name="datagraph")  # a source checkout has no installed metadata
 def main():
     """Spatial datagraph experiments: generate worlds, compare search
     strategies, scan routes, aggregate counts.

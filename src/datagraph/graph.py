@@ -33,8 +33,8 @@ attribute beyond their fields.
 No :class:`Edge` record is stored. The constructor builds the adjacency once,
 in the form the kernels read: per node, a tuple of ascending neighbor ids and
 an aligned tuple of ``(neighbor, length_m)`` pairs, each edge listed at both
-ends, plus a traversable-only view of each (the very same tuples when no edge
-is closed) and the set of closed pairs. Callers read edges from these through
+ends, and the set of closed pairs; with a closed edge, also the traversable
+subgraph, which a ``traversable_only`` search runs on. Callers read edges through
 :attr:`Datagraph.edge_count`, :meth:`Datagraph.edge_length` and
 :attr:`Datagraph.closed_pairs`, and saving writes each edge's fields straight
 from them. :meth:`Datagraph.edges` builds ``Edge`` records on each call (equal
@@ -514,9 +514,9 @@ class Datagraph:
     Node ids are dense: node ``i`` is the ``i``-th record. Edges are stored
     as each node's neighbor ids (``_ids``) and ``(neighbor, length_m)`` pairs
     (``_pairs``), both sorted ascending by neighbor id, which anchors the
-    deterministic tie-breaking of traversals; ``_open_ids`` and
-    ``_open_pairs`` keep only the traversable edges, and ``_closed`` holds
-    the ``(a, b)``, ``a < b``, of the others.
+    deterministic tie-breaking of traversals. ``_closed`` holds the ``(a, b)``,
+    ``a < b``, of closed edges, and ``_traversable`` the subgraph of the same
+    nodes without them, or None when no edge is closed.
     """
 
     @_collector_paused()
@@ -575,33 +575,21 @@ class Datagraph:
     def _init(self, nodes: tuple[Node, ...], rows) -> None:
         """Fill the adjacency from the rows that :meth:`_of` takes; appended in
         ``(a, b)`` order, every list of neighbors comes out ascending."""
-        n = len(nodes)
-        pairs: list = [[] for _ in range(n)]
-        ids: list = [[] for _ in range(n)]
-        open_pairs, open_ids = pairs, ids  # the same lists until an edge is closed
+        pairs: list = [[] for _ in nodes]
+        ids: list = [[] for _ in nodes]
         closed: set[tuple[NodeId, NodeId]] = set()
         for a, b, traversable, length_m in rows:
             if not traversable:
-                if not closed:  # the traversable views part from here
-                    open_pairs, open_ids = [p.copy() for p in pairs], [i.copy() for i in ids]
                 closed.add((a, b))
-            entry_a, entry_b = (b, length_m), (a, length_m)
-            pairs[a].append(entry_a)
-            pairs[b].append(entry_b)
+            pairs[a].append((b, length_m))
+            pairs[b].append((a, length_m))
             ids[a].append(b)
             ids[b].append(a)
-            if traversable and closed:
-                open_pairs[a].append(entry_a)
-                open_pairs[b].append(entry_b)
-                open_ids[a].append(b)
-                open_ids[b].append(a)
         # tuples hold their entries inline, so the kernels sweep them faster
         self._nodes = nodes
         self._pairs, self._ids = tuple(map(tuple, pairs)), tuple(map(tuple, ids))
         self._closed = frozenset(closed)
-        self._open_pairs, self._open_ids = self._pairs, self._ids
-        if closed:
-            self._open_pairs, self._open_ids = tuple(map(tuple, open_pairs)), tuple(map(tuple, open_ids))
+        self._traversable = Datagraph._of(nodes, (row for row in self._edge_rows() if row[2])) if closed else None
 
     # -- access ---------------------------------------------------------------
 
@@ -654,7 +642,7 @@ class Datagraph:
         The hop kernel drained: the keys come out in visit order, by hops,
         then by ascending id.
         """
-        return self._drained("hops", source, traversable_only)
+        return self._searched(traversable_only)._drained("hops", source)
 
     def geodesic_distances(
         self, source: NodeId, traversable_only: bool = False
@@ -668,7 +656,7 @@ class Datagraph:
         are float sums along each path, so two nodes tie only when their
         sums are equal floats (0.1 + 0.2 is not 0.3).
         """
-        return self._drained("meters", source, traversable_only)
+        return self._searched(traversable_only)._drained("meters", source)
 
     def shortest_path(
         self,
@@ -684,8 +672,9 @@ class Datagraph:
         search runs from ``b`` only until every node no farther than ``a``
         has settled, which is every node the descent can step to.
         """
-        self._check_node(a)
-        dist_to_goal, frontier = self._frontier(metric, b, traversable_only)
+        a = self._check_node(a)
+        graph = self._searched(traversable_only)
+        dist_to_goal, frontier = graph._frontier(metric, b)
         if a not in dist_to_goal:
             for _ in frontier:
                 if a in dist_to_goal:
@@ -706,7 +695,7 @@ class Datagraph:
         # Two nodes that an edge too short for their float sums joins are each
         # a step from the other, so the descent never steps back onto its own
         # path, and backs up out of such a tie when it leads nowhere.
-        adj, hops = (self._open_pairs if traversable_only else self._pairs), metric == "hops"
+        adj, hops = graph._pairs, metric == "hops"
         on_path = {a}
 
         def steps(v):
@@ -755,27 +744,31 @@ class Datagraph:
 
     # -- the frontier kernels ---------------------------------------------------
 
-    def _frontier(self, metric: str, source: NodeId, traversable_only: bool = False):
+    def _searched(self, traversable_only: bool) -> Datagraph:
+        """The traversable subgraph under ``traversable_only`` if an edge is closed, else this graph."""
+        return self._traversable if traversable_only and self._traversable is not None else self
+
+    def _frontier(self, metric: str, source: NodeId):
         """A resumable search from ``source``: ``(dist, kernel)``.
 
         ``dist`` gains each node's distance under ``metric`` when the kernel,
         a generator, settles it, nearest first. Advance the kernel only as
         far as the caller reads, or drain it for the full map.
         """
-        self._check_node(source)
+        source = self._check_node(source)
         kernel = by_metric(metric, self._hop_kernel, self._meter_kernel)
         dist: dict[NodeId, float] = {}
-        return dist, kernel(source, traversable_only, dist)
+        return dist, kernel(source, dist)
 
-    def _drained(self, metric: str, source: NodeId, traversable_only: bool) -> dict:
-        dist, frontier = self._frontier(metric, source, traversable_only)
+    def _drained(self, metric: str, source: NodeId) -> dict:
+        dist, frontier = self._frontier(metric, source)
         deque(frontier, maxlen=0)
         return dist
 
-    def _hop_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, int]):
+    def _hop_kernel(self, source: NodeId, dist: dict[NodeId, int]):
         """Level-synchronous BFS: settles one hop level into ``dist`` per step,
         sorted by id, and yields ``(hops, level)``; ``source`` is level 0."""
-        adj = self._open_ids if traversable_only else self._ids
+        adj = self._ids
         seen = [False] * len(adj)  # faster to index than a set or a bytearray
         seen[source] = True
         dist[source] = 0
@@ -794,10 +787,10 @@ class Datagraph:
             dist.update(dict.fromkeys(frontier, hops))
             level = frontier
 
-    def _meter_kernel(self, source: NodeId, traversable_only: bool, dist: dict[NodeId, float]):
+    def _meter_kernel(self, source: NodeId, dist: dict[NodeId, float]):
         """Dijkstra: settles one node into ``dist`` per step, when the heap
         first pops its ``(meters, id)``, and yields that pair."""
-        adj = self._open_pairs if traversable_only else self._pairs
+        adj = self._pairs
         best: dict[NodeId, float] = {source: 0.0}
         heap: list[tuple[float, NodeId]] = [(0.0, source)]
         while heap:
@@ -824,16 +817,19 @@ class Datagraph:
         violation, so a graph passes unless something wrote into its private
         tuples. This rebuilds the graph through the constructor from the
         stored edge rows and returns the constructor's violations, or else
-        one ``adjacency`` violation if the rebuilt adjacency, traversable
-        views or closed set differ from the stored ones.
+        one ``adjacency`` violation if the rebuilt adjacency, closed set or
+        traversable subgraph differ from the stored ones.
         """
         try:
             rebuilt = Datagraph(self._nodes, self._edge_rows())
         except GraphValidationError as exc:
             return exc.violations
-        for name in ("_pairs", "_ids", "_open_pairs", "_open_ids", "_closed"):
+        for name in ("_pairs", "_ids", "_closed", "_traversable"):  # graphs compare nodes, pairs and closed set
             if getattr(rebuilt, name) != getattr(self, name):
                 return [Violation("adjacency", f"{name} differs from the graph its edge rows build")]
+        sub = self._traversable
+        if sub is not None and sub._ids != rebuilt._traversable._ids:
+            return [Violation("adjacency", "_traversable._ids differs from the graph its edge rows build")]
         return []
 
     # -- serialization -----------------------------------------------------------
@@ -959,9 +955,11 @@ class Datagraph:
             for a, entries in enumerate(self._pairs) for b, length_m in entries if a < b
         )
 
-    def _check_node(self, v: NodeId) -> None:
+    def _check_node(self, v: NodeId) -> NodeId:
+        """``v`` as an int if it is the id of a node of this graph, else a MissingNodeError."""
         if type(v) is int and 0 <= v < len(self._nodes):
-            return  # the common case, without the numbers.Integral ABC check
+            return v  # the common case, without the numbers.Integral ABC check
         if not (_is_integer(v) and 0 <= v < len(self._nodes)):
             raise MissingNodeError(v)
+        return int(v)
 

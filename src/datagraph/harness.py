@@ -50,7 +50,7 @@ from .graph import (
 )
 from .traversal import (
     AggregateReport,
-    _path_meters,
+    _checked_path,
     _run,
     aggregate_count,
     brute_force_query,
@@ -102,6 +102,8 @@ class BackendConfig:
     forward_annotations: bool = False
 
     def __post_init__(self):
+        if self.remote is not None:
+            _record_of(self.remote, (RemoteEndpointConfig,), "config.backend.remote")
         for name in ("store_path", "record_path"):
             _path(getattr(self, name), f"config.backend.{name}")
         _flag(self.forward_annotations, "config.backend.forward_annotations")
@@ -147,6 +149,9 @@ class ExperimentConfig:
     brute_force_stop_on_first: bool = False
 
     def __post_init__(self):
+        _record_of(self.world, (WorldSpec, WorldFiles), "config.world")
+        _record_of(self.tasks, (TaskConfig,), "config.tasks")
+        _record_of(self.backend, (BackendConfig,), "config.backend")
         for name in ("cache_enabled", "shared_cache", "brute_force_stop_on_first"):
             _flag(getattr(self, name), f"config.{name}")
         _path(self.output_dir, "config.output_dir")
@@ -251,6 +256,13 @@ def _path(value, what: str, required: bool = False) -> str | None:
         return _check_label(value, what)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
+
+
+def _record_of(value, kinds: tuple[type, ...], what: str) -> None:
+    """A config field that holds a record of one of ``kinds``; a value of any
+    other kind (say, the document form of one) is a ConfigError."""
+    if not isinstance(value, kinds):
+        raise ConfigError(f"{what} must be a {' or '.join(kind.__name__ for kind in kinds)}, got {value!r}")
 
 
 def _flag(value, what: str) -> bool:
@@ -639,7 +651,8 @@ def run_route_scan(
         if shortest is None:
             raise RouteError(f"goal {goal} is unreachable from {start}")
         routes = [shortest]
-    lengths_m = [_path_meters(graph, route) for route in routes]
+    routes, lengths_m = zip(*[_checked_path(graph, route) for route in routes])
+    start, goal = routes[0][0], routes[0][-1]  # as ints, whatever integral ids the caller gave
     entries = []
     total_calls = 0
     cache_hits_before = backend.hits if isinstance(backend, CachingBackend) else None

@@ -141,7 +141,7 @@ def _run(
 def _by_proximity(graph: Datagraph, backend: QueryBackend, query: Query, agent: NodeId,
                   metric: str, stop_on_first: bool) -> TraversalResult:
     """Visit in the key order of the agent's full distance map under ``metric``."""
-    graph.node(agent)  # an unknown agent is reported before an unknown metric
+    agent = graph._check_node(agent)  # an unknown agent is reported before an unknown metric
     order = by_metric(metric, graph.hop_distances, graph.geodesic_distances)(agent)
     return _run(graph, backend.answer, query, order, agent, stop_on_first, metric)
 
@@ -195,25 +195,24 @@ def path_query(
     queried once per occurrence unless a caching backend suppresses the
     duplicate call. The hit's distances are reported relative to the path start.
     """
-    path = list(path)
+    path, _ = _checked_path(graph, path)
     if not path:
         raise ValueError("path must be non-empty")
-    _path_meters(graph, path)
     return _run(graph, backend.answer, query, path, path[0], stop_on_first=False)
 
 
-def _path_meters(graph: Datagraph, path: list[NodeId]) -> float:
-    """The length in meters of ``path``, checked as :func:`path_query` checks
-    it: each node id first, then each pair of consecutive nodes."""
-    for v in path:
-        graph.node(v)
+def _checked_path(graph: Datagraph, path: Iterable[NodeId]) -> tuple[list[NodeId], float]:
+    """``path`` with each node id as an int, and its length in meters, checked
+    as :func:`path_query` checks it: each node id first, then each pair of
+    consecutive nodes."""
+    path = [graph._check_node(v) for v in path]
     meters = 0.0
     for u, v in zip(path, path[1:]):
         length_m = graph.edge_length(u, v)
         if length_m is None:
             raise InvalidPathError(u, v)
         meters += length_m
-    return meters
+    return path, meters
 
 
 def brute_force_query(

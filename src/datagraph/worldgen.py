@@ -220,7 +220,12 @@ class WorldSpec:
                 f"min_label_separation_m must be finite and non-negative, "
                 f"got {self.min_label_separation_m!r}"
             )
-        catalog = tuple(self.catalog)
+        try:
+            catalog = tuple(self.catalog)
+        except TypeError:
+            catalog = None
+        if catalog is None or not all(isinstance(entry, CatalogEntry) for entry in catalog):
+            raise WorldSpecError(f"catalog must be a sequence of CatalogEntry records, got {self.catalog!r}")
         object.__setattr__(self, "catalog", catalog)
         if self.objects_per_room_mean > 0:
             if not catalog or all(entry.weight == 0 for entry in catalog):

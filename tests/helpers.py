@@ -96,7 +96,8 @@ def edge_lists(graph: Datagraph, traversable_only: bool = False) -> list[list[tu
     """Each node's ``(neighbor, length_m)`` pairs in ascending neighbor order,
     built from ``graph.edges()``. Those are read from ``_pairs``, the tuples the
     meter kernel reads too, so a fault in ``_pairs`` shows here as well; the
-    hop kernel reads ``_ids`` and the traversable-only kernels ``_open_*``."""
+    hop kernel reads ``_ids``, and a traversable-only search the traversable
+    subgraph's tuples, which the edges here never come from."""
     adjacency: list[list[tuple[int, float]]] = [[] for _ in range(len(graph))]
     for e in graph.edges():
         if e.traversable or not traversable_only:
@@ -107,10 +108,13 @@ def edge_lists(graph: Datagraph, traversable_only: bool = False) -> list[list[tu
     return adjacency
 
 
-def eager_hop_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, int]:
+def eager_hop_distances(
+    graph: Datagraph, source: int, traversable_only: bool = False, adjacency=None
+) -> dict[int, int]:
     """The full hop map as a level-synchronous BFS built it before the
-    kernels could stop early: keys by hops, then by ascending id."""
-    adjacency = edge_lists(graph, traversable_only)
+    kernels could stop early: keys by hops, then by ascending id.
+    ``adjacency``, if given, is ``edge_lists(graph, traversable_only)``."""
+    adjacency = adjacency or edge_lists(graph, traversable_only)
     dist = {source: 0}
     level = [source]
     hops = 0
@@ -122,10 +126,13 @@ def eager_hop_distances(graph: Datagraph, source: int, traversable_only: bool = 
     return dist
 
 
-def eager_geodesic_distances(graph: Datagraph, source: int, traversable_only: bool = False) -> dict[int, float]:
+def eager_geodesic_distances(
+    graph: Datagraph, source: int, traversable_only: bool = False, adjacency=None
+) -> dict[int, float]:
     """The full meter map as Dijkstra built it before the kernels could stop
-    early: keys in the heap's ``(meters, id)`` pop order."""
-    adjacency = edge_lists(graph, traversable_only)
+    early: keys in the heap's ``(meters, id)`` pop order. ``adjacency`` as
+    in :func:`eager_hop_distances`."""
+    adjacency = adjacency or edge_lists(graph, traversable_only)
     dist: dict[int, float] = {}
     best = {source: 0.0}
     heap = [(0.0, source)]
@@ -150,10 +157,10 @@ def eager_shortest_path(graph: Datagraph, a: int, b: int, metric: str, traversab
     ran it before its search could stop early; :data:`LOOPS` where that
     descent stepped back onto its own path and so never ended."""
     full = eager_hop_distances if metric == "hops" else eager_geodesic_distances
-    dist_to_goal = full(graph, b, traversable_only)
+    adjacency = edge_lists(graph, traversable_only)
+    dist_to_goal = full(graph, b, traversable_only, adjacency)
     if a not in dist_to_goal:
         return None
-    adjacency = edge_lists(graph, traversable_only)
     path = [a]
     while path[-1] != b:
         current = path[-1]

@@ -66,10 +66,27 @@ def test_predicate_refuses_an_empty_label_that_no_object_can_match():
     pytest.param({"attribute_equals": "ab"}, "attribute_equals", id="string-of-clauses"),
     pytest.param({"attribute_equals": [("number", "42", "x")]}, "attribute_equals", id="clause-of-three"),
     pytest.param({"attribute_equals": [5]}, "attribute_equals", id="int-clause"),
+    pytest.param({"attribute_equals": 5}, "attribute_equals", id="int-clauses"),  # not a bare TypeError
+    # falsy values that are no clause set: they used to mean no clause
+    pytest.param({"label_equals": "x", "attribute_equals": 0}, "attribute_equals", id="zero-clauses"),
+    pytest.param({"label_equals": "x", "attribute_equals": False}, "attribute_equals", id="false-clauses"),
+    pytest.param({"label_equals": "x", "attribute_equals": ""}, "attribute_equals", id="empty-string-clauses"),
+    pytest.param({"label_equals": "x", "attribute_equals": b""}, "attribute_equals", id="empty-bytes-clauses"),
 ])
 def test_predicate_refuses_values_of_the_wrong_kind(kwargs, field):
     with pytest.raises(ValueError, match=f"predicate {field} must"):
         Predicate(**kwargs)
+
+
+@pytest.mark.parametrize("clauses, kept", [
+    (None, ()), ((), ()), ([], ()), ({}, ()),
+    ({"number": "42"}, (("number", "42"),)),
+    ([("number", "42")], (("number", "42"),)),
+    ((["number", 42],), (("number", "42"),)),
+    (iter([("number", "42")]), (("number", "42"),)),
+])
+def test_predicate_keeps_every_accepted_shape_of_clauses(clauses, kept):
+    assert Predicate("keyfob", clauses).attribute_equals == kept
 
 
 def test_predicate_label_match():
@@ -159,6 +176,8 @@ def test_query_requires_text_and_known_mode():
         Query("q", Predicate(label_equals="x"), mode="guess")
     with pytest.raises(ValueError, match="query text must be a string, got 5"):
         Query(5, Predicate(label_equals="x"))
+    with pytest.raises(ValueError, match="query predicate must be a Predicate, got 'chair'"):
+        Query("q", "chair")
 
 
 def test_response_json_round_trip():

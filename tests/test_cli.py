@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 from click.testing import CliRunner
 
+import datagraph
 from datagraph import (
     Datagraph, OracleBackend, Predicate, Query, QueryResponse, ReplayStore, WorldSpec, generate_world, run_aggregate,
 )
@@ -29,6 +30,13 @@ def world_dir(tmp_path, runner):
     )
     assert result.exit_code == 0, result.output
     return out
+
+
+def test_version_is_the_package_version(runner):
+    # read from the package, not from installed metadata, which a source checkout lacks
+    result = runner.invoke(main, ["--version"])
+    assert result.exit_code == 0, result.output
+    assert result.output == f"datagraph, version {datagraph.__version__}\n"
 
 
 def test_gen_writes_world_and_sidecars(world_dir):

@@ -303,11 +303,10 @@ def test_validate_clean_graph(path_graph):
 
 def _relist(graph, v, entries):
     """Store ``entries``, ``(neighbor, length_m)`` pairs, as node ``v``'s
-    adjacency, in both views of a graph with no closed edge."""
+    ``_pairs`` and their ids as its ``_ids``."""
     pairs, ids = list(graph._pairs), list(graph._ids)
     pairs[v], ids[v] = tuple(entries), tuple(w for w, _ in entries)
-    graph._pairs = graph._open_pairs = tuple(pairs)
-    graph._ids = graph._open_ids = tuple(ids)
+    graph._pairs, graph._ids = tuple(pairs), tuple(ids)
 
 
 def _found(graph):
@@ -350,16 +349,21 @@ def test_validate_reports_an_out_of_range_neighbor(path_graph):
 
 
 def test_validate_reports_pairs_that_do_not_line_up_with_the_ids(path_graph):
-    path_graph._ids = path_graph._open_ids = ((2,), (0, 2), (1,))
+    path_graph._ids = ((2,), (0, 2), (1,))
     assert _found(path_graph) == _adjacency_fault("_ids")
 
 
 def test_validate_reports_a_traversable_view_that_disagrees_with_the_closed_set():
     graph = build_graph(3, [(0, 1, 1.0, False), (1, 2, 1.0)])
-    assert graph.validate() == [] and graph._open_ids == ((), (2,), (1,))
-    graph._open_ids = (graph._ids[0],) + graph._open_ids[1:]  # 0 -> 1 open at 0, closed at 1
-    graph._open_pairs = (graph._pairs[0],) + graph._open_pairs[1:]
-    assert _found(graph) == _adjacency_fault("_open_pairs")
+    sub = graph._traversable
+    assert graph.validate() == [] and sub._ids == ((), (2,), (1,)) and sub._closed == frozenset()
+    _relist(sub, 0, graph._pairs[0])  # 0 -> 1 open at 0, closed at 1
+    assert _found(graph) == _adjacency_fault("_traversable")
+    _relist(sub, 0, ())
+    sub._ids = ((1,),) + sub._ids[1:]  # the pairs agree, the ids do not
+    assert _found(graph) == _adjacency_fault("_traversable._ids")
+    graph._traversable = None  # a closed edge, but no subgraph
+    assert _found(graph) == _adjacency_fault("_traversable")
 
 
 def test_validate_reports_a_closed_pair_that_is_no_edge(path_graph):
@@ -1014,7 +1018,7 @@ def test_property_each_cursor_settles_a_prefix_of_the_eager_map(graph, data):
         for traversable_only in (False, True):
             for source in sources:
                 full = list(eager(graph, source, traversable_only).items())
-                dist, frontier = graph._frontier(metric, source, traversable_only)
+                dist, frontier = graph._searched(traversable_only)._frontier(metric, source)
                 for step in frontier:
                     settled = list(dist.items())
                     assert settled == full[: len(settled)]
@@ -1068,8 +1072,8 @@ def test_shortest_path_settles_only_what_its_descent_reads(monkeypatch):
     settled = []
     real = Datagraph._frontier
 
-    def recording(self, metric, source, traversable_only=False):
-        dist, frontier = real(self, metric, source, traversable_only)
+    def recording(self, metric, source):
+        dist, frontier = real(self, metric, source)
         settled.append(dist)
         return dist, frontier
 

@@ -37,6 +37,7 @@ from datagraph import (
     generate_world,
     ground_truth_nearest,
     make_keyfob_task,
+    path_query,
     proximity_query_all,
     proximity_search_first,
     run_aggregate,
@@ -120,6 +121,24 @@ def test_task_config_rejects_seeds_that_are_not_natural_numbers(seed):
            "tasks": {"kind": "nearest_search", "seed": seed}}
     with pytest.raises(ConfigError, match="task seed"):
         ExperimentConfig.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: ExperimentConfig("w.json", TaskConfig("nearest_search")),
+                 "config.world must be a WorldSpec or WorldFiles, got 'w.json'", id="world-path"),
+    pytest.param(lambda: ExperimentConfig(WorldSpec(2, 2), {"kind": "nearest_search", "count": 1}),
+                 "config.tasks must be a TaskConfig, got {'kind': 'nearest_search', 'count': 1}", id="tasks-dict"),
+    pytest.param(lambda: ExperimentConfig(WorldSpec(2, 2), TaskConfig("nearest_search"), backend="oracle"),
+                 "config.backend must be a BackendConfig, got 'oracle'", id="backend-kind"),
+    pytest.param(lambda: BackendConfig("remote", remote={"base_url": "http://127.0.0.1:9"}),
+                 "config.backend.remote must be a RemoteEndpointConfig, got {'base_url': 'http://127.0.0.1:9'}",
+                 id="remote-dict"),
+])
+def test_config_records_refuse_a_nested_value_of_the_wrong_kind(build, message):
+    # each used to build, then fail later with an AttributeError
+    with pytest.raises(ConfigError) as excinfo:
+        build()
+    assert str(excinfo.value) == message
 
 
 def test_backend_config_requirements():
@@ -732,6 +751,32 @@ def test_route_tie_breaks_shorter_then_lexicographic():
     report = run_route_scan(graph, OracleBackend(), 0, 5, candidate_routes=[detour, long, short])
     # all hazard-free and equal length: lexicographic smallest wins
     assert report.selected_route == tuple(short)
+
+
+def test_ids_of_another_integral_type_come_back_as_ints():
+    """Maps, paths, hits and route reports hold the plain ints a document can
+    hold, whatever integral ids the caller passed."""
+    np = pytest.importorskip("numpy")
+    graph, _ = generate_world(WorldSpec(6, 6, seed=1))
+    ids = []
+    for metric in ("hops", "meters"):
+        ids += graph.hop_distances(np.int64(0)) if metric == "hops" else graph.geodesic_distances(np.int64(0))
+        ids += graph.shortest_path(np.int64(0), np.int64(7), metric)
+        ids += graph.shortest_path(np.int64(0), np.int64(7), metric, traversable_only=True)
+        ids.append(graph.nearest(np.int64(3), {3}, metric)[0])
+        result = proximity_search_first(graph, OracleBackend(), Query("q", Predicate("chair")), np.int64(3), metric)
+        ids += [result.first_satisfied[0], *result.visit_order]
+    path = [np.int64(v) for v in graph.shortest_path(0, 7)]
+    result = path_query(graph, OracleBackend(), Query("q", Predicate("nothing")), path)
+    ids += [*result.visit_order, *(r.node for r in result.responses)]
+    for candidates in (None, [path]):
+        report = run_route_scan(graph, CachingBackend(OracleBackend()), np.int64(0), np.int64(7),
+                                candidate_routes=candidates)
+        ids += [report.start, report.goal, *report.selected_route]
+        ids += [v for entry in report.entries for v in (*entry.route, *entry.hazard_nodes)]
+        ids += [v for entry in report.entries for v, _ in entry.verdicts]
+        assert json.loads(report.to_json())["selected_route"] == [int(v) for v in path]
+    assert {type(v) for v in ids} == {int}
 
 
 def test_cached_route_rerun_hits_every_node():

@@ -8,6 +8,7 @@ import sys
 from heapq import heappop, heappush
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -38,11 +39,13 @@ from datagraph import (
     proximity_search_first,
     run_compare,
 )
+from datagraph.graph import _collector_paused
 from helpers import (
     bfs_visit_order,
     build_graph,
     eager_geodesic_distances,
     eager_hop_distances,
+    eager_shortest_path,
     edge_dict,
     heap_dijkstra,
     queue_bfs_levels,
@@ -649,6 +652,78 @@ def test_query_count_formula_against_a_reference_bfs_and_dijkstra(spec):
             assert (blind.first_satisfied or (None,))[0] == first
 
 
+# Generated grids rebuilt with uneven edges and closed doors, where long runs
+# of ties, large heaps and a traversable subgraph that differs from the full
+# graph all occur: one 100² world with sparse objects and one 316². Each also
+# names the (metric, traversable_only) cases of its path check: the eager
+# descent builds a full map per call, about 1 s at 316²
+ALL_PATH_CASES = [(metric, only) for metric in ("hops", "meters") for only in (False, True)]
+UNEVEN_WORLDS = [
+    pytest.param(WorldSpec(100, 100, seed=31, objects_per_room_mean=0.01), ALL_PATH_CASES, id="100x100"),
+    pytest.param(WorldSpec(316, 316, seed=32, objects_per_room_mean=0.002),
+                 [("hops", False), ("meters", True)], id="316x316"),
+]
+
+
+def uneven_world(spec):
+    """``generate_world(spec)`` rebuilt through ``Datagraph(nodes, rows)``, each
+    edge's length L drawn from L, L/2, 1.5L, L plus a uniform draw in [0, 1)
+    and 0.1 + 0.2, and about one edge in ten closed. Returns the graph, its
+    ground truth and its ``(a, b, traversable, length_m)`` rows."""
+    graph, ground_truth = generate_world(spec)
+    rng = np.random.default_rng(spec.seed)
+    edges = graph.edges()
+    picks = rng.integers(0, 5, len(edges)).tolist()
+    draws = rng.uniform(0.0, 1.0, len(edges)).tolist()
+    closed = (rng.random(len(edges)) < 0.1).tolist()
+    rows = [
+        (e.a, e.b, not shut, (e.length_m, e.length_m / 2, 1.5 * e.length_m, e.length_m + draw, 0.1 + 0.2)[pick])
+        for e, pick, draw, shut in zip(edges, picks, draws, closed)
+    ]
+    return Datagraph(graph.nodes(), rows), ground_truth, rows
+
+
+@pytest.mark.parametrize("spec, path_cases", UNEVEN_WORLDS)
+@_collector_paused()  # as run_compare runs: collections walk the world's tuples and free nothing
+def test_query_counts_and_paths_at_scale_with_uneven_edges_and_closed_doors(spec, path_cases):
+    """The query-count formula, the traversable-only maps in key order, and
+    ``nearest`` against a queue BFS and a heap Dijkstra over the drawn rows;
+    ``shortest_path`` against the eager descent. Nothing here runs the
+    graph's own kernels as a reference."""
+    graph, ground_truth, rows = uneven_world(spec)
+    n = len(graph)
+    every = {(a, b): length for a, b, _, length in rows}
+    kept = {(a, b): length for a, b, traversable, length in rows if traversable}
+    assert 0 < len(every) - len(kept) < len(every) / 5
+    labels = sorted({inst.label for inst in ground_truth.instances})[:5] + ["nothing"]
+    assert len(labels) == 6
+    agents = (0, (spec.seed * 7919) % n)
+    for agent in agents:
+        full = {"hops": queue_bfs_levels(n, every, agent), "meters": heap_dijkstra(n, every, agent)}
+        # no sum absorbs an edge, so the heap pops in (meters, id) order
+        assert list(full["meters"]) == sorted(full["meters"], key=lambda v: (full["meters"][v], v))
+        for label in labels:
+            query = Query(f"find {label}", Predicate(label_equals=label))
+            homes = {inst.home_node for inst in ground_truth.instances if inst.label == label}
+            for metric, dist in full.items():
+                calls, hit = formula_calls(dist, homes)
+                result = proximity_search_first(graph, OracleBackend(), query, agent, metric)
+                assert result.total_backend_calls == calls, (agent, label, metric)
+                if hit is None:
+                    assert result.first_satisfied is None and graph.nearest(agent, homes, metric) is None
+                else:
+                    assert result.first_satisfied == (hit, full["hops"][hit], full["meters"][hit])
+                    assert graph.nearest(agent, homes, metric) == (hit, dist[hit])
+        hops, meters = queue_bfs_levels(n, kept, agent), heap_dijkstra(n, kept, agent)
+        assert list(graph.hop_distances(agent, traversable_only=True).items()) == sorted(
+            hops.items(), key=lambda item: (item[1], item[0]))
+        assert list(graph.geodesic_distances(agent, traversable_only=True).items()) == list(meters.items())
+    goal = max(hops, key=lambda v: (hops[v], v))  # the farthest node the second agent reaches through doors
+    for metric, traversable_only in path_cases:
+        expected = eager_shortest_path(graph, agents[1], goal, metric, traversable_only)
+        assert graph.shortest_path(agents[1], goal, metric, traversable_only) == expected, (metric, traversable_only)
+
+
 # Edge lengths for the formula on random graphs: dyadic sums are exact and tie
 # often; 0.1 + 0.2 rounds past 0.3; 1e16 next to 1.0 absorbs the short edge,
 # so a node can tie its own predecessor and pop after a higher id.
@@ -711,9 +786,9 @@ def test_property_query_count_formula_on_random_graphs(case):
     check_query_count_formula(case)
 
 
-def _meter_kernel_with_descending_ties(self, source, traversable_only, dist):
+def _meter_kernel_with_descending_ties(self, source, dist):
     """A planted fault: the meter kernel popping equal sums by descending id."""
-    adj = self._open_pairs if traversable_only else self._pairs
+    adj = self._pairs
     best, heap = {source: 0.0}, [(0.0, -source)]
     while heap:
         d, v = heappop(heap)

@@ -1,8 +1,9 @@
 """The CI workflow tests what the repository declares: its test step runs
 ROADMAP.md's tier-1 command, its matrix runs the oldest Python that
 pyproject.toml admits, its oldest-numpy row installs exactly the numpy
-floor that pyproject.toml admits, and its tier-1 job has a timeout. Text
-checks, so they run offline."""
+floor that pyproject.toml admits, and its tier-1 job has a timeout; and
+pyproject.toml declares the package's own version. Text checks, so they run
+offline."""
 
 from __future__ import annotations
 
@@ -33,6 +34,13 @@ def test_the_test_step_runs_the_tier_1_command():
     (command,) = re.findall(r"\*\*Tier-1 verify:\*\* `([^`]+)`", read("ROADMAP.md"))
     steps = re.findall(r"- name: (.+)\n\s+run: (.+)", read(".github/workflows/tests.yml"))
     assert ("Tier-1 tests", command) in steps
+
+
+def test_the_declared_version_is_the_package_version():
+    """``datagraph --version`` prints ``datagraph.__version__``; the two copies must not drift."""
+    (declared,) = re.findall(r'^version = "([^"]+)"$', read("pyproject.toml"), re.MULTILINE)
+    (package,) = re.findall(r'^__version__ = "([^"]+)"$', read("src/datagraph/__init__.py"), re.MULTILINE)
+    assert declared == package
 
 
 def test_the_tier_1_job_sets_a_timeout():

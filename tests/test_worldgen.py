@@ -168,6 +168,12 @@ def test_spec_rejects_a_number_field_of_the_wrong_kind(field, value):
         WorldSpec(grid_w=2, grid_h=2, **{field: value})
 
 
+@pytest.mark.parametrize("catalog", [["chair"], 5, None, "ab", [{"label": "chair"}], (CatalogEntry("crate"), "x")])
+def test_spec_rejects_a_catalog_of_the_wrong_kind(catalog):
+    with pytest.raises(WorldSpecError, match="^catalog must be a sequence of CatalogEntry records, got "):
+        WorldSpec(2, 2, catalog=catalog)
+
+
 @pytest.mark.parametrize("weight", ["1", None, False, 10**400])
 def test_catalog_entry_rejects_a_weight_of_the_wrong_kind(weight):
     with pytest.raises(WorldSpecError, match="catalog weight for 'crate' (must be a number|is too large)"):
@@ -436,9 +442,9 @@ def test_property_generated_records_equal_their_checked_rebuilds(case):
     objects = [obj for node in graph.nodes() for obj in node.snapshot.objects]
     assert len({id(obj.attributes) for obj in objects}) == len(objects)  # one attributes dict each
     # the graph is built unchecked too: the checking constructor, given its
-    # nodes and edge rows, must build the same adjacency in every view
+    # nodes and edge rows, must build the same adjacency and subgraph
     rebuilt = Datagraph(graph.nodes(), graph._edge_rows())
-    for name in ("_pairs", "_ids", "_open_pairs", "_open_ids", "_closed"):
+    for name in ("_pairs", "_ids", "_closed", "_traversable"):
         assert getattr(rebuilt, name) == getattr(graph, name), name
     for a, b, _, length_m in graph._edge_rows():  # each door as long as its rooms' centers are apart
         assert length_m == math.dist(graph.node(a).pose.position, graph.node(b).pose.position)
